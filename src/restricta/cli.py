@@ -3,8 +3,8 @@ and a run manifest on stderr for reproducibility.
 
 Output on stdout is byte-identical for identical argv and version: JSON is
 key-sorted with shortest-roundtrip float formatting, exact rationals are
-emitted as {"num": "...", "den": "..."} strings, and long scans stream CSV
-rows as they are produced.
+emitted as {"num": "...", "den": "..."} strings, non-finite floats as null,
+and long scans stream CSV rows as they are produced.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -32,8 +33,8 @@ from . import primes as _primes
 
 def canonical(obj):
     """Convert to plain JSON-serialisable values: Fractions to num/den
-    strings, numpy scalars to Python, complex to re/im, dataclasses via
-    their to_json when available."""
+    strings, numpy scalars to Python, non-finite floats to None, complex
+    to re/im, dataclasses via their to_json when available."""
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, (bool, np.bool_)):
@@ -41,7 +42,7 @@ def canonical(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, dict):
@@ -58,10 +59,12 @@ def canonical(obj):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -106,7 +109,7 @@ def _cmd_fourier(args):
         if args.check == "sin-sum":
             rep = _fourier.sin_bound_sum(args.q)
         elif args.check == "refined":
-            rep = _fourier.refined_digit_sum(args.q, grid=args.grid or 512)
+            rep = _fourier.refined_digit_sum(args.q, grid=args.grid or _fourier.REFINED_GRID)
         else:
             rep = _fourier.pairwise_bound_sum(args.q)
     elif args.check == "margin":
@@ -227,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=1, help="accepted for interface "
                    "compatibility; execution is deterministic regardless")
-    p.add_argument("--seedless", action="store_true", default=True,
-                   help="forbid nondeterminism (the default and only mode)")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("primes", help="sieve, count, and evaluate S_P")
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", choices=("sin-sum", "refined", "pairwise", "margin"))
     sp.add_argument("--q", type=int)
     sp.add_argument("--sys")
-    sp.add_argument("--grid", type=int)
+    sp.add_argument("--grid", type=int, help="Taylor subcells per cell")
     sp.add_argument("--scan", help="qmin..qmax, stream CSV rows")
     sp.set_defaults(func=_cmd_fourier)
 
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sys", required=True)
     sp.add_argument("--ell-max", type=int, required=True, dest="ell_max")
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--grid", type=int)
+    sp.add_argument("--grid", type=int, help="Taylor subcells per matrix cell")
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("arcs", help="circle dissection and main-term assembly")

@@ -4,8 +4,8 @@ S_A(theta) factors as a product of k single-digit window sums, which makes
 every mean, moment and maximum here computable in O(k) per point.  The
 "computer calculation" style inequalities (the sin-bound sum, the refined
 per-digit sum, the pairwise sum, the generalization margin) are evaluated
-as certified upper bounds: grid maxima carry explicit Lipschitz padding
-and sums accumulate a small per-term upward slack.
+as certified upper bounds: cell suprema are second-order Taylor bounds
+over subcells, and sums accumulate a small per-term upward slack.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ TAU_DEFAULT = 0.2 - 1e-9
 SLACK = 1e-12  # per-term upward slack in certified accumulations
 MEAN_CAP = 10**8
 MOMENT_CAP = 10**7
+REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 _CHUNK = 1 << 17
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
 # switch to their limit value (the sliver affected is ~1e-10 wide, where
@@ -96,11 +97,9 @@ class _Window:
         else:
             self.kind = "direct"
         ds = sorted(D)
-        med = ds[len(ds) // 2]
-        self.lip_global = 2.0 * math.pi * sum(abs(d - med) for d in ds)
-        rem = sorted(self.removed)
-        self.removed_center = rem[len(rem) // 2] if rem else 0
-        self.lip_removed_tail = 2.0 * math.pi * sum(abs(b - self.removed_center) for b in rem)
+        # G(phi) = e(-c*phi) W(phi) has |G| = F and |G''| <= m2 everywhere
+        self.center = ds[len(ds) // 2]
+        self.m2 = (2.0 * math.pi) ** 2 * sum((d - self.center) ** 2 for d in ds)
         self.q = q
 
     # -- complex values ---------------------------------------------------
@@ -184,54 +183,51 @@ class _Window:
     def cell_caps(self, dmin: np.ndarray) -> np.ndarray:
         """Analytic cap on F over a cell at distance >= dmin from integers."""
         nd = float(self.sys.size)
-        with np.errstate(divide="ignore"):
-            inv_sin = np.where(dmin > 0, 1.0 / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
+        with np.errstate(divide="ignore"):  # runs attain 1/sin: round it up
+            inv_sin = np.where(dmin > 0, (1.0 + 1e-12) / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
         if self.kind == "run":
             return np.minimum(nd, inv_sin)
         if self.kind == "removed":
             return np.minimum(nd, len(self.removed) + inv_sin)
         return np.full_like(dmin, nd)
 
-    def cell_lipschitz(self, dmin: np.ndarray) -> np.ndarray:
-        """Per-cell bound on |dF/dphi|, local where the structure allows."""
-        q = self.q
-        with np.errstate(divide="ignore"):
-            s = 2.0 * np.sin(np.pi * np.maximum(dmin, 1e-300))
-            s = np.where(dmin > 0, s, np.nan)
-            if self.kind == "run":
-                # |d|ratio|/dphi| <= 2*pi*(r/s + 2/s^2); shift phase drops out
-                r = self.run_len
-                local = 2.0 * math.pi * (r / s + 2.0 / (s * s))
-            elif self.kind == "removed":
-                # F = |e(-c*phi)(g - h)| with c the centre of the removed set:
-                # |g'| + 2*pi*c*|g| + |recentred h'|
-                c = self.removed_center
-                local = (
-                    2.0 * math.pi * (q / s + 2.0 / (s * s) + 2.0 * c / s)
-                    + self.lip_removed_tail
-                )
-            else:
-                local = np.full_like(s, np.inf)
-        local = np.where(np.isnan(local), np.inf, local)
-        return np.minimum(local, self.lip_global)
-
-    def cell_sup(self, lows: np.ndarray, width: float, grid: int, chunk: int = 4) -> np.ndarray:
+    def cell_sup(self, lows: np.ndarray, width: float, grid: int) -> np.ndarray:
         """Certified upper bound for sup F over each cell [low, low+width].
 
-        Inclusive grid maxima plus Lipschitz half-step padding, capped by
+        Cells lie on the 1/n grid, n = 1/width, and are split into ``grid``
+        subcells bounded by ``_taylor_sup`` at their rational midpoints
+        (2j+1)/(2*n*grid), where W, W' have exact phases.  G = e(-c*phi) W
+        is recentred at the median digit c; its unimodular factor drops out
+        of every modulus, so G, G' enter as W, W' - 2*pi*i*c*W.  Capped by
         the analytic per-cell bound and by |D|.
         """
         lows = np.asarray(lows, dtype=np.float64)
-        best = np.zeros(len(lows))
-        for g0 in range(0, grid + 1, chunk):
-            gs = np.arange(g0, min(g0 + chunk, grid + 1), dtype=np.float64)
-            phi = lows[:, None] + (gs[None, :] / grid) * width
-            vals = np.abs(self.values(phi))
-            np.maximum(best, vals.max(axis=1), out=best)
+        n = round(1.0 / width)
+        cells = np.rint(lows * n).astype(np.int64)
+        if abs(n * width - 1.0) > 1e-9 or np.any(np.abs(cells - lows * n) > 1e-6):
+            raise UsageError("cells must lie on the 1/n grid with width 1/n")
+        N = 2 * n * grid
+        c, tp = self.center, 2j * math.pi
+        best = np.empty(len(cells))
+        rows = max(1, _CHUNK // grid)
+        for i0 in range(0, len(cells), rows):
+            m = 2 * (cells[i0 : i0 + rows, None] * grid + np.arange(grid)) + 1
+            w = self.values_at_fractions(m, N)
+            wp = self.derivative_at_fractions(m, N) - tp * c * w
+            best[i0 : i0 + rows] = _taylor_sup(w, wp, 1.0 / N, self.m2).max(axis=1)
         dmin = np.clip(np.minimum(lows, 1.0 - lows - width), 0.0, None)
-        pad = self.cell_lipschitz(dmin) * (width / grid) / 2.0
-        capped = np.minimum(best + pad, self.cell_caps(dmin))
-        return np.minimum(capped, float(self.sys.size))
+        return np.minimum(np.minimum(best, self.cell_caps(dmin)), float(self.sys.size))
+
+
+def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, m2: float) -> np.ndarray:
+    """Upper bound for |G| on [x - r, x + r] from g = G(x) and gp = G'(x)
+    when |G''| <= m2 there.
+
+    Taylor's theorem gives |G(x+h)| <= |g + gp*h| + m2*h^2/2, and |g + gp*h|
+    is convex in h, so over |h| <= r its maximum is at h = -r or h = r.
+    """
+    step = gp * r
+    return np.maximum(np.abs(g + step), np.abs(g - step)) + 0.5 * m2 * r * r
 
 
 def digit_window_sum(sys: DigitSystem, phi: float) -> float:
@@ -363,44 +359,46 @@ def sin_bound_sum(q: int, tau: float = TAU_DEFAULT) -> BoundReport:
     )
 
 
-def refined_digit_sum(q: int, grid: int = 512, tau: float = TAU_DEFAULT) -> BoundReport:
+def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
+    """Yield, for b = 0..q-1, the certified suprema of F_D with D missing b
+    over the q cells [t/q, (t+1)/q).
+
+    The subcells, recentring and caps are those of ``_Window.cell_sup``,
+    but the full-set geometric kernel g, g' is evaluated once for all b:
+    W_b = g - e(b*phi) and W_b' = g' - 2*pi*i*b*e(b*phi), with e(b*phi)
+    advanced by elementwise multiplication.
+    """
+    N = 2 * q * grid
+    m = 2 * np.arange(q * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
+    full = _Window(DigitSystem.of(q, range(q)))
+    g = full.values_at_fractions(m, N)
+    gp = full.derivative_at_fractions(m, N)
+    z1 = unit(m / N)
+    tp = 2j * math.pi
+    t = np.arange(q, dtype=np.float64)
+    dmin = np.minimum(t, q - 1 - t) / q  # distance from cell t to the integers
+    recentred = {}  # median digit c -> g' - 2*pi*i*c*g
+    eb = np.ones_like(g)  # e(b*phi)
+    for b in range(q):
+        win = _Window(DigitSystem.excluding(q, {b}))
+        c = win.center
+        if c not in recentred:
+            recentred[c] = gp - tp * c * g
+        sups = _taylor_sup(g - eb, recentred[c] - tp * (b - c) * eb, 1.0 / N, win.m2)
+        yield np.minimum(sups.reshape(q, grid).max(axis=1), win.cell_caps(dmin))
+        eb = eb * z1
+
+
+def refined_digit_sum(q: int, grid: int = REFINED_GRID, tau: float = TAU_DEFAULT) -> BoundReport:
     """Per-digit bound from the true window maxima.
 
     For every missing digit b, sums over t the certified supremum of
-    F_D over [t/q, (t+1)/q); reports the worst b.  Cell suprema are grid
-    maxima with local Lipschitz padding, never exceeding the sin-bound
-    cell values.  The geometric kernel is evaluated once for all b; the
-    missing-digit phase advances by elementwise multiplication.
+    F_D over [t/q, (t+1)/q) (see ``_refined_cell_sups``); reports the
+    worst b.
     """
     if q < 3:
         raise UsageError("need q >= 3")
-    t = np.arange(q, dtype=np.float64)
-    eta = np.arange(grid + 1, dtype=np.float64) / grid
-    phi = (t[:, None] + eta[None, :]) / q  # (q, grid+1) covering each cell
-    z1 = unit(phi)
-    zq = unit(eta)[None, :] * np.ones((q, 1))  # e(q*phi) = e(t + eta) = e(eta)
-    den = z1 - 1.0
-    small = np.abs(den) < _DEN_EPS
-    g = np.where(small, q + 0j, (zq - 1.0) / np.where(small, 1.0, den))
-    # per-cell distance to the nearest integer and the sin-bound cell cap
-    dmin = np.minimum(t, q - 1 - t) / q
-    with np.errstate(divide="ignore"):
-        caps = np.where(dmin > 0, 1.0 + 1.0 / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
-    caps = np.minimum(caps, float(q - 1))
-    with np.errstate(divide="ignore"):
-        s = np.where(dmin > 0, 2.0 * np.sin(np.pi * np.maximum(dmin, 1e-300)), np.nan)
-        lip_geom = 2.0 * math.pi * (q / s + 2.0 / (s * s))
-    halfstep = 1.0 / (q * grid) / 2.0
-    per_digit = []
-    eb = np.ones_like(z1)  # e(b*phi), advanced multiplicatively over b
-    for b in range(q):
-        gridmax = np.abs(g - eb).max(axis=1)
-        sys_b = DigitSystem.excluding(q, {b})
-        lip_glob = _Window(sys_b).lip_global
-        lip = np.minimum(np.nan_to_num(lip_geom + 2.0 * math.pi * 2.0 * b / s, nan=np.inf), lip_glob)
-        sups = np.minimum(np.minimum(gridmax + lip * halfstep, caps), float(q - 1))
-        per_digit.append(float(np.sum(sups)) + SLACK * q)
-        eb = eb * z1
+    per_digit = [float(np.sum(sups)) + SLACK * q for sups in _refined_cell_sups(q, grid)]
     value = max(per_digit)
     threshold = (q - 1) * q**tau
     return BoundReport(
@@ -467,7 +465,7 @@ def generalized_margin(sys: DigitSystem, grid: int = 256, tau_exp: float = 0.2) 
     win = _Window(sys)
     lows = np.arange(q, dtype=np.float64) / q
     sups = win.cell_sup(lows, 1.0 / q, grid)
-    value = float(np.sum(sups)) + SLACK * q * (grid + 1)
+    value = float(np.sum(sups)) + SLACK * q
     r = q - sys.size
     threshold = r * q**tau_exp
     details: dict = {"grid": grid, "degenerate": r == 0}

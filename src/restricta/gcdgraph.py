@@ -315,7 +315,3 @@ def compress_greedy(S, B: int, max_nonimproving: int | None = None) -> Bipartite
             budget -= 1
         g = best.graph
     return g
-
-
-def empty_candidates(cands: list[CompressionCandidate]) -> int:
-    return sum(1 for c in cands if c.empty)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .errors import CapExceeded, UsageError
 from .fourier import SLACK, _Window, sin_display_value
 
 ENTRY_CAP = 10**7
-DEFAULT_GRID = 512
+DEFAULT_GRID = 1  # Taylor subcells per matrix cell
+MIN_SUBCELLS = 10**5  # per circle: coarse ell keep the remainder of ell = 4, q = 10
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 100_000
 
@@ -66,16 +68,14 @@ class TransitionMatrix:
             return 0.0
         return float(self.entries[row * q + col % q])
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.reshape(self.dim, self.sys.q).sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.entries.reshape(self.sys.q, self.dim).sum(axis=0)
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """Column of each stored entry, (I*q + t) mod q^ell."""
+        return np.arange(self.n_entries) % self.dim
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(Mv)[I] = sum_t entries[I*q + t] * v[(I*q + t) mod q^ell]."""
-        idx = np.arange(self.n_entries) % self.dim
-        prod = self.entries * v[idx]
+        prod = self.entries * v[self._cols]
         return prod.reshape(self.dim, self.sys.q).sum(axis=1)
 
 
@@ -111,9 +111,9 @@ def build_matrix(
     """Build the block-transition matrix for ell-digit contexts.
 
     Entry value for the digit word (t_1 .. t_{ell+1}) is the certified
-    supremum of F_D/|D| over the width-q^-(ell+1) cell it pins down,
-    raised to sigma.  Padding is applied before exponentiation so the
-    power map preserves the upper bound.
+    supremum of F_D/|D| over the width-q^-(ell+1) cell it pins down, from
+    ``grid`` or more Taylor subcells per cell, raised to sigma.  The bound
+    is taken before exponentiation so the power map preserves it.
     """
     if ell < 1:
         raise UsageError("need ell >= 1")
@@ -125,6 +125,7 @@ def build_matrix(
     win = _Window(sys)
     width = 1.0 / n_words
     lows = np.arange(n_words, dtype=np.float64) * width
+    grid = max(grid, -(-MIN_SUBCELLS // n_words))
     sups = win.cell_sup(lows, width, grid)
     entries = (sups / sys.size) ** sigma
     return TransitionMatrix(sys, ell, float(sigma), entries, grid)

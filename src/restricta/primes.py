@@ -19,8 +19,10 @@ from .numutil import csum, frac_mul, unit
 SEGMENT = 1 << 20
 SIEVE_LIMIT = 1 << 40
 
-# deterministic Miller-Rabin witness set, valid for all n < 3.3e24
+# exact below psi_12, and below psi_13 with base 41 (Sorenson-Webster 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI12 = 318_665_857_834_031_151_167_461
+_PSI13 = 3_317_044_064_679_887_385_961_981
 
 
 class PrimeTable:
@@ -228,10 +230,10 @@ def vinogradov_reference(N: float, S: float, B: float) -> float:
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all n < psi_13 (about 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -239,7 +241,7 @@ def is_prime_int(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _PSI12 else _MR_BASES + (41,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -267,7 +269,7 @@ def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
             m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        if m >= 3_317_044_064_679_887_385_961_981:
+        if m >= _PSI13:
             raise FactorizationTooHard(f"cofactor {m} beyond Miller-Rabin certification range")
         if is_prime_int(m):
             fac[m] = fac.get(m, 0) + 1

@@ -70,6 +70,15 @@ class TestJsonOutputs:
         assert payload["countA"] == 39
         assert payload["sys"]["D"] == [7, 8, 9]
 
+    def test_non_finite_ratio_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--sys", "q=10,exclude=7", "--x", "1")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert payload["predicted"] == 0.0 and payload["ratio"] is None
+        _, out, _ = run_cli(capsys, "--format", "csv", "census", "--sys", "q=10,exclude=7", "--x", "1")
+        header, row = out.split("\n")[:2]
+        assert dict(zip(header.split(","), row.split(",")))["ratio"] == "null"
+
     def test_primes(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--limit", "100",
                                "--ap", "4,1", "--exp-sum", "0.5")

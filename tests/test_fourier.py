@@ -196,6 +196,11 @@ class TestBoundSums:
         rep = F.refined_digit_sum(101)
         assert 490 <= rep.value <= 502
 
+    def test_refined_101_not_looser(self):
+        # the value of the Lipschitz-grid kernel (513 points per cell) that
+        # the Taylor kernel replaced
+        assert F.refined_digit_sum(101).value <= 499.3234868989055
+
     def test_refined_below_sin_display(self):
         for q in (10, 47, 101):
             assert F.refined_digit_sum(q).value <= F.sin_display_value(q) + 1e-9

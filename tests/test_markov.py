@@ -159,3 +159,79 @@ class TestCertify:
             "ell", "sigma", "rowSumBound", "powerEstimate",
             "iterations", "threshold", "certified", "converged",
         }
+
+
+# Row-sum bounds for missing digit b = 0..9 from the Lipschitz-grid kernel
+# (513 points per cell) that the Taylor kernel replaced; no bound may be
+# looser.
+LIPSCHITZ_SIGMA1 = {
+    1: (
+        2.2341510443384345,
+        2.366515925244904,
+        2.4116115649328833,
+        2.4152740224959013,
+        2.436240114384027,
+        2.4363095178154324,
+        2.415477826155,
+        2.411942449991766,
+        2.366948084242314,
+        2.234151044338435,
+    ),
+    2: (
+        2.06114053965773,
+        2.203894508800771,
+        2.239078875666596,
+        2.23607977091148,
+        2.2607132148243267,
+        2.260720265238196,
+        2.2361004073940705,
+        2.239112659912657,
+        2.203938632433802,
+        2.06114053965773,
+    ),
+    3: (
+        2.0430617259381494,
+        2.1885174843361046,
+        2.224083749686861,
+        2.219078227884173,
+        2.2435992611247744,
+        2.243599966678813,
+        2.219080291627297,
+        2.224087127320309,
+        2.1885219022195237,
+        2.0430617259381494,
+    ),
+    4: (
+        2.0412446172847702,
+        2.1869911745522876,
+        2.222606354345667,
+        2.2173925672063706,
+        2.2418951547078074,
+        2.241895225268474,
+        2.2173927735784966,
+        2.222606692092343,
+        2.1869916163909715,
+        2.0412446172847707,
+    ),
+}
+LIPSCHITZ_ELL4_SIGMA2 = (
+    1.3328632264880926,
+    1.356553126576587,
+    1.3646247425645348,
+    1.3664531708503072,
+    1.3685401475322254,
+    1.3685401830200707,
+    1.3664532743218036,
+    1.3646249136197042,
+    1.3565533444728264,
+    1.3328632264880926,
+)
+
+
+class TestNoLooser:
+    @pytest.mark.parametrize("b", range(10))
+    def test_row_sums(self, b):
+        sys = DigitSystem.excluding(10, {b})
+        for ell in (1, 2, 3, 4):
+            assert M.row_sum_bound(M.build_matrix(sys, ell, 1.0)) <= LIPSCHITZ_SIGMA1[ell][b]
+        assert M.row_sum_bound(M.build_matrix(sys, 4, 235 / 154)) <= LIPSCHITZ_ELL4_SIGMA2[b]

@@ -196,6 +196,14 @@ class TestFactorization:
         with pytest.raises(FactorizationTooHard):
             P.factorize(p1 * p2, trial_limit=10**3)
 
+    def test_strong_pseudoprime_to_twelve_bases(self):
+        # psi_12, the first strong pseudoprime to the prime bases 2..37
+        p1, p2 = 399_165_290_221, 798_330_580_441
+        assert P.is_prime_int(p1) and P.is_prime_int(p2)
+        assert not P.is_prime_int(p1 * p2)
+        with pytest.raises(FactorizationTooHard):
+            P.factorize(p1 * p2)
+
     def test_mr_agrees_with_table(self, table_1e4):
         for n in range(2, 2000):
             assert P.is_prime_int(n) == table_1e4.is_prime(n)
