@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import primes as _primes
 from .errors import CapExceeded, UsageError
 
 ENUM_CAP = 10**8
@@ -220,21 +221,7 @@ def prediction_constant(sys: DigitSystem) -> Fraction:
     dq = len(sys.coprime_digits)
     if dq == 0:
         return Fraction(0)
-    phi = _euler_phi_small(sys.q)
-    return Fraction(dq, sys.size) / Fraction(phi, sys.q)
-
-
-def _euler_phi_small(n: int) -> int:
-    res, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            res -= res // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        res -= res // m
-    return res
+    return Fraction(dq, sys.size) / Fraction(_primes.euler_phi(sys.q), sys.q)
 
 
 @dataclass(frozen=True)
@@ -261,11 +248,10 @@ def census(sys: DigitSystem, x: int, enum_threshold: int = 300_000) -> CensusRep
     """Count A(x) and its primes exactly; report the prediction ratio.
 
     Route selection: when A(x) is small, enumerate members and test each
-    with deterministic Miller-Rabin; otherwise sieve to x and digit-filter
-    the primes.
+    with deterministic Miller-Rabin (OutOfRange for a member at or above
+    psi_13, where no base set is proven); otherwise sieve to x and
+    digit-filter the primes segment by segment.
     """
-    from . import primes as _primes
-
     count = count_restricted(sys, x)
     if count <= enum_threshold:
         members = enumerate_restricted(sys, x)

@@ -1,14 +1,21 @@
 """Prime generation and the prime exponential sum S_P(theta).
 
-Segmented sieve (2^20-element segments, bit-packed storage), exact prime
-counting in arithmetic progressions, Ramanujan sums, and direct evaluation
-of S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction.
+The sieve stores one bit per odd integer (2, the only even prime, is handled
+apart) in segments of SEGMENT odd slots.  Each segment starts as a copy of a
+wheel pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
+(period 3*5*7*11*13 = 15015 odd slots), so only the base primes >= 17 are
+crossed off.  ``PrimeTable.segments`` decodes one segment's primes at a
+time, and the consumers fold over it, holding one segment of primes at
+most: exact counts in arithmetic progressions, the digit census (two block
+lookup tables of size q^k <= 2^16, a few lookups per prime), and
+S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
+compensated sum per segment, fsum across).  Also: Ramanujan sums, Euler
+phi, Miller-Rabin refused at psi_13, and exact factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -16,66 +23,94 @@ import numpy as np
 from .errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
 from .numutil import csum, frac_mul, unit
 
-SEGMENT = 1 << 20
+SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
+WHEEL = 3 * 5 * 7 * 11 * 13  # period, in odd slots, of the pre-sieved pattern
 
-# exact below psi_12, and below psi_13 with base 41 (Sorenson-Webster 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k prime bases decide every n < psi_k, the least strong
+# pseudoprime to all of them (Jaeschke 1993; Jiang-Deng 2014; Sorenson-Webster
+# 2017).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI12 = 318_665_857_834_031_151_167_461
 _PSI13 = 3_317_044_064_679_887_385_961_981
+_MR_TABLE = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (_PSI12, 12),
+    (_PSI13, 13),
+)
 
 
 class PrimeTable:
-    """Bit-packed primality table for [0, limit], built segment by segment."""
+    """Primality table for [0, limit]: one bit per odd integer, in segments
+    of SEGMENT odd slots, with the prime count of every segment.
+
+    ``segments(x)`` yields each segment's primes <= x; ``primes(x)`` is
+    their concatenation and ``pi(x)`` adds whole-segment counts to one
+    decoded segment.
+    """
 
     def __init__(self, limit: int, packed: np.ndarray, seg_counts: np.ndarray):
         self.limit = limit
-        self._packed = packed  # uint8, one bit per integer, big-endian per byte
-        self._seg_counts = seg_counts  # primes per segment, for fast pi(x)
+        self._packed = packed  # uint8, bit i (big-endian per byte) is 2i+1
+        self._seg_counts = seg_counts  # primes per segment, 2 in segment 0
 
-    def _segment_bits(self, seg: int) -> np.ndarray:
-        lo = seg * (SEGMENT // 8)
-        hi = min(lo + SEGMENT // 8, len(self._packed))
-        return np.unpackbits(self._packed[lo:hi])
+    def _check(self, x: int) -> None:
+        if x > self.limit:
+            raise OutOfRange(f"{x} exceeds table limit {self.limit}")
+
+    def _segment_primes(self, seg: int, x: int) -> np.ndarray:
+        """Primes <= x in segment seg, increasing, int64."""
+        width = SEGMENT // 8
+        bits = np.unpackbits(self._packed[seg * width : (seg + 1) * width])
+        ps = np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+        ps *= 2
+        ps += 2 * seg * SEGMENT + 1
+        if ps.size and ps[-1] > x:
+            ps = ps[: np.searchsorted(ps, x, side="right")]
+        if seg == 0:
+            ps = np.concatenate((np.array([2], dtype=np.int64), ps))
+        return ps
 
     def is_prime(self, n: int) -> bool:
         if n < 0 or n > self.limit:
             raise OutOfRange(f"{n} outside table limit {self.limit}")
-        byte = self._packed[n >> 3]
-        return bool((byte >> (7 - (n & 7))) & 1)
+        if n % 2 == 0:
+            return n == 2
+        i = n >> 1
+        return bool((self._packed[i >> 3] >> (7 - (i & 7))) & 1)
+
+    def segments(self, x: int | None = None) -> Iterator[np.ndarray]:
+        """The primes <= x (default: the full table) of each segment in
+        turn, increasing, int64; nothing when x < 2."""
+        x = self.limit if x is None else x
+        self._check(x)
+        if x < 2:
+            return
+        for seg in range((x - 1) // 2 // SEGMENT + 1):
+            yield self._segment_primes(seg, x)
 
     def primes(self, x: int | None = None) -> np.ndarray:
         """All primes <= x (default: the full table), increasing, int64."""
-        x = self.limit if x is None else x
-        if x > self.limit:
-            raise OutOfRange(f"{x} exceeds table limit {self.limit}")
-        parts = []
-        nseg = (x >> 20) + 1
-        for seg in range(nseg):
-            bits = self._segment_bits(seg)
-            idx = np.flatnonzero(bits).astype(np.int64) + (seg << 20)
-            if idx.size and idx[-1] > x:
-                idx = idx[idx <= x]
-            if idx.size:
-                parts.append(idx)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        parts = list(self.segments(x))
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes().tolist())
 
     def pi(self, x: int) -> int:
         """Exact prime count up to x."""
-        if x > self.limit:
-            raise OutOfRange(f"{x} exceeds table limit {self.limit}")
+        self._check(x)
         if x < 2:
             return 0
-        seg = x >> 20
-        count = int(self._seg_counts[:seg].sum())
-        bits = self._segment_bits(seg)
-        count += int(bits[: (x - (seg << 20)) + 1].sum())
-        return count
+        seg = (x - 1) // 2 // SEGMENT
+        return int(self._seg_counts[:seg].sum()) + len(self._segment_primes(seg, x))
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -87,67 +122,114 @@ def _simple_sieve(n: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
+def _wheel_pattern() -> np.ndarray:
+    """True at odd slot i when 2i+1 is prime to 3, 5, 7, 11 and 13, for at
+    least SEGMENT + WHEEL slots; the pattern repeats every WHEEL slots, so
+    every segment is a slice of it."""
+    n = 2 * np.arange(WHEEL, dtype=np.int64) + 1
+    one = (n % 3 != 0) & (n % 5 != 0) & (n % 7 != 0) & (n % 11 != 0) & (n % 13 != 0)
+    return np.tile(one, SEGMENT // WHEEL + 2)
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to limit (inclusive)."""
+    """Segmented odd-only sieve of Eratosthenes up to limit (inclusive).
+
+    Every segment is copied from the wheel pattern, which has struck out
+    3, 5, 7, 11 and 13; the base primes from 17 to sqrt(limit) are then
+    crossed off from p*p on, the odd multiples p*(2k+1) sitting p slots
+    apart.
+    """
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
     if limit > SIEVE_LIMIT:
         raise LimitExceeded(f"sieve limit {limit} above 2^40")
     base = _simple_sieve(math.isqrt(limit))
-    nseg = (limit >> 20) + 1
-    packed_parts = []
-    seg_counts = np.zeros(nseg, dtype=np.int64)
+    base = base[base >= 17]
+    home = (base - 1) // 2  # slot of p: its odd multiples are the slots home + k*p
+    first = (base * base - 1) // 2  # slot of p*p
+    wheel = _wheel_pattern()
+    nslots = (limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
+    nseg = -(-nslots // SEGMENT)
+    packed = np.empty(nseg * (SEGMENT // 8), dtype=np.uint8)
+    seg_counts = np.empty(nseg, dtype=np.int64)
     for seg in range(nseg):
-        lo = seg << 20
-        hi = min(lo + SEGMENT, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
+        lo = seg * SEGMENT
+        phase = lo % WHEEL
+        flags = wheel[phase : phase + SEGMENT].copy()
         if seg == 0:
-            flags[:2] = False
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            flags[start - lo :: p] = False
-            if lo <= p < hi:
-                flags[p - lo] = True
-        seg_counts[seg] = int(flags.sum())
-        if len(flags) < SEGMENT:
-            flags = np.concatenate([flags, np.zeros(SEGMENT - len(flags), dtype=bool)])
-        packed_parts.append(np.packbits(flags))
-    return PrimeTable(limit, np.concatenate(packed_parts), seg_counts)
+            flags[0] = False  # 1
+            flags[[1, 2, 3, 5, 6]] = True  # 3, 5, 7, 11, 13
+        live = int(np.searchsorted(first, lo + SEGMENT))
+        starts = np.maximum(first[:live], lo + (home[:live] - lo) % base[:live]) - lo
+        for s, p in zip(starts.tolist(), base[:live].tolist()):
+            flags[s::p] = False
+        flags[nslots - lo :] = False
+        seg_counts[seg] = np.count_nonzero(flags) + (1 if seg == 0 else 0)  # and 2
+        packed[seg * (SEGMENT // 8) : (seg + 1) * (SEGMENT // 8)] = np.packbits(flags)
+    return PrimeTable(limit, packed, seg_counts)
 
 
 def count_primes_ap(table: PrimeTable, x: int, q: int, a: int) -> int:
-    """Exact #{p <= x : p prime, p = a (mod q)}."""
-    if x > table.limit:
-        raise OutOfRange(f"{x} exceeds table limit {table.limit}")
+    """Exact #{p <= x : p prime, p = a (mod q)}, one segment at a time."""
     if q < 1 or not (0 <= a < q):
         raise UsageError("need q >= 1 and 0 <= a < q")
-    ps = table.primes(x)
-    return int(np.count_nonzero(ps % q == a))
+    return sum(int(np.count_nonzero(ps % q == a)) for ps in table.segments(x))
+
+
+def _block_tables(sys) -> tuple[np.ndarray, np.ndarray]:
+    """Digit tables for blocks of k base-q digits, Q = q^k <= 2^16 (k >= 1).
+
+    full[r]: every digit of r written with exactly k digits (zero-padded)
+    is allowed; lead[r]: every digit of the plain expansion of r is allowed.
+    """
+    q = sys.q
+    k = 1
+    while q ** (k + 1) <= 1 << 16:
+        k += 1
+    allowed = np.zeros(q, dtype=bool)
+    allowed[list(sys.digits)] = True
+    t = np.arange(q**k, dtype=np.int64)
+    full = np.ones(q**k, dtype=bool)
+    lead = np.ones(q**k, dtype=bool)
+    for _ in range(k):
+        ok = allowed[t % q]
+        full &= ok
+        lead &= ok | (t == 0)
+        t //= q
+    return full, lead
 
 
 def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
-    """#{p <= x prime with all base-q digits allowed}, vectorised."""
-    ps = table.primes(x)
-    mask = np.zeros(sys.q, dtype=bool)
-    mask[list(sys.digits)] = True
-    ok = np.ones(len(ps), dtype=bool)
-    rem = ps.copy()
-    while np.any(rem > 0):
-        active = rem > 0
-        ok[active] &= mask[rem[active] % sys.q]
-        rem = np.where(active, rem // sys.q, 0)
-    return int(np.count_nonzero(ok))
+    """#{p <= x prime with all base-q digits allowed}, one segment at a time.
+
+    Each segment's primes are cut into blocks of k base-q digits, Q = q^k
+    <= 2^16, from the low end, with two lookup tables built per call: a
+    block with a nonzero rest above it must be in ``full`` (zero-padded),
+    the top block in ``lead`` (no padding).  A prime failing a block is
+    dropped at once.  The primes are increasing, so those that reach their
+    top block at a level are a prefix; at 3*10^8 in base 10 (Q = 10^4) that
+    is 3 lookups per prime.
+    """
+    full, lead = _block_tables(sys)
+    Q = len(full)
+    count = 0
+    for ps in table.segments(x):
+        rem = ps
+        while rem.size:
+            top = int(np.searchsorted(rem, Q))
+            count += int(np.count_nonzero(lead[rem[:top]]))
+            rem = rem[top:]
+            rest = rem // Q
+            rem = rest[full[rem - rest * Q]]
+    return count
 
 
 def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
-    """S_P(theta) = sum_{p <= N} e(p*theta), by direct compensated summation."""
-    if N > table.limit:
-        raise OutOfRange(f"{N} exceeds table limit {table.limit}")
-    ps = table.primes(N)
-    phases = frac_mul(ps, float(theta))
-    return csum(unit(phases))
+    """S_P(theta) = sum_{p <= N} e(p*theta): a compensated sum per segment,
+    then an exact fsum across segments."""
+    theta = float(theta)
+    parts = [csum(unit(frac_mul(ps, theta))) for ps in table.segments(N)]
+    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
 
 def prime_spectrum(table: PrimeTable, N: int, direct_cap: int = 50_000) -> np.ndarray:
@@ -230,7 +312,10 @@ def vinogradov_reference(N: float, S: float, B: float) -> float:
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < psi_13 (about 3.3e24)."""
+    """Deterministic Miller-Rabin with the fewest prime bases the psi_k table
+    proves enough; refuses n >= psi_13 (about 3.3e24) with OutOfRange."""
+    if n >= _PSI13:
+        raise OutOfRange(f"{n} >= psi_13: Miller-Rabin with 13 prime bases is not proven there")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -241,7 +326,8 @@ def is_prime_int(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES if n < _PSI12 else _MR_BASES + (41,):
+    k = next(k for psi, k in _MR_TABLE if n < psi)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -70,6 +70,12 @@ class TestJsonOutputs:
         assert payload["countA"] == 39
         assert payload["sys"]["D"] == [7, 8, 9]
 
+    def test_census_refuses_unproven_primality(self, capsys):
+        # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13
+        code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=1", "--x", str(10**39))
+        assert code == 1
+        assert json.loads(out)["error"] == "out-of-range"
+
     def test_non_finite_ratio_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,exclude=7", "--x", "1")
         assert code == 0

@@ -157,6 +157,11 @@ class TestCensus:
         assert isinstance(rep, CensusReport)
         assert rep.ratio == pytest.approx(rep.prime_count / rep.predicted)
 
+    @pytest.mark.parametrize("x,count,primes", [(10**7, 4782970, 266823), (10**8, 43046722, 2079512)])
+    def test_missing_seven_pinned(self, x, count, primes):
+        rep = census(DigitSystem.excluding(10, {7}), x)
+        assert (rep.count, rep.prime_count) == (count, primes)
+
     def test_sieve_route_matches_enum_route(self):
         sys = DigitSystem.excluding(10, {7})
         a = census(sys, 30_000, enum_threshold=10**9)  # enumeration route

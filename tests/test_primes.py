@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restricta import primes as P
+from restricta.digit_systems import DigitSystem
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange
+from restricta.numutil import frac_exact
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -69,6 +72,84 @@ class TestSieve:
             P.sieve_primes(2**40 + 1)
         with pytest.raises(OutOfRange):
             P.sieve_primes(100).pi(101)
+
+
+# Edges of the first few segments (2^20 odd slots cover 2^21 integers), of
+# the 2^20 mark, and the smallest limits.
+EDGE_X = (2, 3, 2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21, 2**21 + 1, 3 * 2**20 + 7)
+
+# Digit sets without 0 (interior zeros are refused, e.g. 101 in base 10),
+# with only 0 missing, of a single digit, and with a high digit missing.
+FILTER_SYSTEMS = (
+    DigitSystem.of(2, (1,)),
+    DigitSystem.of(3, (1, 2)),
+    DigitSystem.of(3, (0, 2)),
+    DigitSystem.of(7, (1, 3, 5)),
+    DigitSystem.excluding(7, {5}),
+    DigitSystem.excluding(10, {0}),
+    DigitSystem.excluding(10, {7}),
+    DigitSystem.of(10, (1,)),
+    DigitSystem.of(10, (1, 3, 7, 9)),
+    DigitSystem.excluding(16, {15}),
+    DigitSystem.excluding(16, {0}),
+    DigitSystem.of(16, (11,)),
+)
+
+
+@pytest.fixture(scope="module")
+def edge_oracle():
+    """Plain-sieve primes up to the largest edge and its table."""
+    top = max(EDGE_X)
+    return P._simple_sieve(top), P.sieve_primes(top)
+
+
+class TestStreamedLayer:
+    @pytest.mark.parametrize("x", EDGE_X)
+    def test_table_at_edge_limit(self, x, edge_oracle):
+        ref = edge_oracle[0][edge_oracle[0] <= x]
+        t = P.sieve_primes(x)
+        assert np.array_equal(t.primes(), ref)
+        assert t.pi(x) == len(ref)
+        assert np.array_equal(np.concatenate([np.empty(0, np.int64), *t.segments()]), ref)
+        assert all(s.dtype == np.int64 for s in t.segments())
+        flags = np.zeros(x + 1, dtype=bool)
+        flags[ref] = True
+        for n in {*range(min(x, 400) + 1), *range(max(0, x - 400), x + 1)}:
+            assert t.is_prime(n) == flags[n], n
+
+    def test_queries_below_limit(self, edge_oracle):
+        ref, t = edge_oracle
+        for x in (0, 1, *EDGE_X):
+            below = ref[ref <= x]
+            assert t.pi(x) == len(below)
+            assert np.array_equal(t.primes(x), below)
+
+    @pytest.mark.parametrize("sys", FILTER_SYSTEMS, ids=lambda s: s.spec_string())
+    def test_digit_filter_against_contains(self, sys, edge_oracle):
+        ref, t = edge_oracle
+        member = np.array([sys.contains(int(p)) for p in ref])
+        for x in EDGE_X:
+            expected = int(np.count_nonzero(member[ref <= x]))
+            assert P.count_primes_digit_filtered(t, x, sys) == expected, x
+        x = EDGE_X[-2]
+        assert P.count_primes_digit_filtered(P.sieve_primes(x), x, sys) == int(np.count_nonzero(member[ref <= x]))
+
+    @pytest.mark.parametrize("q", (1, 2, 3, 10, 30))
+    def test_ap_counts_partition_pi(self, q, edge_oracle):
+        ref, t = edge_oracle
+        for x in EDGE_X:
+            below = ref[ref <= x]
+            counts = [P.count_primes_ap(t, x, q, a) for a in range(q)]
+            assert counts == [int(np.count_nonzero(below % q == a)) for a in range(q)]
+            assert sum(counts) == t.pi(x)
+
+    def test_exp_sum_against_direct_fsum(self):
+        N = 10**5
+        t = P.sieve_primes(N)
+        for theta in (0.1234567, 1 / 3, math.sqrt(2) - 1):
+            phases = [2 * math.pi * frac_exact(p, theta) for p in P._simple_sieve(N).tolist()]
+            direct = complex(math.fsum(map(math.cos, phases)), math.fsum(map(math.sin, phases)))
+            assert abs(P.prime_exp_sum(t, N, theta) - direct) < 1e-9
 
 
 class TestCountAp:
@@ -142,6 +223,14 @@ class TestPrimeExpSum:
             P.prime_exp_sum(table_1e4, 10**5, 0.1)
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, r))
+
+
 _SHARED = {}
 
 
@@ -203,6 +292,35 @@ class TestFactorization:
         assert not P.is_prime_int(p1 * p2)
         with pytest.raises(FactorizationTooHard):
             P.factorize(p1 * p2)
+
+    @pytest.mark.parametrize("psi,k", P._MR_TABLE)
+    def test_each_psi_needs_its_row(self, psi, k):
+        # psi_k passes Miller-Rabin for the first k bases, so the row for
+        # n < psi_k is as high as it can go; the next row catches it
+        assert not sympy.isprime(psi)
+        assert all(_strong_probable_prime(psi, a) for a in P._MR_BASES[:k])
+        assert P.is_prime_int(sympy.prevprime(psi))
+        if psi < P._PSI13:
+            assert not P.is_prime_int(psi)
+        else:
+            with pytest.raises(OutOfRange):
+                P.is_prime_int(psi)
+
+    def test_refused_beyond_psi13(self):
+        assert P.is_prime_int(P._PSI13 - 2) == sympy.isprime(P._PSI13 - 2)
+        for n in (P._PSI13, P._PSI13 + 2, 10**39 + 7):
+            with pytest.raises(OutOfRange):
+                P.is_prime_int(n)
+
+    @given(
+        st.sampled_from(list(zip((2,) + tuple(psi for psi, _ in P._MR_TABLE), P._MR_TABLE))).flatmap(
+            lambda row: st.integers(row[0], row[1][0] - 1)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mr_agrees_with_sympy(self, n):
+        # n is drawn from one row of the psi_k table, so every row is exercised
+        assert P.is_prime_int(n) == sympy.isprime(n)
 
     def test_mr_agrees_with_table(self, table_1e4):
         for n in range(2, 2000):
