@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Markov eigenvalue certificates, and exact Diophantine measures.",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface "
-                   "compatibility; execution is deterministic regardless")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("primes", help="sieve, count, and evaluate S_P")
@@ -337,7 +335,6 @@ def main(argv=None) -> int:
         "argv": list(argv) if argv is not None else sys.argv[1:],
         "version": __version__,
         "wallTimeSec": round(time.time() - start, 6),
-        "threads": args.threads,
         "outputSha256": digest,
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

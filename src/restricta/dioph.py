@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import FareyPoint
+from .arcs import FareyPoint, _dirichlet_witness
 from .errors import CapExceeded, NotReached, Unsupported, UsageError
 from .numutil import fsum_chunks
 from .primes import _simple_sieve, factorize, phi_sieve
@@ -111,15 +111,6 @@ class PsiFunction:
         if text.endswith(".csv"):
             return cls.from_csv(text)
         raise UsageError(f"unknown psi family {text!r}")
-
-    def spec_string(self) -> str:
-        if self.family == "power":
-            return f"power:{self.a}"
-        if self.family == "constant":
-            return f"constant:{self.c}"
-        if self.family == "khinchin":
-            return f"khinchin:{self.eps}"
-        return self.family
 
     # -- evaluation ----------------------------------------------------------
 
@@ -458,19 +449,8 @@ def dirichlet_approx(alpha, N: int) -> FareyPoint:
     |alpha - m/n| < 1/(nN), from the continued-fraction convergents."""
     if N < 1:
         raise UsageError("need N >= 1")
-    x = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-    a, b = x.numerator, x.denominator
-    p0, q0, p1, q1 = 1, 0, a // b, 1  # p1/q1 = first convergent (integer part)
-    a, b = b, a - (a // b) * b
-    while b and q1 <= N:
-        t = a // b
-        a, b = b, a - t * b
-        p0, p1 = p1, p0 + t * p1
-        q0, q1 = q1, q0 + t * q1
-    if q1 <= N:
-        m, n = p1, q1
-    else:
-        m, n = p0, q0
+    x = Fraction(alpha)
+    m, n = _dirichlet_witness(x.numerator, x.denominator, N)
     return FareyPoint(m, n, 1.0 / (n * N))
 
 

@@ -78,118 +78,85 @@ class BoundReport:
 
 
 class _Window:
-    """Structure-aware evaluation of W(phi) = sum_{d in D} e(d*phi).
+    """W(phi) = sum_{d in D} e(d*phi) as its hull minus its holes.
 
-    Picks the cheapest exact form: geometric closed form for the full set
-    or a consecutive run, full-minus-removed for dense sets, direct
-    summation otherwise.
+    D lies in its hull a..a+r-1, and the holes H are the hull digits not in
+    D, so W = e(a*phi) * (e(r*phi) - 1)/(e(phi) - 1) - sum_{h in H} e(h*phi).
+    A run has no holes; a digit missing from inside 0..q-1 is one hole.
+    Direct summation over D replaces the closed form only where it takes
+    fewer terms (|H| >= |D|).
     """
 
     def __init__(self, sys: DigitSystem):
         self.sys = sys
-        q, D = sys.q, sys.digits
-        self.removed = sys.missing()
-        if len(D) == D[-1] - D[0] + 1:
-            self.kind = "run"
-            self.run_start, self.run_len = D[0], len(D)
-        elif len(self.removed) < len(D):
-            self.kind = "removed"
-        else:
-            self.kind = "direct"
-        ds = sorted(D)
+        ds = sys.digits
+        self.start, self.length = ds[0], ds[-1] - ds[0] + 1
+        self.holes = tuple(h for h in sys.missing() if ds[0] < h < ds[-1])
+        self.closed = len(self.holes) < len(ds)
         # G(phi) = e(-c*phi) W(phi) has |G| = F and |G''| <= m2 everywhere
         self.center = ds[len(ds) // 2]
         self.m2 = (2.0 * math.pi) ** 2 * sum((d - self.center) ** 2 for d in ds)
-        self.q = q
 
     # -- complex values ---------------------------------------------------
 
-    def _geom(self, phases_num, phases_den, length):
-        """(e(length*phi)-1)/(e(phi)-1) with the phi->0 limit length."""
-        num = unit(phases_num) - 1.0
-        den = unit(phases_den) - 1.0
-        small = np.abs(den) < _DEN_EPS
-        out = np.where(small, length + 0j, num / np.where(small, 1.0, den))
-        # exact zeros of the numerator survive: num=0, den!=0 gives 0
-        return out
+    def _evaluate(self, phase, deriv: bool):
+        """W, or (W, W') when ``deriv``, where phase(n) = n*phi mod 1.
+
+        Each e(n*phi) is computed once and serves both W and W'; a hole at
+        1, r or a reuses the hull's exponential.  The hull ratio takes its
+        phi -> 0 limit where |e(phi) - 1| < _DEN_EPS.
+        """
+        tp = 2j * math.pi
+        z = {}  # the hull's e(n*phi) by n
+        w = wp = 0.0
+        if self.closed:
+            a, r = self.start, self.length
+            z = {n: unit(phase(n)) for n in {1, r, a} - {0}}
+            z1, zr = z[1], z[r]
+            den = z1 - 1.0
+            small = np.abs(den) < _DEN_EPS
+            safe = np.where(small, 1.0, den)
+            w = np.where(small, r + 0j, (zr - 1.0) / safe)
+            if deriv:
+                wp = np.where(
+                    small, tp * r * (r - 1) / 2.0, tp * (r * zr * den - (zr - 1.0) * z1) / (safe * safe)
+                )
+            if a:
+                za = z[a]
+                if deriv:
+                    wp = za * (wp + tp * a * w)
+                w = za * w
+        terms, sign = (self.holes, -1.0) if self.closed else (self.sys.digits, 1.0)
+        for d in terms:
+            zd = z[d] if d in z else unit(phase(d))
+            w = w + sign * zd
+            if deriv:
+                wp = wp + sign * tp * d * zd
+        return (w, wp) if deriv else w
 
     def values(self, phi: np.ndarray) -> np.ndarray:
         """Complex W at float phases (already reduced mod 1 or not; e() is periodic)."""
         phi = np.asarray(phi, dtype=np.float64)
-        q = self.q
-        if self.kind == "run":
-            r, c = self.run_len, self.run_start
-            base = self._geom((r * phi) % 1.0, phi % 1.0, r)
-            return unit((c * phi) % 1.0) * base
-        if self.kind == "removed":
-            g = self._geom((q * phi) % 1.0, phi % 1.0, q)
-            for b in self.removed:
-                g = g - unit((b * phi) % 1.0)
-            return g
-        acc = np.zeros(phi.shape, dtype=np.complex128)
-        for d in self.sys.digits:
-            acc += unit((d * phi) % 1.0)
-        return acc
+        return self._evaluate(lambda n: (n * phi) % 1.0, False)
 
     def values_at_fractions(self, m: np.ndarray, N: int) -> np.ndarray:
         """Complex W at phi = m/N using exact integer phase reduction."""
         m = np.asarray(m, dtype=np.int64)
-        q = self.q
-        if self.kind == "run":
-            r, c = self.run_len, self.run_start
-            base = self._geom((r * m % N) / N, (m % N) / N, r)
-            return unit((c * m % N) / N) * base
-        if self.kind == "removed":
-            g = self._geom((q * m % N) / N, (m % N) / N, q)
-            for b in self.removed:
-                g = g - unit((b * m % N) / N)
-            return g
-        acc = np.zeros(m.shape, dtype=np.complex128)
-        for d in self.sys.digits:
-            acc += unit((d * m % N) / N)
-        return acc
+        return self._evaluate(lambda n: (n * m % N) / N, False)
 
-    def derivative_at_fractions(self, m: np.ndarray, N: int) -> np.ndarray:
-        """W'(phi) = 2*pi*i * sum_d d*e(d*phi) at phi = m/N, exact phases."""
+    def values_and_derivatives_at_fractions(self, m: np.ndarray, N: int):
+        """(W, W') at phi = m/N, exact phases, from the same exponentials."""
         m = np.asarray(m, dtype=np.int64)
-        q = self.q
-        tp = 2j * math.pi
-        if self.kind in ("run", "removed"):
-            start, length = (self.run_start, self.run_len) if self.kind == "run" else (0, q)
-            zN = unit((length * m % N) / N)
-            z1 = unit((m % N) / N)
-            den = z1 - 1.0
-            small = np.abs(den) < _DEN_EPS
-            safe = np.where(small, 1.0, den)
-            g = np.where(small, length + 0j, (zN - 1.0) / safe)
-            gp = np.where(
-                small,
-                tp * length * (length - 1) / 2.0,
-                tp * (length * zN * den - (zN - 1.0) * z1) / (safe * safe),
-            )
-            shift = unit((start * m % N) / N)
-            out = shift * (gp + tp * start * g)
-            if self.kind == "removed":
-                for b in self.removed:
-                    out = out - tp * b * unit((b * m % N) / N)
-            return out
-        acc = np.zeros(m.shape, dtype=np.complex128)
-        for d in self.sys.digits:
-            acc += d * unit((d * m % N) / N)
-        return tp * acc
+        return self._evaluate(lambda n: (n * m % N) / N, True)
 
     # -- certified cell suprema -------------------------------------------
 
     def cell_caps(self, dmin: np.ndarray) -> np.ndarray:
-        """Analytic cap on F over a cell at distance >= dmin from integers."""
-        nd = float(self.sys.size)
+        """Analytic cap on F over a cell at distance >= dmin from integers:
+        the hull sum is at most 1/sin(pi*dmin) and each hole adds at most 1."""
         with np.errstate(divide="ignore"):  # runs attain 1/sin: round it up
             inv_sin = np.where(dmin > 0, (1.0 + 1e-12) / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
-        if self.kind == "run":
-            return np.minimum(nd, inv_sin)
-        if self.kind == "removed":
-            return np.minimum(nd, len(self.removed) + inv_sin)
-        return np.full_like(dmin, nd)
+        return np.minimum(float(self.sys.size), len(self.holes) + inv_sin)
 
     def cell_sup(self, lows: np.ndarray, width: float, grid: int) -> np.ndarray:
         """Certified upper bound for sup F over each cell [low, low+width].
@@ -212,8 +179,8 @@ class _Window:
         rows = max(1, _CHUNK // grid)
         for i0 in range(0, len(cells), rows):
             m = 2 * (cells[i0 : i0 + rows, None] * grid + np.arange(grid)) + 1
-            w = self.values_at_fractions(m, N)
-            wp = self.derivative_at_fractions(m, N) - tp * c * w
+            w, wp = self.values_and_derivatives_at_fractions(m, N)
+            wp = wp - tp * c * w
             best[i0 : i0 + rows] = _taylor_sup(w, wp, 1.0 / N, self.m2).max(axis=1)
         dmin = np.clip(np.minimum(lows, 1.0 - lows - width), 0.0, None)
         return np.minimum(np.minimum(best, self.cell_caps(dmin)), float(self.sys.size))
@@ -307,14 +274,10 @@ def sa_derivative_chunks(profile: FourierProfile, chunk: int = _CHUNK):
     sys, k = profile.sys, profile.k
     N = profile.n_points
     win = _Window(sys)
+    powers = [pow(sys.q, i, N) for i in range(k)]
     for j0 in range(0, N, chunk):
         j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        W = []
-        Wd = []
-        for i in range(k):
-            m = j * pow(sys.q, i, N) % N
-            W.append(win.values_at_fractions(m, N))
-            Wd.append(win.derivative_at_fractions(m, N))
+        W, Wd = zip(*(win.values_and_derivatives_at_fractions(j * qi % N, N) for qi in powers))
         prefix = np.ones(len(j), dtype=np.complex128)
         prefixes = []
         for i in range(k):
@@ -371,8 +334,7 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
     N = 2 * q * grid
     m = 2 * np.arange(q * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     full = _Window(DigitSystem.of(q, range(q)))
-    g = full.values_at_fractions(m, N)
-    gp = full.derivative_at_fractions(m, N)
+    g, gp = full.values_and_derivatives_at_fractions(m, N)
     z1 = unit(m / N)
     tp = 2j * math.pi
     t = np.arange(q, dtype=np.float64)
@@ -471,7 +433,7 @@ def generalized_margin(sys: DigitSystem, grid: int = 256, tau_exp: float = 0.2) 
     details: dict = {"grid": grid, "degenerate": r == 0}
     if r >= 1:
         details["removed_reference"] = (q - 1.0) * r + q * math.log(q)
-    if win.kind == "run" and sys.size >= 2:
+    if not win.holes and sys.size >= 2:
         details["consecutive_reference"] = (q / sys.size) * (q - sys.size) * math.log(sys.size)
     passes = (r > 0) and (value < threshold)
     return BoundReport("margin", value, threshold, passes, details)

@@ -16,7 +16,7 @@ over iterates is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -246,16 +246,7 @@ def certify_base(
         attempted = ell
         mat = build_matrix(sys, ell, sigma, grid)
         cert = power_eigenvalue(mat)
-        cert = EigenCertificate(
-            row_sum_bound=cert.row_sum_bound,
-            power_estimate=cert.power_estimate,
-            iterations=cert.iterations,
-            threshold=thr,
-            certified=cert.row_sum_bound < thr,
-            converged=cert.converged,
-            ell=ell,
-            sigma=float(sigma),
-        )
+        cert = replace(cert, threshold=thr, certified=cert.row_sum_bound < thr)
         if best is None or cert.row_sum_bound < best.row_sum_bound:
             best = cert
         if cert.certified:

@@ -109,7 +109,14 @@ def test_refined_digit_sum_cells():
 
 @pytest.mark.parametrize(
     "spec, grid",
-    [("q=30,exclude=11", 128), ("q=10,D=1.3.7", 256), ("q=40,D=0-19", 64), ("q=100,exclude=3.47", 256)],
+    [
+        ("q=30,exclude=11", 128),
+        ("q=10,D=1.3.7", 256),
+        ("q=40,D=0-19", 64),
+        ("q=100,exclude=3.47", 256),
+        ("q=10,exclude=0.4.9", 128),
+        ("q=10,D=0.2.4.6.8", 128),
+    ],
 )
 def test_generalized_margin_cells(spec, grid):
     sys_ = DigitSystem.parse(spec)

@@ -23,8 +23,9 @@ class TestBasics:
         assert code == 0
 
     def test_unknown_flag_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "fourier", "--nope")
-        assert code == 2
+        for argv in (("fourier", "--nope"), ("--threads", "8", "primes", "--limit", "50")):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 2, argv
 
     def test_missing_subcommand_exits_two(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -149,12 +150,6 @@ class TestDeterminism:
         _, out2, err2 = run_cli(capsys, "fourier", "--check", "refined", "--q", "31")
         assert out1 == out2
         assert json.loads(err1)["outputSha256"] == json.loads(err2)["outputSha256"]
-
-    def test_thread_flag_does_not_change_output(self, capsys):
-        _, out1, _ = run_cli(capsys, "certify", "--sys", "q=10,exclude=3", "--ell-max", "1")
-        _, out2, _ = run_cli(capsys, "--threads", "8", "certify", "--sys",
-                             "q=10,exclude=3", "--ell-max", "1")
-        assert out1 == out2
 
     def test_module_entry_point(self):
         proc = subprocess.run(
