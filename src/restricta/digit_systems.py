@@ -7,9 +7,13 @@ from D (the expansion of 0 is empty, so 0 is a member iff 0 is allowed).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import primes as _primes
 from .errors import CapExceeded, UsageError
@@ -174,7 +178,8 @@ def enumerate_restricted(sys: DigitSystem, x: int, cap: int = ENUM_CAP) -> list[
     Raises CapExceeded when count_restricted(sys, x) exceeds the cap.
     Members are generated length by length: a j-digit member is a
     (j-1)-digit prefix with a nonzero leading digit, extended by any
-    allowed digit.
+    allowed digit.  Each length comes out increasing, because the digits
+    are sorted and t*q + d < (t+1)*q for every digit d.
     """
     total = count_restricted(sys, x)
     if total > cap:
@@ -194,7 +199,7 @@ def enumerate_restricted(sys: DigitSystem, x: int, cap: int = ENUM_CAP) -> list[
                 v = base + d
                 if v <= x:
                     nxt.append(v)
-        level = sorted(nxt)
+        level = nxt
     return out
 
 
@@ -247,15 +252,19 @@ class CensusReport:
 def census(sys: DigitSystem, x: int, enum_threshold: int = 300_000) -> CensusReport:
     """Count A(x) and its primes exactly; report the prediction ratio.
 
-    Route selection: when A(x) is small, enumerate members and test each
-    with deterministic Miller-Rabin (OutOfRange for a member at or above
-    psi_13, where no base set is proven); otherwise sieve to x and
-    digit-filter the primes segment by segment.
+    Route selection: when A(x) is small, enumerate members and test them
+    with deterministic Miller-Rabin, those below 2^63 in one array call and
+    the rest one by one (OutOfRange for a member at or above psi_13, where no
+    base set is proven); otherwise sieve to x and digit-filter the primes
+    segment by segment.
     """
     count = count_restricted(sys, x)
     if count <= enum_threshold:
         members = enumerate_restricted(sys, x)
-        prime_count = sum(1 for n in members if _primes.is_prime_int(n))
+        small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
+        head = np.fromiter(itertools.islice(members, small), dtype=np.int64, count=small)
+        prime_count = int(np.count_nonzero(_primes.is_prime_int(head)))
+        prime_count += sum(1 for n in members[small:] if _primes.is_prime_int(n))
     else:
         table = _primes.sieve_primes(x)
         prime_count = _primes.count_primes_digit_filtered(table, x, sys)

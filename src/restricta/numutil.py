@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import OutOfRange
+
 TWO_PI = 2.0 * math.pi
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
@@ -29,9 +31,14 @@ def frac_mul(n, theta):
 
     Error-free transformation of the product (Dekker two-product without
     fma), then exact fractional split; absolute error is a few ulp.
-    Requires |n*theta| < 2^53.
+    Requires |n*theta| < 2^53, and |n| <= 2^53 for integer n: float64 holds
+    every integer only up to 2^53, so a larger one is refused with
+    OutOfRange rather than rounded.
     """
-    a = np.asarray(n, dtype=np.float64)
+    a = np.asarray(n)
+    if a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 1 << 53:
+        raise OutOfRange("frac_mul needs integers n with |n| <= 2^53")
+    a = a.astype(np.float64, copy=False)
     p = a * theta
     c = _SPLIT * a
     a_hi = c - (c - a)

@@ -10,7 +10,8 @@ most: exact counts in arithmetic progressions, the digit census (two block
 lookup tables of size q^k <= 2^16, a few lookups per prime), and
 S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
 compensated sum per segment, fsum across).  Also: Ramanujan sums, Euler
-phi, Miller-Rabin refused at psi_13, and exact factorization.
+phi, deterministic Miller-Rabin (an int, refused at psi_13, or a whole
+int64 array in uint64 Montgomery arithmetic), and exact factorization.
 """
 
 from __future__ import annotations
@@ -311,9 +312,16 @@ def vinogradov_reference(N: float, S: float, B: float) -> float:
     return (N ** 0.8 + N / math.sqrt(B * S)) * math.log(N) ** 4
 
 
-def is_prime_int(n: int) -> bool:
+def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:
     """Deterministic Miller-Rabin with the fewest prime bases the psi_k table
-    proves enough; refuses n >= psi_13 (about 3.3e24) with OutOfRange."""
+    proves enough.
+
+    n is a Python int (refused with OutOfRange at n >= psi_13, about 3.3e24)
+    or an int64 ndarray, for which a bool array of the same shape is
+    returned (see ``_is_prime_array``).
+    """
+    if isinstance(n, np.ndarray):
+        return _is_prime_array(n)
     if n >= _PSI13:
         raise OutOfRange(f"{n} >= psi_13: Miller-Rabin with 13 prime bases is not proven there")
     if n < 2:
@@ -338,6 +346,146 @@ def is_prime_int(n: int) -> bool:
         else:
             return False
     return True
+
+
+# The array path: trial division by the primes below 256, then Miller-Rabin
+# in exact uint64 Montgomery arithmetic (R = 2^64, n odd and below 2^63), with
+# the rows of the psi_k table below 2^63 and k = 12 above them.
+_SMALL = _simple_sieve(255)
+_SMALL_PRIME = np.zeros(256, dtype=bool)
+_SMALL_PRIME[_SMALL] = True
+_VEC_PSI = np.array([psi for psi, _ in _MR_TABLE if psi < 1 << 63], dtype=np.uint64)
+_VEC_K = np.array([k for _, k in _MR_TABLE[: len(_VEC_PSI) + 1]], dtype=np.int8)
+_POW2 = np.array([1 << i for i in range(63)], dtype=np.uint64)
+_LO32 = 0xFFFF_FFFF
+_BLOCK = 1 << 13  # elements per block: the temporaries of a block stay in cache
+
+
+def _trial_groups() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The odd primes below 256 in runs whose product stays below 2^31: one
+    int64 remainder per run, then int32 remainders per prime."""
+    groups, run, prod = [], [], 1
+    for p in _SMALL[1:].tolist():
+        if prod * p >= 1 << 31:
+            groups.append((prod, tuple(run)))
+            run, prod = [], 1
+        run.append(p)
+        prod *= p
+    groups.append((prod, tuple(run)))
+    return tuple(groups)
+
+
+_TRIAL_GROUPS = _trial_groups()
+
+
+def _is_prime_array(n: np.ndarray) -> np.ndarray:
+    """Primality of every element of an int64 array, exactly.
+
+    Elements below 256 are read from a table; the others are trial-divided
+    by the primes below 256, and a survivor below 256^2 is prime.  The rest
+    get Miller-Rabin with k bases from the psi_k table (k = 12 from psi_9 up
+    to 2^63); pass j tests only the elements that passed every earlier base
+    and need more than j bases.  Negative elements are not prime.
+    """
+    if n.dtype != np.int64:
+        raise UsageError(f"is_prime_int takes an int64 array, not {n.dtype}")
+    flat = n.reshape(-1)
+    prime = np.empty(flat.size, dtype=bool)
+    live = np.empty(flat.size, dtype=bool)
+    for i in range(0, flat.size, _BLOCK):
+        prime[i : i + _BLOCK], live[i : i + _BLOCK] = _trial_division(flat[i : i + _BLOCK])
+    where = np.flatnonzero(live)
+    m = flat[where].astype(np.uint64)
+    k = _VEC_K[np.searchsorted(_VEC_PSI, m, side="right")]
+    for j, a in enumerate(_MR_BASES):
+        if not where.size:
+            break
+        ok = np.concatenate([_strong_probable_prime(m[i : i + _BLOCK], a) for i in range(0, m.size, _BLOCK)])
+        last = k == j + 1
+        prime[where[ok & last]] = True
+        keep = ok & ~last
+        where, m, k = where[keep], m[keep], k[keep]
+    return prime.reshape(n.shape)
+
+
+def _trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(prime, live) for a block: prime where n is a prime below 2^16, live
+    where n >= 2^16 has no prime factor below 256."""
+    prime = (n >= 0) & (n < 256)
+    prime[prime] = _SMALL_PRIME[n[prime]]
+    live = (n >= 256) & (n % 2 == 1)
+    for prod, run in _TRIAL_GROUPS:
+        rem = (n % prod).astype(np.int32)
+        for p in run:
+            live &= rem % p != 0
+    prime |= live & (n < 1 << 16)
+    return prime, live & (n >= 1 << 16)
+
+
+def _mul_hi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x*y of uint64 arrays, from four
+    32-bit limb products (each below 2^64, so none wraps)."""
+    x0, x1 = x & _LO32, x >> 32
+    y0, y1 = y & _LO32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = ((x0 * y0) >> 32) + (p01 & _LO32) + (p10 & _LO32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _sqr_hi(x: np.ndarray) -> np.ndarray:
+    """High 64 bits of x*x: as ``_mul_hi``, with the two cross products equal."""
+    x0, x1 = x & _LO32, x >> 32
+    p01 = x0 * x1
+    mid = ((x0 * x0) >> 32) + ((p01 & _LO32) << 1)
+    return x1 * x1 + ((p01 >> 32) << 1) + (mid >> 32)
+
+
+def _redc(hi, lo, n, n_neg_inv):
+    """Montgomery reduction (hi*2^64 + lo) / 2^64 mod n, for a product below
+    n^2 and odd n < 2^63: with m = lo*n' mod 2^64, lo + (m*n mod 2^64) is 0
+    when lo is 0 and 2^64 otherwise, and the quotient is below 2n < 2^64."""
+    t = hi + _mul_hi(lo * n_neg_inv, n) + (lo != 0)
+    return np.minimum(t, t - n)  # t - n wraps above t when t < n
+
+
+def _add_mod(u, v, n):
+    w = u + v  # below 2n < 2^64
+    return np.minimum(w, w - n)
+
+
+def _strong_probable_prime(n: np.ndarray, a: int) -> np.ndarray:
+    """True where the odd n (uint64, 2^16 <= n < 2^63) is a strong probable
+    prime to base a, in Montgomery form with R = 2^64: x stands for x*R mod n.
+
+    n' = -n^-1 mod 2^64 comes from Newton steps from inv = n (right to 3
+    bits, doubling each step); R mod n is (0 - n) % n; a*(xR) = (ax)R is
+    formed by doubling and adding, so the base needs no Montgomery product.
+    """
+    inv = n.copy()
+    for _ in range(5):
+        inv *= 2 - n * inv
+    n_neg_inv = 0 - inv
+    one = (0 - n) % n
+    minus_one = n - one
+    d = n - 1
+    low = d & (0 - d)  # the lowest set bit: n - 1 = d * 2^s with d odd
+    s = np.searchsorted(_POW2, low)
+    d //= low
+    a_bits = bin(a)[3:]
+    x = one
+    for b in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = _redc(_sqr_hi(x), x * x, n, n_neg_inv)
+        ax = x
+        for bit in a_bits:
+            ax = _add_mod(ax, ax, n)
+            if bit == "1":
+                ax = _add_mod(ax, x, n)
+        x = np.where(d & (1 << b) != 0, ax, x)
+    ok = (x == one) | (x == minus_one)
+    for i in range(1, int(s.max())):
+        x = _redc(_sqr_hi(x), x * x, n, n_neg_inv)
+        ok |= (x == minus_one) & (s > i)
+    return ok
 
 
 def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:

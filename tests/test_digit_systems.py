@@ -162,6 +162,17 @@ class TestCensus:
         rep = census(DigitSystem.excluding(10, {7}), x)
         assert (rep.count, rep.prime_count) == (count, primes)
 
+    @pytest.mark.parametrize("digits,primes", [((1, 3), 18915), ((1, 9), 18530)])
+    def test_enumerate_route_pinned(self, digits, primes):
+        rep = census(DigitSystem.of(10, digits), 10**17)
+        assert (rep.count, rep.prime_count) == (262142, primes)
+
+    def test_repunits_past_int64(self):
+        # the repunits R_1..R_19 (R_19 < 2^63) go to the array path, R_20 and
+        # R_21 to the scalar one; the primes are R_2 = 11 and R_19
+        rep = census(DigitSystem.of(10, (1,)), 10**21)
+        assert (rep.count, rep.prime_count) == (21, 2)
+
     def test_sieve_route_matches_enum_route(self):
         sys = DigitSystem.excluding(10, {7})
         a = census(sys, 30_000, enum_threshold=10**9)  # enumeration route

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from restricta import primes as P
 from restricta.digit_systems import DigitSystem
-from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange
+from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
 from restricta.numutil import frac_exact
 
 
@@ -330,3 +330,58 @@ class TestFactorization:
         phi = P.phi_sieve(500)
         for n in range(1, 501):
             assert int(phi[n]) == P.euler_phi(n)
+
+
+# the rows of the psi_k table that the int64 array path reads, and the bands
+# [psi_{k-1}, psi_k) they decide, the last one ending at 2^63
+_INT64_PSI = tuple(psi for psi, _ in P._MR_TABLE if psi < 2**63)
+_INT64_BANDS = tuple(zip((2,) + _INT64_PSI, _INT64_PSI + (2**63,)))
+
+
+def _array_agrees(values):
+    """The int64 array path against the scalar path and sympy, elementwise."""
+    got = P.is_prime_int(np.array(values, dtype=np.int64))
+    assert got.dtype == bool and got.shape == (len(values),)
+    for n, g in zip(values, got.tolist()):
+        assert g == P.is_prime_int(n) == sympy.isprime(n), n
+
+
+class TestPrimalityArray:
+    def test_psi_k_and_the_prime_below(self):
+        _array_agrees([v for psi in _INT64_PSI for v in (psi, int(sympy.prevprime(psi)))])
+
+    def test_pseudoprimes_and_carmichael_numbers(self):
+        spsp2 = [2047, 3277, 4033, 4681, 8321]
+        # strong pseudoprimes to base 2 with no prime factor below 256: trial
+        # division passes them, and only a later Miller-Rabin base rejects them
+        deep = [280601, 390937, 458989, 514447]
+        assert all(_strong_probable_prime(n, 2) for n in spsp2 + deep)
+        assert math.gcd(math.prod(deep), math.prod(sympy.primerange(256))) == 1
+        carmichael = [561, 1105, 1729, 2465, 41041, 825265]
+        _array_agrees(spsp2 + deep + carmichael)
+
+    def test_edges(self):
+        _array_agrees([0, 1, 2, 3, *P._MR_BASES, -1, -2, -3, -7, -(2**63), 2**63 - 25, 2**63 - 1])
+        assert P.is_prime_int(np.array([2**63 - 25]))[0]  # the largest prime below 2^63
+        empty = P.is_prime_int(np.empty(0, dtype=np.int64))
+        assert empty.dtype == bool and empty.shape == (0,)
+
+    def test_matches_sieve_across_blocks(self):
+        # every n below 2*10^5, in a 2-D shape: the table below 256, trial
+        # division up to 2^16 and Miller-Rabin above, over many blocks
+        n = np.arange(200_000, dtype=np.int64).reshape(400, 500)
+        want = np.zeros(200_000, dtype=bool)
+        want[P._simple_sieve(199_999)] = True
+        assert np.array_equal(P.is_prime_int(n), want.reshape(400, 500))
+
+    def test_refuses_other_dtypes(self):
+        for arr in (np.array([7], dtype=np.int32), np.array([7], dtype=np.uint64), np.array([7.0])):
+            with pytest.raises(UsageError):
+                P.is_prime_int(arr)
+
+    @given(st.sampled_from(_INT64_BANDS).flatmap(
+        lambda band: st.lists(st.integers(band[0], band[1] - 1), min_size=1, max_size=20)))
+    @settings(max_examples=150, deadline=None)
+    def test_array_agrees_with_sympy(self, values):
+        # each draw is a batch from one band of the psi_k table, so every row is exercised
+        _array_agrees(values)
