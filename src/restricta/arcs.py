@@ -18,7 +18,7 @@ from .digit_systems import DigitSystem, enumerate_restricted
 from .errors import CapExceeded, UsageError
 from .fourier import FourierProfile, restricted_exp_sum, sa_chunks
 from .numutil import fsum_chunks, unit
-from .primes import PrimeTable, prime_spectrum
+from .primes import PrimeTable, factorize, prime_spectrum
 
 COVER_CAP = 10**5
 SCAN_CAP = 10**7
@@ -80,17 +80,9 @@ def _smoothness(s: int, q: int) -> str:
     """primary if s | q, smooth if every prime of s divides q, else nonsmooth."""
     if q % s == 0:
         return PRIMARY_MAJOR
-    m = s
-    for p in range(2, m + 1):
-        if p * p > m:
-            break
-        while m % p == 0:
-            if q % p != 0:
-                return NONSMOOTH_MAJOR
-            m //= p
-    if m > 1 and q % m != 0:
-        return NONSMOOTH_MAJOR
-    return SMOOTH_MAJOR
+    if all(q % p == 0 for p in factorize(s, math.isqrt(s))):
+        return SMOOTH_MAJOR
+    return NONSMOOTH_MAJOR
 
 
 def _scales(q: int, s: int, dist: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ approximation round out the toolkit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,10 +21,11 @@ import numpy as np
 from .arcs import FareyPoint, _dirichlet_witness
 from .errors import CapExceeded, NotReached, Unsupported, UsageError
 from .numutil import fsum_chunks
-from .primes import _simple_sieve, factorize, phi_sieve
+from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
 PAIR_RANGE_CAP = 2000
+CONTAINMENT_RTOL = 1e-12  # float families: psi and psi0 widths agree to ~4e-15
 
 
 # ------------------------------------------------------------ psi families
@@ -115,27 +117,7 @@ class PsiFunction:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, n: int) -> float:
-        return float(self.exact(n)) if self._is_rational_family() else self._float_value(n)
-
-    def _is_rational_family(self) -> bool:
-        return self.family in ("power", "constant", "table")
-
-    def _float_value(self, n: int) -> float:
-        if n < 1:
-            raise UsageError("psi is defined for n >= 1")
-        if self.family == "khinchin":
-            return 0.0 if n < 2 else 1.0 / math.log(n) ** (1.0 + self.eps)
-        if self.family == "ds_base":
-            ell = _primorial_index(n)
-            return 0.0 if ell is None else n / (ell * math.log(ell))
-        if self.family == "ds_spread":
-            ell = _squarefree_lpf(n)
-            if ell is None:
-                return 0.0
-            # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
-            log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
-            return math.exp(log_val) if log_val > -745.0 else 0.0
-        raise UsageError(f"no float evaluation for family {self.family}")
+        return float(self.exact(n))
 
     def exact(self, n: int) -> Fraction:
         """Exact rational value where the family allows; otherwise the exact
@@ -153,7 +135,20 @@ class PsiFunction:
                 if m == n:
                     return v
             return Fraction(0)
-        v = self._float_value(n)
+        if self.family == "khinchin":
+            v = 0.0 if n < 2 else 1.0 / math.log(n) ** (1.0 + self.eps)
+        elif self.family == "ds_base":
+            ell = _primorial_index(n)
+            v = 0.0 if ell is None else n / (ell * math.log(ell))
+        elif self.family == "ds_spread":
+            ell = _squarefree_lpf(n)
+            if ell is None:
+                return Fraction(0)
+            # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
+            log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
+            v = math.exp(log_val) if log_val > -745.0 else 0.0
+        else:
+            raise UsageError(f"no float evaluation for family {self.family}")
         return Fraction(v) if v > 0 else Fraction(0)
 
     def values(self, upto: int) -> np.ndarray:
@@ -175,7 +170,7 @@ class PsiFunction:
             return out
         if self.family == "ds_base":
             out = np.zeros(upto)
-            for ell, qell in _primorials_upto(upto):
+            for ell, qell in itertools.takewhile(lambda pair: pair[1] <= upto, _primorials()):
                 out[qell - 1] = qell / (ell * math.log(ell))
             return out
         if self.family == "ds_spread":
@@ -183,52 +178,11 @@ class PsiFunction:
         raise UsageError(f"unknown family {self.family}")
 
 
-def _primes_upto(n: int) -> list[int]:
-    return _simple_sieve(n).tolist() if n >= 2 else []
-
-
-def _primorials_upto(limit: int):
-    """(ell, primorial(ell)) pairs with the primorial <= limit."""
-    out = []
-    prod = 1
-    for p in _primes_upto(limit if limit < 10**6 else 10**6):
-        prod *= p
-        if prod > limit:
-            break
-        out.append((p, prod))
-    return out
-
-
-def primorial(ell: int) -> int:
-    """Product of all primes <= ell (exact integer)."""
-    prod = 1
-    for p in _primes_upto(ell):
-        prod *= p
-    return prod
-
-
 def _primorial_index(n: int):
     """The prime ell with primorial(ell) = n, if any."""
-    prod = 1
-    p = 2
-    while prod < n:
-        if _is_small_prime(p):
-            prod *= p
-            if prod == n:
-                return p
-        p += 1
-    return None
-
-
-_SMALL_PRIME_CACHE: dict[int, bool] = {}
-
-
-def _is_small_prime(p: int) -> bool:
-    if p not in _SMALL_PRIME_CACHE:
-        from .primes import is_prime_int
-
-        _SMALL_PRIME_CACHE[p] = is_prime_int(p)
-    return _SMALL_PRIME_CACHE[p]
+    for ell, q_ell in _primorials():
+        if q_ell >= n:
+            return ell if q_ell == n else None
 
 
 def _squarefree_lpf(n: int):
@@ -242,7 +196,7 @@ def _squarefree_lpf(n: int):
 
 
 def _log_primorial(ell: int) -> float:
-    return math.fsum(math.log(p) for p in _primes_upto(ell))
+    return math.fsum(math.log(p) for p in _simple_sieve(ell).tolist())
 
 
 def _ds_spread_values(upto: int) -> np.ndarray:
@@ -517,12 +471,13 @@ def ds_counterexample(ell_max: int, containment_ell_cap: int = 47) -> DsCountere
 
     Series are summed over primes ell <= ell_max in the closed form
     sum 1/(ell log ell) and sum (1/(ell log ell)) * prod_{p<ell}(1 + 1/p);
-    the containment of spread events in base events is checked exactly for
-    small ell.
+    the containment of spread events in base events is checked for small
+    ell: the centres exactly, the half-widths psi(q)/q^2 and
+    psi0(q_ell)/q_ell^2 to a relative CONTAINMENT_RTOL.
     """
     if ell_max < 3:
         raise UsageError("need ell_max >= 3")
-    primes = _primes_upto(ell_max)
+    primes = _simple_sieve(ell_max).tolist()
     base_terms = [1.0 / (p * math.log(p)) for p in primes]
     mertens = []
     prod = 1.0
@@ -534,8 +489,8 @@ def ds_counterexample(ell_max: int, containment_ell_cap: int = 47) -> DsCountere
     spread_half = math.fsum(t for p, t in zip(primes, spread_terms) if p <= half)
     psi0 = PsiFunction.ds_base()
     psi = PsiFunction.ds_spread()
-    # exact containment: for squarefree q with largest prime ell, the window
-    # around a/q equals the window around (a*q_ell/q)/q_ell by construction
+    # containment: for squarefree q with largest prime ell, the window around
+    # a/q equals the window around (a*q_ell/q)/q_ell by construction
     verified = 0
     ok = True
     for ell in [p for p in primes if p <= containment_ell_cap]:
@@ -549,10 +504,10 @@ def ds_counterexample(ell_max: int, containment_ell_cap: int = 47) -> DsCountere
             a = 1 if q == 1 else next(x for x in range(1, q + 1) if math.gcd(x, q) == 1)
             A = a * (q_ell // q)
             center_ok = Fraction(a, q) == Fraction(A, q_ell)
-            # width factors: psi(q)/q^2 and psi0(q_ell)/q_ell^2 share 1/(ell log ell)
-            w_spread = Fraction(q * q, q_ell) / (q * q)
-            w_base = Fraction(q_ell, q_ell * q_ell)
-            ok = ok and center_ok and (w_spread == w_base)
+            # both half-widths are 1/(q_ell ell log ell) up to float rounding
+            w_spread = psi(q) / q**2
+            w_base = psi0(q_ell) / q_ell**2
+            ok = ok and center_ok and math.isclose(w_spread, w_base, rel_tol=CONTAINMENT_RTOL)
             verified += 1
     return DsCounterexampleReport(
         psi0,
@@ -578,7 +533,7 @@ def anatomy_tail_count(x: int, y: float) -> int:
     if y >= x:
         return 0
     sums = np.zeros(x + 1)
-    for p in _primes_upto(x):
+    for p in _simple_sieve(x).tolist():
         if p > y:
             sums[p::p] += 1.0 / p
     surely = int(np.count_nonzero(sums >= 1.0 + 1e-9))

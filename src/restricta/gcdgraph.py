@@ -10,13 +10,13 @@ delta^10 * |V| * |W| * a*b/gcd(a,b)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapExceeded, UsageError
-from .primes import _simple_sieve, divisors, factorize
+from .primes import _simple_sieve, divisors, factorize, primorial
 
 GRAPH_CAP = 10**4
 MODEL_CAP = 2000
@@ -128,11 +128,8 @@ def chow_counterexample(y: int) -> ChowReport:
     maximal multiplicity of a divisor >= B is exactly 2 (when |S| >= 2)."""
     if y < 4:
         raise UsageError("need y >= 4 (so that p*l*m > 4y^2 for the triple check)")
-    ps = _simple_sieve(2 * y).tolist()
-    Q = 1
-    for p in ps:
-        Q *= p
-    band = [p for p in ps if y < p <= 2 * y]
+    Q = primorial(2 * y)
+    band = [p for p in _simple_sieve(2 * y).tolist() if p > y]
     if not band:
         raise UsageError(f"no primes in ({y}, {2 * y}]")
     S = tuple(Q // p for p in band)
@@ -179,8 +176,8 @@ def green_walker_ratio(R, S, B: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BipartiteGcdGraph:
-    """Bipartite gcd graph with accumulated divisors a | v, b | w tracked
-    as prime-exponent maps so divisibility stays verifiable exactly."""
+    """Bipartite gcd graph with accumulated divisors a | v for every v in V
+    and b | w for every w in W, checked on construction."""
 
     V: tuple[int, ...]
     W: tuple[int, ...]
@@ -188,8 +185,6 @@ class BipartiteGcdGraph:
     edges: tuple[tuple[int, int], ...]  # index pairs into V x W
     a: int = 1
     b: int = 1
-    a_exp: tuple[tuple[int, int], ...] = field(default=())
-    b_exp: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
         for v in self.V:
@@ -237,21 +232,12 @@ class CompressionCandidate:
     empty: bool
 
 
-def _with_prime(exp: tuple, value: int, p: int) -> tuple[tuple, int]:
-    """Multiply the tracked divisor by p unless p is already present."""
-    d = dict(exp)
-    if p in d:
-        return exp, value
-    d[p] = 1
-    return tuple(sorted(d.items())), value * p
-
-
 def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]:
     """The four restrictions (p | v or not) x (p | w or not).
 
-    Imposing divisibility multiplies the tracked divisor by p (once); the
-    four candidate vertex sets tile V x W, so the candidate edge sets
-    partition the original edges.
+    Imposing divisibility multiplies the tracked divisor by p unless p
+    already divides it; the four candidate vertex sets tile V x W, so the
+    candidate edge sets partition the original edges.
     """
     if p < 2 or not factorize(p) == {p: 1}:
         raise UsageError(f"{p} is not prime")
@@ -267,13 +253,9 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
             edges = tuple(
                 (vmap[i], wmap[j]) for i, j in g.edges if i in vmap and j in wmap
             )
-            a_exp, a = (g.a_exp, g.a)
-            b_exp, b = (g.b_exp, g.b)
-            if keep_v:
-                a_exp, a = _with_prime(g.a_exp, g.a, p)
-            if keep_w:
-                b_exp, b = _with_prime(g.b_exp, g.b, p)
-            sub = BipartiteGcdGraph(vset, wset, g.B, edges, a, b, a_exp, b_exp)
+            a = g.a * p if keep_v and g.a % p else g.a
+            b = g.b * p if keep_w and g.b % p else g.b
+            sub = BipartiteGcdGraph(vset, wset, g.B, edges, a, b)
             empty = not vset or not wset
             out.append(
                 CompressionCandidate(keep_v, keep_w, sub, sub.quality, empty)

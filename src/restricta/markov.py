@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -68,15 +67,12 @@ class TransitionMatrix:
             return 0.0
         return float(self.entries[row * q + col % q])
 
-    @cached_property
-    def _cols(self) -> np.ndarray:
-        """Column of each stored entry, (I*q + t) mod q^ell."""
-        return np.arange(self.n_entries) % self.dim
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """(Mv)[I] = sum_t entries[I*q + t] * v[(I*q + t) mod q^ell]."""
-        prod = self.entries * v[self._cols]
-        return prod.reshape(self.dim, self.sys.q).sum(axis=1)
+        """(Mv)[I] = sum_t entries[I*q + t] * v[(I*q + t) mod q^ell]: the
+        stored entries, read as q rows of length q^ell, meet v column by
+        column, so no index array is needed."""
+        q, dim = self.sys.q, self.dim
+        return (self.entries.reshape(q, dim) * v).reshape(dim, q).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,6 @@ def certify_base(
     sigma: float = 1.0,
     threshold: float | None = None,
     grid: int = DEFAULT_GRID,
-    entry_cap: int = ENTRY_CAP,
 ) -> EigenCertificate:
     """Certify via the lambda_ell < q^(1/5) criterion.
 
@@ -241,7 +236,7 @@ def certify_base(
     best: EigenCertificate | None = None
     attempted = 0
     for ell in range(1, ell_max + 1):
-        if sys.q ** (ell + 1) > entry_cap:
+        if sys.q ** (ell + 1) > ENTRY_CAP:
             break
         attempted = ell
         mat = build_matrix(sys, ell, sigma, grid)
@@ -255,7 +250,7 @@ def certify_base(
         analytic = analytic_ell1_bound(sys)
         if analytic is None:
             raise CapExceeded(
-                f"no ell within entry cap {entry_cap} (largest attempted {attempted})"
+                f"no ell within entry cap {ENTRY_CAP} (largest attempted {attempted})"
             )
         bound = analytic * (1.0 + 1e-12)
         return EigenCertificate(

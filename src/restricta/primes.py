@@ -9,13 +9,16 @@ time, and the consumers fold over it, holding one segment of primes at
 most: exact counts in arithmetic progressions, the digit census (two block
 lookup tables of size q^k <= 2^16, a few lookups per prime), and
 S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
-compensated sum per segment, fsum across).  Also: Ramanujan sums, Euler
-phi, deterministic Miller-Rabin (an int, refused at psi_13, or a whole
-int64 array in uint64 Montgomery arithmetic), and exact factorization.
+compensated sum per segment, fsum across).  Also: Ramanujan sums,
+deterministic Miller-Rabin (an int, refused at psi_13, or a whole int64
+array in uint64 Montgomery arithmetic), primorials, and exact
+factorization, the one trial division here, which Mobius and Euler phi
+read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -115,6 +118,8 @@ class PrimeTable:
 
 
 def _simple_sieve(n: int) -> np.ndarray:
+    """The primes <= n, increasing (none for n < 2)."""
+    n = max(n, 1)
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -256,34 +261,18 @@ def prime_spectrum(table: PrimeTable, N: int, direct_cap: int = 50_000) -> np.nd
 
 
 def mobius(n: int) -> int:
-    """mu(n) by factorization."""
+    """mu(n) by complete factorization."""
     if n < 1:
         raise UsageError("mobius needs n >= 1")
-    res = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            res = -res
-        p += 1
-    if m > 1:
-        res = -res
-    return res
+    fac = factorize(n, math.isqrt(n))
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def euler_phi(n: int) -> int:
-    res, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            res -= res // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        res -= res // m
+    """phi(n) = n * prod_{p | n} (1 - 1/p), by complete factorization."""
+    res = n
+    for p in factorize(n, math.isqrt(n)):
+        res -= res // p
     return res
 
 
@@ -510,6 +499,26 @@ def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
         else:
             raise FactorizationTooHard(f"composite cofactor {m} of {n}")
     return fac
+
+
+def primorial(ell: int) -> int:
+    """Product of all primes <= ell (exact integer; 1 below 2)."""
+    return math.prod(_simple_sieve(ell).tolist())
+
+
+_PRIMORIALS = [(2, 2)]  # (p, primorial(p)) for the primes so far, in order
+
+
+def _primorials() -> Iterator[tuple[int, int]]:
+    """(p, primorial(p)) for the primes p = 2, 3, 5, ... without end.  Each
+    pair is made once per process, so walking to a primorial >= n takes
+    O(log n) steps."""
+    for i in itertools.count():
+        if i == len(_PRIMORIALS):
+            p, q = _PRIMORIALS[-1]
+            p = next(n for n in itertools.count(p + 1) if is_prime_int(n))
+            _PRIMORIALS.append((p, q * p))
+        yield _PRIMORIALS[i]
 
 
 def divisors(n: int) -> list[int]:

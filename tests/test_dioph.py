@@ -328,6 +328,12 @@ class TestDsCounterexample:
         )
         assert rep.spread_series == pytest.approx(expect)
 
+    def test_containment_reads_psi(self, monkeypatch):
+        assert D.ds_counterexample(50).containment_ok
+        # a spread family whose windows are not the base windows must fail
+        monkeypatch.setattr(PsiFunction, "ds_spread", classmethod(lambda cls: cls.power(1)))
+        assert not D.ds_counterexample(50).containment_ok
+
     def test_containment_is_exact_equality(self):
         # interval around a/q coincides with the one around (a q_l / q)/q_l
         q, ell = 15, 5

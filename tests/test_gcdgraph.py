@@ -202,6 +202,15 @@ class TestCompression:
         with pytest.raises(UsageError):
             G.BipartiteGcdGraph((4, 9), (6,), 2, (), a=4, b=6)
 
+    def test_step_keeps_a_present_prime_once(self):
+        # p = 2 already divides a = 4 and b = 6: imposing it again must not
+        # multiply the divisors, or a = 8 would no longer divide V
+        g = G.BipartiteGcdGraph((4, 12), (6, 18), 2, ((0, 0), (1, 1)), a=4, b=6)
+        for c in G.compression_step(g, 2):
+            assert (c.graph.a, c.graph.b) == (4, 6)
+            assert all(v % c.graph.a == 0 for v in c.graph.V)
+            assert all(w % c.graph.b == 0 for w in c.graph.W)
+
     def test_greedy_driver_runs(self):
         rep = G.chow_counterexample(10)
         final = G.compress_greedy(rep.S, math.ceil(rep.B))

@@ -1,4 +1,8 @@
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,7 +154,7 @@ class TestCertify:
 
     def test_general_set_above_cap_raises(self):
         with pytest.raises(CapExceeded):
-            M.certify_base(DigitSystem.of(10**5, (0, 1, 2)), 1, entry_cap=10**6)
+            M.certify_base(DigitSystem.of(10**5, (0, 1, 2)), 1)
 
     def test_certificate_json_shape(self):
         cert = M.certify_base(DigitSystem.excluding(10, {7}), 1)
@@ -235,3 +239,21 @@ class TestNoLooser:
         for ell in (1, 2, 3, 4):
             assert M.row_sum_bound(M.build_matrix(sys, ell, 1.0)) <= LIPSCHITZ_SIGMA1[ell][b]
         assert M.row_sum_bound(M.build_matrix(sys, 4, 235 / 154)) <= LIPSCHITZ_ELL4_SIGMA2[b]
+
+
+def test_markov_certificates_script(tmp_path):
+    # the script finds the package in its own checkout: no install, no PYTHONPATH
+    script = Path(__file__).resolve().parent.parent / "scripts" / "markov_certificates.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--q", "5", "--ell-max", "2"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line for line in lines if line[:1].isdigit()]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(len(row.split()) == 3 for row in rows)
+    assert lines[-1].startswith("(* = certified")
