@@ -206,11 +206,13 @@ def main_term_assembly(sys: DigitSystem, k: int, table: PrimeTable) -> MainTermR
     if N > SCAN_CAP:
         raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
     members = enumerate_restricted(sys, N)
-    exact = sum(1 for n in members if n >= 2 and table.is_prime(n))
+    ps = table.primes(N)
+    m = np.fromiter(members, dtype=np.int64, count=len(members))
+    # a member is prime when it has an equal entry in the increasing ps
+    exact = int(np.sum(np.searchsorted(ps, m, "right") - np.searchsorted(ps, m)))
     # primary piece: q^{-k} sum_l S_P(l/q) S_A(-l/q)
     prof = FourierProfile(sys, k)
     primary = 0.0
-    ps = table.primes(N)
     for ell in range(sys.q):
         sp = complex(np.sum(unit(ps * ell % sys.q / sys.q)))
         sa = restricted_exp_sum(prof, Fraction(-ell, sys.q))

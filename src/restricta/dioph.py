@@ -11,6 +11,7 @@ approximation round out the toolkit.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
 PAIR_RANGE_CAP = 2000
+THETA_SIEVE_CAP = 10**7  # largest ell whose theta(ell) ds_spread sieves
 CONTAINMENT_RTOL = 1e-12  # float families: psi and psi0 widths agree to ~4e-15
 
 
@@ -145,7 +147,10 @@ class PsiFunction:
             if ell is None:
                 return Fraction(0)
             # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
-            log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
+            two_log_n, log_ell_log = 2.0 * math.log(n), math.log(ell * math.log(ell))
+            if _log_primorial_below(ell) > two_log_n - log_ell_log + 746.0:
+                return Fraction(0)  # log_val < -746, where exp underflows: no sieve
+            log_val = two_log_n - _log_primorial(ell) - log_ell_log
             v = math.exp(log_val) if log_val > -745.0 else 0.0
         else:
             raise UsageError(f"no float evaluation for family {self.family}")
@@ -195,8 +200,20 @@ def _squarefree_lpf(n: int):
     return max(fac)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _log_primorial(ell: int) -> float:
+    """theta(ell) = sum of log p over the primes p <= ell, sieved up to
+    ell; refused above THETA_SIEVE_CAP."""
+    if ell > THETA_SIEVE_CAP:
+        raise CapExceeded(f"theta({ell}) needs a sieve above {THETA_SIEVE_CAP}")
     return math.fsum(math.log(p) for p in _simple_sieve(ell).tolist())
+
+
+def _log_primorial_below(ell: int) -> float:
+    """A lower bound for theta(ell) without sieving: theta(x) > x(1 - 1/log x)
+    for x >= 41 (Rosser-Schoenfeld 1962, (3.16)), shaved by a relative 1e-9
+    against rounding; 0 below 41."""
+    return ell * (1.0 - 1.0 / math.log(ell)) * (1.0 - 1e-9) if ell >= 41 else 0.0
 
 
 def _ds_spread_values(upto: int) -> np.ndarray:

@@ -124,7 +124,10 @@ class _Window:
             if a:
                 za = z[a]
                 if deriv:
-                    wp = za * (wp + tp * a * w)
+                    # temporary first: numpy reuses a large temporary in
+                    # place as temp*za, and complex products are not bitwise
+                    # commutative, so za*temp would round by array size
+                    wp = (wp + tp * a * w) * za
                 w = za * w
         terms, sign = (self.holes, -1.0) if self.closed else (self.sys.digits, 1.0)
         for d in terms:
@@ -243,17 +246,40 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
     return res
 
 
-def sa_chunks(profile: FourierProfile, chunk: int = _CHUNK):
-    """Yield (j0, S_A(j/N) for j in [j0, j0+chunk)) over the full grid."""
-    sys, k = profile.sys, profile.k
+def _level_chunks(profile: FourierProfile, chunk: int, deriv: bool):
+    """Yield (j0, j, factors) over the grid in chunks, where factors lazily
+    gives W(q^i j/N) for i = 0..k-1, or (W, W') when ``deriv``.
+
+    W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a
+    level with M <= chunk is tabulated once at m/M and gathered; the rest
+    are evaluated per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are
+    correctly rounded divisions of the same rational, so every factor is
+    the float that evaluating each point gives.
+    """
+    q, k = profile.sys.q, profile.k
     N = profile.n_points
-    win = _Window(sys)
-    powers = [pow(sys.q, i, N) for i in range(k)]
+    win = _Window(profile.sys)
+    evaluate = win.values_and_derivatives_at_fractions if deriv else win.values_at_fractions
+    mods = [q ** (k - i) for i in range(k)]
+    tabs = [evaluate(np.arange(M), M) if M <= chunk else None for M in mods]
+
+    def level(i, j):
+        if tabs[i] is None:
+            return evaluate(j * pow(q, i, N) % N, N)
+        r, tab = j % mods[i], tabs[i]
+        return (tab[0][r], tab[1][r]) if deriv else tab[r]
+
     for j0 in range(0, N, chunk):
         j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
+        yield j0, j, (level(i, j) for i in range(k))
+
+
+def sa_chunks(profile: FourierProfile, chunk: int = _CHUNK):
+    """Yield (j0, S_A(j/N) for j in [j0, j0+chunk)) over the full grid."""
+    for j0, j, factors in _level_chunks(profile, chunk, False):
         acc = np.ones(len(j), dtype=np.complex128)
-        for qi in powers:
-            acc *= win.values_at_fractions(j * qi % N, N)
+        for w in factors:
+            acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
 
 
@@ -271,13 +297,9 @@ def sa_grid(profile: FourierProfile) -> np.ndarray:
 def sa_derivative_chunks(profile: FourierProfile, chunk: int = _CHUNK):
     """Yield (j0, S_A'(j/N)) using the product rule with prefix/suffix
     partial products (exact derivative of the product form)."""
-    sys, k = profile.sys, profile.k
-    N = profile.n_points
-    win = _Window(sys)
-    powers = [pow(sys.q, i, N) for i in range(k)]
-    for j0 in range(0, N, chunk):
-        j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        W, Wd = zip(*(win.values_and_derivatives_at_fractions(j * qi % N, N) for qi in powers))
+    q, k = profile.sys.q, profile.k
+    for j0, j, factors in _level_chunks(profile, chunk, True):
+        W, Wd = zip(*factors)
         prefix = np.ones(len(j), dtype=np.complex128)
         prefixes = []
         for i in range(k):
@@ -286,7 +308,7 @@ def sa_derivative_chunks(profile: FourierProfile, chunk: int = _CHUNK):
         suffix = np.ones(len(j), dtype=np.complex128)
         deriv = np.zeros(len(j), dtype=np.complex128)
         for i in range(k - 1, -1, -1):
-            deriv += (sys.q**i) * Wd[i] * prefixes[i] * suffix
+            deriv += (q**i) * Wd[i] * prefixes[i] * suffix
             suffix = suffix * W[i]
         yield j0, deriv
 

@@ -97,6 +97,24 @@ class TestPsiFamilies:
             for n in range(1, 61):
                 assert vec[n - 1] == pytest.approx(psi(n), abs=1e-12), (psi.family, n)
 
+    def test_ds_spread_huge_prime_factor_underflows_without_sieve(self, monkeypatch):
+        # primorial(53) + 1 = 73 * 139 * 173 * 18564761860301: theta of that
+        # largest factor forces psi below exp(-745), which is 0 as a float
+        def no_sieve(ell):
+            raise AssertionError(f"sieved up to {ell}")
+
+        monkeypatch.setattr(D, "_log_primorial", no_sieve)
+        assert PsiFunction.ds_spread().exact(D.primorial(53) + 1) == 0
+
+    def test_ds_spread_theta_cap(self, monkeypatch):
+        monkeypatch.setattr(D, "THETA_SIEVE_CAP", 100)
+        D._log_primorial.cache_clear()
+        psi = PsiFunction.ds_spread()
+        assert psi(97) > 0
+        with pytest.raises(CapExceeded):
+            psi(D.primorial(103))
+        D._log_primorial.cache_clear()
+
     def test_table_zero_off_table(self):
         psi = PsiFunction.from_pairs([(5, 1)])
         assert psi(4) == 0.0 and psi(5) == 1.0

@@ -301,6 +301,92 @@ class TestMeans:
             assert numeric == pytest.approx(exact, rel=1e-4, abs=1e-3)
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def pointwise_factors(prof, deriv):
+    """W(q^i j/N), or (W, W'), evaluated at every grid point at once."""
+    q, k, N = prof.sys.q, prof.k, prof.n_points
+    win = _Window(prof.sys)
+    evaluate = win.values_and_derivatives_at_fractions if deriv else win.values_at_fractions
+    j = np.arange(N)
+    return [evaluate(j * pow(q, i, N) % N, N) for i in range(k)]
+
+
+def joined(chunks):
+    return np.concatenate([vals for _, vals in chunks])
+
+
+# a hull minus one hole, a run off 0 and a direct-sum set, each with N > 6^4
+TABULATED = [
+    FourierProfile(DigitSystem.of(6, (0, 2, 3, 5)), 7),
+    FourierProfile(DigitSystem.of(6, (1, 2, 3)), 6),
+    FourierProfile(DigitSystem.of(6, (1, 4)), 6),
+]
+
+
+class TestGridTabulation:
+    """Tabulated levels give the floats of evaluating every point."""
+
+    @pytest.mark.parametrize("prof", TABULATED)
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_levels_match_pointwise(self, prof, deriv):
+        # the closed form serves every set here but the direct sum D = {1, 4}
+        assert _Window(prof.sys).closed == (prof.sys.digits != (1, 4))
+        want = pointwise_factors(prof, deriv)
+        for chunk in (F._CHUNK, 6**4, 6**4 + 5):
+            for j0, j, factors in F._level_chunks(prof, chunk, deriv):
+                at = slice(j0, j0 + len(j))
+                for got, ref in zip(factors, want):
+                    if deriv:
+                        assert same_bits(got[0], ref[0][at]) and same_bits(got[1], ref[1][at])
+                    else:
+                        assert same_bits(got, ref[at])
+
+    @pytest.mark.parametrize("digits", [(0, 2, 3, 5), (1, 2, 3), (1, 4)])
+    def test_chunk_one_tabulates_nothing(self, digits):
+        prof = FourierProfile(DigitSystem.of(6, digits), 4)
+        assert same_bits(joined(F.sa_chunks(prof)), joined(F.sa_chunks(prof, chunk=1)))
+        assert same_bits(
+            joined(F.sa_derivative_chunks(prof)), joined(F.sa_derivative_chunks(prof, chunk=1))
+        )
+
+    @pytest.mark.parametrize("prof", TABULATED)
+    def test_split_levels_match_default_chunk(self, prof):
+        for chunks in (F.sa_chunks, F.sa_derivative_chunks):
+            assert same_bits(joined(chunks(prof)), joined(chunks(prof, chunk=6**4)))
+
+    def test_multi_chunk_grid_is_pointwise_product(self):
+        prof = FourierProfile(DigitSystem.excluding(10, {7}), 6)
+        assert prof.n_points > F._CHUNK
+        want = np.ones(prof.n_points, dtype=np.complex128)
+        for w in pointwise_factors(prof, False):
+            want *= w
+        assert same_bits(F.sa_grid(prof), want)
+
+    def test_window_derivative_independent_of_batch_size(self):
+        win = _Window(DigitSystem.of(10, (1, 2, 3, 4)))
+        m = np.arange(1 << 15)
+        w, wp = win.values_and_derivatives_at_fractions(m, 10**5)
+        for lo in (0, 6, 1000):
+            ws, wps = win.values_and_derivatives_at_fractions(m[lo : lo + 10], 10**5)
+            assert same_bits(ws, w[lo : lo + 10]) and same_bits(wps, wp[lo : lo + 10])
+
+    def test_work_count(self, monkeypatch):
+        evaluated = []
+        plain = _Window.values_at_fractions
+
+        def counting(self, m, N):
+            evaluated.append(np.size(m))
+            return plain(self, m, N)
+
+        monkeypatch.setattr(_Window, "values_at_fractions", counting)
+        for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
+            pass
+        assert sum(evaluated) <= 10**6 + 111110
+
+
 class TestFareyMaxSum:
     def test_base_case_single_point(self):
         sys = DigitSystem.excluding(10, {7})
