@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -227,13 +228,17 @@ def _ds_spread_values(upto: int) -> np.ndarray:
         pp = p * p
         if pp <= upto:
             sqfree[pp::pp] = False
-    log_theta = {}
-    acc = 0.0
+    # theta(ell) above 2 log(upto) + 746 puts every log_val below -746,
+    # where exp underflows to 0: such ell never reach the loop
+    limit = 2.0 * math.log(max(upto, 1)) + 746.0
+    log_theta, acc = {}, 0.0
     for p in primes.tolist():
         acc += math.log(p)
+        if acc > limit:
+            break
         log_theta[p] = acc
     out = np.zeros(upto)
-    ok = sqfree & (gpf > 0)
+    ok = sqfree & (gpf > 0) & (gpf <= max(log_theta, default=0))
     for m in (np.flatnonzero(ok[1:]) + 1).tolist():
         ell = int(gpf[m])
         log_val = 2.0 * math.log(m) - log_theta[ell] - math.log(ell * math.log(ell))
@@ -246,36 +251,52 @@ def _ds_spread_values(upto: int) -> np.ndarray:
 
 class IntervalUnion:
     """Finite disjoint union of closed subintervals of [0,1] with exact
-    rational endpoints; touching intervals merge on normalisation."""
+    rational endpoints; touching intervals merge on normalisation.
 
-    __slots__ = ("intervals",)
+    The intervals are held as sorted, merged pairs ``ends`` of integer
+    numerators over one denominator ``den``, so no gcd is taken inside a
+    merge; ``intervals`` gives them back as Fraction pairs.
+    """
+
+    __slots__ = ("den", "ends")
 
     def __init__(self, intervals=()):
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = self._normalize(intervals)
+        pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
+        self.den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+        self.ends = self._normalize([(int(lo * self.den), int(hi * self.den)) for lo, hi in pairs])
+
+    @classmethod
+    def _over(cls, den: int, pairs) -> "IntervalUnion":
+        """The union of integer pairs (lo, hi) read as [lo/den, hi/den]."""
+        u = cls.__new__(cls)
+        u.den, u.ends = den, cls._normalize(pairs)
+        return u
 
     @staticmethod
     def _normalize(pairs) -> tuple:
-        items = []
-        for lo, hi in pairs:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if hi > lo:  # degenerate points carry no measure
-                items.append((lo, hi))
-        items.sort()
-        merged: list[list[Fraction]] = []
-        for lo, hi in items:
+        merged: list[list[int]] = []
+        for lo, hi in sorted(pair for pair in pairs if pair[1] > pair[0]):  # points carry no measure
             if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
+                merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
         return tuple((lo, hi) for lo, hi in merged)
 
+    def _scaled(self, den: int):
+        """The ends as numerators over den, a multiple of self.den, one pair at a time."""
+        k = den // self.den
+        return ((lo * k, hi * k) for lo, hi in self.ends)
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in self.ends)
+
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        return Fraction(sum(hi - lo for lo, hi in self.ends), self.den)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.ends)
 
     def __iter__(self):
         return iter(self.intervals)
@@ -291,34 +312,38 @@ class IntervalUnion:
 
     def contains(self, x) -> bool:
         x = Fraction(x)
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
+        num, den = x.numerator * self.den, x.denominator  # x = num / (den * self.den)
+        for lo, hi in self.ends:
+            if lo * den <= num <= hi * den:
                 return True
-            if lo > x:
+            if lo * den > num:
                 break
         return False
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(list(self.intervals) + list(other.intervals))
+        den = math.lcm(self.den, other.den)
+        return IntervalUnion._over(den, [*self._scaled(den), *other._scaled(den)])
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        den = math.lcm(self.den, other.den)
+        a, b = list(self._scaled(den)), list(other._scaled(den))
         out = []
         i = j = 0
-        a, b = self.intervals, other.intervals
         while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo, hi = (alo if alo > blo else blo), (ahi if ahi < bhi else bhi)
             if hi > lo:
                 out.append((lo, hi))
-            if a[i][1] < b[j][1]:
+            if ahi < bhi:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(out)
+        return IntervalUnion._over(den, out)
 
     def endpoints_float(self) -> np.ndarray:
-        """Flat endpoint array for fast membership sweeps."""
-        return np.array([float(x) for pair in self.intervals for x in pair])
+        """Flat endpoint array for fast membership sweeps (int / int is
+        correctly rounded, as float(Fraction) is)."""
+        return np.array([x / self.den for pair in self.ends for x in pair])
 
 
 # ------------------------------------------------------------- operations
@@ -336,14 +361,13 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     delta = psi.exact(q) / (q * q)
     if delta <= 0:
         return IntervalUnion()
-    lo_cap, hi_cap = Fraction(0), Fraction(1)
-    pairs = []
-    for a in range(q + 1):
-        if reduced and math.gcd(a, q) != 1:
-            continue
-        center = Fraction(a, q)
-        pairs.append((max(lo_cap, center - delta), min(hi_cap, center + delta)))
-    return IntervalUnion(pairs)
+    den = math.lcm(q, delta.denominator)
+    step, half = den // q, delta.numerator * (den // delta.denominator)
+    return IntervalUnion._over(den, [
+        (max(0, a * step - half), min(den, a * step + half))
+        for a in range(q + 1)
+        if not reduced or math.gcd(a, q) == 1
+    ])
 
 
 def truncated_limsup_measure(
@@ -352,13 +376,19 @@ def truncated_limsup_measure(
     """Exact measure of the union of events over q in [Q, R)."""
     if Q > R:
         raise UsageError("need Q <= R")
-    pairs = []
+    events, count = [], 0
     for q in range(Q, R):
-        ev = event_union(q, psi, reduced)
-        pairs.extend(ev.intervals)
-        if len(pairs) > INTERVAL_CAP:
+        events.append(event_union(q, psi, reduced))
+        count += len(events[-1])
+        if count > INTERVAL_CAP:
             raise CapExceeded(f"interval count above {INTERVAL_CAP}")
-    return IntervalUnion(pairs).measure
+    den = math.lcm(*(ev.den for ev in events))
+    total = run_lo = run_hi = 0
+    for lo, hi in heapq.merge(*(ev._scaled(den) for ev in events)):  # each end is scaled only while in the merge
+        if lo > run_hi:
+            total, run_lo = total + run_hi - run_lo, lo
+        run_hi = max(run_hi, hi)
+    return Fraction(total + run_hi - run_lo, den)
 
 
 def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:

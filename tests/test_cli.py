@@ -151,6 +151,25 @@ class TestDeterminism:
         assert out1 == out2
         assert json.loads(err1)["outputSha256"] == json.loads(err2)["outputSha256"]
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--psi", "constant:1/3", "--cmd", "measure", "--Q", "2", "--R", "400"),
+         "b210d1248f1e9b83b22802670b185894fa7ac1900f79c1de3bd1ffa14afeb510"),
+        (("--psi", "constant:1/4", "--cmd", "measure", "--Q", "2", "--R", "400"),
+         "793431f787256dca9c2f3cdd1f493f48a069e6c9993ff2f78bbb5fc3b0d03739"),
+        (("--psi", "constant:1/5", "--cmd", "measure", "--Q", "2", "--R", "400"),
+         "7beb2f082f70d0bc9b639f17fc980101dfd08900bc14760cb5729ea49668a522"),
+        (("--psi", "constant:2/5", "--cmd", "measure", "--Q", "2", "--R", "400"),
+         "b055cb1a0f65856484f16d9c36ee4ecd963d669d1f4a7f9640d8bcb8454a2c6f"),
+        (("--psi", "constant:1/6", "--cmd", "measure", "--Q", "2", "--R", "400"),
+         "e68b2de31bb27a1f93f1be9aef7fb4d53a5f1008c19e5abe5548f5d59c47e972"),
+        (("--psi", "ds_spread", "--cmd", "series", "--Q", "1000000"),
+         "64b257344cbaa535d3d1d3bf6d5d08d850a06a3c15c9db63da06553d2ca41275"),
+    ])
+    def test_pinned_dioph_outputs(self, capsys, argv, sha256):
+        # exact measures over 2 <= q < 400 and the ds_spread series at 10^6
+        _, _, err = run_cli(capsys, "dioph", *argv)
+        assert json.loads(err)["outputSha256"] == sha256
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "restricta", "primes", "--limit", "50"],

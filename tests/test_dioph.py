@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +65,125 @@ class TestIntervalUnion:
         assert not u.contains(Fraction(3, 4))
 
 
+def frac_normalize(pairs) -> tuple:
+    """Reference merge in Fractions: the representation before integer
+    numerators over one denominator."""
+    items = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if Fraction(hi) > Fraction(lo))
+    merged = []
+    for lo, hi in items:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def frac_intersect(a, b) -> tuple:
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if hi > lo:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return frac_normalize(out)
+
+
+def frac_event(q, psi, reduced=True) -> tuple:
+    delta = psi.exact(q) / (q * q)
+    if delta <= 0:
+        return ()
+    return frac_normalize(
+        (max(Fraction(0), Fraction(a, q) - delta), min(Fraction(1), Fraction(a, q) + delta))
+        for a in range(q + 1)
+        if not reduced or math.gcd(a, q) == 1
+    )
+
+
+def frac_measure(intervals) -> Fraction:
+    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+
+
+psi_families = st.one_of(
+    st.fractions(min_value=0, max_value=5, max_denominator=50).map(PsiFunction.constant),
+    st.lists(
+        st.tuples(st.integers(1, 60), st.fractions(min_value=0, max_value=40, max_denominator=30)),
+        max_size=20,
+    ).map(PsiFunction.from_pairs),
+    st.floats(0, 2).map(PsiFunction.khinchin_threshold),
+    st.just(PsiFunction.ds_spread()),
+)
+pair_lists = st.lists(st.tuples(fractions_01, fractions_01).map(sorted), max_size=10)
+
+
+class TestFractionOracle:
+    """Integer numerators over one denominator against the Fraction merge."""
+
+    @given(pair_lists, pair_lists, fractions_01)
+    @settings(max_examples=80, deadline=None)
+    def test_random_unions(self, p1, p2, x):
+        u, v = IntervalUnion(p1), IntervalUnion(p2)
+        a, b = frac_normalize(p1), frac_normalize(p2)
+        assert u.intervals == a and v.intervals == b
+        assert u.measure == frac_measure(a)
+        assert u.intersect(v).intervals == frac_intersect(a, b)
+        assert u.union(v).intervals == frac_normalize(a + b)
+        assert u.contains(x) == any(lo <= x <= hi for lo, hi in a)
+        # int / int is correctly rounded, as float(Fraction) is
+        assert u.endpoints_float().tolist() == [float(e) for pair in a for e in pair]
+
+    @given(psi_families, st.integers(1, 60), st.integers(1, 60), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_events_and_overlaps(self, psi, q, r, reduced):
+        eq, er = D.event_union(q, psi, reduced), D.event_union(r, psi, reduced)
+        a, b = frac_event(q, psi, reduced), frac_event(r, psi, reduced)
+        assert eq.intervals == a and er.intervals == b
+        assert eq.measure == frac_measure(a)
+        inter = frac_intersect(a, b)
+        assert eq.intersect(er).intervals == inter
+        assert eq.intersect(er).measure == frac_measure(inter)
+        assert eq.union(er).intervals == frac_normalize(a + b)
+
+    @given(psi_families, st.integers(1, 30), st.integers(0, 12), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_measure(self, psi, Q, span, reduced):
+        joined = frac_normalize(pair for q in range(Q, Q + span) for pair in frac_event(q, psi, reduced))
+        assert D.truncated_limsup_measure(psi, Q, Q + span, reduced) == frac_measure(joined)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(5, 7), Fraction(31, 2), Fraction(3600), Fraction(10**4)])
+    def test_edge_cases(self, c):
+        # clipping at 0 and 1, self-overlap once psi(q) > q/2 (unreduced),
+        # and psi >= q^2, where every event covers [0, 1]
+        psi = PsiFunction.constant(c)
+        for q, reduced in itertools.product((1, 2, 3, 7, 12, 60), (True, False)):
+            ev = D.event_union(q, psi, reduced)
+            assert ev.intervals == frac_event(q, psi, reduced)
+            if c >= q * q:
+                assert ev.intervals == ((0, 1),)
+            if c > Fraction(q, 2) and not reduced:
+                assert len(ev) == 1
+
+
+class TestRepresentation:
+    def test_equal_sets_over_different_denominators(self):
+        u = IntervalUnion([(Fraction(1, 4), Fraction(1, 2))])
+        v = IntervalUnion._over(8, [(2, 4)])
+        assert (u.den, v.den) == (4, 8)
+        assert u == v and hash(u) == hash(v)
+        assert IntervalUnion._over(8, [(2, 3)]) != u
+
+    @pytest.mark.parametrize("psi", [PsiFunction.constant(Fraction(2, 5)), PsiFunction.khinchin_threshold(0.3)])
+    def test_event_over_lcm_of_q_and_delta(self, psi):
+        for q in (2, 6, 35):
+            ev = D.event_union(q, psi)
+            assert ev.den == math.lcm(q, (psi.exact(q) / q**2).denominator)
+            assert all(type(e) is int for pair in ev.ends for e in pair)
+            assert len(ev) == len(ev.intervals) == len(ev.ends)
+
+
 class TestPsiFamilies:
     def test_parse_and_values(self):
         psi = PsiFunction.parse("power:1")
@@ -114,6 +235,25 @@ class TestPsiFamilies:
         with pytest.raises(CapExceeded):
             psi(D.primorial(103))
         D._log_primorial.cache_clear()
+
+    @pytest.mark.parametrize("upto", [1, 2, 10**3, 2 * 10**5])
+    def test_ds_spread_values_match_unpruned_loop(self, upto):
+        # every squarefree m, whatever the size of theta of its largest prime
+        gpf = np.zeros(upto + 1, dtype=np.int64)
+        sqfree = np.ones(upto + 1, dtype=bool)
+        primes = D._simple_sieve(upto).tolist() if upto >= 2 else []
+        log_theta, acc = {}, 0.0
+        for p in primes:
+            gpf[p::p] = p
+            sqfree[p * p :: p * p] = False
+            acc += math.log(p)
+            log_theta[p] = acc
+        want = np.zeros(upto)
+        for m in (np.flatnonzero((sqfree & (gpf > 0))[1:]) + 1).tolist():
+            ell = int(gpf[m])
+            log_val = 2.0 * math.log(m) - log_theta[ell] - math.log(ell * math.log(ell))
+            want[m - 1] = math.exp(log_val) if log_val > -745.0 else 0.0
+        assert np.array_equal(D._ds_spread_values(upto), want)
 
     def test_table_zero_off_table(self):
         psi = PsiFunction.from_pairs([(5, 1)])
@@ -173,6 +313,23 @@ class TestEvents:
 class TestTruncatedMeasure:
     def test_empty_range(self):
         assert D.truncated_limsup_measure(PsiFunction.constant(1), 5, 5) == 0
+
+    def test_join_holds_no_scaled_copy_of_the_events(self):
+        # the k-way merge scales each end only while it is in the merge, so
+        # the join needs little beyond the events themselves (a joined list
+        # over the common denominator took about three times as much)
+        psi = PsiFunction.constant(Fraction(1, 4))
+        tracemalloc.start()
+        try:
+            events = [D.event_union(q, psi) for q in range(2, 150)]
+            events_peak = tracemalloc.get_traced_memory()[1]
+            del events
+            tracemalloc.reset_peak()
+            D.truncated_limsup_measure(psi, 2, 150)
+            join_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert join_peak < 1.25 * events_peak
 
     def test_monotone_and_subadditive(self):
         psi = PsiFunction.constant(Fraction(1, 2))
@@ -257,6 +414,16 @@ class TestQuasiIndependence:
         # the primorial-block ratio is finite and well below the 10^6 slack
         ratio = D.quasi_independence_ratio(PsiFunction.ds_spread(), 2, 32)
         assert 0 <= ratio < 10**6
+
+    @pytest.mark.parametrize("c, ratio", [
+        ("1/3", 0.6057643357503142),
+        ("1/4", 0.5018066642518434),
+        ("1/5", 0.43018035901718393),
+        ("2/5", 0.6830880670328259),
+        ("1/6", 0.3756177641653919),
+    ])
+    def test_pinned_ratio(self, c, ratio):
+        assert repr(D.quasi_independence_ratio(PsiFunction.constant(Fraction(c)), 2, 120)) == repr(ratio)
 
     def test_range_cap(self):
         with pytest.raises(CapExceeded):
