@@ -112,9 +112,6 @@ class DigitSystem:
     def size(self) -> int:
         return len(self.digits)
 
-    def is_full(self) -> bool:
-        return len(self.digits) == self.q
-
     def missing(self) -> tuple[int, ...]:
         """Digits of [0,q) not in D."""
         return tuple(d for d in range(self.q) if not (self._mask >> d) & 1)
@@ -201,19 +198,6 @@ def enumerate_restricted(sys: DigitSystem, x: int, cap: int = ENUM_CAP) -> list[
                     nxt.append(v)
         level = nxt
     return out
-
-
-def restricted_digit_sum(sys: DigitSystem, k: int) -> int:
-    """Exact sum of all k-digit-padded members (the n in [0, q^k) with
-    digits in D, leading zeros allowed).  Used for Lipschitz constants."""
-    nd = len(sys.digits)
-    dsum = sum(sys.digits)
-    total, cnt, p = 0, 1, 1
-    for _ in range(k):
-        total = nd * total + p * cnt * dsum
-        cnt *= nd
-        p *= sys.q
-    return total
 
 
 def prediction_constant(sys: DigitSystem) -> Fraction:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arcs import FareyPoint, _dirichlet_witness
 from .errors import CapExceeded, NotReached, Unsupported, UsageError
-from .numutil import fsum_chunks
+from .numutil import SUM_CHUNK
 from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
@@ -471,17 +471,22 @@ def golden_gap(n: int) -> float:
 
 def series_partial(psi: PsiFunction, Q: int) -> tuple[float, float]:
     """Partial sums to Q of psi(n)/n (Khinchin series) and of
-    phi(n)*psi(n)/n^2 (reduced-fraction series)."""
+    phi(n)*psi(n)/n^2 (reduced-fraction series), with terms formed one
+    SUM_CHUNK at a time: each chunk sum is the float ``fsum_chunks`` gives
+    on the whole array of terms, without its Q-long temporaries."""
     if Q < 1:
         raise UsageError("need Q >= 1")
     if Q > 10**7:
         raise CapExceeded("series range above 10^7")
     vals = psi.values(Q)
-    n = np.arange(1, Q + 1, dtype=np.float64)
-    khinchin = fsum_chunks(vals / n)
-    phi = phi_sieve(Q)[1:].astype(np.float64)
-    ds = fsum_chunks(vals * phi / n**2)
-    return khinchin, ds
+    phi = phi_sieve(Q)[1:]
+    khinchin, ds = [], []
+    for i in range(0, Q, SUM_CHUNK):
+        v, p = vals[i : i + SUM_CHUNK], phi[i : i + SUM_CHUNK].astype(np.float64)
+        n = np.arange(i + 1, i + 1 + len(v), dtype=np.float64)
+        khinchin.append(float((v / n).sum()))
+        ds.append(float((v * p / n**2).sum()))
+    return math.fsum(khinchin), math.fsum(ds)
 
 
 @dataclass(frozen=True)
@@ -513,13 +518,13 @@ class DsCounterexampleReport:
         }
 
 
-def ds_counterexample(ell_max: int, containment_ell_cap: int = 47) -> DsCounterexampleReport:
+def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
     """Build the primorial psi pair and verify its mechanism.
 
     Series are summed over primes ell <= ell_max in the closed form
     sum 1/(ell log ell) and sum (1/(ell log ell)) * prod_{p<ell}(1 + 1/p);
-    the containment of spread events in base events is checked for small
-    ell: the centres exactly, the half-widths psi(q)/q^2 and
+    the containment of spread events in base events is checked for
+    ell <= 47: the centres exactly, the half-widths psi(q)/q^2 and
     psi0(q_ell)/q_ell^2 to a relative CONTAINMENT_RTOL.
     """
     if ell_max < 3:
@@ -540,7 +545,7 @@ def ds_counterexample(ell_max: int, containment_ell_cap: int = 47) -> DsCountere
     # a/q equals the window around (a*q_ell/q)/q_ell by construction
     verified = 0
     ok = True
-    for ell in [p for p in primes if p <= containment_ell_cap]:
+    for ell in [p for p in primes if p <= 47]:
         q_ell = primorial(ell)
         samples = {ell, q_ell}
         if ell > 2:
@@ -611,10 +616,11 @@ def hausdorff_exponent_for(psi: PsiFunction) -> float:
     return hausdorff_exponent(psi.a)
 
 
-def hausdorff_slope(a: float, beta: float, n_max: int = 1 << 15) -> float:
+def hausdorff_slope(a: float, beta: float) -> float:
     """Partial-sum increment diagnostic: the dyadic tail growth of
-    sum phi(n) (n^-(2+a))^beta between n_max and 2*n_max.  Near zero for
-    convergent beta, bounded away from zero for divergent beta."""
+    sum phi(n) (n^-(2+a))^beta between n_max = 2^15 and 2*n_max.  Near zero
+    for convergent beta, bounded away from zero for divergent beta."""
+    n_max = 1 << 15
     phi = phi_sieve(2 * n_max).astype(np.float64)
     n = np.arange(2 * n_max + 1, dtype=np.float64)
     n[0] = 1.0

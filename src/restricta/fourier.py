@@ -16,15 +16,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digit_systems import DigitSystem, restricted_digit_sum
+from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError, WrongShape
 from .numutil import catalan_constant, e1, frac_exact, frac_mul, fsum_chunks, unit
 
-TAU_DEFAULT = 0.2 - 1e-9
+TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
 MEAN_CAP = 10**8
 MOMENT_CAP = 10**7
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
+FAREY_SUBCELLS = 512  # subcells per window in farey_max_sum
 _CHUNK = 1 << 17
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
 # switch to their limit value (the sliver affected is ~1e-10 wide, where
@@ -38,13 +39,10 @@ class FourierProfile:
 
     sys: DigitSystem
     k: int
-    tau: float = TAU_DEFAULT
 
     def __post_init__(self):
         if self.k < 1:
             raise UsageError("need k >= 1")
-        if not self.tau < 0.2:
-            raise UsageError("tau must be < 1/5")
 
     @property
     def n_points(self) -> int:
@@ -137,10 +135,10 @@ class _Window:
                 wp = wp + sign * tp * d * zd
         return (w, wp) if deriv else w
 
-    def values(self, phi: np.ndarray) -> np.ndarray:
-        """Complex W at float phases (already reduced mod 1 or not; e() is periodic)."""
+    def values_and_derivatives(self, phi: np.ndarray):
+        """(W, W') at float phases (already reduced mod 1 or not; e() is periodic)."""
         phi = np.asarray(phi, dtype=np.float64)
-        return self._evaluate(lambda n: (n * phi) % 1.0, False)
+        return self._evaluate(lambda n: (n * phi) % 1.0, True)
 
     def values_at_fractions(self, m: np.ndarray, N: int) -> np.ndarray:
         """Complex W at phi = m/N using exact integer phase reduction."""
@@ -154,39 +152,33 @@ class _Window:
 
     # -- certified cell suprema -------------------------------------------
 
-    def cell_caps(self, dmin: np.ndarray) -> np.ndarray:
-        """Analytic cap on F over a cell at distance >= dmin from integers:
-        the hull sum is at most 1/sin(pi*dmin) and each hole adds at most 1."""
+    def cell_sup(self, n: int, grid: int) -> np.ndarray:
+        """Certified upper bound for sup F over each cell [t/n, (t+1)/n), t < n,
+        from ``grid`` subcells per cell with exact-phase midpoints m/(2*n*grid).
+        G = e(-c*phi) W is recentred at the median digit c, so G, G' enter as W,
+        W' - 2*pi*i*c*W.  Each chunk of cells is capped as it is built, so no
+        n-long temporary exists besides the result."""
+        N = 2 * n * grid
+        best = np.empty(n)
+        rows = max(1, _CHUNK // grid)
+        for t0 in range(0, n, rows):
+            t = np.arange(t0, min(t0 + rows, n), dtype=np.int64)
+            m = 2 * np.arange(t0 * grid, (t0 + len(t)) * grid, dtype=np.int64) + 1  # cell-major
+            w, wp = self.values_and_derivatives_at_fractions(m, N)
+            sups = _taylor_sup(w, wp - 2j * math.pi * self.center * w, 1.0 / N, self.m2)
+            del w, wp  # free this chunk before the next one is evaluated
+            best[t0 : t0 + len(t)] = self.capped_sups(sups, t, n)
+        return best
+
+    def capped_sups(self, sups: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+        """Certified sup of F over cells t of the 1/n grid from the Taylor bounds of
+        their subcells (cell-major): the maximum over each cell, capped by |D| and by
+        |H| + 1/sin(pi*dmin), rounded up: the hull sum is <= 1/sin, each hole adds <= 1."""
+        dmin = np.minimum(t, n - 1 - t) / n  # the cell's distance from the integers
         with np.errstate(divide="ignore"):  # runs attain 1/sin: round it up
             inv_sin = np.where(dmin > 0, (1.0 + 1e-12) / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
-        return np.minimum(float(self.sys.size), len(self.holes) + inv_sin)
-
-    def cell_sup(self, lows: np.ndarray, width: float, grid: int) -> np.ndarray:
-        """Certified upper bound for sup F over each cell [low, low+width].
-
-        Cells lie on the 1/n grid, n = 1/width, and are split into ``grid``
-        subcells bounded by ``_taylor_sup`` at their rational midpoints
-        (2j+1)/(2*n*grid), where W, W' have exact phases.  G = e(-c*phi) W
-        is recentred at the median digit c; its unimodular factor drops out
-        of every modulus, so G, G' enter as W, W' - 2*pi*i*c*W.  Capped by
-        the analytic per-cell bound and by |D|.
-        """
-        lows = np.asarray(lows, dtype=np.float64)
-        n = round(1.0 / width)
-        cells = np.rint(lows * n).astype(np.int64)
-        if abs(n * width - 1.0) > 1e-9 or np.any(np.abs(cells - lows * n) > 1e-6):
-            raise UsageError("cells must lie on the 1/n grid with width 1/n")
-        N = 2 * n * grid
-        c, tp = self.center, 2j * math.pi
-        best = np.empty(len(cells))
-        rows = max(1, _CHUNK // grid)
-        for i0 in range(0, len(cells), rows):
-            m = 2 * (cells[i0 : i0 + rows, None] * grid + np.arange(grid)) + 1
-            w, wp = self.values_and_derivatives_at_fractions(m, N)
-            wp = wp - tp * c * w
-            best[i0 : i0 + rows] = _taylor_sup(w, wp, 1.0 / N, self.m2).max(axis=1)
-        dmin = np.clip(np.minimum(lows, 1.0 - lows - width), 0.0, None)
-        return np.minimum(np.minimum(best, self.cell_caps(dmin)), float(self.sys.size))
+        caps = np.minimum(float(self.sys.size), len(self.holes) + inv_sin)
+        return np.minimum(sups.reshape(len(t), -1).max(axis=1), caps)
 
 
 def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, m2: float) -> np.ndarray:
@@ -294,23 +286,27 @@ def sa_grid(profile: FourierProfile) -> np.ndarray:
     return out
 
 
+def _product_rule(q: int, W, Wd):
+    """(S, S') for S(theta) = prod_i W_i(q^i theta) from the factors W_i and
+    their derivatives Wd_i: S' = sum_i q^i Wd_i prod_{j != i} W_j, with
+    prefix/suffix partial products (exact derivative of the product form)."""
+    prefix = np.ones_like(W[0])
+    prefixes = []
+    for w in W:
+        prefixes.append(prefix)
+        prefix = prefix * w
+    suffix = np.ones_like(W[0])
+    deriv = np.zeros_like(W[0])
+    for i in range(len(W) - 1, -1, -1):
+        deriv += (q**i) * Wd[i] * prefixes[i] * suffix
+        suffix = suffix * W[i]
+    return prefix, deriv
+
+
 def sa_derivative_chunks(profile: FourierProfile, chunk: int = _CHUNK):
-    """Yield (j0, S_A'(j/N)) using the product rule with prefix/suffix
-    partial products (exact derivative of the product form)."""
-    q, k = profile.sys.q, profile.k
-    for j0, j, factors in _level_chunks(profile, chunk, True):
-        W, Wd = zip(*factors)
-        prefix = np.ones(len(j), dtype=np.complex128)
-        prefixes = []
-        for i in range(k):
-            prefixes.append(prefix)
-            prefix = prefix * W[i]
-        suffix = np.ones(len(j), dtype=np.complex128)
-        deriv = np.zeros(len(j), dtype=np.complex128)
-        for i in range(k - 1, -1, -1):
-            deriv += (q**i) * Wd[i] * prefixes[i] * suffix
-            suffix = suffix * W[i]
-        yield j0, deriv
+    """Yield (j0, S_A'(j/N)) by the product rule over the digit levels."""
+    for j0, _, factors in _level_chunks(profile, chunk, True):
+        yield j0, _product_rule(profile.sys.q, *zip(*factors))[1]
 
 
 # --------------------------------------------------- certified bound sums
@@ -329,12 +325,12 @@ def sin_display_value(q: int) -> float:
     return val + SLACK * terms
 
 
-def sin_bound_sum(q: int, tau: float = TAU_DEFAULT) -> BoundReport:
-    """Compare the per-digit sin-bound sum against (q-1)*q^tau."""
+def sin_bound_sum(q: int) -> BoundReport:
+    """Compare the per-digit sin-bound sum against (q-1)*q^TAU."""
     if q < 3:
         raise UsageError("need q >= 3")
     value = sin_display_value(q)
-    threshold = (q - 1) * q**tau
+    threshold = (q - 1) * q**TAU
     return BoundReport(
         "sin-bound-sum",
         value,
@@ -348,19 +344,18 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
     """Yield, for b = 0..q-1, the certified suprema of F_D with D missing b
     over the q cells [t/q, (t+1)/q).
 
-    The subcells, recentring and caps are those of ``_Window.cell_sup``,
+    The cells, subcells and per-cell step are those of ``_Window.cell_sup``,
     but the full-set geometric kernel g, g' is evaluated once for all b:
     W_b = g - e(b*phi) and W_b' = g' - 2*pi*i*b*e(b*phi), with e(b*phi)
     advanced by elementwise multiplication.
     """
     N = 2 * q * grid
+    t = np.arange(q, dtype=np.int64)
     m = 2 * np.arange(q * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     full = _Window(DigitSystem.of(q, range(q)))
     g, gp = full.values_and_derivatives_at_fractions(m, N)
     z1 = unit(m / N)
     tp = 2j * math.pi
-    t = np.arange(q, dtype=np.float64)
-    dmin = np.minimum(t, q - 1 - t) / q  # distance from cell t to the integers
     recentred = {}  # median digit c -> g' - 2*pi*i*c*g
     eb = np.ones_like(g)  # e(b*phi)
     for b in range(q):
@@ -368,12 +363,13 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
         c = win.center
         if c not in recentred:
             recentred[c] = gp - tp * c * g
+        # sups lives across the yield, or malloc trims and re-faults the heap top each b
         sups = _taylor_sup(g - eb, recentred[c] - tp * (b - c) * eb, 1.0 / N, win.m2)
-        yield np.minimum(sups.reshape(q, grid).max(axis=1), win.cell_caps(dmin))
+        yield win.capped_sups(sups, t, q)
         eb = eb * z1
 
 
-def refined_digit_sum(q: int, grid: int = REFINED_GRID, tau: float = TAU_DEFAULT) -> BoundReport:
+def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
     """Per-digit bound from the true window maxima.
 
     For every missing digit b, sums over t the certified supremum of
@@ -384,7 +380,7 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID, tau: float = TAU_DEFAULT
         raise UsageError("need q >= 3")
     per_digit = [float(np.sum(sups)) + SLACK * q for sups in _refined_cell_sups(q, grid)]
     value = max(per_digit)
-    threshold = (q - 1) * q**tau
+    threshold = (q - 1) * q**TAU
     return BoundReport(
         "refined-sum",
         value,
@@ -419,11 +415,11 @@ def pairwise_bound_sum(q: int) -> BoundReport:
     return BoundReport("pairwise-sum", value, threshold, value < threshold, {})
 
 
-def scan_bound(kind: str, q_lo: int, q_hi: int, tau: float = TAU_DEFAULT):
+def scan_bound(kind: str, q_lo: int, q_hi: int):
     """Yield BoundReports over q in [q_lo, q_hi], with q attached."""
     for q in range(q_lo, q_hi + 1):
         if kind == "sin-sum":
-            rep = sin_bound_sum(q, tau)
+            rep = sin_bound_sum(q)
         elif kind == "pairwise":
             rep = pairwise_bound_sum(q)
         else:
@@ -431,15 +427,15 @@ def scan_bound(kind: str, q_lo: int, q_hi: int, tau: float = TAU_DEFAULT):
         yield q, rep
 
 
-def minimal_passing_q(kind: str, q_lo: int, q_hi: int, tau: float = TAU_DEFAULT) -> int | None:
+def minimal_passing_q(kind: str, q_lo: int, q_hi: int) -> int | None:
     """First q in the window whose bound sum passes its threshold."""
-    for q, rep in scan_bound(kind, q_lo, q_hi, tau):
+    for q, rep in scan_bound(kind, q_lo, q_hi):
         if rep.passes:
             return q
     return None
 
 
-def generalized_margin(sys: DigitSystem, grid: int = 256, tau_exp: float = 0.2) -> BoundReport:
+def generalized_margin(sys: DigitSystem, grid: int = 256) -> BoundReport:
     """sum_t sup over [t/q, (t+1)/q) of F_D, against (q - |D|) * q^(1/5).
 
     Degenerate for the full digit set (threshold 0).  Details carry the
@@ -447,11 +443,9 @@ def generalized_margin(sys: DigitSystem, grid: int = 256, tau_exp: float = 0.2) 
     """
     q = sys.q
     win = _Window(sys)
-    lows = np.arange(q, dtype=np.float64) / q
-    sups = win.cell_sup(lows, 1.0 / q, grid)
-    value = float(np.sum(sups)) + SLACK * q
+    value = float(np.sum(win.cell_sup(q, grid))) + SLACK * q
     r = q - sys.size
-    threshold = r * q**tau_exp
+    threshold = r * q**0.2
     details: dict = {"grid": grid, "degenerate": r == 0}
     if r >= 1:
         details["removed_reference"] = (q - 1.0) * r + q * math.log(q)
@@ -507,10 +501,27 @@ def moment_tail(profile: FourierProfile, sigma: float, T: float) -> tuple[int, f
     return count, bound
 
 
-def farey_max_sum(profile: FourierProfile, S: int, xi: float, grid: int = 512) -> float:
+def _member_spread(sys: DigitSystem, k: int, c0: int) -> tuple[int, int]:
+    """(c, sum_{n in A} (n - c)^2) over the k-digit padded set A, where
+    c = c0 (q^k - 1)/(q - 1): n - c = sum_i (d_i - c0) q^i over independent
+    digits, so the squares give |D|^(k-1) s2 q^(2i) and the cross terms
+    |D|^(k-2) s1^2 q^(i+j), s1 = sum_D (d - c0) and s2 = sum_D (d - c0)^2."""
+    q, nd = sys.q, sys.size
+    s1 = sum(d - c0 for d in sys.digits)
+    s2 = sum((d - c0) ** 2 for d in sys.digits)
+    p1 = (q**k - 1) // (q - 1)  # sum_i q^i
+    p2 = (q ** (2 * k) - 1) // (q * q - 1)  # sum_i q^(2i); p1^2 = p2 at k = 1
+    return c0 * p1, nd ** (k - 1) * s2 * p2 + s1 * s1 * nd ** max(k - 2, 0) * (p1 * p1 - p2)
+
+
+def farey_max_sum(profile: FourierProfile, S: int, xi: float) -> float:
     """sum over reduced r/s, s <= S, of max_{|eta|<=1/(4S^2)} |S_A(r/s+xi+eta)|.
 
-    Grid maxima with Lipschitz padding 2*pi*(sum of members) * halfstep.
+    Each window is split into FAREY_SUBCELLS subcells bounded by
+    ``_taylor_sup`` at their midpoints, with S_A and S_A' from the product
+    rule.  G = e(-c*theta) S_A is recentred at c = c0 (q^k - 1)/(q - 1),
+    c0 the median digit, so |G''| <= M2 = (2*pi)^2 sum_{n in A} (n - c)^2.
+    Each window maximum is capped at |A|.
     """
     if S < 1:
         raise UsageError("need S >= 1")
@@ -518,27 +529,27 @@ def farey_max_sum(profile: FourierProfile, S: int, xi: float, grid: int = 512) -
         raise CapExceeded("window scale 1/(4S^2) below grid resolution q^-k")
     sys, k = profile.sys, profile.k
     win = _Window(sys)
+    c, spread = _member_spread(sys, k, win.center)
+    m2 = (2.0 * math.pi) ** 2 * float(spread)
     delta = 1.0 / (4.0 * S * S)
-    lip = 2.0 * math.pi * float(restricted_digit_sum(sys, k))
-    pad = lip * (2.0 * delta / grid) / 2.0
-    eta = np.linspace(-delta, delta, grid + 1)
+    eta = delta * (np.arange(1, 2 * FAREY_SUBCELLS, 2) / FAREY_SUBCELLS - 1.0)
     total = []
     for s in range(1, S + 1):
         for r in range(s):
             if math.gcd(r, s) != 1:
                 continue
             theta = eta + (r / s + xi)
-            acc = np.ones(len(theta), dtype=np.complex128)
-            for i in range(k):
-                acc *= win.values(frac_mul(theta, float(sys.q**i)))
-            total.append(float(np.max(np.abs(acc))) + pad)
+            levels = [win.values_and_derivatives(frac_mul(theta, float(sys.q**i))) for i in range(k)]
+            sa, sap = _product_rule(sys.q, *zip(*levels))
+            sup = float(np.max(_taylor_sup(sa, sap - 2j * math.pi * c * sa, delta / FAREY_SUBCELLS, m2)))
+            total.append(min(sup, float(profile.set_size)))
     return math.fsum(total) + SLACK * len(total)
 
 
 # ------------------------------------------------------------- constants
 
 
-def typical_growth_constant(pairs: int = 200_000) -> float:
+def typical_growth_constant() -> float:
     """exp((4/pi) * G) with Catalan's G from its series; the per-digit
     growth factor of |S_A| at a typical theta, approx 3.209912300."""
-    return math.exp(4.0 * catalan_constant(pairs) / math.pi)
+    return math.exp(4.0 * catalan_constant() / math.pi)

@@ -263,18 +263,16 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
     return out
 
 
-def compress_greedy(S, B: int, max_nonimproving: int | None = None) -> BipartiteGcdGraph:
+def compress_greedy(S, B: int) -> BipartiteGcdGraph:
     """Heuristic driver: repeatedly apply the compression step with the
     prime and restriction of highest quality measure.
 
-    The stopping rule (a budget of non-improving steps, default
-    10*log|S|) is a demonstration choice, not a tuned strategy.
+    The stopping rule (a budget of 10*log|S| non-improving steps) is a
+    demonstration choice, not a tuned strategy.
     """
     g = bipartite_from_set(S, B)
-    if max_nonimproving is None:
-        max_nonimproving = max(1, int(10 * math.log(max(2, len(g.V)))))
     used: set[int] = set()
-    budget = max_nonimproving
+    budget = max(1, int(10 * math.log(max(2, len(g.V)))))
     while budget > 0:
         primes: set[int] = set()
         for v in g.V + g.W:

@@ -118,12 +118,10 @@ def build_matrix(
     n_words = sys.q ** (ell + 1)
     if n_words > ENTRY_CAP:
         raise CapExceeded(f"q^(ell+1) = {n_words} above cap {ENTRY_CAP}")
-    win = _Window(sys)
-    width = 1.0 / n_words
-    lows = np.arange(n_words, dtype=np.float64) * width
     grid = max(grid, -(-MIN_SUBCELLS // n_words))
-    sups = win.cell_sup(lows, width, grid)
-    entries = (sups / sys.size) ** sigma
+    entries = _Window(sys).cell_sup(n_words, grid)
+    entries /= sys.size
+    entries **= sigma
     return TransitionMatrix(sys, ell, float(sigma), entries, grid)
 
 

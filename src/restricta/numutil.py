@@ -18,6 +18,7 @@ from .errors import OutOfRange
 TWO_PI = 2.0 * math.pi
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
+SUM_CHUNK = 1 << 16  # numpy partial sums per chunk of this size, then fsum
 
 
 def frac_exact(n: int, theta: float) -> float:
@@ -64,28 +65,28 @@ def e1(t: float) -> complex:
     return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
 
 
-def csum(values: np.ndarray, chunk: int = 1 << 16) -> complex:
+def csum(values: np.ndarray) -> complex:
     """Deterministic compensated sum of a complex array.
 
     Pairwise numpy partial sums per fixed-size chunk, then exact fsum of
     the chunk results; independent of thread count by construction.
     """
     v = np.asarray(values)
-    res = [v[i : i + chunk].sum() for i in range(0, len(v), chunk)]
+    res = [v[i : i + SUM_CHUNK].sum() for i in range(0, len(v), SUM_CHUNK)]
     return complex(math.fsum(r.real for r in res), math.fsum(r.imag for r in res))
 
 
-def fsum_chunks(values: np.ndarray, chunk: int = 1 << 16) -> float:
+def fsum_chunks(values: np.ndarray) -> float:
     v = np.asarray(values, dtype=np.float64)
-    return math.fsum(float(v[i : i + chunk].sum()) for i in range(0, len(v), chunk))
+    return math.fsum(float(v[i : i + SUM_CHUNK].sum()) for i in range(0, len(v), SUM_CHUNK))
 
 
-def catalan_constant(pairs: int = 200_000) -> float:
+def catalan_constant() -> float:
     """Catalan's constant G = sum_{k>=0} (-1)^k/(2k+1)^2 by paired terms.
 
     Pairing consecutive terms gives a positive decreasing series with tail
-    below 1/(32*pairs^2), far under double roundoff at the default.
+    below 1/(32*pairs^2), under 1e-12 at the 200000 pairs summed here.
     """
-    k = np.arange(pairs, dtype=np.float64)
+    k = np.arange(200_000, dtype=np.float64)
     terms = 1.0 / (4.0 * k + 1.0) ** 2 - 1.0 / (4.0 * k + 3.0) ** 2
     return float(math.fsum(terms))

@@ -21,7 +21,7 @@ from restricta.digit_systems import DigitSystem, census, enumerate_restricted
 from restricta.dioph import PsiFunction
 from restricta.numutil import csum, frac_mul, unit
 
-TAU = F.TAU_DEFAULT
+TAU = F.TAU
 
 
 def report(num: int, desc: str, elapsed: float, limit: float):

@@ -121,7 +121,7 @@ def test_refined_digit_sum_cells():
 def test_generalized_margin_cells(spec, grid):
     sys_ = DigitSystem.parse(spec)
     q = sys_.q
-    sups = _Window(sys_).cell_sup([t / q for t in range(q)], 1.0 / q, grid)
+    sups = _Window(sys_).cell_sup(q, grid)
     assert F.generalized_margin(sys_, grid=grid).value == float(sups.sum()) + F.SLACK * q
     for t in sample_cells(q, 2, seed=q + grid):
         assert proves_below(sys_.digits, Fraction(t, q), Fraction(t + 1, q), sups[t]), (t, sups[t])

@@ -170,6 +170,34 @@ class TestDeterminism:
         _, _, err = run_cli(capsys, "dioph", *argv)
         assert json.loads(err)["outputSha256"] == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4"),
+         "1d04dc61a8adf154830a6e4e5012b32c942d4cc92c33db9024bf924038ed4b30"),
+        (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4", "--sigma", "1.525974025974026"),
+         "00196a171fcd9e0eb0ef7e4cb1ab79c5e06af2ec17eaef57bdb18ad790045906"),
+        (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4"),
+         "f6faf0dc966877cf80d03bab4e3ae8f5ad6301bee9232d88dcb08582a240dd27"),
+        (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4", "--sigma", "1.525974025974026"),
+         "056cdabce843bd778274fb6abdd7ef0a9a2647174b3c5cce00dcd5244fcd6650"),
+        (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4"),
+         "856dfb95d3d244961ebaf1ebfb176728e5dfc0c889422e23a80c294912093b5e"),
+        (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4", "--sigma", "1.525974025974026"),
+         "d34dd4aac5f02f2181899f1379273cd94e670ad4a0133edebe80a956299f4072"),
+        (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4"),
+         "2c2dd1ec98bac41f576060d0e18592e489940648b422cf95d6cddd92d6412893"),
+        (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4", "--sigma", "1.525974025974026"),
+         "fdafa6c7a9a132cd47fc84712d67d69c9e3fd574a9f15d924cd914f648dcccd7"),
+        (("fourier", "--check", "refined", "--q", "101"),
+         "800a7a1abcbf2d7b15b3f86b7173cb235ece58196971053713bbc7261fa75e59"),
+        (("fourier", "--check", "margin", "--sys", "q=10,exclude=7"),
+         "b2ee974338014eaa3cd7727b6992d06e68872da4678598510bea1b932d3fe140"),
+    ])
+    def test_pinned_kernel_outputs(self, capsys, argv, sha256):
+        # certified cell-supremum outputs: the Markov certificates at both
+        # sigmas, the refined per-digit sum and the generalized margin
+        _, _, err = run_cli(capsys, *argv)
+        assert json.loads(err)["outputSha256"] == sha256
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "restricta", "primes", "--limit", "50"],

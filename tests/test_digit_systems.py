@@ -11,7 +11,6 @@ from restricta.digit_systems import (
     count_restricted,
     enumerate_restricted,
     prediction_constant,
-    restricted_digit_sum,
 )
 from restricta.errors import CapExceeded, UsageError
 
@@ -77,13 +76,6 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_restricted(DigitSystem.of(10, range(10)), 10**6, cap=1000)
-
-    def test_digit_sum_matches_enumeration(self):
-        sys = DigitSystem.of(10, (0, 2, 5))
-        k = 3
-        assert restricted_digit_sum(sys, k) == sum(
-            n for n in range(10**k) if brute_member(n, 10, {0, 2, 5}) or n == 0
-        )
 
 
 class TestPrediction:

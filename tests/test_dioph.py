@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from restricta import dioph as D
 from restricta.dioph import IntervalUnion, PsiFunction
 from restricta.errors import CapExceeded, NotReached, Unsupported, UsageError
+from restricta.numutil import fsum_chunks
+from restricta.primes import phi_sieve
 
 
 def sweep_measure(union: IntervalUnion, grid: int) -> float:
@@ -489,6 +491,16 @@ class TestSeries:
         kh_small, _ = D.series_partial(PsiFunction.ds_spread(), 10**3)
         kh_large, _ = D.series_partial(PsiFunction.ds_spread(), 10**5)
         assert kh_large > kh_small  # Mertens-type growth continues
+
+    @pytest.mark.parametrize("family", ["ds_spread", "constant:1/3", "power:1"])
+    @pytest.mark.parametrize("Q", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+    def test_chunked_terms_match_whole_array(self, family, Q):
+        # the whole-array formula that terms formed chunk by chunk replace
+        psi = PsiFunction.parse(family)
+        vals = psi.values(Q)
+        n = np.arange(1, Q + 1, dtype=np.float64)
+        phi = phi_sieve(Q)[1:].astype(np.float64)
+        assert D.series_partial(psi, Q) == (fsum_chunks(vals / n), fsum_chunks(vals * phi / n**2))
 
 
 class TestDsCounterexample:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,19 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restricta import fourier as F
-from restricta.digit_systems import DigitSystem, restricted_digit_sum
+from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError, WrongShape
 from restricta.fourier import FourierProfile, _Window
 
-TAU = F.TAU_DEFAULT
+TAU = F.TAU
 
 
-def brute_sa(sys, k, theta):
-    """Direct sum over the padded k-digit set (leading zeros allowed)."""
+def padded_members(sys, k):
+    """The padded k-digit set (leading zeros allowed), by enumeration."""
     members = [0]
     for _ in range(k):
         members = [t * sys.q + d for t in members for d in sys.digits]
-    return sum(cmath.exp(2j * math.pi * ((n * theta) % 1.0)) for n in members)
+    return members
+
+
+def brute_sa(sys, k, theta):
+    """Direct sum over the padded k-digit set."""
+    return sum(cmath.exp(2j * math.pi * ((n * theta) % 1.0)) for n in padded_members(sys, k))
 
 
 def profiles_strategy():
@@ -45,6 +51,20 @@ def profiles_strategy():
 
 
 class TestWindow:
+    def test_cell_sup_memory_per_cell(self):
+        # cells are capped chunk by chunk, so once n passes one chunk of
+        # rows (2^16 at grid 2) the peak grows only by the 8-byte result
+        win = _Window(DigitSystem.excluding(10, {7}))
+        peaks = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                win.cell_sup(n, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.25 * 8 * (10**6 - 10**5)
+
     def test_full_set_at_zero(self):
         assert F.digit_window_sum(DigitSystem.of(10, range(10)), 0.0) == pytest.approx(10)
 
@@ -70,7 +90,7 @@ class TestWindow:
         sys = DigitSystem.of(q, digits)
         win = _Window(sys)
         direct = sum(cmath.exp(2j * math.pi * d * phi) for d in sys.digits)
-        got = complex(win.values(np.array([phi]))[0])
+        got = complex(win.values_and_derivatives(np.array([phi]))[0][0])
         assert abs(got - direct) < 1e-9
         # exact-fraction evaluation path
         got2 = complex(win.values_at_fractions(np.array([3]), 7)[0])
@@ -85,7 +105,7 @@ class TestWindow:
             win = _Window(sys)
             for phi in (0.0, 1.0, 1.0 - 1e-16, 1e-12, 0.5):
                 direct = sum(cmath.exp(2j * math.pi * d * phi) for d in sys.digits)
-                got = complex(win.values(np.array([phi]))[0])
+                got = complex(win.values_and_derivatives(np.array([phi]))[0][0])
                 assert abs(got - direct) < 1e-6
 
     @given(st.integers(2, 11), st.data(), st.integers(0, 300))
@@ -172,9 +192,7 @@ class TestSinBound:
         rng = np.random.default_rng(11)
         for b in (0, 7):
             sys = DigitSystem.excluding(q, {b})
-            win = _Window(sys)
-            lows = np.arange(q, dtype=np.float64) / q
-            sups = win.cell_sup(lows, 1.0 / q, 512)
+            sups = _Window(sys).cell_sup(q, 512)
             for phi in rng.random(2000):
                 t = int(phi * q)
                 assert F.digit_window_sum(sys, phi) <= sups[t] + 1e-9
@@ -282,7 +300,7 @@ class TestMeans:
             at_zero = vals[0]
             break
         assert abs(at_zero) == pytest.approx(
-            2 * math.pi * restricted_digit_sum(sys, 3), rel=1e-12
+            2 * math.pi * sum(padded_members(sys, 3)), rel=1e-12
         )
 
     def test_finite_difference(self):
@@ -387,14 +405,67 @@ class TestGridTabulation:
         assert sum(evaluated) <= 10**6 + 111110
 
 
+def direct_sa(sys, k, theta):
+    """S_A at an array of theta as the product of direct digit sums."""
+    digits = np.array(sys.digits, dtype=np.float64)
+    acc = np.ones(len(theta), dtype=np.complex128)
+    for i in range(k):
+        acc *= np.exp(2j * np.pi * np.outer((theta * sys.q**i) % 1.0, digits)).sum(axis=1)
+    return acc
+
+
+def farey_window_maxima(sys, k, S, xi, points):
+    """Largest |S_A| over ``points`` equally spaced theta in each window."""
+    delta = 1.0 / (4 * S * S)
+    return [
+        float(np.max(np.abs(direct_sa(sys, k, np.linspace(-delta, delta, points) + (r / s + xi)))))
+        for s in range(1, S + 1)
+        for r in range(s)
+        if math.gcd(r, s) == 1
+    ]
+
+
 class TestFareyMaxSum:
+    @pytest.mark.parametrize("excluded, k, S, xi", [
+        ({7}, 2, 1, 0.0),
+        ({0}, 4, 3, 0.0),
+        ({7}, 3, 5, 0.31),
+        ({1}, 2, 10, 0.0),
+        ({0, 5}, 3, 3, 0.77),
+    ])
+    def test_between_dense_maximum_and_lipschitz_grid(self, excluded, k, S, xi):
+        sys = DigitSystem.excluding(10, excluded)
+        val = F.farey_max_sum(FourierProfile(sys, k), S, xi)
+        dense = farey_window_maxima(sys, k, S, xi, 20000)
+        assert math.fsum(dense) <= val
+        # the Lipschitz bound the Taylor one replaced: 513 grid points per
+        # window, each maximum padded by 2*pi*(sum of members) * half-step
+        pad = 2 * math.pi * sum(padded_members(sys, k)) * (0.5 / (S * S * 512)) / 2
+        grid = farey_window_maxima(sys, k, S, xi, 513)
+        assert val <= math.fsum(m + pad for m in grid) + F.SLACK * len(grid)
+
+    @pytest.mark.parametrize("q, digits", [
+        (10, range(3, 8)),  # a run
+        (10, (0, 1, 2, 3, 4, 5, 6, 8, 9)),  # a hole
+        (7, (0, 6)),  # sparse
+        (13, (2, 5, 11)),
+        (2, (1,)),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_member_spread_closed_form(self, q, digits, k):
+        sys = DigitSystem.of(q, digits)
+        c0 = _Window(sys).center
+        c, spread = F._member_spread(sys, k, c0)
+        assert c == c0 * (q**k - 1) // (q - 1)
+        assert spread == sum((n - c) ** 2 for n in padded_members(sys, k))
+
     def test_base_case_single_point(self):
         sys = DigitSystem.excluding(10, {7})
         prof = FourierProfile(sys, 2)
         val = F.farey_max_sum(prof, 1, 0.0)
         # one Farey point (0/1 and 1/1 coincide mod 1); its window holds theta=0
         assert val >= prof.set_size
-        lip = 2 * math.pi * restricted_digit_sum(sys, 2)
+        lip = 2 * math.pi * sum(padded_members(sys, 2))
         assert val <= prof.set_size + lip * (0.5 / 512) / 2 + 1e-6
 
     def test_bound_example(self):
@@ -486,5 +557,3 @@ class TestConstants:
     def test_profile_validation(self):
         with pytest.raises(UsageError):
             FourierProfile(DigitSystem.of(10, (1, 2)), 0)
-        with pytest.raises(UsageError):
-            FourierProfile(DigitSystem.of(10, (1, 2)), 2, tau=0.2)
