@@ -4,11 +4,14 @@ Graphs on integer sets with edges where gcd >= B, exhaustive search for
 common divisors of many elements, the primorial instance where no single
 divisor covers more than two elements, density-ratio diagnostics, and the
 bipartite compression step with its quality measure
-delta^10 * |V| * |W| * a*b/gcd(a,b)^2.
+delta^10 * |V| * |W| * a*b/gcd(a,b)^2.  The greedy compression driver
+factors each element once and scores every candidate step from vertex and
+edge counts, building only the graph of the one it takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, UsageError
-from .primes import _simple_sieve, divisors, factorize, primorial
+from .primes import _simple_sieve, divisors, factorize, is_prime_int, primorial
 
 GRAPH_CAP = 10**4
 MODEL_CAP = 2000
@@ -29,7 +32,6 @@ class GcdInstance:
 
     S: tuple[int, ...]
     B: int
-    eta: float = 1.0
 
     def __post_init__(self):
         vals = tuple(sorted(set(self.S)))
@@ -39,8 +41,6 @@ class GcdInstance:
             raise UsageError("elements must be positive")
         if self.B < 1:
             raise UsageError("need B >= 1")
-        if not 0 < self.eta <= 1:
-            raise UsageError("need eta in (0, 1]")
         object.__setattr__(self, "S", vals)
 
 
@@ -91,7 +91,8 @@ def model_problem_search(inst: GcdInstance):
     g = min(d for d, c in counts.items() if c == mult)
     # recount directly; the result must stand on its own
     check = sum(1 for s in inst.S if s % g == 0)
-    assert check == mult
+    if check != mult:
+        raise RuntimeError(f"{g} divides {check} elements, not the {mult} counted from divisors")
     return g, mult
 
 
@@ -202,12 +203,23 @@ class BipartiteGcdGraph:
     @property
     def quality(self) -> float:
         """delta^10 * |V| * |W| * a*b/gcd(a,b)^2."""
-        if not self.V or not self.W:
-            return 0.0
-        g = math.gcd(self.a, self.b)
-        return self.density**10 * len(self.V) * len(self.W) * float(
-            Fraction(self.a * self.b, g * g)
-        )
+        return _quality(len(self.V), len(self.W), len(self.edges), self.a, self.b)
+
+
+def _quality(nv: int, nw: int, ne: int, a: int, b: int) -> float:
+    """The quality measure of a bipartite graph with nv x nw vertices, ne
+    edges and divisors a, b: (ne/(nv nw))^10 * nv * nw * a*b/gcd(a,b)^2,
+    and 0 when a side is empty."""
+    if not nv or not nw:
+        return 0.0
+    g = math.gcd(a, b)
+    return (ne / (nv * nw)) ** 10 * nv * nw * float((a // g) * (b // g))
+
+
+def _int_array(vals) -> np.ndarray:
+    """vals as int64, or as Python ints (object dtype) when one is 2^63 or
+    more, so that % and np.gcd stay exact."""
+    return np.array(vals, dtype=np.int64 if max(vals, default=0) < 1 << 63 else object)
 
 
 def bipartite_from_set(S, B: int) -> BipartiteGcdGraph:
@@ -215,11 +227,10 @@ def bipartite_from_set(S, B: int) -> BipartiteGcdGraph:
     vals = tuple(sorted(set(int(s) for s in S)))
     if len(vals) ** 2 > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
+    arr = _int_array(vals)
     edges = []
-    for i, v in enumerate(vals):
-        for j, w in enumerate(vals):
-            if math.gcd(v, w) >= B:
-                edges.append((i, j))
+    for i in range(len(vals)):
+        edges.extend((i, j) for j in np.flatnonzero(np.gcd(arr[i], arr) >= B).tolist())
     return BipartiteGcdGraph(vals, vals, B, tuple(edges))
 
 
@@ -239,7 +250,7 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
     already divides it; the four candidate vertex sets tile V x W, so the
     candidate edge sets partition the original edges.
     """
-    if p < 2 or not factorize(p) == {p: 1}:
+    if not is_prime_int(p):
         raise UsageError(f"{p} is not prime")
     out = []
     for keep_v in (True, False):
@@ -263,34 +274,58 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
     return out
 
 
+def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, int] | None:
+    """(p, k) for the nonempty candidate ``compression_step(g, p)[k]`` of
+    highest measure over the given primes, scored from counts without
+    building it; None when every candidate is empty.
+
+    Ties go to the first in increasing p, then in the order TT, TF, FT, FF
+    of ``compression_step``.  Vertex counts come from one divisibility mask
+    per side, and the edge counts of all four candidates from one bincount
+    of the quadrant codes 2*(p does not divide v) + (p does not divide w).
+    """
+    V, W = _int_array(g.V), _int_array(g.W)
+    ev, ew = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    best, best_m = None, 0.0
+    for p in sorted(primes):
+        dv, dw = V % p == 0, W % p == 0
+        ne = np.bincount(2 * ~dv[ev] + ~dw[ew], minlength=4).tolist()
+        nv, nw = int(np.count_nonzero(dv)), int(np.count_nonzero(dw))
+        v_sides = ((nv, g.a * p if g.a % p else g.a), (len(V) - nv, g.a))
+        w_sides = ((nw, g.b * p if g.b % p else g.b), (len(W) - nw, g.b))
+        for k, ((cv, a), (cw, b)) in enumerate(itertools.product(v_sides, w_sides)):
+            if cv and cw:
+                m = _quality(cv, cw, ne[k], a, b)
+                if best is None or m > best_m:
+                    best, best_m = (p, k), m
+    return best
+
+
 def compress_greedy(S, B: int) -> BipartiteGcdGraph:
     """Heuristic driver: repeatedly apply the compression step with the
     prime and restriction of highest quality measure.
 
-    The stopping rule (a budget of 10*log|S| non-improving steps) is a
-    demonstration choice, not a tuned strategy.
+    Each element is factored once, before the first step.  The stopping
+    rule (a budget of 10*log|S| non-improving steps) is a demonstration
+    choice, not a tuned strategy.
     """
     g = bipartite_from_set(S, B)
+    factors = {v: factorize(v) for v in g.V}
     used: set[int] = set()
     budget = max(1, int(10 * math.log(max(2, len(g.V)))))
     while budget > 0:
         primes: set[int] = set()
         for v in g.V + g.W:
-            primes.update(factorize(v))
+            primes.update(factors[v])
         primes -= used
         if not primes:
             break
-        best = None
-        best_p = None
-        for p in sorted(primes):
-            for cand in compression_step(g, p):
-                if cand.empty:
-                    continue
-                if best is None or cand.measure > best.measure:
-                    best, best_p = cand, p
-        if best is None:
+        choice = _best_restriction(g, primes)
+        if choice is None:
             break
-        used.add(best_p)
+        p, k = choice
+        best = compression_step(g, p)[k]
+        used.add(p)
         if best.measure <= g.quality:
             budget -= 1
         g = best.graph

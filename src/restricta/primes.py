@@ -12,8 +12,9 @@ S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
 compensated sum per segment, fsum across).  Also: Ramanujan sums,
 deterministic Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
-factorization, the one trial division here, which Mobius and Euler phi
-read.
+factorization, which Mobius and Euler phi read: trial division by the
+primes of one list grown on demand, with Miller-Rabin only for a cofactor
+that the trial limit leaves unsettled.
 """
 
 from __future__ import annotations
@@ -277,10 +278,25 @@ def euler_phi(n: int) -> int:
 
 
 def phi_sieve(N: int) -> np.ndarray:
-    """Euler phi for all n <= N at once."""
+    """Euler phi for all n <= N at once.
+
+    Each prime p <= sqrt(N) is struck out on its own, phi[p::p] -= phi[p::p]
+    // p.  Every n <= N has at most one prime factor above sqrt(N), n = k p
+    with k < sqrt(N), so those primes are struck out one multiplier k at a
+    time, every p <= N/k at once.  Every step is an exact integer division,
+    so the order of the primes does not matter.
+    """
     phi = np.arange(N + 1, dtype=np.int64)
-    for p in _simple_sieve(N).tolist():
+    primes = _simple_sieve(N)
+    r = math.isqrt(max(N, 0))
+    cut = int(np.searchsorted(primes, r, side="right"))
+    for p in primes[:cut].tolist():
         phi[p::p] -= phi[p::p] // p
+    big = primes[cut:]
+    for k in range(1, N // (r + 1) + 1):
+        ps = big[: np.searchsorted(big, N // k, side="right")]
+        idx = k * ps
+        phi[idx] -= phi[idx] // ps
     return phi
 
 
@@ -477,27 +493,54 @@ def _strong_probable_prime(n: np.ndarray, a: int) -> np.ndarray:
     return ok
 
 
+_TRIAL_PRIMES = _simple_sieve(1 << 10).tolist()  # grown by _trial_primes
+
+
+def _trial_primes() -> Iterator[int]:
+    """The primes 2, 3, 5, ... in order without end, from one module list.
+    A caller that walks past its end re-sieves it to twice its largest
+    prime, so the list never holds primes beyond twice the largest one a
+    caller reached."""
+    start = 0
+    while True:
+        if start == len(_TRIAL_PRIMES):  # another walk may have grown it already
+            _TRIAL_PRIMES.extend(_simple_sieve(2 * _TRIAL_PRIMES[-1])[start:].tolist())
+        stop = len(_TRIAL_PRIMES)
+        yield from itertools.islice(_TRIAL_PRIMES, start, stop)
+        start = stop
+
+
 def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
-    """Exact factorization: trial division then Miller-Rabin certification
-    of the cofactor.  Refuses composites with two factors above the trial
-    limit (certified mode)."""
+    """Exact factorization: trial division by the primes up to the trial
+    limit, then Miller-Rabin certification of the cofactor.  Refuses
+    composites with two factors above the trial limit (certified mode).
+
+    Trial division stops at the first prime p with p^2 above the cofactor,
+    which is then 1 or prime with no test; only a cofactor left when p
+    passes the trial limit goes to Miller-Rabin.
+    """
     if n < 1:
         raise UsageError("factorize needs n >= 1")
     fac: dict[int, int] = {}
     m = n
-    p = 2
-    while p <= trial_limit and p * p <= m:
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        if m >= _PSI13:
-            raise FactorizationTooHard(f"cofactor {m} beyond Miller-Rabin certification range")
-        if is_prime_int(m):
-            fac[m] = fac.get(m, 0) + 1
-        else:
-            raise FactorizationTooHard(f"composite cofactor {m} of {n}")
+    for p in _trial_primes():
+        if p * p > m:
+            if m > 1:
+                fac[m] = 1
+            return fac
+        if p > trial_limit:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            fac[p] = e
+    if m >= _PSI13:
+        raise FactorizationTooHard(f"cofactor {m} beyond Miller-Rabin certification range")
+    if not is_prime_int(m):
+        raise FactorizationTooHard(f"composite cofactor {m} of {n}")
+    fac[m] = 1
     return fac
 
 
@@ -506,19 +549,13 @@ def primorial(ell: int) -> int:
     return math.prod(_simple_sieve(ell).tolist())
 
 
-_PRIMORIALS = [(2, 2)]  # (p, primorial(p)) for the primes so far, in order
-
-
 def _primorials() -> Iterator[tuple[int, int]]:
-    """(p, primorial(p)) for the primes p = 2, 3, 5, ... without end.  Each
-    pair is made once per process, so walking to a primorial >= n takes
-    O(log n) steps."""
-    for i in itertools.count():
-        if i == len(_PRIMORIALS):
-            p, q = _PRIMORIALS[-1]
-            p = next(n for n in itertools.count(p + 1) if is_prime_int(n))
-            _PRIMORIALS.append((p, q * p))
-        yield _PRIMORIALS[i]
+    """(p, primorial(p)) for the primes p = 2, 3, 5, ... without end, so
+    walking to a primorial >= n takes O(log n) steps."""
+    q = 1
+    for p in _trial_primes():
+        q *= p
+        yield p, q
 
 
 def divisors(n: int) -> list[int]:

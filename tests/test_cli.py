@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,18 @@ class TestDeterminism:
         # certified cell-supremum outputs: the Markov certificates at both
         # sigmas, the refined per-digit sum and the generalized margin
         _, _, err = run_cli(capsys, *argv)
+        assert json.loads(err)["outputSha256"] == sha256
+
+    @pytest.mark.parametrize("cmd, sha256", [
+        ("model", "d4a1b10e8b1bbfdbfd29e2530074e31f07f1eaeac5704142b8f787be7527a51e"),
+        ("compress", "c471e4461bd1aff1a7552144d72298e631c7ddf3e2216fd05bfecaae8fefddb0"),
+    ])
+    def test_pinned_gcdgraph_outputs(self, capsys, tmp_path, cmd, sha256):
+        # 400 distinct integers below 10^9 from a seeded generator
+        S = sorted(random.Random(400).sample(range(2, 10**9), 400))
+        path = tmp_path / "set.txt"
+        path.write_text("\n".join(map(str, S)) + "\n")
+        _, _, err = run_cli(capsys, "gcdgraph", "--cmd", cmd, "--set", str(path), "--B", "1000")
         assert json.loads(err)["outputSha256"] == sha256
 
     def test_module_entry_point(self):

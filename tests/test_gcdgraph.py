@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from restricta import gcdgraph as G
 from restricta.errors import CapExceeded, UsageError
+from restricta.primes import factorize
 
 
 def divisor_multiplicity_oracle(S, B):
@@ -100,6 +101,12 @@ class TestModelProblem:
             g, mult = res
             assert mult == want
             assert g >= B and sum(1 for s in S if s % g == 0) == mult
+
+    def test_recount_mismatch_raises(self, monkeypatch):
+        # the recount check must hold under python -O too, so it raises
+        monkeypatch.setattr(G, "divisors", lambda s: [1, 7])
+        with pytest.raises(RuntimeError):
+            G.model_problem_search(G.GcdInstance((7, 10, 12), 2))
 
 
 class TestChow:
@@ -222,6 +229,75 @@ class TestCompression:
         g = G.bipartite_from_set((4, 6), 2)
         with pytest.raises(UsageError):
             G.compression_step(g, 6)
+
+    def test_hard_composite_rejected_as_nonprime(self):
+        # both factors lie above the trial limit of factorize: still "not prime"
+        g = G.bipartite_from_set((4, 6), 2)
+        with pytest.raises(UsageError, match="not prime"):
+            G.compression_step(g, 1_000_003 * 1_000_033)
+
+    @given(
+        st.sets(st.integers(2, 3000), min_size=1, max_size=14),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_matches_every_candidate_loop(self, S, B):
+        assert_same_graph(G.compress_greedy(S, B), greedy_every_candidate(S, B))
+
+    @pytest.mark.parametrize("y", [10, 20, 30])
+    def test_greedy_matches_every_candidate_loop_on_chow(self, y):
+        # at y = 30 the elements exceed 2^63
+        rep = G.chow_counterexample(y)
+        B = math.ceil(rep.B)
+        assert_same_graph(G.compress_greedy(rep.S, B), greedy_every_candidate(rep.S, B))
+
+
+def quality_by_fraction(g):
+    """delta^10 * |V| * |W| * a*b/gcd(a,b)^2, with the last factor a Fraction."""
+    if not g.V or not g.W:
+        return 0.0
+    d = math.gcd(g.a, g.b)
+    return g.density**10 * len(g.V) * len(g.W) * float(Fraction(g.a * g.b, d * d))
+
+
+def greedy_every_candidate(S, B):
+    """The compression driver that builds all four candidate graphs of every
+    prime at every step, re-factoring the vertices each time, on a start
+    graph from math.gcd, with measures from ``quality_by_fraction``."""
+    vals = tuple(sorted(set(S)))
+    edges = tuple(
+        (i, j) for i, v in enumerate(vals) for j, w in enumerate(vals) if math.gcd(v, w) >= B
+    )
+    g = G.BipartiteGcdGraph(vals, vals, B, edges)
+    used = set()
+    budget = max(1, int(10 * math.log(max(2, len(g.V)))))
+    while budget > 0:
+        primes = set()
+        for v in g.V + g.W:
+            primes.update(factorize(v))
+        primes -= used
+        if not primes:
+            break
+        best = best_p = best_m = None
+        for p in sorted(primes):
+            for cand in G.compression_step(g, p):
+                m = quality_by_fraction(cand.graph)
+                if not cand.empty and (best is None or m > best_m):
+                    best, best_p, best_m = cand, p, m
+        if best is None:
+            break
+        used.add(best_p)
+        if best_m <= quality_by_fraction(g):
+            budget -= 1
+        g = best.graph
+    return g
+
+
+def assert_same_graph(got, want):
+    assert (got.V, got.W, got.B, got.edges, got.a, got.b) == (
+        want.V, want.W, want.B, want.edges, want.a, want.b
+    )
+    assert got.quality == quality_by_fraction(want)
 
 
 class TestCaps:

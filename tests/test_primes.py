@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -279,6 +280,54 @@ class TestFactorization:
             prod *= p**e
         assert prod == n
 
+    @given(st.integers(1, 10**12))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_sympy(self, n):
+        assert P.factorize(n) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("p", [2, 3, 31, 997, 1009, 65521, 999_983])
+    def test_prime_squares(self, p):
+        assert P.factorize(p * p) == sympy.factorint(p * p) == {p: 2}
+
+    def test_prime_square_above_trial_limit_refused(self):
+        # both factors of 1000003^2 lie above the default trial limit 10^6
+        with pytest.raises(FactorizationTooHard):
+            P.factorize(1_000_003**2)
+
+    @pytest.mark.parametrize("p", [997, 1009, 1013])  # below, at and above the limit
+    @pytest.mark.parametrize("q", [1019, 1_000_003])
+    def test_factor_near_trial_limit(self, p, q):
+        n = p * q
+        if p <= 1009:
+            assert P.factorize(n, trial_limit=1009) == sympy.factorint(n) == {p: 1, q: 1}
+        else:
+            with pytest.raises(FactorizationTooHard):
+                P.factorize(n, trial_limit=1009)
+
+    def test_cofactor_below_square_of_next_prime_needs_no_test(self, monkeypatch):
+        # trial division up to sqrt(n) leaves 1 or a prime: Miller-Rabin is
+        # reached only when the trial limit stops the division first
+        def refuse(n):
+            raise AssertionError(f"Miller-Rabin called on {n}")
+
+        monkeypatch.setattr(P, "is_prime_int", refuse)
+        n = 2 * 3 * 999_999_000_001  # the cofactor is a prime near 10^12
+        assert P.factorize(n, trial_limit=10**6) == {2: 1, 3: 1, 999_999_000_001: 1}
+        assert P.factorize(1_000_003) == {1_000_003: 1}
+        with pytest.raises(AssertionError):
+            P.factorize(1_000_003, trial_limit=100)
+
+    def test_interleaved_prime_walks(self):
+        # one walk grows the shared list while another is paused at its end
+        n = len(P._TRIAL_PRIMES)
+        a, b = P._trial_primes(), P._trial_primes()
+        head = list(itertools.islice(b, n))
+        list(itertools.islice(a, n + 10))
+        tail = list(itertools.islice(b, 10))
+        assert head + tail == list(sympy.primerange(2, tail[-1] + 1))
+        grown = P._TRIAL_PRIMES
+        assert all(x < y for x, y in zip(grown, grown[1:]))
+
     def test_hard_composite_refused(self):
         p1, p2 = 1_000_003, 1_000_033
         assert P.is_prime_int(p1) and P.is_prime_int(p2)
@@ -330,6 +379,14 @@ class TestFactorization:
         phi = P.phi_sieve(500)
         for n in range(1, 501):
             assert int(phi[n]) == P.euler_phi(n)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 97, 1000, 65537, 10**6])
+    def test_phi_sieve_matches_every_prime_strike_out(self, N):
+        # reference: strike out every prime p <= N from phi(n) = n
+        phi = np.arange(N + 1, dtype=np.int64)
+        for p in P._simple_sieve(N).tolist():
+            phi[p::p] -= phi[p::p] // p
+        assert np.array_equal(P.phi_sieve(N), phi)
 
 
 # the rows of the psi_k table that the int64 array path reads, and the bands
