@@ -21,12 +21,10 @@ from .errors import (  # noqa: F401
     RestrictaError,
     Unsupported,
     UsageError,
-    WrongShape,
 )
 from .fourier import (  # noqa: F401
     BoundReport,
     FourierProfile,
-    digit_window_sum,
     farey_max_sum,
     generalized_margin,
     mean_l1,
@@ -36,7 +34,6 @@ from .fourier import (  # noqa: F401
     pairwise_bound_sum,
     refined_digit_sum,
     restricted_exp_sum,
-    sin_bound,
     sin_bound_sum,
     typical_growth_constant,
 )
@@ -48,19 +45,10 @@ from .markov import (  # noqa: F401
     power_eigenvalue,
     row_sum_bound,
 )
-from .arcs import (  # noqa: F401
-    ArcClass,
-    FareyPoint,
-    classify_point,
-    dirichlet_cover,
-    main_term_assembly,
-    minor_arc_mass,
-)
+from .arcs import main_term_assembly  # noqa: F401
 from .dioph import (  # noqa: F401
     IntervalUnion,
     PsiFunction,
-    anatomy_tail_count,
-    dirichlet_approx,
     ds_counterexample,
     event_union,
     golden_gap,
@@ -86,5 +74,4 @@ from .primes import (  # noqa: F401
     prime_exp_sum,
     ramanujan_sum,
     sieve_primes,
-    vinogradov_reference,
 )

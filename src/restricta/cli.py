@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .digit_systems import DigitSystem, census
-from .errors import RestrictaError, UsageError
+from .errors import RestrictaError, UsageError, parsed
 from . import arcs as _arcs
 from . import dioph as _dioph
 from . import fourier as _fourier
@@ -75,11 +75,19 @@ def _csv_cell(v) -> str:
 # ------------------------------------------------------------- handlers
 
 
+def _split(text: str, sep: str, form: str) -> tuple[int, int]:
+    """The two integers of the CLI form "x<sep>y"."""
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise UsageError(f"{form}: cannot read {text!r}")
+    return tuple(parsed(int, x, form) for x in parts)
+
+
 def _cmd_primes(args):
     table = _primes.sieve_primes(args.limit)
     out = {"N": args.limit, "pi": table.pi(args.limit)}
     if args.ap:
-        q, a = (int(x) for x in args.ap.split(","))
+        q, a = _split(args.ap, ",", "--ap q,a")
         out["ap"] = {"q": q, "a": a, "count": _primes.count_primes_ap(table, args.limit, q, a)}
     if args.exp_sum is not None:
         out["value"] = _primes.prime_exp_sum(table, args.limit, args.exp_sum)
@@ -94,7 +102,7 @@ def _cmd_census(args):
 
 def _cmd_fourier(args):
     if args.scan:
-        lo, hi = (int(x) for x in args.scan.split(".."))
+        lo, hi = _split(args.scan, "..", "--scan qmin..qmax")
         if args.check not in ("sin-sum", "pairwise"):
             raise UsageError("--scan supports sin-sum and pairwise")
 
@@ -126,7 +134,7 @@ def _cmd_fourier(args):
 
 def _cmd_certify(args):
     sys_ = DigitSystem.parse(args.sys)
-    cert = _markov.certify_base(sys_, args.ell_max, sigma=args.sigma, grid=args.grid or _markov.DEFAULT_GRID)
+    cert = _markov.certify_base(sys_, args.ell_max, sigma=args.sigma)
     return {"q": sys_.q, **cert.to_json()}
 
 
@@ -155,9 +163,13 @@ def _cmd_dioph(args):
         if args.R is not None:
             m = _dioph.truncated_limsup_measure(psi, args.Q, args.R, reduced=not args.unreduced)
             return {"Q": args.Q, "R": args.R, "measure": m}
+        if args.q is None:
+            raise UsageError("--cmd measure needs --q, or --R for a range")
         ev = _dioph.event_union(args.q, psi, reduced=not args.unreduced)
         return {"q": args.q, "measure": ev.measure, "intervals": len(ev)}
     if cmd == "pairs":
+        if args.q is None or args.r is None:
+            raise UsageError("--cmd pairs needs --q and --r")
         exact, pv = _dioph.pair_overlap(args.q, args.r, psi)
         return {"q": args.q, "r": args.r, "exact": exact, "pvBound": pv}
     if cmd == "select-r":
@@ -175,8 +187,12 @@ def _cmd_dioph(args):
 
 
 def _read_set(path: str) -> list[int]:
-    with open(path) as fh:
-        return [int(line) for line in fh.read().split() if line.strip()]
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read set {path!r}: {exc.strerror}") from None
+    return [parsed(int, word, "set element") for word in text.split()]
 
 
 def _cmd_gcdgraph(args):
@@ -253,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sys", required=True)
     sp.add_argument("--ell-max", type=int, required=True, dest="ell_max")
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--grid", type=int, help="Taylor subcells per matrix cell")
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("arcs", help="circle dissection and main-term assembly")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import primes as _primes
-from .errors import CapExceeded, UsageError
+from .errors import CapExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 
@@ -71,7 +71,7 @@ class DigitSystem:
             key, val = part.split("=", 1)
             key = key.strip().lower()
             if key == "q":
-                q = int(val)
+                q = parsed(int, val, "digit-system base")
             elif key in ("d", "exclude"):
                 dspec, mode = val, key
             else:
@@ -82,16 +82,13 @@ class DigitSystem:
         for rng in dspec.split("."):
             rng = rng.strip()
             if "-" in rng:
-                lo, hi = rng.split("-", 1)
-                chosen.update(range(int(lo), int(hi) + 1))
+                lo, hi = (parsed(int, d, "digit range") for d in rng.split("-", 1))
+                chosen.update(range(lo, hi + 1))
             else:
-                chosen.add(int(rng))
+                chosen.add(parsed(int, rng, "digit"))
         if mode == "exclude":
             return cls.excluding(q, chosen)
         return cls.of(q, chosen)
-
-    def spec_string(self) -> str:
-        return f"q={self.q},D=" + ".".join(str(d) for d in self.digits)
 
     @property
     def coprime_digits(self) -> tuple[int, ...]:
@@ -102,11 +99,6 @@ class DigitSystem:
     def alpha(self) -> float:
         """Density exponent: |A(x)| grows like x^alpha."""
         return math.log(len(self.digits)) / math.log(self.q)
-
-    @property
-    def delta(self) -> float:
-        """Defined by |D| = q^(1-2*delta)."""
-        return 0.5 * (1.0 - self.alpha)
 
     @property
     def size(self) -> int:

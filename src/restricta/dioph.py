@@ -3,9 +3,8 @@
 Approximation events E_q (all fractions a/q) and E*_q (reduced fractions)
 are finite unions of closed intervals with rational endpoints, so their
 measures, unions and pairwise overlaps are computed exactly.  Series
-classification, the non-monotone counterexample built on primorials, the
-second-moment selection of truncation ranges, and classical pigeonhole
-approximation round out the toolkit.
+classification, the non-monotone counterexample built on primorials and
+the second-moment selection of truncation ranges round out the toolkit.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import FareyPoint, _dirichlet_witness
-from .errors import CapExceeded, NotReached, Unsupported, UsageError
+from .errors import CapExceeded, NotReached, Unsupported, UsageError, parsed
 from .numutil import SUM_CHUNK
 from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
@@ -86,11 +84,17 @@ class PsiFunction:
     def from_csv(cls, path: str) -> "PsiFunction":
         """CSV rows n,psi; missing n means psi(n) = 0."""
         pairs = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() in ("n", ""):
-                    continue
-                pairs.append((int(row[0]), Fraction(row[1])))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise UsageError(f"cannot read psi table {path!r}: {exc.strerror}") from None
+        for row in rows:
+            if not row or row[0].strip().lower() in ("n", ""):
+                continue
+            if len(row) < 2:
+                raise UsageError(f"psi table row {row!r} needs n,psi")
+            pairs.append((parsed(int, row[0], "psi table n"), parsed(Fraction, row[1], "psi table value")))
         return cls.from_pairs(pairs)
 
     @classmethod
@@ -102,11 +106,11 @@ class PsiFunction:
             fam, arg = text, ""
         fam = fam.strip().lower()
         if fam == "power":
-            return cls.power(float(Fraction(arg)))
+            return cls.power(float(parsed(Fraction, arg, "power exponent")))
         if fam == "constant":
-            return cls.constant(Fraction(arg))
+            return cls.constant(parsed(Fraction, arg, "constant"))
         if fam in ("khinchin", "khinchin_threshold"):
-            return cls.khinchin_threshold(float(arg) if arg else 0.0)
+            return cls.khinchin_threshold(parsed(float, arg, "khinchin eps") if arg else 0.0)
         if fam == "ds_base":
             return cls.ds_base()
         if fam == "ds_spread":
@@ -445,16 +449,6 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
     return float(lhs) / float(total) ** 2
 
 
-def dirichlet_approx(alpha, N: int) -> FareyPoint:
-    """Pigeonhole-quality approximation: reduced m/n with n <= N and
-    |alpha - m/n| < 1/(nN), from the continued-fraction convergents."""
-    if N < 1:
-        raise UsageError("need N >= 1")
-    x = Fraction(alpha)
-    m, n = _dirichlet_witness(x.numerator, x.denominator, N)
-    return FareyPoint(m, n, 1.0 / (n * N))
-
-
 def golden_gap(n: int) -> float:
     """sqrt(5) * F_n^2 * |phi - F_{n+1}/F_n|; tends to 1."""
     if not 2 <= n <= 80:
@@ -570,36 +564,6 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
         verified,
         ok,
     )
-
-
-def anatomy_tail_count(x: int, y: float) -> int:
-    """Exact #{n <= x : sum over primes p | n, p > y of 1/p >= 1}.
-
-    Float sieve with a guard band; boundary cases are resolved in exact
-    rational arithmetic (no ties exist, so the count is exact).
-    """
-    if x < 1:
-        raise UsageError("need x >= 1")
-    if x > 10**8:
-        raise CapExceeded("anatomy scan above 10^8")
-    if y >= x:
-        return 0
-    sums = np.zeros(x + 1)
-    for p in _simple_sieve(x).tolist():
-        if p > y:
-            sums[p::p] += 1.0 / p
-    surely = int(np.count_nonzero(sums >= 1.0 + 1e-9))
-    maybe = np.flatnonzero((sums >= 1.0 - 1e-9) & (sums < 1.0 + 1e-9))
-    for n in maybe.tolist():
-        if n < 2:
-            continue
-        total = Fraction(0)
-        for p in factorize(int(n)):
-            if p > y:
-                total += Fraction(1, p)
-        if total >= 1:
-            surely += 1
-    return surely
 
 
 def hausdorff_exponent(a: float) -> float:

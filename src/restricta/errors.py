@@ -27,12 +27,6 @@ class OutOfRange(RestrictaError):
     kind = "out-of-range"
 
 
-class WrongShape(RestrictaError):
-    """Operation requires a digit set of a specific shape (e.g. one missing digit)."""
-
-    kind = "wrong-shape"
-
-
 class NotReached(RestrictaError):
     """A scan hit its cap before the target condition; carries the cap."""
 
@@ -57,3 +51,12 @@ class Unsupported(RestrictaError):
 
 class UsageError(RestrictaError):
     kind = "usage-error"
+
+
+def parsed(convert, text: str, what: str):
+    """convert(text), or a UsageError naming ``what`` when the text is not
+    a value of that type."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{what}: cannot read {text!r}") from None

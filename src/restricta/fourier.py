@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digit_systems import DigitSystem
-from .errors import CapExceeded, UsageError, WrongShape
+from .errors import CapExceeded, UsageError
 from .numutil import catalan_constant, e1, frac_exact, frac_mul, fsum_chunks, unit
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
@@ -192,25 +192,6 @@ def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, m2: float) -> np.ndarra
     return np.maximum(np.abs(g + step), np.abs(g - step)) + 0.5 * m2 * r * r
 
 
-def digit_window_sum(sys: DigitSystem, phi: float) -> float:
-    """F_D(phi) = |sum_{d in D} e(d*phi)|, direct summation."""
-    acc = 0j
-    for d in sys.digits:
-        acc += e1(frac_exact(d, float(phi)))
-    return abs(acc)
-
-
-def sin_bound(sys: DigitSystem, phi: float) -> float:
-    """min{q-1, 1 + 1/sin(pi*||phi||)} for a one-missing-digit set."""
-    if sys.size != sys.q - 1:
-        raise WrongShape("sin bound applies to exactly one missing digit")
-    f = float(phi) % 1.0
-    dist = min(f, 1.0 - f)
-    if dist <= 0.0:
-        return float(sys.q - 1)
-    return min(float(sys.q - 1), 1.0 + 1.0 / math.sin(math.pi * dist))
-
-
 # ------------------------------------------------------- the product form
 
 
@@ -273,17 +254,6 @@ def sa_chunks(profile: FourierProfile, chunk: int = _CHUNK):
         for w in factors:
             acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
-
-
-def sa_grid(profile: FourierProfile) -> np.ndarray:
-    """S_A(j/N) for all j; materialises the full array (N <= 10^7)."""
-    N = profile.n_points
-    if N > MOMENT_CAP:
-        raise CapExceeded(f"grid of size {N} above cap {MOMENT_CAP}")
-    out = np.empty(N, dtype=np.complex128)
-    for j0, vals in sa_chunks(profile):
-        out[j0 : j0 + len(vals)] = vals
-    return out
 
 
 def _product_rule(q: int, W, Wd):

@@ -59,7 +59,7 @@ def build_gcd_graph(S, B: int) -> GcdGraph:
     vals = sorted(set(int(s) for s in S))
     if len(vals) > GRAPH_CAP:
         raise CapExceeded(f"|S| = {len(vals)} above cap {GRAPH_CAP}")
-    arr = np.array(vals, dtype=np.int64)
+    arr = _int_array(vals)
     edges = []
     for i in range(len(arr) - 1):
         g = np.gcd(arr[i], arr[i + 1 :])
@@ -161,11 +161,10 @@ def green_walker_ratio(R, S, B: int) -> tuple[float, float]:
         raise UsageError("R and S must be nonempty")
     if len(rv) * len(sv) > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
-    ra = np.array(rv, dtype=np.int64)
-    sa = np.array(sv, dtype=np.int64)
+    sa = _int_array(rv + sv)[len(rv) :]  # object dtype when an element of R or S is >= 2^63
     hits = 0
-    for x in ra.tolist():
-        hits += int(np.count_nonzero(np.gcd(np.int64(x), sa) >= B))
+    for x in rv:
+        hits += int(np.count_nonzero(np.gcd(x, sa) >= B))
     delta = hits / (len(rv) * len(sv))
     X, Y = rv[0], sv[0]
     ratio = len(rv) * len(sv) * B * B * delta**2.1 / (X * Y)
@@ -194,11 +193,6 @@ class BipartiteGcdGraph:
         for w in self.W:
             if w % self.b:
                 raise UsageError(f"b = {self.b} does not divide {w}")
-
-    @property
-    def density(self) -> float:
-        n = len(self.V) * len(self.W)
-        return len(self.edges) / n if n else 0.0
 
     @property
     def quality(self) -> float:

@@ -50,23 +50,6 @@ class TransitionMatrix:
     def dim(self) -> int:
         return self.sys.q**self.ell
 
-    @property
-    def n_entries(self) -> int:
-        return len(self.entries)
-
-    def entry(self, row, col) -> float:
-        """Entry by digit tuples or flat indices; zero off the shift pattern."""
-        q, ell = self.sys.q, self.ell
-        if isinstance(row, tuple):
-            row = sum(t * q ** (ell - 1 - i) for i, t in enumerate(row))
-        if isinstance(col, tuple):
-            col = sum(t * q ** (ell - 1 - i) for i, t in enumerate(col))
-        # the column must be the left-shift of the row: high ell-1 digits of
-        # col equal the low ell-1 digits of row
-        if ell > 1 and col // q != row % (q ** (ell - 1)):
-            return 0.0
-        return float(self.entries[row * q + col % q])
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(Mv)[I] = sum_t entries[I*q + t] * v[(I*q + t) mod q^ell]: the
         stored entries, read as q rows of length q^ell, meet v column by
@@ -219,7 +202,6 @@ def certify_base(
     ell_max: int,
     sigma: float = 1.0,
     threshold: float | None = None,
-    grid: int = DEFAULT_GRID,
 ) -> EigenCertificate:
     """Certify via the lambda_ell < q^(1/5) criterion.
 
@@ -237,7 +219,7 @@ def certify_base(
         if sys.q ** (ell + 1) > ENTRY_CAP:
             break
         attempted = ell
-        mat = build_matrix(sys, ell, sigma, grid)
+        mat = build_matrix(sys, ell, sigma)
         cert = power_eigenvalue(mat)
         cert = replace(cert, threshold=thr, certified=cert.row_sum_bound < thr)
         if best is None or cert.row_sum_bound < best.row_sum_bound:

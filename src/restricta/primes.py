@@ -106,9 +106,6 @@ class PrimeTable:
         parts = list(self.segments(x))
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes().tolist())
-
     def pi(self, x: int) -> int:
         """Exact prime count up to x."""
         self._check(x)
@@ -239,21 +236,12 @@ def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
     return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
 
-def prime_spectrum(table: PrimeTable, N: int, direct_cap: int = 50_000) -> np.ndarray:
-    """S_P(j/N) for all j in [0, N): direct summation for small N, FFT above.
-
-    The FFT path transforms the prime indicator (S_P(j/N) is the conjugate
-    DFT of the indicator of primes below N); both paths agree to roundoff.
-    """
+def prime_spectrum(table: PrimeTable, N: int) -> np.ndarray:
+    """S_P(j/N) for all j in [0, N): the conjugate DFT of the indicator of
+    the primes up to N."""
     if N > table.limit:
         raise OutOfRange(f"{N} exceeds table limit {table.limit}")
     ps = table.primes(N)
-    if N <= direct_cap:
-        out = np.zeros(N, dtype=np.complex128)
-        j = np.arange(N, dtype=np.int64)
-        for p in ps.tolist():
-            out += unit((p * j % N) / N)
-        return out
     ind = np.zeros(N, dtype=np.float64)
     ind[ps[ps < N]] = 1.0
     if table.is_prime(N):  # wrap p = N onto residue 0
@@ -307,14 +295,6 @@ def ramanujan_sum(s: int) -> complex:
     b = np.arange(1, s + 1, dtype=np.int64)
     b = b[np.gcd(b, s) == 1]
     return csum(unit(b / float(s)))
-
-
-def vinogradov_reference(N: float, S: float, B: float) -> float:
-    """Reference shape (N^(4/5) + N/sqrt(B*S)) * (log N)^4 for comparison
-    plots.  Bare formula with constant 1; not a certified bound."""
-    if min(N, S, B) < 1:
-        raise UsageError("need N, S, B >= 1")
-    return (N ** 0.8 + N / math.sqrt(B * S)) * math.log(N) ** 4
 
 
 def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:

@@ -1,6 +1,11 @@
+import sys
+
 import pytest
 
-from restricta import primes
+# restricta is imported below: leave no __pycache__ in src/ for later runs to read
+sys.dont_write_bytecode = True
+
+from restricta import primes  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -2,51 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from restricta import arcs as A
-from restricta import primes as P
 from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError
 
-
-def phi_oracle(n):
-    return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-
-
-class TestDirichletCover:
-    def test_m1(self):
-        pts = A.dirichlet_cover(1)
-        assert sorted((p.r, p.s) for p in pts) == [(0, 1), (1, 1)]
-        assert all(p.width == 1.0 for p in pts)
-
-    def test_m3(self):
-        pts = A.dirichlet_cover(3)
-        assert sorted((p.r, p.s) for p in pts) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-
-    @given(st.integers(1, 40))
-    @settings(max_examples=25, deadline=None)
-    def test_count_is_one_plus_totient_sum(self, M):
-        pts = A.dirichlet_cover(M)
-        assert len(pts) == 1 + sum(phi_oracle(s) for s in range(1, M + 1))
-
-    def test_coverage_sweep(self):
-        M = 50
-        pts = A.dirichlet_cover(M)
-        rng = np.random.default_rng(1)
-        centers = np.array([p.r / p.s for p in pts])
-        widths = np.array([p.width for p in pts])
-        for theta in rng.random(10**4):
-            assert np.any(np.abs(theta - centers) <= widths)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            A.dirichlet_cover(10**5 + 1)
-
-    def test_farey_point_validation(self):
-        with pytest.raises(UsageError):
-            A.FareyPoint(2, 4)
+from tests.oracles import FareyPoint, classify_point
 
 
 class TestClassify:
@@ -54,27 +15,27 @@ class TestClassify:
         self.sys = DigitSystem.excluding(10, {7})
 
     def test_primary_examples(self):
-        ac = A.classify_point(300000, self.sys, 6, 3.0)
+        ac = classify_point(300000, self.sys, 6, 3.0)
         assert ac.kind == A.PRIMARY_MAJOR
         assert (ac.witness.r, ac.witness.s) == (3, 10)
-        ac = A.classify_point(1, self.sys, 6, 3.0)
+        ac = classify_point(1, self.sys, 6, 3.0)
         assert ac.kind == A.PRIMARY_MAJOR
         assert (ac.witness.r, ac.witness.s) == (0, 1)
 
     def test_nonsmooth_example(self):
-        ac = A.classify_point(142857, self.sys, 6, 3.0)
+        ac = classify_point(142857, self.sys, 6, 3.0)
         assert ac.kind == A.NONSMOOTH_MAJOR
         assert (ac.witness.r, ac.witness.s) == (1, 7)
 
     def test_smooth_example(self):
         # j = N/4: witness 1/4, 4 does not divide 10 but 2 | 10
-        ac = A.classify_point(250000, self.sys, 6, 3.0)
+        ac = classify_point(250000, self.sys, 6, 3.0)
         assert ac.kind == A.SMOOTH_MAJOR
         assert (ac.witness.r, ac.witness.s) == (1, 4)
 
     def test_default_A_blankets(self):
         # (log N)^51 >> N: the s = 1 window catches everything
-        ac = A.classify_point(271828, self.sys, 6)
+        ac = classify_point(271828, self.sys, 6)
         assert ac.kind == A.PRIMARY_MAJOR
 
     def test_agrees_with_bruteforce_search(self):
@@ -84,7 +45,7 @@ class TestClassify:
         M = int(C)
         rng = np.random.default_rng(2)
         for j in rng.integers(0, N, 300).tolist():
-            got = A.classify_point(j, self.sys, k, Aexp)
+            got = classify_point(j, self.sys, k, Aexp)
             expect = None
             for s in range(1, M + 1):
                 r = round(j * s / N)
@@ -105,11 +66,15 @@ class TestClassify:
         names = [A.PRIMARY_MAJOR, A.SMOOTH_MAJOR, A.NONSMOOTH_MAJOR, A.MINOR]
         rng = np.random.default_rng(3)
         for j in rng.integers(0, 10**5, 200).tolist():
-            assert names[classes[j]] == A.classify_point(j, sys, k, Aexp).kind
+            assert names[classes[j]] == classify_point(j, sys, k, Aexp).kind
 
     def test_out_of_range(self):
         with pytest.raises(UsageError):
-            A.classify_point(10**6, self.sys, 6, 3.0)
+            classify_point(10**6, self.sys, 6, 3.0)
+
+    def test_farey_point_validation(self):
+        with pytest.raises(UsageError):
+            FareyPoint(2, 4)
 
 
 class TestMainTerm:
@@ -141,7 +106,7 @@ class TestMainTerm:
 class TestMinorArcMass:
     def test_full_digit_set_mass_vanishes(self, table_1e4):
         sys = DigitSystem.of(10, range(10))
-        mass = A.minor_arc_mass(sys, 3, table_1e4, 1.5)
+        mass = A.arc_mass_breakdown(sys, 3, table_1e4, 1.5)["mass"]["non-primary"]
         assert mass < 1e-6 * 10**3
 
     def test_positive_and_below_zero_term(self, table_1e6):
@@ -153,6 +118,6 @@ class TestMinorArcMass:
 
     def test_mass_ratio_decreases_with_k(self, table_1e6):
         sys = DigitSystem.excluding(10, {7})
-        m4 = A.minor_arc_mass(sys, 4, table_1e6, 1.5) / 9**4
-        m5 = A.minor_arc_mass(sys, 5, table_1e6, 1.5) / 9**5
+        m4 = A.arc_mass_breakdown(sys, 4, table_1e6, 1.5)["mass"]["non-primary"] / 9**4
+        m5 = A.arc_mass_breakdown(sys, 5, table_1e6, 1.5)["mass"]["non-primary"] / 9**5
         assert m5 < m4

@@ -44,6 +44,23 @@ class TestBasics:
         assert code == 2
         assert json.loads(out)["error"] == "usage-error"
 
+    @pytest.mark.parametrize("argv", [
+        ("primes", "--limit", "100", "--ap", "10"),
+        ("primes", "--limit", "100", "--ap", "x,1"),
+        ("fourier", "--check", "sin-sum", "--scan", "5"),
+        ("census", "--sys", "q=x,D=1", "--x", "100"),
+        ("census", "--sys", "q=10,D=1-x", "--x", "100"),
+        ("dioph", "--psi", "power:x", "--cmd", "series"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "measure"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "2"),
+        ("dioph", "--psi", "table:/nonexistent.csv", "--cmd", "series"),
+        ("gcdgraph", "--cmd", "green-walker", "--set", "/nonexistent"),
+    ])
+    def test_malformed_text_is_usage_error(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "usage-error"
+
 
 class TestJsonOutputs:
     def test_fourier_sin_sum(self, capsys):
@@ -211,12 +228,40 @@ class TestDeterminism:
         _, _, err = run_cli(capsys, "gcdgraph", "--cmd", cmd, "--set", str(path), "--B", "1000")
         assert json.loads(err)["outputSha256"] == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (("gcdgraph", "--cmd", "build", "--set", "{set}", "--B", "100"),
+         "53df83a1bec260932a28d4e6f6493d5c3d2469aefbb21e927d22564e548c4ad2"),
+        (("gcdgraph", "--cmd", "green-walker", "--set", "{set}", "--set2", "{set2}", "--B", "100"),
+         "78612c4a5486e48ebcf5b48fbdd8310fcfa9488b85b07f74ee117cb009225d49"),
+        (("dioph", "--psi", "table:{psi}", "--cmd", "measure", "--Q", "2", "--R", "13"),
+         "2dad51005d1bcbdfc84abe4bd51066f16e353d66ad0260389af09d4be7dde411"),
+        (("dioph", "--psi", "ds_base", "--cmd", "counterexample", "--ell-max", "1000"),
+         "029a142a5339c1b5a2cd0b20b79281351a1a77f2cf5201f0f0cbf73e955c50e7"),
+        # q^2 above the entry cap: the matrix-free ell = 1 bound
+        (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),
+         "24160695ff9e7cd80008dd5789b4cbca17254955cd10f67ebcbb988ed78e9fd7"),
+    ])
+    def test_pinned_route_outputs(self, capsys, tmp_path, argv, sha256):
+        # seeded sets of 60 and 50 integers below 10^6, and a five-row psi table
+        files = {
+            "set": "\n".join(map(str, sorted(random.Random(60).sample(range(2, 10**6), 60)))),
+            "set2": "\n".join(map(str, sorted(random.Random(61).sample(range(2, 10**6), 50)))),
+            "psi": "n,psi\n2,1/3\n3,1/4\n5,2/7\n7,1/9\n12,1/2",
+        }
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text + "\n")
+        _, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert json.loads(err)["outputSha256"] == sha256
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "restricta", "primes", "--limit", "50"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            # no __pycache__ left behind for later processes to read
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pi"] == 15

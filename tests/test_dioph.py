@@ -433,34 +433,6 @@ class TestQuasiIndependence:
 
 
 class TestClassicalApproximation:
-    def test_half(self):
-        fp = D.dirichlet_approx(Fraction(1, 2), 10)
-        assert (fp.r, fp.s) == (1, 2)
-
-    def test_pi_minus_three(self):
-        fp = D.dirichlet_approx(math.pi - 3, 100)
-        assert (fp.r, fp.s) == (1, 7)
-        assert abs((math.pi - 3) - 1 / 7) < 1 / (7 * 100)
-
-    def test_dirichlet_quality(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            alpha = float(rng.random())
-            N = int(rng.integers(2, 10**4))
-            fp = D.dirichlet_approx(alpha, N)
-            assert fp.s <= N
-            assert abs(alpha - fp.r / fp.s) < 1.0 / (fp.s * N) + 1e-15
-
-    def test_golden_returns_fibonacci(self):
-        fib = [1, 1]
-        while fib[-1] < 1000:
-            fib.append(fib[-1] + fib[-2])
-        golden = (math.sqrt(5) - 1) / 2
-        for N in (55, 89, 144, 987):
-            fp = D.dirichlet_approx(golden, N)
-            assert fp.s in fib and fp.r in fib
-            assert fib[fib.index(fp.s) - 1] == fp.r
-
     def test_golden_gap_values(self):
         assert D.golden_gap(2) == pytest.approx(math.sqrt(5) * (2 - (1 + math.sqrt(5)) / 2))
         assert abs(D.golden_gap(20) - 1) < 1e-3
@@ -539,36 +511,6 @@ class TestDsCounterexample:
         a = 2
         A = a * (q_ell // q)
         assert Fraction(a, q) == Fraction(A, q_ell)
-
-
-class TestAnatomy:
-    def test_y_at_least_x(self):
-        assert D.anatomy_tail_count(100, 200) == 0
-
-    def test_no_heavy_tail_at_y3(self):
-        # the densest candidate 5*7*11*13*17*19 already exceeds 10^6
-        assert D.anatomy_tail_count(10**6, 3) == 0
-
-    def test_exact_against_fraction_oracle(self):
-        x = 20000
-        for y in (0.5, 1.0, 2.0):
-            got = D.anatomy_tail_count(x, y)
-            want = 0
-            for n in range(2, x + 1):
-                total = Fraction(0)
-                m, p = n, 2
-                while p * p <= m:
-                    if m % p == 0:
-                        if p > y:
-                            total += Fraction(1, p)
-                        while m % p == 0:
-                            m //= p
-                    p += 1
-                if m > 1 and m > y:
-                    total += Fraction(1, m)
-                if total >= 1:
-                    want += 1
-            assert got == want, y
 
 
 class TestHausdorff:

@@ -157,6 +157,32 @@ class TestGreenWalker:
         assert all(r < 50 for r in ratios)
 
 
+class TestBeyondInt64:
+    """The chow y = 30 set has elements near 1.1e22, above 2^63."""
+
+    def setup_method(self):
+        self.S = G.chow_counterexample(30).S
+        assert max(self.S) >= 1 << 63
+        p, q = 41, 47  # gcd(Q/p', Q/p'') = Q/(p'p''): the pairs with p'p'' <= 41*47 pass
+        self.B = G.chow_counterexample(30).Q // (p * q)
+
+    def test_build_matches_math_gcd(self):
+        g = G.build_gcd_graph(self.S, self.B)
+        vals = sorted(self.S)
+        want = [(u, v) for i, u in enumerate(vals) for v in vals[i + 1 :] if math.gcd(u, v) >= self.B]
+        assert 0 < len(want) < len(vals) * (len(vals) - 1) // 2
+        assert list(g.edges) == want
+        assert g.density == len(want) / (len(vals) * (len(vals) - 1) // 2)
+
+    def test_green_walker_matches_math_gcd(self):
+        R, S = sorted(self.S)[:4], sorted(self.S)[2:]
+        delta, ratio = G.green_walker_ratio(R, S, self.B)
+        hits = sum(1 for x in R for y in S if math.gcd(x, y) >= self.B)
+        assert 0 < hits < len(R) * len(S)
+        assert delta == hits / (len(R) * len(S))
+        assert ratio == len(R) * len(S) * self.B * self.B * delta**2.1 / (R[0] * S[0])
+
+
 class TestCompression:
     def test_shared_prime_keeps_measure(self):
         # p divides every vertex: the (p|v, p|w) candidate keeps the edge set
@@ -257,7 +283,8 @@ def quality_by_fraction(g):
     if not g.V or not g.W:
         return 0.0
     d = math.gcd(g.a, g.b)
-    return g.density**10 * len(g.V) * len(g.W) * float(Fraction(g.a * g.b, d * d))
+    density = len(g.edges) / (len(g.V) * len(g.W))
+    return density**10 * len(g.V) * len(g.W) * float(Fraction(g.a * g.b, d * d))
 
 
 def greedy_every_candidate(S, B):
