@@ -10,7 +10,9 @@ its oracle too:
 * ``digit_window_sum`` sums e(d phi) over the digits, the quantity that
   ``fourier._Window`` evaluates in closed form and bounds cell by cell;
 * ``prime_spectrum_direct`` sums e(p j/N) over the primes for every j,
-  the spectrum that ``primes.prime_spectrum`` takes from one FFT.
+  the spectrum that ``primes.prime_spectrum`` takes from one FFT;
+* ``sin_bound`` is the pointwise bound on F_D for one missing digit that
+  ``fourier._Window.capped_sups`` applies to each cell.
 """
 
 from __future__ import annotations
@@ -125,6 +127,17 @@ def digit_window_sum(sys, phi: float) -> float:
         t = 2.0 * math.pi * ((d * num) % den) / den
         acc += complex(math.cos(t), math.sin(t))
     return abs(acc)
+
+
+def sin_bound(sys, phi: float) -> float:
+    """min{q-1, 1 + 1/sin(pi*||phi||)} for a one-missing-digit set."""
+    if sys.size != sys.q - 1:
+        raise UsageError("sin bound applies to exactly one missing digit")
+    f = float(phi) % 1.0
+    dist = min(f, 1.0 - f)
+    if dist <= 0.0:
+        return float(sys.q - 1)
+    return min(float(sys.q - 1), 1.0 + 1.0 / math.sin(math.pi * dist))
 
 
 def prime_spectrum_direct(primes, N: int) -> np.ndarray:

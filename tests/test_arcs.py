@@ -10,6 +10,12 @@ from restricta.errors import CapExceeded, UsageError
 from tests.oracles import FareyPoint, classify_point
 
 
+class TestDirichletCover:
+    def test_farey_point_validation(self):
+        with pytest.raises(UsageError):
+            FareyPoint(2, 4)
+
+
 class TestClassify:
     def setup_method(self):
         self.sys = DigitSystem.excluding(10, {7})
@@ -71,10 +77,6 @@ class TestClassify:
     def test_out_of_range(self):
         with pytest.raises(UsageError):
             classify_point(10**6, self.sys, 6, 3.0)
-
-    def test_farey_point_validation(self):
-        with pytest.raises(UsageError):
-            FareyPoint(2, 4)
 
 
 class TestMainTerm:

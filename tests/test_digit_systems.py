@@ -128,6 +128,11 @@ class TestDigitSystem:
             with pytest.raises(UsageError):
                 DigitSystem.parse(bad)
 
+    def test_spec_string_roundtrip(self):
+        sys = DigitSystem.of(12, (0, 5, 7, 11))
+        spec = f"q={sys.q},D=" + ".".join(map(str, sys.digits))
+        assert DigitSystem.parse(spec) == sys
+
     def test_contains(self):
         sys = DigitSystem.of(10, (7, 8, 9))
         assert sys.contains(789) and not sys.contains(780) and not sys.contains(0)

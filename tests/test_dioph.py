@@ -14,6 +14,8 @@ from restricta.errors import CapExceeded, NotReached, Unsupported, UsageError
 from restricta.numutil import fsum_chunks
 from restricta.primes import phi_sieve
 
+from tests.oracles import FareyPoint, _dirichlet_witness
+
 
 def sweep_measure(union: IntervalUnion, grid: int) -> float:
     """Membership sweep at grid midpoints: measure to within
@@ -432,7 +434,43 @@ class TestQuasiIndependence:
             D.quasi_independence_ratio(PsiFunction.constant(1), 2, 5000)
 
 
+def dirichlet_approx(alpha, N: int) -> FareyPoint:
+    """Reduced m/n with n <= N and |alpha - m/n| < 1/(nN), from the
+    continued-fraction witness of the classify oracle."""
+    x = Fraction(alpha)
+    m, n = _dirichlet_witness(x.numerator, x.denominator, N)
+    return FareyPoint(m, n, 1.0 / (n * N))
+
+
 class TestClassicalApproximation:
+    def test_half(self):
+        fp = dirichlet_approx(Fraction(1, 2), 10)
+        assert (fp.r, fp.s) == (1, 2)
+
+    def test_pi_minus_three(self):
+        fp = dirichlet_approx(math.pi - 3, 100)
+        assert (fp.r, fp.s) == (1, 7)
+        assert abs((math.pi - 3) - 1 / 7) < 1 / (7 * 100)
+
+    def test_dirichlet_quality(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            alpha = float(rng.random())
+            N = int(rng.integers(2, 10**4))
+            fp = dirichlet_approx(alpha, N)
+            assert fp.s <= N
+            assert abs(alpha - fp.r / fp.s) < 1.0 / (fp.s * N) + 1e-15
+
+    def test_golden_returns_fibonacci(self):
+        fib = [1, 1]
+        while fib[-1] < 1000:
+            fib.append(fib[-1] + fib[-2])
+        golden = (math.sqrt(5) - 1) / 2
+        for N in (55, 89, 144, 987):
+            fp = dirichlet_approx(golden, N)
+            assert fp.s in fib and fp.r in fib
+            assert fib[fib.index(fp.s) - 1] == fp.r
+
     def test_golden_gap_values(self):
         assert D.golden_gap(2) == pytest.approx(math.sqrt(5) * (2 - (1 + math.sqrt(5)) / 2))
         assert abs(D.golden_gap(20) - 1) < 1e-3

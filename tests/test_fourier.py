@@ -13,7 +13,7 @@ from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError
 from restricta.fourier import FourierProfile, _Window
 
-from tests.oracles import digit_window_sum
+from tests.oracles import digit_window_sum, sin_bound
 
 TAU = F.TAU
 
@@ -171,6 +171,28 @@ class TestRestrictedExpSum:
 
 
 class TestSinBound:
+    def test_examples(self):
+        sys = DigitSystem.excluding(10, {7})
+        assert sin_bound(sys, 0.5) == pytest.approx(2.0)
+        assert sin_bound(sys, 0.0) == 9
+        assert sin_bound(sys, 0.1) == pytest.approx(1 + 1 / math.sin(0.1 * math.pi))
+
+    def test_wrong_shape(self):
+        with pytest.raises(UsageError):
+            sin_bound(DigitSystem.of(10, (1, 2, 3)), 0.3)
+
+    def test_dominates_window_every_missing_digit(self):
+        rng = np.random.default_rng(7)
+        for b in range(10):
+            sys = DigitSystem.excluding(10, {b})
+            for phi in rng.random(200):
+                assert sin_bound(sys, phi) >= digit_window_sum(sys, phi) - 1e-12
+            # the cap of each certified cell sup is the sin bound at the cell's
+            # point nearest the integers, rounded up; one subcell leaves it binding
+            sups = _Window(sys).cell_sup(10, 1)
+            for t in range(10):
+                assert sups[t] <= sin_bound(sys, min(t, 9 - t) / 10) * (1 + 1e-11)
+
     def test_bound_chain_through_cells(self):
         # F_D(phi) <= certified cell sup covering phi <= sin cell bound
         q = 10
