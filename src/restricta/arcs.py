@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digit_systems import DigitSystem, enumerate_restricted
-from .errors import CapExceeded
+from .errors import CapExceeded, UsageError
 from .fourier import FourierProfile, restricted_exp_sum, sa_chunks
 from .numutil import fsum_chunks, unit
 from .primes import PrimeTable, factorize, prime_spectrum
@@ -43,6 +43,8 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     3 minor.  Window-marking in ascending s so the smallest-s witness wins;
     agrees pointwise with the scalar ``classify_point`` of tests/oracles.py
     (same qualifying comparison)."""
+    if math.isnan(A):
+        raise UsageError("need a number A, got nan")
     N = sys.q**k
     if N > SCAN_CAP:
         raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")

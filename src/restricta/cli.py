@@ -10,7 +10,6 @@ and long scans stream CSV rows as they are produced.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -34,7 +33,7 @@ from . import primes as _primes
 def canonical(obj):
     """Convert to plain JSON-serialisable values: Fractions to num/den
     strings, numpy scalars to Python, non-finite floats to None, complex
-    to re/im, dataclasses via their to_json when available."""
+    to re/im (each part as a float), results via their to_json."""
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, (bool, np.bool_)):
@@ -44,15 +43,13 @@ def canonical(obj):
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": canonical(float(obj.real)), "im": canonical(float(obj.imag))}
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [canonical(v) for v in obj]
     if hasattr(obj, "to_json"):
         return canonical(obj.to_json())
-    if dataclasses.is_dataclass(obj):
-        return canonical(dataclasses.asdict(obj))
     if obj is None or isinstance(obj, str):
         return obj
     raise TypeError(f"cannot serialise {type(obj)!r}")
@@ -111,19 +108,20 @@ def _cmd_fourier(args):
                 yield (q, rep.value, rep.threshold, rep.passes)
 
         return ("csv", ("q", "value", "threshold", "passes"), rows())
+    grid = {} if args.grid is None else {"grid": args.grid}  # else each check's default
     if args.check in ("sin-sum", "refined", "pairwise"):
         if args.q is None:
             raise UsageError(f"--check {args.check} needs --q")
         if args.check == "sin-sum":
             rep = _fourier.sin_bound_sum(args.q)
         elif args.check == "refined":
-            rep = _fourier.refined_digit_sum(args.q, grid=args.grid or _fourier.REFINED_GRID)
+            rep = _fourier.refined_digit_sum(args.q, **grid)
         else:
             rep = _fourier.pairwise_bound_sum(args.q)
     elif args.check == "margin":
         if not args.sys:
             raise UsageError("--check margin needs --sys")
-        rep = _fourier.generalized_margin(DigitSystem.parse(args.sys), grid=args.grid or 256)
+        rep = _fourier.generalized_margin(DigitSystem.parse(args.sys), **grid)
     else:
         raise UsageError(f"unknown check {args.check!r}")
     out = rep.to_json()

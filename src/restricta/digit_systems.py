@@ -19,6 +19,7 @@ from . import primes as _primes
 from .errors import CapExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
+ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,18 @@ def count_restricted(sys: DigitSystem, x: int) -> int:
     return count
 
 
-def enumerate_restricted(sys: DigitSystem, x: int, cap: int = ENUM_CAP) -> list[int]:
+def enumerate_restricted(sys: DigitSystem, x: int) -> list[int]:
     """Strictly increasing list of all members of A(x).
 
-    Raises CapExceeded when count_restricted(sys, x) exceeds the cap.
+    Raises CapExceeded when count_restricted(sys, x) exceeds ENUM_CAP.
     Members are generated length by length: a j-digit member is a
     (j-1)-digit prefix with a nonzero leading digit, extended by any
     allowed digit.  Each length comes out increasing, because the digits
     are sorted and t*q + d < (t+1)*q for every digit d.
     """
     total = count_restricted(sys, x)
-    if total > cap:
-        raise CapExceeded(f"|A(x)| = {total} exceeds cap {cap}")
+    if total > ENUM_CAP:
+        raise CapExceeded(f"|A(x)| = {total} exceeds cap {ENUM_CAP}")
     out = []
     if x >= 0 and (sys._mask & 1):
         out.append(0)
@@ -225,17 +226,17 @@ class CensusReport:
         }
 
 
-def census(sys: DigitSystem, x: int, enum_threshold: int = 300_000) -> CensusReport:
+def census(sys: DigitSystem, x: int) -> CensusReport:
     """Count A(x) and its primes exactly; report the prediction ratio.
 
-    Route selection: when A(x) is small, enumerate members and test them
-    with deterministic Miller-Rabin, those below 2^63 in one array call and
-    the rest one by one (OutOfRange for a member at or above psi_13, where no
-    base set is proven); otherwise sieve to x and digit-filter the primes
-    segment by segment.
+    Route selection: when |A(x)| <= ENUM_ROUTE_MAX, enumerate members and
+    test them with deterministic Miller-Rabin, those below 2^63 in one array
+    call and the rest one by one (OutOfRange for a member at or above
+    psi_13, where no base set is proven); otherwise sieve to x and
+    digit-filter the primes segment by segment.
     """
     count = count_restricted(sys, x)
-    if count <= enum_threshold:
+    if count <= ENUM_ROUTE_MAX:
         members = enumerate_restricted(sys, x)
         small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
         head = np.fromiter(itertools.islice(members, small), dtype=np.int64, count=small)

@@ -65,6 +65,8 @@ class PsiFunction:
 
     @classmethod
     def khinchin_threshold(cls, eps: float) -> "PsiFunction":
+        if not math.isfinite(eps):
+            raise UsageError(f"khinchin family needs a finite eps, got {eps}")
         return cls("khinchin", eps=float(eps))
 
     @classmethod

@@ -247,9 +247,9 @@ def _level_chunks(profile: FourierProfile, chunk: int, deriv: bool):
         yield j0, j, (level(i, j) for i in range(k))
 
 
-def sa_chunks(profile: FourierProfile, chunk: int = _CHUNK):
-    """Yield (j0, S_A(j/N) for j in [j0, j0+chunk)) over the full grid."""
-    for j0, j, factors in _level_chunks(profile, chunk, False):
+def sa_chunks(profile: FourierProfile):
+    """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid."""
+    for j0, j, factors in _level_chunks(profile, _CHUNK, False):
         acc = np.ones(len(j), dtype=np.complex128)
         for w in factors:
             acc = acc * w  # not *=: in place, a one-point product rounds differently
@@ -273,9 +273,9 @@ def _product_rule(q: int, W, Wd):
     return prefix, deriv
 
 
-def sa_derivative_chunks(profile: FourierProfile, chunk: int = _CHUNK):
+def sa_derivative_chunks(profile: FourierProfile):
     """Yield (j0, S_A'(j/N)) by the product rule over the digit levels."""
-    for j0, _, factors in _level_chunks(profile, chunk, True):
+    for j0, _, factors in _level_chunks(profile, _CHUNK, True):
         yield j0, _product_rule(profile.sys.q, *zip(*factors))[1]
 
 
@@ -339,6 +339,11 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
         eb = eb * z1
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 1:
+        raise UsageError(f"need grid >= 1 subcells per cell, got {grid}")
+
+
 def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
     """Per-digit bound from the true window maxima.
 
@@ -348,6 +353,7 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
     """
     if q < 3:
         raise UsageError("need q >= 3")
+    _check_grid(grid)
     per_digit = [float(np.sum(sups)) + SLACK * q for sups in _refined_cell_sups(q, grid)]
     value = max(per_digit)
     threshold = (q - 1) * q**TAU
@@ -411,6 +417,7 @@ def generalized_margin(sys: DigitSystem, grid: int = 256) -> BoundReport:
     Degenerate for the full digit set (threshold 0).  Details carry the
     analytic reference shapes for removed-digit and consecutive-run sets.
     """
+    _check_grid(grid)
     q = sys.q
     win = _Window(sys)
     value = float(np.sum(win.cell_sup(q, grid))) + SLACK * q

@@ -11,7 +11,6 @@ edge counts, building only the graph of the one it takes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,41 +236,50 @@ class CompressionCandidate:
     empty: bool
 
 
-def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]:
-    """The four restrictions (p | v or not) x (p | w or not).
+_KEEPS = ((True, True), (True, False), (False, True), (False, False))  # TT, TF, FT, FF
 
-    Imposing divisibility multiplies the tracked divisor by p unless p
-    already divides it; the four candidate vertex sets tile V x W, so the
-    candidate edge sets partition the original edges.
-    """
+
+def _tracked(a: int, p: int, keep: bool) -> int:
+    """The divisor a side tracks after a restriction: imposing p | v
+    multiplies it by p unless p already divides it."""
+    return a * p if keep and a % p else a
+
+
+def _restrict(g: BipartiteGcdGraph, p: int, keep_v: bool, keep_w: bool) -> BipartiteGcdGraph:
+    """The subgraph on the v with (p | v) == keep_v and the w with
+    (p | w) == keep_w, with the edges between them."""
+    vs = [i for i, v in enumerate(g.V) if (v % p == 0) == keep_v]
+    ws = [j for j, w in enumerate(g.W) if (w % p == 0) == keep_w]
+    vmap = {i: n for n, i in enumerate(vs)}
+    wmap = {j: n for n, j in enumerate(ws)}
+    edges = tuple((vmap[i], wmap[j]) for i, j in g.edges if i in vmap and j in wmap)
+    return BipartiteGcdGraph(
+        tuple(g.V[i] for i in vs),
+        tuple(g.W[j] for j in ws),
+        g.B,
+        edges,
+        _tracked(g.a, p, keep_v),
+        _tracked(g.b, p, keep_w),
+    )
+
+
+def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]:
+    """The four restrictions (p | v or not) x (p | w or not), in the order
+    TT, TF, FT, FF.  Their vertex sets tile V x W, so their edge sets
+    partition the original edges."""
     if not is_prime_int(p):
         raise UsageError(f"{p} is not prime")
     out = []
-    for keep_v in (True, False):
-        vs = tuple(i for i, v in enumerate(g.V) if (v % p == 0) == keep_v)
-        for keep_w in (True, False):
-            ws = tuple(j for j, w in enumerate(g.W) if (w % p == 0) == keep_w)
-            vset = tuple(g.V[i] for i in vs)
-            wset = tuple(g.W[j] for j in ws)
-            vmap = {i: n for n, i in enumerate(vs)}
-            wmap = {j: n for n, j in enumerate(ws)}
-            edges = tuple(
-                (vmap[i], wmap[j]) for i, j in g.edges if i in vmap and j in wmap
-            )
-            a = g.a * p if keep_v and g.a % p else g.a
-            b = g.b * p if keep_w and g.b % p else g.b
-            sub = BipartiteGcdGraph(vset, wset, g.B, edges, a, b)
-            empty = not vset or not wset
-            out.append(
-                CompressionCandidate(keep_v, keep_w, sub, sub.quality, empty)
-            )
+    for keep_v, keep_w in _KEEPS:
+        sub = _restrict(g, p, keep_v, keep_w)
+        out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
     return out
 
 
-def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, int] | None:
-    """(p, k) for the nonempty candidate ``compression_step(g, p)[k]`` of
-    highest measure over the given primes, scored from counts without
-    building it; None when every candidate is empty.
+def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, bool, bool] | None:
+    """(p, keep_v, keep_w) for the nonempty candidate of highest measure
+    over the given primes, scored from counts without building it; None
+    when every candidate is empty.
 
     Ties go to the first in increasing p, then in the order TT, TF, FT, FF
     of ``compression_step``.  Vertex counts come from one divisibility mask
@@ -285,13 +293,13 @@ def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, int] | None:
         dv, dw = V % p == 0, W % p == 0
         ne = np.bincount(2 * ~dv[ev] + ~dw[ew], minlength=4).tolist()
         nv, nw = int(np.count_nonzero(dv)), int(np.count_nonzero(dw))
-        v_sides = ((nv, g.a * p if g.a % p else g.a), (len(V) - nv, g.a))
-        w_sides = ((nw, g.b * p if g.b % p else g.b), (len(W) - nw, g.b))
-        for k, ((cv, a), (cw, b)) in enumerate(itertools.product(v_sides, w_sides)):
+        for k, (keep_v, keep_w) in enumerate(_KEEPS):
+            cv = nv if keep_v else len(V) - nv
+            cw = nw if keep_w else len(W) - nw
             if cv and cw:
-                m = _quality(cv, cw, ne[k], a, b)
+                m = _quality(cv, cw, ne[k], _tracked(g.a, p, keep_v), _tracked(g.b, p, keep_w))
                 if best is None or m > best_m:
-                    best, best_m = (p, k), m
+                    best, best_m = (p, keep_v, keep_w), m
     return best
 
 
@@ -317,10 +325,9 @@ def compress_greedy(S, B: int) -> BipartiteGcdGraph:
         choice = _best_restriction(g, primes)
         if choice is None:
             break
-        p, k = choice
-        best = compression_step(g, p)[k]
-        used.add(p)
-        if best.measure <= g.quality:
+        best = _restrict(g, *choice)
+        used.add(choice[0])
+        if best.quality <= g.quality:
             budget -= 1
-        g = best.graph
+        g = best
     return g

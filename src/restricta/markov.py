@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .digit_systems import DigitSystem
-from .errors import CapExceeded, UsageError
+from .errors import CapExceeded, Unsupported, UsageError
 from .fourier import SLACK, _Window, sin_display_value
 
 ENTRY_CAP = 10**7
@@ -84,6 +84,11 @@ class EigenCertificate:
         }
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise UsageError(f"need a finite sigma > 0, got {sigma}")
+
+
 def build_matrix(
     sys: DigitSystem, ell: int, sigma: float = 1.0, grid: int = DEFAULT_GRID
 ) -> TransitionMatrix:
@@ -96,8 +101,7 @@ def build_matrix(
     """
     if ell < 1:
         raise UsageError("need ell >= 1")
-    if sigma <= 0:
-        raise UsageError("need sigma > 0")
+    _check_sigma(sigma)
     n_words = sys.q ** (ell + 1)
     if n_words > ENTRY_CAP:
         raise CapExceeded(f"q^(ell+1) = {n_words} above cap {ENTRY_CAP}")
@@ -120,8 +124,9 @@ def _as_matvec(m):
     return (lambda v: arr @ v), arr.shape[0]
 
 
-def _iterate(m, tol: float, max_iter: int):
-    """Power iteration from all-ones with max-norm normalisation.
+def _iterate(m):
+    """Power iteration from all-ones with max-norm normalisation, until the
+    Rayleigh quotient moves by less than POWER_TOL or POWER_MAX_ITER steps.
 
     Tracks the best (smallest) scaled row-sum bound across iterates: every
     positive iterate v gives the certified bound max (Mv)/v.  Returns
@@ -134,7 +139,7 @@ def _iterate(m, tol: float, max_iter: int):
     prev = math.inf
     converged = False
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, POWER_MAX_ITER + 1):
         w = matvec(v)
         vv = np.maximum(v, 1e-300)
         bound = float(np.max(w / vv)) * (1.0 + 1e-12) + SLACK
@@ -145,7 +150,7 @@ def _iterate(m, tol: float, max_iter: int):
         if top <= 0.0:  # nilpotent-like: spectral radius 0
             return 0.0, 0.0, iters, True
         w /= top
-        if abs(rayleigh - prev) < tol:
+        if abs(rayleigh - prev) < POWER_TOL:
             converged = True
             v = w
             break
@@ -154,26 +159,24 @@ def _iterate(m, tol: float, max_iter: int):
     return best, rayleigh, iters, converged
 
 
-def row_sum_bound(m, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
+def row_sum_bound(m) -> float:
     """Certified upper bound on the spectral radius via scaled row sums.
 
     The first iterate (v = all ones) reproduces the plain maximal row sum;
     subsequent Perron-rescaled iterates tighten it.  Accumulated with
     upward slack so the comparison against a threshold stays safe.
     """
-    best, _, _, _ = _iterate(m, tol, max_iter)
+    best, _, _, _ = _iterate(m)
     return best
 
 
-def power_eigenvalue(m, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> EigenCertificate:
+def power_eigenvalue(m) -> EigenCertificate:
     """Power iteration certificate: Rayleigh estimate plus row-sum bound.
 
     Non-convergence is not fatal; the certificate then rests on the
     row-sum bound alone.
     """
-    if tol <= 0:
-        raise UsageError("need tol > 0")
-    best, rayleigh, iters, converged = _iterate(m, tol, max_iter)
+    best, rayleigh, iters, converged = _iterate(m)
     ell = m.ell if isinstance(m, TransitionMatrix) else None
     sigma = m.sigma if isinstance(m, TransitionMatrix) else 1.0
     return EigenCertificate(
@@ -188,12 +191,17 @@ def power_eigenvalue(m, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) 
     )
 
 
-def analytic_ell1_bound(sys: DigitSystem) -> float | None:
+def analytic_ell1_bound(sys: DigitSystem, sigma: float) -> float | None:
     """Matrix-free bound for the ell = 1 eigenvalue of one-missing-digit
     systems: the per-digit sin-bound sum divided by |D| dominates every
-    column sum.  None when the digit set has another shape."""
+    column sum of the sigma = 1 matrix.  Its entries lie in [0, 1], so
+    raising them to sigma >= 1 does not increase them and the bound holds
+    there too; below 1 it does not (x^sigma >= x), and Unsupported is
+    raised.  None when the digit set has another shape."""
     if sys.size != sys.q - 1:
         return None
+    if sigma < 1:
+        raise Unsupported(f"the matrix-free ell = 1 bound needs sigma >= 1, got {sigma}")
     return sin_display_value(sys.q) / sys.size
 
 
@@ -208,10 +216,11 @@ def certify_base(
     Builds matrices for ell = 1..ell_max (within the entry cap) and returns
     the first certificate whose bound beats the threshold, else the best
     bound found.  When even ell = 1 exceeds the cap, falls back to the
-    matrix-free column bound for one-missing-digit systems.
+    matrix-free column bound for one-missing-digit systems at sigma >= 1.
     """
     if ell_max < 1:
         raise UsageError("need ell_max >= 1")
+    _check_sigma(sigma)
     thr = sys.q ** (1.0 / 5.0) if threshold is None else float(threshold)
     best: EigenCertificate | None = None
     attempted = 0
@@ -227,7 +236,7 @@ def certify_base(
         if cert.certified:
             return cert
     if best is None:
-        analytic = analytic_ell1_bound(sys)
+        analytic = analytic_ell1_bound(sys, sigma)
         if analytic is None:
             raise CapExceeded(
                 f"no ell within entry cap {ENTRY_CAP} (largest attempted {attempted})"

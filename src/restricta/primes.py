@@ -83,14 +83,6 @@ class PrimeTable:
             ps = np.concatenate((np.array([2], dtype=np.int64), ps))
         return ps
 
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise OutOfRange(f"{n} outside table limit {self.limit}")
-        if n % 2 == 0:
-            return n == 2
-        i = n >> 1
-        return bool((self._packed[i >> 3] >> (7 - (i & 7))) & 1)
-
     def segments(self, x: int | None = None) -> Iterator[np.ndarray]:
         """The primes <= x (default: the full table) of each segment in
         turn, increasing, int64; nothing when x < 2."""
@@ -232,6 +224,8 @@ def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
     """S_P(theta) = sum_{p <= N} e(p*theta): a compensated sum per segment,
     then an exact fsum across segments."""
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise UsageError(f"need a finite theta, got {theta}")
     parts = [csum(unit(frac_mul(ps, theta))) for ps in table.segments(N)]
     return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
@@ -243,9 +237,10 @@ def prime_spectrum(table: PrimeTable, N: int) -> np.ndarray:
         raise OutOfRange(f"{N} exceeds table limit {table.limit}")
     ps = table.primes(N)
     ind = np.zeros(N, dtype=np.float64)
-    ind[ps[ps < N]] = 1.0
-    if table.is_prime(N):  # wrap p = N onto residue 0
-        ind[0] += 1.0
+    if ps.size and ps[-1] == N:  # wrap p = N onto residue 0
+        ind[0] = 1.0
+        ps = ps[:-1]
+    ind[ps] = 1.0
     return np.conj(np.fft.fft(ind))
 
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import random
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import restricta
 from restricta import cli
 from restricta import fourier as F
 
@@ -55,11 +58,26 @@ class TestBasics:
         ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "2"),
         ("dioph", "--psi", "table:/nonexistent.csv", "--cmd", "series"),
         ("gcdgraph", "--cmd", "green-walker", "--set", "/nonexistent"),
+        # a non-finite or out-of-range number where the value needs one
+        ("certify", "--sys", "q=10,exclude=7", "--ell-max", "1", "--sigma", "nan"),
+        ("certify", "--sys", "q=10,exclude=7", "--ell-max", "1", "--sigma", "inf"),
+        ("fourier", "--check", "refined", "--q", "10", "--grid", "0"),
+        ("fourier", "--check", "refined", "--q", "10", "--grid", "-1"),
+        ("fourier", "--check", "margin", "--sys", "q=10,exclude=7", "--grid", "-1"),
+        ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--full-scan", "--A", "nan"),
+        ("primes", "--limit", "100", "--exp-sum", "nan"),
+        ("dioph", "--psi", "khinchin:nan", "--cmd", "series"),
     ])
     def test_malformed_text_is_usage_error(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "usage-error"
+
+    def test_package_binds_no_function_or_class(self):
+        # each function and class has one home, its layer module
+        public = {name: obj for name, obj in vars(restricta).items() if not name.startswith("_")}
+        assert "fourier" in public
+        assert not [name for name, obj in public.items() if inspect.isroutine(obj) or inspect.isclass(obj)]
 
 
 class TestJsonOutputs:
@@ -82,6 +100,13 @@ class TestJsonOutputs:
         assert payload["q"] == 10
         assert {"rowSumBound", "powerEstimate", "threshold", "ell"} <= set(payload)
 
+    def test_certify_analytic_route_refuses_sigma_below_one(self, capsys):
+        # q^2 above the entry cap: the matrix-free ell = 1 bound holds for sigma >= 1 only
+        code, out, _ = run_cli(capsys, "certify", "--sys", "q=133360,exclude=0",
+                               "--ell-max", "1", "--sigma", "0.5")
+        assert code == 1
+        assert json.loads(out)["error"] == "unsupported"
+
     def test_census(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=7-9", "--x", "1000")
         payload = json.loads(out)
@@ -103,6 +128,10 @@ class TestJsonOutputs:
         _, out, _ = run_cli(capsys, "--format", "csv", "census", "--sys", "q=10,exclude=7", "--x", "1")
         header, row = out.split("\n")[:2]
         assert dict(zip(header.split(","), row.split(",")))["ratio"] == "null"
+
+    def test_non_finite_complex_parts_are_null(self):
+        assert cli.canonical(complex(math.nan, 1.5)) == {"re": None, "im": 1.5}
+        assert cli.canonical(complex(2.0, math.inf)) == {"re": 2.0, "im": None}
 
     def test_primes(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--limit", "100",
@@ -240,6 +269,18 @@ class TestDeterminism:
         # q^2 above the entry cap: the matrix-free ell = 1 bound
         (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),
          "24160695ff9e7cd80008dd5789b4cbca17254955cd10f67ebcbb988ed78e9fd7"),
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "4"),
+         "47b00bea656028601a656d4282028a7c5b23b57216b39233c66136de87f8bc90"),
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "4", "--full-scan", "--A", "1.5"),
+         "237ecf9a03773ef0aa37ebb78518b63e5c1c28dc531e0d249f4d86e9e389da15"),
+        # N = 7 is prime: the spectrum wraps p = N onto residue 0
+        (("arcs", "--sys", "q=7,exclude=3", "-k", "1"),
+         "ac8f0b8520f0c45e7506f0dbe97cca91230b2935f1ab605239f678418af306b0"),
+        # |A(x)| above the enumerate route: the sieve route
+        (("census", "--sys", "q=10,exclude=7", "--x", "10000000"),
+         "0b4f4edbf242bdd680a3425cf63f17e142ffdab6f6056b51bd4b24b4f906d7d8"),
+        (("primes", "--limit", "1000000", "--ap", "10,3", "--exp-sum", "0.123"),
+         "110e8316efc5a40c8b001f54da9974b60011504b749b273a2e318d26b98ca377"),
     ])
     def test_pinned_route_outputs(self, capsys, tmp_path, argv, sha256):
         # seeded sets of 60 and 50 integers below 10^6, and a five-row psi table

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restricta import digit_systems
 from restricta.digit_systems import (
     CensusReport,
     DigitSystem,
@@ -73,9 +74,10 @@ class TestEnumeration:
         assert members == sorted(members)
         assert all(brute_member(n, sys.q, set(sys.digits)) for n in members)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(digit_systems, "ENUM_CAP", 1000)
         with pytest.raises(CapExceeded):
-            enumerate_restricted(DigitSystem.of(10, range(10)), 10**6, cap=1000)
+            enumerate_restricted(DigitSystem.of(10, range(10)), 10**6)
 
 
 class TestPrediction:
@@ -166,8 +168,10 @@ class TestCensus:
         rep = census(DigitSystem.of(10, (1,)), 10**21)
         assert (rep.count, rep.prime_count) == (21, 2)
 
-    def test_sieve_route_matches_enum_route(self):
+    def test_sieve_route_matches_enum_route(self, monkeypatch):
         sys = DigitSystem.excluding(10, {7})
-        a = census(sys, 30_000, enum_threshold=10**9)  # enumeration route
-        b = census(sys, 30_000, enum_threshold=0)  # sieve route
+        monkeypatch.setattr(digit_systems, "ENUM_ROUTE_MAX", 10**9)
+        a = census(sys, 30_000)  # enumeration route
+        monkeypatch.setattr(digit_systems, "ENUM_ROUTE_MAX", 0)
+        b = census(sys, 30_000)  # sieve route
         assert (a.count, a.prime_count) == (b.count, b.prime_count)

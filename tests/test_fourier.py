@@ -370,17 +370,19 @@ class TestGridTabulation:
                         assert same_bits(got, ref[at])
 
     @pytest.mark.parametrize("digits", [(0, 2, 3, 5), (1, 2, 3), (1, 4)])
-    def test_chunk_one_tabulates_nothing(self, digits):
+    def test_chunk_one_tabulates_nothing(self, digits, monkeypatch):
         prof = FourierProfile(DigitSystem.of(6, digits), 4)
-        assert same_bits(joined(F.sa_chunks(prof)), joined(F.sa_chunks(prof, chunk=1)))
-        assert same_bits(
-            joined(F.sa_derivative_chunks(prof)), joined(F.sa_derivative_chunks(prof, chunk=1))
-        )
+        want = [joined(chunks(prof)) for chunks in (F.sa_chunks, F.sa_derivative_chunks)]
+        monkeypatch.setattr(F, "_CHUNK", 1)
+        assert same_bits(joined(F.sa_chunks(prof)), want[0])
+        assert same_bits(joined(F.sa_derivative_chunks(prof)), want[1])
 
     @pytest.mark.parametrize("prof", TABULATED)
-    def test_split_levels_match_default_chunk(self, prof):
-        for chunks in (F.sa_chunks, F.sa_derivative_chunks):
-            assert same_bits(joined(chunks(prof)), joined(chunks(prof, chunk=6**4)))
+    def test_split_levels_match_default_chunk(self, prof, monkeypatch):
+        want = [joined(chunks(prof)) for chunks in (F.sa_chunks, F.sa_derivative_chunks)]
+        monkeypatch.setattr(F, "_CHUNK", 6**4)
+        for chunks, ref in zip((F.sa_chunks, F.sa_derivative_chunks), want):
+            assert same_bits(joined(chunks(prof)), ref)
 
     def test_multi_chunk_grid_is_pointwise_product(self):
         prof = FourierProfile(DigitSystem.excluding(10, {7}), 6)
@@ -515,6 +517,13 @@ class TestGeneralizedMargin:
         assert rep.details["consecutive_reference"] == pytest.approx(
             (q / r) * (q - r) * math.log(r)
         )
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_refused(self, grid):
+        with pytest.raises(UsageError):
+            F.generalized_margin(DigitSystem.excluding(10, {7}), grid=grid)
+        with pytest.raises(UsageError):
+            F.refined_digit_sum(10, grid=grid)
 
     def test_margin_value_certifies(self):
         q = 30

@@ -1,4 +1,5 @@
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from restricta import markov as M
 from restricta.digit_systems import DigitSystem
-from restricta.errors import CapExceeded, UsageError
+from restricta.errors import CapExceeded, Unsupported, UsageError
 
 from tests.oracles import digit_window_sum
 
@@ -79,6 +80,14 @@ class TestBuild:
         with pytest.raises(UsageError):
             M.build_matrix(DigitSystem.excluding(10, {7}), 0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        sys = DigitSystem.excluding(10, {7})
+        with pytest.raises(UsageError):
+            M.build_matrix(sys, 1, sigma=sigma)
+        with pytest.raises(UsageError):
+            M.certify_base(sys, 1, sigma=sigma)
+
 
 class TestRowSumBound:
     def test_dense_fixture(self):
@@ -97,10 +106,12 @@ class TestRowSumBound:
     @settings(max_examples=60, deadline=None)
     def test_dominates_spectral_radius(self, rows):
         mat = np.array(rows)
-        bound = M.row_sum_bound(mat, max_iter=300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "POWER_MAX_ITER", 300)
+            bound = M.row_sum_bound(mat)
+            cert = M.power_eigenvalue(mat)
         rho = max(abs(np.linalg.eigvals(mat)))
         assert bound >= rho - 1e-8
-        cert = M.power_eigenvalue(mat, max_iter=300)
         assert cert.power_estimate <= cert.row_sum_bound + 1e-6
 
 
@@ -123,10 +134,6 @@ class TestPowerEigenvalue:
         assert cert.power_estimate <= cert.row_sum_bound
         assert cert.row_sum_bound >= rho - 1e-10
 
-    def test_tol_validation(self):
-        with pytest.raises(UsageError):
-            M.power_eigenvalue(np.eye(2), tol=0.0)
-
 
 class TestCertify:
     def test_base_ten_not_certified(self):
@@ -146,6 +153,13 @@ class TestCertify:
         assert cert.certified
         assert cert.ell == 1
         assert cert.row_sum_bound < 133360 ** 0.2
+
+    def test_large_base_analytic_route_refuses_sigma_below_one(self):
+        # x^sigma >= x on [0, 1]: the sigma = 1 column bound is no bound there
+        sys = DigitSystem.excluding(133360, {0})
+        with pytest.raises(Unsupported):
+            M.certify_base(sys, 1, sigma=0.5)
+        assert M.certify_base(sys, 1, sigma=1.5).certified
 
     def test_large_base_below_cutoff_fails(self):
         cert = M.certify_base(DigitSystem.excluding(133358, {0}), 1)

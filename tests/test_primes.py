@@ -40,8 +40,9 @@ def mobius_oracle(n: int) -> int:
 
 class TestSieve:
     def test_agrees_with_trial_division(self, table_1e4):
+        primes = set(table_1e4.primes().tolist())
         for n in range(10**4 + 1):
-            assert table_1e4.is_prime(n) == trial_division_is_prime(n), n
+            assert (n in primes) == trial_division_is_prime(n), n
 
     def test_pi_values(self, table_1e6):
         assert table_1e6.pi(100) == 25
@@ -64,7 +65,7 @@ class TestSieve:
         for lim in (2**20 - 1, 2**20, 2**20 + 1):
             t = P.sieve_primes(lim)
             assert t.pi(10**6) == reference
-            assert t.is_prime(1_048_573)  # prime just below 2^20
+            assert 1_048_573 in t.primes()  # prime just below 2^20
         t = P.sieve_primes(2**20 + 100)
         ps = t.primes()
         assert int(ps[-1]) <= 2**20 + 100
@@ -117,8 +118,9 @@ class TestStreamedLayer:
         assert all(s.dtype == np.int64 for s in t.segments())
         flags = np.zeros(x + 1, dtype=bool)
         flags[ref] = True
+        primes = set(t.primes().tolist())
         for n in {*range(min(x, 400) + 1), *range(max(0, x - 400), x + 1)}:
-            assert t.is_prime(n) == flags[n], n
+            assert (n in primes) == flags[n], n
 
     def test_queries_below_limit(self, edge_oracle):
         ref, t = edge_oracle
@@ -357,8 +359,9 @@ class TestFactorization:
         assert P.is_prime_int(n) == sympy.isprime(n)
 
     def test_mr_agrees_with_table(self, table_1e4):
+        primes = set(table_1e4.primes().tolist())
         for n in range(2, 2000):
-            assert P.is_prime_int(n) == table_1e4.is_prime(n)
+            assert P.is_prime_int(n) == (n in primes)
 
     def test_phi_sieve_matches_euler_phi(self):
         phi = P.phi_sieve(500)
