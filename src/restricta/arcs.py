@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digit_systems import DigitSystem, enumerate_restricted
+from .digit_systems import DigitSystem, census
 from .errors import CapExceeded, UsageError
 from .fourier import FourierProfile, restricted_exp_sum, sa_chunks
 from .numutil import fsum_chunks, unit
-from .primes import PrimeTable, factorize, prime_spectrum
+from .primes import factorize, prime_spectrum, sieve_primes
 
 SCAN_CAP = 10**7
 DEFAULT_A = 51.0
@@ -33,7 +33,7 @@ def _smoothness(s: int, q: int) -> str:
     """primary if s | q, smooth if every prime of s divides q, else nonsmooth."""
     if q % s == 0:
         return PRIMARY_MAJOR
-    if all(q % p == 0 for p in factorize(s, math.isqrt(s))):
+    if all(q % p == 0 for p in factorize(s)):
         return SMOOTH_MAJOR
     return NONSMOOTH_MAJOR
 
@@ -73,7 +73,17 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     return out
 
 
-_CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)
+CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)  # by class index
+
+
+def _primes_and_spectrum(sys: DigitSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to N = q^k and S_P(j/N) for every j in [0, N).  N is
+    checked against SCAN_CAP before anything is sieved."""
+    N = sys.q**k
+    if N > SCAN_CAP:
+        raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
+    table = sieve_primes(N)
+    return table.primes(N), prime_spectrum(table, N)
 
 
 @dataclass(frozen=True)
@@ -94,25 +104,17 @@ class MainTermReport:
         }
 
 
-def main_term_assembly(sys: DigitSystem, k: int, table: PrimeTable) -> MainTermReport:
-    """pi_A(q^k) exactly, the primary-arc contribution, the heuristic
-    prediction, and the full discrete identity sum (1/N) sum_j S_P S_A.
+def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
+    """pi_A(q^k) exactly and its heuristic prediction (both from ``census``),
+    the primary-arc contribution, and the full discrete identity sum
+    (1/N) sum_j S_P S_A.
 
     The identity sum reproduces pi_A(N) exactly (up to roundoff) whenever
     0 is an allowed digit and N is composite.
     """
-    from .digit_systems import prediction_constant
-
+    ps, spectrum = _primes_and_spectrum(sys, k)
     N = sys.q**k
-    if N > table.limit:
-        raise CapExceeded(f"N = {N} beyond the prime table limit {table.limit}")
-    if N > SCAN_CAP:
-        raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
-    members = enumerate_restricted(sys, N)
-    ps = table.primes(N)
-    m = np.fromiter(members, dtype=np.int64, count=len(members))
-    # a member is prime when it has an equal entry in the increasing ps
-    exact = int(np.sum(np.searchsorted(ps, m, "right") - np.searchsorted(ps, m)))
+    counted = census(sys, N)
     # primary piece: q^{-k} sum_l S_P(l/q) S_A(-l/q)
     prof = FourierProfile(sys, k)
     primary = 0.0
@@ -121,26 +123,20 @@ def main_term_assembly(sys: DigitSystem, k: int, table: PrimeTable) -> MainTermR
         sa = restricted_exp_sum(prof, Fraction(-ell, sys.q))
         primary += (sp * sa).real
     primary /= N
-    pred = float(prediction_constant(sys)) * len(members) / math.log(N)
     # full identity sum over all j
-    spectrum = prime_spectrum(table, N)
     ident_parts = []
     for j0, sa_vals in sa_chunks(prof):
         sp_vals = spectrum[j0 : j0 + len(sa_vals)]
         ident_parts.append(complex(np.sum(sp_vals * np.conj(sa_vals))))
     ident = math.fsum(p.real for p in ident_parts) / N
-    return MainTermReport(exact, primary, pred, ident)
+    return MainTermReport(counted.prime_count, primary, counted.predicted, ident)
 
 
-def arc_mass_breakdown(sys: DigitSystem, k: int, table: PrimeTable, A: float) -> dict:
+def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
     """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
     N = sys.q**k
-    if N > SCAN_CAP:
-        raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
-    if N > table.limit:
-        raise CapExceeded(f"N = {N} beyond the prime table limit {table.limit}")
+    spectrum_abs = np.abs(_primes_and_spectrum(sys, k)[1])
     classes = classify_all(sys, k, A)
-    spectrum_abs = np.abs(prime_spectrum(table, N))
     prof = FourierProfile(sys, k)
     masses = np.zeros(4)
     for j0, sa_vals in sa_chunks(prof):
@@ -151,7 +147,7 @@ def arc_mass_breakdown(sys: DigitSystem, k: int, table: PrimeTable, A: float) ->
             if sel.size:
                 masses[c] += fsum_chunks(sel)
     masses /= N
-    counts = {name: int(np.count_nonzero(classes == c)) for c, name in enumerate(_CLASS_NAMES)}
-    mass = {name: float(masses[c]) for c, name in enumerate(_CLASS_NAMES)}
+    counts = {name: int(np.count_nonzero(classes == c)) for c, name in enumerate(CLASS_NAMES)}
+    mass = {name: float(masses[c]) for c, name in enumerate(CLASS_NAMES)}
     mass["non-primary"] = float(masses[1:].sum())
     return {"count": counts, "mass": mass}

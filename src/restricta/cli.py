@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -102,12 +103,10 @@ def _cmd_fourier(args):
         lo, hi = _split(args.scan, "..", "--scan qmin..qmax")
         if args.check not in ("sin-sum", "pairwise"):
             raise UsageError("--scan supports sin-sum and pairwise")
-
-        def rows():
-            for q, rep in _fourier.scan_bound(args.check, lo, hi):
-                yield (q, rep.value, rep.threshold, rep.passes)
-
-        return ("csv", ("q", "value", "threshold", "passes"), rows())
+        reports = _fourier.scan_bound(args.check, lo, hi)
+        first = list(itertools.islice(reports, 1))  # a q the check refuses is refused before the header
+        rows = ((q, rep.value, rep.threshold, rep.passes) for q, rep in itertools.chain(first, reports))
+        return ("csv", ("q", "value", "threshold", "passes"), rows)
     grid = {} if args.grid is None else {"grid": args.grid}  # else each check's default
     if args.check in ("sin-sum", "refined", "pairwise"):
         if args.q is None:
@@ -138,16 +137,15 @@ def _cmd_certify(args):
 
 def _cmd_arcs(args):
     sys_ = DigitSystem.parse(args.sys)
-    table = _primes.sieve_primes(sys_.q**args.k)
     if args.full_scan:
-        breakdown = _arcs.arc_mass_breakdown(sys_, args.k, table, args.A)
+        breakdown = _arcs.arc_mass_breakdown(sys_, args.k, args.A)
 
         def rows():
-            for name in (_arcs.PRIMARY_MAJOR, _arcs.SMOOTH_MAJOR, _arcs.NONSMOOTH_MAJOR, _arcs.MINOR):
+            for name in _arcs.CLASS_NAMES:
                 yield (name, breakdown["count"][name], breakdown["mass"][name])
 
         return ("csv", ("class", "count", "mass"), rows())
-    rep = _arcs.main_term_assembly(sys_, args.k, table)
+    rep = _arcs.main_term_assembly(sys_, args.k)
     return {"sys": sys_.to_json(), "k": args.k, **rep.to_json()}
 
 
@@ -323,6 +321,11 @@ def _emit(result, fmt: str, out) -> str:
     return digest.hexdigest()
 
 
+def _status(exc: RestrictaError) -> int:
+    """Exit status of a refusal: 2 for a usage error, 1 for the rest."""
+    return 2 if isinstance(exc, UsageError) else 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -335,14 +338,14 @@ def main(argv=None) -> int:
         result = args.func(args)
     except RestrictaError as exc:
         result = {"error": exc.kind, "message": str(exc)}
-        status = 2 if isinstance(exc, UsageError) else 1
+        status = _status(exc)
     try:
         digest = _emit(result, args.format, sys.stdout)
     except RestrictaError as exc:  # streamed computations may fail mid-scan
         sys.stdout.write("\n")
         result = {"error": exc.kind, "message": str(exc)}
         digest = _emit(result, "json", sys.stdout)
-        status = 1
+        status = _status(exc)
     manifest = {
         "subcommand": args.subcommand,
         "argv": list(argv) if argv is not None else sys.argv[1:],

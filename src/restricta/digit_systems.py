@@ -197,13 +197,15 @@ def prediction_constant(sys: DigitSystem) -> Fraction:
     """Heuristic constant in pi_A(x) ~ const * |A(x)|/log x.
 
     (|D_q|/|D|) / (phi(q)/q): the chance a member is coprime to q,
-    renormalised by the same chance for unrestricted integers.  Zero when
+    renormalised by the same chance for unrestricted integers, with
+    phi(q)/q the product of (p - 1)/p over the primes p of q.  Zero when
     no allowed digit is coprime to q.
     """
     dq = len(sys.coprime_digits)
     if dq == 0:
         return Fraction(0)
-    return Fraction(dq, sys.size) / Fraction(_primes.euler_phi(sys.q), sys.q)
+    coprime_share = math.prod((Fraction(p - 1, p) for p in _primes.factorize(sys.q)), start=Fraction(1))
+    return Fraction(dq, sys.size) / coprime_share
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ SLACK = 1e-12  # per-term upward slack in certified accumulations
 MEAN_CAP = 10**8
 MOMENT_CAP = 10**7
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
+SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
 FAREY_SUBCELLS = 512  # subcells per window in farey_max_sum
 _CHUNK = 1 << 17
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
@@ -339,9 +340,11 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
         eb = eb * z1
 
 
-def _check_grid(grid: int) -> None:
+def _check_grid(q: int, grid: int) -> None:
     if grid < 1:
         raise UsageError(f"need grid >= 1 subcells per cell, got {grid}")
+    if q * grid > SUBCELL_CAP:
+        raise CapExceeded(f"q * grid = {q * grid} subcells above cap {SUBCELL_CAP}")
 
 
 def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
@@ -353,7 +356,7 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
     """
     if q < 3:
         raise UsageError("need q >= 3")
-    _check_grid(grid)
+    _check_grid(q, grid)
     per_digit = [float(np.sum(sups)) + SLACK * q for sups in _refined_cell_sups(q, grid)]
     value = max(per_digit)
     threshold = (q - 1) * q**TAU
@@ -417,8 +420,8 @@ def generalized_margin(sys: DigitSystem, grid: int = 256) -> BoundReport:
     Degenerate for the full digit set (threshold 0).  Details carry the
     analytic reference shapes for removed-digit and consecutive-run sets.
     """
-    _check_grid(grid)
     q = sys.q
+    _check_grid(q, grid)
     win = _Window(sys)
     value = float(np.sum(win.cell_sup(q, grid))) + SLACK * q
     r = q - sys.size

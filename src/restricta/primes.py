@@ -12,9 +12,9 @@ S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
 compensated sum per segment, fsum across).  Also: Ramanujan sums,
 deterministic Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
-factorization, which Mobius and Euler phi read: trial division by the
-primes of one list grown on demand, with Miller-Rabin only for a cofactor
-that the trial limit leaves unsettled.
+factorization, which Mobius reads: trial division by the primes of one
+list grown on demand, with Miller-Rabin only for a cofactor that
+TRIAL_LIMIT leaves unsettled.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .numutil import csum, frac_mul, unit
 
 SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
+TRIAL_LIMIT = 10**6  # factorize trial-divides by the primes up to this
 WHEEL = 3 * 5 * 7 * 11 * 13  # period, in odd slots, of the pre-sieved pattern
 
 # (psi_k, k): the first k prime bases decide every n < psi_k, the least strong
@@ -248,16 +249,8 @@ def mobius(n: int) -> int:
     """mu(n) by complete factorization."""
     if n < 1:
         raise UsageError("mobius needs n >= 1")
-    fac = factorize(n, math.isqrt(n))
+    fac = factorize(n)
     return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
-
-
-def euler_phi(n: int) -> int:
-    """phi(n) = n * prod_{p | n} (1 - 1/p), by complete factorization."""
-    res = n
-    for p in factorize(n, math.isqrt(n)):
-        res -= res // p
-    return res
 
 
 def phi_sieve(N: int) -> np.ndarray:
@@ -485,10 +478,10 @@ def _trial_primes() -> Iterator[int]:
         start = stop
 
 
-def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
-    """Exact factorization: trial division by the primes up to the trial
-    limit, then Miller-Rabin certification of the cofactor.  Refuses
-    composites with two factors above the trial limit (certified mode).
+def factorize(n: int) -> dict[int, int]:
+    """Exact factorization: trial division by the primes up to TRIAL_LIMIT,
+    then Miller-Rabin certification of the cofactor.  Refuses composites
+    with two factors above TRIAL_LIMIT (certified mode).
 
     Trial division stops at the first prime p with p^2 above the cofactor,
     which is then 1 or prime with no test; only a cofactor left when p
@@ -503,7 +496,7 @@ def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
             if m > 1:
                 fac[m] = 1
             return fac
-        if p > trial_limit:
+        if p > TRIAL_LIMIT:
             break
         if m % p == 0:
             e = 0

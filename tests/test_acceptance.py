@@ -95,9 +95,9 @@ def test_06_markov_certificates_every_digit():
     report(6, "M^(4,1) < 10^(27/77) and M^(4,235/154) < 10^(59/433) for all b", worst, 30.0)
 
 
-def test_07_identity_assembly(table_1e4):
+def test_07_identity_assembly():
     t0 = time.perf_counter()
-    rep = A.main_term_assembly(DigitSystem.excluding(10, {7}), 4, table_1e4)
+    rep = A.main_term_assembly(DigitSystem.excluding(10, {7}), 4)
     el = time.perf_counter() - t0
     assert round(rep.identity_sum) == rep.exact_count
     report(

@@ -1,16 +1,21 @@
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import restricta
+from restricta import arcs as _arcs
 from restricta import cli
 from restricta import fourier as F
+from restricta import primes as _primes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -67,6 +72,15 @@ class TestBasics:
         ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--full-scan", "--A", "nan"),
         ("primes", "--limit", "100", "--exp-sum", "nan"),
         ("dioph", "--psi", "khinchin:nan", "--cmd", "series"),
+        # a required companion flag missing, or a flag the route does not take
+        ("fourier", "--check", "refined", "--scan", "3..6"),
+        ("fourier", "--check", "sin-sum"),
+        ("fourier", "--check", "margin"),
+        ("gcdgraph", "--cmd", "chow"),
+        ("gcdgraph", "--cmd", "build"),
+        # a scan whose first q the check refuses: no CSV header before the error
+        ("fourier", "--check", "sin-sum", "--scan", "1..4"),
+        ("fourier", "--check", "pairwise", "--scan", "3..6"),
     ])
     def test_malformed_text_is_usage_error(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -78,6 +92,21 @@ class TestBasics:
         public = {name: obj for name, obj in vars(restricta).items() if not name.startswith("_")}
         assert "fourier" in public
         assert not [name for name, obj in public.items() if inspect.isroutine(obj) or inspect.isclass(obj)]
+
+    def test_only_primes_takes_a_prime_table(self):
+        # the layer that sieves decides how large a table is
+        takers = []
+        for info in pkgutil.iter_modules(restricta.__path__):
+            mod = importlib.import_module(f"restricta.{info.name}")
+            if info.name == "primes":
+                continue
+            for name, fn in inspect.getmembers(mod, inspect.isfunction):
+                if name.startswith("_") or fn.__module__ != mod.__name__:
+                    continue
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name == "table" or "PrimeTable" in str(param.annotation):
+                        takers.append(f"{info.name}.{name}")
+        assert not takers
 
 
 class TestJsonOutputs:
@@ -113,6 +142,30 @@ class TestJsonOutputs:
         assert code == 0
         assert payload["countA"] == 39
         assert payload["sys"]["D"] == [7, 8, 9]
+
+    def test_census_refuses_base_with_two_large_primes(self, capsys):
+        # q = 1000000007 * 1000000009: both primes lie above the trial limit
+        code, out, _ = run_cli(capsys, "census", "--sys", "q=1000000016000000063,D=1", "--x", "10")
+        assert code == 1
+        assert json.loads(out)["error"] == "factorization-too-hard"
+
+    def test_oversized_grid_refused_before_any_array(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "fourier", "--check", "refined", "--q", "101", "--grid", "10000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert json.loads(out)["error"] == "cap-exceeded"
+
+    @pytest.mark.parametrize("extra", [(), ("--full-scan", "--A", "1.5")])
+    def test_arcs_refuses_above_scan_cap_before_sieving(self, capsys, monkeypatch, extra):
+        def refuse(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(_arcs, "sieve_primes", refuse)
+        monkeypatch.setattr(_primes, "sieve_primes", refuse)
+        code, out, _ = run_cli(capsys, "arcs", "--sys", "q=10,exclude=7", "-k", "9", *extra)
+        assert code == 1
+        assert out == '{"error":"cap-exceeded","message":"N = 1000000000 above scan cap 10000000"}\n'
 
     def test_census_refuses_unproven_primality(self, capsys):
         # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13
@@ -281,6 +334,14 @@ class TestDeterminism:
          "0b4f4edbf242bdd680a3425cf63f17e142ffdab6f6056b51bd4b24b4f906d7d8"),
         (("primes", "--limit", "1000000", "--ap", "10,3", "--exp-sum", "0.123"),
          "110e8316efc5a40c8b001f54da9974b60011504b749b273a2e318d26b98ca377"),
+        (("fourier", "--check", "pairwise", "--q", "20"),
+         "e6ceba59a59fb7babcb66134488521926f5c655f432ede15b2475cce0a48759b"),
+        # no --R: the union of one q's events
+        (("dioph", "--psi", "constant:1/3", "--cmd", "measure", "--q", "7"),
+         "1e35500aabfce4eb11c8ecdf7f9185e6d1a62e15b2abd6ec942427d19bdf7eee"),
+        # every element is below B: no divisor qualifies
+        (("gcdgraph", "--cmd", "model", "--set", "{set}", "--B", "1000000"),
+         "958bbed5bd400b6606bf9edf57c21c8fbdd5ae576753d7fb32683cb4b356872f"),
     ])
     def test_pinned_route_outputs(self, capsys, tmp_path, argv, sha256):
         # seeded sets of 60 and 50 integers below 10^6, and a five-row psi table

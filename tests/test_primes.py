@@ -283,13 +283,14 @@ class TestFactorization:
 
     @pytest.mark.parametrize("p", [997, 1009, 1013])  # below, at and above the limit
     @pytest.mark.parametrize("q", [1019, 1_000_003])
-    def test_factor_near_trial_limit(self, p, q):
+    def test_factor_near_trial_limit(self, p, q, monkeypatch):
+        monkeypatch.setattr(P, "TRIAL_LIMIT", 1009)
         n = p * q
         if p <= 1009:
-            assert P.factorize(n, trial_limit=1009) == sympy.factorint(n) == {p: 1, q: 1}
+            assert P.factorize(n) == sympy.factorint(n) == {p: 1, q: 1}
         else:
             with pytest.raises(FactorizationTooHard):
-                P.factorize(n, trial_limit=1009)
+                P.factorize(n)
 
     def test_cofactor_below_square_of_next_prime_needs_no_test(self, monkeypatch):
         # trial division up to sqrt(n) leaves 1 or a prime: Miller-Rabin is
@@ -299,10 +300,11 @@ class TestFactorization:
 
         monkeypatch.setattr(P, "is_prime_int", refuse)
         n = 2 * 3 * 999_999_000_001  # the cofactor is a prime near 10^12
-        assert P.factorize(n, trial_limit=10**6) == {2: 1, 3: 1, 999_999_000_001: 1}
+        assert P.factorize(n) == {2: 1, 3: 1, 999_999_000_001: 1}
         assert P.factorize(1_000_003) == {1_000_003: 1}
+        monkeypatch.setattr(P, "TRIAL_LIMIT", 100)
         with pytest.raises(AssertionError):
-            P.factorize(1_000_003, trial_limit=100)
+            P.factorize(1_000_003)
 
     def test_interleaved_prime_walks(self):
         # one walk grows the shared list while another is paused at its end
@@ -315,11 +317,12 @@ class TestFactorization:
         grown = P._TRIAL_PRIMES
         assert all(x < y for x, y in zip(grown, grown[1:]))
 
-    def test_hard_composite_refused(self):
+    def test_hard_composite_refused(self, monkeypatch):
+        monkeypatch.setattr(P, "TRIAL_LIMIT", 10**3)
         p1, p2 = 1_000_003, 1_000_033
         assert P.is_prime_int(p1) and P.is_prime_int(p2)
         with pytest.raises(FactorizationTooHard):
-            P.factorize(p1 * p2, trial_limit=10**3)
+            P.factorize(p1 * p2)
 
     def test_strong_pseudoprime_to_twelve_bases(self):
         # psi_12, the first strong pseudoprime to the prime bases 2..37
@@ -366,7 +369,7 @@ class TestFactorization:
     def test_phi_sieve_matches_euler_phi(self):
         phi = P.phi_sieve(500)
         for n in range(1, 501):
-            assert int(phi[n]) == P.euler_phi(n)
+            assert int(phi[n]) == sympy.totient(n)
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 97, 1000, 65537, 10**6])
     def test_phi_sieve_matches_every_prime_strike_out(self, N):
