@@ -77,8 +77,11 @@ CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)  # by class 
 
 
 def _primes_and_spectrum(sys: DigitSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes up to N = q^k and S_P(j/N) for every j in [0, N).  N is
-    checked against SCAN_CAP before anything is sieved."""
+    """The primes up to N = q^k and S_P(j/N) for every j in [0, N).  k is
+    checked before N is formed, and N against SCAN_CAP before anything is
+    sieved."""
+    if k < 1:
+        raise UsageError("need k >= 1")
     N = sys.q**k
     if N > SCAN_CAP:
         raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")

@@ -157,18 +157,21 @@ class _Window:
         """Certified upper bound for sup F over each cell [t/n, (t+1)/n), t < n,
         from ``grid`` subcells per cell with exact-phase midpoints m/(2*n*grid).
         G = e(-c*phi) W is recentred at the median digit c, so G, G' enter as W,
-        W' - 2*pi*i*c*W.  Each chunk of cells is capped as it is built, so no
-        n-long temporary exists besides the result."""
+        W' - 2*pi*i*c*W.  W has real coefficients, so F(1 - phi) = F(phi): cell
+        n-1-t is the mirror of cell t, its midpoints the (N - m)/N, and only the
+        cells t < ceil(n/2) are evaluated.  Each chunk of cells is capped as it
+        is built, so no n-long temporary exists besides the result."""
         N = 2 * n * grid
+        half = (n + 1) // 2
         best = np.empty(n)
         rows = max(1, _CHUNK // grid)
-        for t0 in range(0, n, rows):
-            t = np.arange(t0, min(t0 + rows, n), dtype=np.int64)
+        for t0 in range(0, half, rows):
+            t = np.arange(t0, min(t0 + rows, half), dtype=np.int64)
             m = 2 * np.arange(t0 * grid, (t0 + len(t)) * grid, dtype=np.int64) + 1  # cell-major
             w, wp = self.values_and_derivatives_at_fractions(m, N)
             sups = _taylor_sup(w, wp - 2j * math.pi * self.center * w, 1.0 / N, self.m2)
             del w, wp  # free this chunk before the next one is evaluated
-            best[t0 : t0 + len(t)] = self.capped_sups(sups, t, n)
+            best[t0 : t0 + len(t)] = best[n - 1 - t] = self.capped_sups(sups, t, n)
         return best
 
     def capped_sups(self, sups: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
@@ -316,28 +319,39 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
     over the q cells [t/q, (t+1)/q).
 
     The cells, subcells and per-cell step are those of ``_Window.cell_sup``,
-    but the full-set geometric kernel g, g' is evaluated once for all b:
+    folded the same way (cell q-1-t takes the bound of cell t), but the
+    full-set geometric kernel g, g' is evaluated once for all b:
     W_b = g - e(b*phi) and W_b' = g' - 2*pi*i*b*e(b*phi), with e(b*phi)
-    advanced by elementwise multiplication.
+    advanced by elementwise multiplication.  The digits fold too: q-1-D
+    misses q-1-b and W_{q-1-D}(phi) = e((q-1)*phi) conj(W_D(phi)), so only
+    b <= (q-1)/2 is evaluated, and b above yields the array of q-1-b (its
+    bound with centre q-1-c, as valid a centre as the median).  Those
+    arrays are kept until then: ceil(q/2)^2 floats.
     """
+    half = (q + 1) // 2
     N = 2 * q * grid
-    t = np.arange(q, dtype=np.int64)
-    m = 2 * np.arange(q * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
+    t = np.arange(half, dtype=np.int64)
+    m = 2 * np.arange(half * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     full = _Window(DigitSystem.of(q, range(q)))
     g, gp = full.values_and_derivatives_at_fractions(m, N)
     z1 = unit(m / N)
     tp = 2j * math.pi
     recentred = {}  # median digit c -> g' - 2*pi*i*c*g
     eb = np.ones_like(g)  # e(b*phi)
-    for b in range(q):
+    lower = []  # the folded cell bounds of b < half, for the digit q-1-b
+    for b in range(half):
         win = _Window(DigitSystem.excluding(q, {b}))
         c = win.center
         if c not in recentred:
             recentred[c] = gp - tp * c * g
         # sups lives across the yield, or malloc trims and re-faults the heap top each b
         sups = _taylor_sup(g - eb, recentred[c] - tp * (b - c) * eb, 1.0 / N, win.m2)
-        yield win.capped_sups(sups, t, q)
+        lower.append(win.capped_sups(sups, t, q))
+        yield np.concatenate((lower[b], lower[b][: q - half][::-1]))
         eb = eb * z1
+    for b in range(half, q):
+        cells = lower[q - 1 - b]
+        yield np.concatenate((cells, cells[: q - half][::-1]))
 
 
 def _check_grid(q: int, grid: int) -> None:

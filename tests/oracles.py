@@ -13,6 +13,13 @@ its oracle too:
   the spectrum that ``primes.prime_spectrum`` takes from one FFT;
 * ``sin_bound`` is the pointwise bound on F_D for one missing digit that
   ``fourier._Window.capped_sups`` applies to each cell.
+
+Two oracles check a fold, not a kernel: ``cell_sup_unfolded`` and
+``refined_cell_sups_unfolded`` evaluate every cell and every digit, where
+``_Window.cell_sup`` and ``fourier._refined_cell_sups`` evaluate one of
+each mirror pair.  They take the kernel's per-subcell step from the
+package on purpose (the step itself is audited against mpmath intervals
+in test_audit.py), so only the folding can differ.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ import numpy as np
 from sympy import primefactors
 
 from restricta.arcs import DEFAULT_A, MINOR, NONSMOOTH_MAJOR, PRIMARY_MAJOR, SMOOTH_MAJOR
+from restricta.digit_systems import DigitSystem
 from restricta.errors import UsageError
+from restricta.fourier import _taylor_sup, _Window
+from restricta.numutil import unit
 
 
 @dataclass(frozen=True)
@@ -147,4 +157,35 @@ def prime_spectrum_direct(primes, N: int) -> np.ndarray:
     j = np.arange(N, dtype=np.int64)
     for p in primes:
         out += np.exp(2j * math.pi * ((p * j % N) / N))
+    return out
+
+
+def cell_sup_unfolded(win, n: int, grid: int) -> np.ndarray:
+    """``win.cell_sup(n, grid)`` with every cell t < n evaluated at its own
+    subcell midpoints, none taken from its mirror."""
+    N = 2 * n * grid
+    t = np.arange(n, dtype=np.int64)
+    m = 2 * np.arange(n * grid, dtype=np.int64) + 1
+    w, wp = win.values_and_derivatives_at_fractions(m, N)
+    sups = _taylor_sup(w, wp - 2j * math.pi * win.center * w, 1.0 / N, win.m2)
+    return win.capped_sups(sups, t, n)
+
+
+def refined_cell_sups_unfolded(q: int, grid: int) -> list[np.ndarray]:
+    """The cell bounds of ``fourier._refined_cell_sups`` for every digit
+    b < q over every cell t < q, each digit recentred at its own median."""
+    N = 2 * q * grid
+    t = np.arange(q, dtype=np.int64)
+    m = 2 * np.arange(q * grid, dtype=np.int64) + 1
+    g, gp = _Window(DigitSystem.of(q, range(q))).values_and_derivatives_at_fractions(m, N)
+    z1 = unit(m / N)
+    tp = 2j * math.pi
+    out = []
+    eb = np.ones_like(g)
+    for b in range(q):
+        win = _Window(DigitSystem.excluding(q, {b}))
+        c = win.center
+        sups = _taylor_sup(g - eb, gp - tp * c * g - tp * (b - c) * eb, 1.0 / N, win.m2)
+        out.append(win.capped_sups(sups, t, q))
+        eb = eb * z1
     return out

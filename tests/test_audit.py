@@ -100,10 +100,12 @@ def test_refined_digit_sum_cells():
     per_digit = F.refined_digit_sum(q).details["per_digit"]
     for b, sups in enumerate(F._refined_cell_sups(q)):
         assert per_digit[b] == float(sups.sum()) + F.SLACK * q
-        if b not in (0, 77):  # the two median digits, 51 and 50
+        # the two median digits, 51 and 50; b = 77 takes the array of b = 23
+        if b not in (0, 77):
             continue
         digits = [d for d in range(q) if d != b]
-        for t in sample_cells(q, 1, seed=b):
+        # 75 > q/2: a cell bounded from its mirror, cell 25
+        for t in sample_cells(q, 1, seed=b) + [75]:
             assert proves_below(digits, Fraction(t, q), Fraction(t + 1, q), sups[t]), (b, t, sups[t])
 
 

@@ -167,6 +167,17 @@ class TestJsonOutputs:
         assert code == 1
         assert out == '{"error":"cap-exceeded","message":"N = 1000000000 above scan cap 10000000"}\n'
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("extra", [(), ("--full-scan", "--A", "1.5")])
+    def test_arcs_refuses_k_below_one_before_sieving(self, capsys, monkeypatch, k, extra):
+        def refuse(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(_arcs, "sieve_primes", refuse)
+        code, out, _ = run_cli(capsys, "arcs", "--sys", "q=10,exclude=7", "-k", k, *extra)
+        assert code == 2
+        assert out == '{"error":"usage-error","message":"need k >= 1"}\n'
+
     def test_census_refuses_unproven_primality(self, capsys):
         # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=1", "--x", str(10**39))
@@ -272,25 +283,25 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("argv, sha256", [
         (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4"),
-         "1d04dc61a8adf154830a6e4e5012b32c942d4cc92c33db9024bf924038ed4b30"),
+         "ac04dc3f42eafd1d5fd0f58b70670500aa3fa0fd0f3873eca49f84df388f03f1"),
         (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "00196a171fcd9e0eb0ef7e4cb1ab79c5e06af2ec17eaef57bdb18ad790045906"),
+         "29555fe8967b80b9b612d12c7e8dea0d1e38ec25abdfd1f43d09d77949f16154"),
         (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4"),
-         "f6faf0dc966877cf80d03bab4e3ae8f5ad6301bee9232d88dcb08582a240dd27"),
+         "f668279fcde3f5c884bbebddab8b09dc2927379ec6821219f21b3e2cbd1844a9"),
         (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "056cdabce843bd778274fb6abdd7ef0a9a2647174b3c5cce00dcd5244fcd6650"),
+         "f1fccd8d4f8a6e981de3709a9ea5037702979e73be704b7bd4cb5ed8640964cc"),
         (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4"),
-         "856dfb95d3d244961ebaf1ebfb176728e5dfc0c889422e23a80c294912093b5e"),
+         "b14a564a27de51ee8c70c69dd642aa29eec715881edb46dae2384d865916b1a6"),
         (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "d34dd4aac5f02f2181899f1379273cd94e670ad4a0133edebe80a956299f4072"),
+         "fb75e15a38f630b2d9e1479849b48dc77cab8fd23fc77c4d15b80dd24ce253e2"),
         (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4"),
-         "2c2dd1ec98bac41f576060d0e18592e489940648b422cf95d6cddd92d6412893"),
+         "08b9e94591ed5bea64f942ba1f707e3dd2aa61e71e2dcb540bb3193036af4ab6"),
         (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "fdafa6c7a9a132cd47fc84712d67d69c9e3fd574a9f15d924cd914f648dcccd7"),
+         "5602b16a91eeab0feadafa303701e43313cb64849df7dd3ad6519256d83db59b"),
         (("fourier", "--check", "refined", "--q", "101"),
-         "800a7a1abcbf2d7b15b3f86b7173cb235ece58196971053713bbc7261fa75e59"),
+         "1d37b6c21ec7d596c385dc905f4791112ba77164cf5e1eba7e31a2ea98e256aa"),
         (("fourier", "--check", "margin", "--sys", "q=10,exclude=7"),
-         "b2ee974338014eaa3cd7727b6992d06e68872da4678598510bea1b932d3fe140"),
+         "090ccc421b306c440818128942cf307a44bf2dcd1ba05b7166c9fbc86c446a13"),
     ])
     def test_pinned_kernel_outputs(self, capsys, argv, sha256):
         # certified cell-supremum outputs: the Markov certificates at both

@@ -13,7 +13,7 @@ from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError
 from restricta.fourier import FourierProfile, _Window
 
-from tests.oracles import digit_window_sum, sin_bound
+from tests.oracles import cell_sup_unfolded, digit_window_sum, refined_cell_sups_unfolded, sin_bound
 
 TAU = F.TAU
 
@@ -54,18 +54,19 @@ def profiles_strategy():
 
 class TestWindow:
     def test_cell_sup_memory_per_cell(self):
-        # cells are capped chunk by chunk, so once n passes one chunk of
-        # rows (2^16 at grid 2) the peak grows only by the 8-byte result
+        # cells are capped chunk by chunk, and only the n/2 cells below 1/2
+        # are evaluated, so once n/2 passes two chunks of rows (2^16 at
+        # grid 2) the peak grows only by the 8-byte result
         win = _Window(DigitSystem.excluding(10, {7}))
         peaks = []
-        for n in (10**5, 10**6):
+        for n in (3 * 10**5, 10**6):
             tracemalloc.start()
             try:
                 win.cell_sup(n, 2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 1.25 * 8 * (10**6 - 10**5)
+        assert peaks[1] - peaks[0] <= 1.25 * 8 * (10**6 - 3 * 10**5)
 
     def test_full_set_at_zero(self):
         assert digit_window_sum(DigitSystem.of(10, range(10)), 0.0) == pytest.approx(10)
@@ -238,15 +239,17 @@ class TestBoundSums:
 
     def test_refined_certifies_each_cell(self):
         # every per-cell certified sup dominates sampled window values
-        q, b, grid = 17, 5, 256
-        sys = DigitSystem.excluding(q, {b})
-        rep_value = F.refined_digit_sum(q, grid=grid).details["per_digit"][b]
+        # (b = 13 above q/2 takes the bound of digit 3)
+        q, grid = 17, 256
+        per_digit = F.refined_digit_sum(q, grid=grid).details["per_digit"]
         rng = np.random.default_rng(3)
-        total_true = 0.0
-        for t in range(q):
-            vals = [digit_window_sum(sys, (t + e) / q) for e in rng.random(400)]
-            total_true += max(vals)
-        assert rep_value >= total_true - 1e-9
+        for b in (5, 13):
+            sys = DigitSystem.excluding(q, {b})
+            total_true = 0.0
+            for t in range(q):
+                vals = [digit_window_sum(sys, (t + e) / q) for e in rng.random(400)]
+                total_true += max(vals)
+            assert per_digit[b] >= total_true - 1e-9
 
     def test_pairwise(self):
         assert F.pairwise_bound_sum(18647).passes
@@ -261,6 +264,47 @@ class TestBoundSums:
             F.sin_bound_sum(2)
         with pytest.raises(UsageError):
             F.pairwise_bound_sum(4)
+
+
+class TestFold:
+    """F(1 - phi) = F(phi) and |W_{q-1-D}| = |W_D|: the folded kernels
+    against the unfolded loops of tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "spec, n, grid",
+        [("q=10,exclude=7", 10**4, 10), ("q=10,exclude=7", 10**5, 1), ("q=7,exclude=3", 7**5, 6), ("q=10,D=1.3.7", 10**4, 10)],
+    )
+    def test_cell_sup_matches_unfolded(self, spec, n, grid):
+        win = _Window(DigitSystem.parse(spec))
+        folded, unfolded = win.cell_sup(n, grid), cell_sup_unfolded(win, n, grid)
+        half = (n + 1) // 2
+        assert np.array_equal(folded, folded[::-1])
+        assert np.allclose(folded[:half], unfolded[:half], rtol=1e-14, atol=0)
+        # the unfolded cells near phi = 1 carry the larger phase rounding
+        assert np.allclose(folded[half:], unfolded[half:], rtol=1e-10, atol=0)
+
+    def test_cell_sup_evaluates_half_the_cells(self, monkeypatch):
+        evaluated = []
+        plain = _Window.values_and_derivatives_at_fractions
+
+        def counting(self, m, N):
+            evaluated.append(np.size(m))
+            return plain(self, m, N)
+
+        monkeypatch.setattr(_Window, "values_and_derivatives_at_fractions", counting)
+        _Window(DigitSystem.excluding(7, {3})).cell_sup(7**5, 6)
+        assert sum(evaluated) == (7**5 + 1) // 2 * 6
+
+    @pytest.mark.parametrize("q", [10, 11, 17, 101])
+    def test_refined_per_digit_matches_unfolded(self, q):
+        per = F.refined_digit_sum(q).details["per_digit"]
+        ref = [float(np.sum(s)) + F.SLACK * q for s in refined_cell_sups_unfolded(q, F.REFINED_GRID)]
+        for b in range(q):
+            assert per[b] == per[q - 1 - b]
+            # b above (q-1)/2 is the bound of q-1-b, centred at its mirror
+            mirror = min(b, q - 1 - b)
+            assert per[b] == pytest.approx(ref[mirror], rel=1e-12, abs=0)
+            assert per[b] == pytest.approx(ref[b], rel=1e-5, abs=0)
 
 
 class TestMeans:
