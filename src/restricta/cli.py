@@ -98,35 +98,42 @@ def _cmd_census(args):
     return {"sys": sys_.to_json(), **rep.to_json()}
 
 
+def _only(args, route: str, *taken: str) -> None:
+    """Refuse each of --q, --sys and --grid that the fourier route does not read."""
+    for flag in ("q", "sys", "grid"):
+        if flag not in taken and getattr(args, flag) is not None:
+            raise UsageError(f"{route} does not take --{flag}")
+
+
 def _cmd_fourier(args):
     if args.scan:
         lo, hi = _split(args.scan, "..", "--scan qmin..qmax")
         if args.check not in ("sin-sum", "pairwise"):
             raise UsageError("--scan supports sin-sum and pairwise")
+        _only(args, "--scan")
         reports = _fourier.scan_bound(args.check, lo, hi)
         first = list(itertools.islice(reports, 1))  # a q the check refuses is refused before the header
         rows = ((q, rep.value, rep.threshold, rep.passes) for q, rep in itertools.chain(first, reports))
         return ("csv", ("q", "value", "threshold", "passes"), rows)
     grid = {} if args.grid is None else {"grid": args.grid}  # else each check's default
-    if args.check in ("sin-sum", "refined", "pairwise"):
-        if args.q is None:
-            raise UsageError(f"--check {args.check} needs --q")
-        if args.check == "sin-sum":
-            rep = _fourier.sin_bound_sum(args.q)
-        elif args.check == "refined":
-            rep = _fourier.refined_digit_sum(args.q, **grid)
-        else:
-            rep = _fourier.pairwise_bound_sum(args.q)
-    elif args.check == "margin":
+    if args.check == "margin":
+        _only(args, "--check margin", "sys", "grid")
         if not args.sys:
             raise UsageError("--check margin needs --sys")
-        rep = _fourier.generalized_margin(DigitSystem.parse(args.sys), **grid)
-    else:
+        return _fourier.generalized_margin(DigitSystem.parse(args.sys), **grid).to_json()
+    if args.check not in ("sin-sum", "refined", "pairwise"):
         raise UsageError(f"unknown check {args.check!r}")
-    out = rep.to_json()
-    if args.q is not None:
-        out["q"] = args.q
-    return out
+    taken = ("q", "grid") if args.check == "refined" else ("q",)
+    _only(args, f"--check {args.check}", *taken)
+    if args.q is None:
+        raise UsageError(f"--check {args.check} needs --q")
+    if args.check == "sin-sum":
+        rep = _fourier.sin_bound_sum(args.q)
+    elif args.check == "refined":
+        rep = _fourier.refined_digit_sum(args.q, **grid)
+    else:
+        rep = _fourier.pairwise_bound_sum(args.q)
+    return {**rep.to_json(), "q": args.q}
 
 
 def _cmd_certify(args):
@@ -138,13 +145,16 @@ def _cmd_certify(args):
 def _cmd_arcs(args):
     sys_ = DigitSystem.parse(args.sys)
     if args.full_scan:
-        breakdown = _arcs.arc_mass_breakdown(sys_, args.k, args.A)
+        A = _arcs.DEFAULT_A if args.A is None else args.A
+        breakdown = _arcs.arc_mass_breakdown(sys_, args.k, A)
 
         def rows():
             for name in _arcs.CLASS_NAMES:
                 yield (name, breakdown["count"][name], breakdown["mass"][name])
 
         return ("csv", ("class", "count", "mass"), rows())
+    if args.A is not None:
+        raise UsageError("--A needs --full-scan")
     rep = _arcs.main_term_assembly(sys_, args.k)
     return {"sys": sys_.to_json(), "k": args.k, **rep.to_json()}
 
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sys", required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--full-scan", action="store_true", dest="full_scan")
-    sp.add_argument("--A", type=float, default=_arcs.DEFAULT_A)
+    sp.add_argument("--A", type=float, help=f"full-scan arc width (default {_arcs.DEFAULT_A})")
     sp.set_defaults(func=_cmd_arcs)
 
     sp = sub.add_parser("dioph", help="metric approximation experiments")

@@ -520,8 +520,9 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
     Series are summed over primes ell <= ell_max in the closed form
     sum 1/(ell log ell) and sum (1/(ell log ell)) * prod_{p<ell}(1 + 1/p);
     the containment of spread events in base events is checked for
-    ell <= 47: the centres exactly, the half-widths psi(q)/q^2 and
-    psi0(q_ell)/q_ell^2 to a relative CONTAINMENT_RTOL.
+    ell <= 47 on the half-widths only, psi(q)/q^2 against
+    psi0(q_ell)/q_ell^2 to a relative CONTAINMENT_RTOL: every sampled q
+    divides q_ell, so a/q is (a*q_ell/q)/q_ell and the centres agree.
     """
     if ell_max < 3:
         raise UsageError("need ell_max >= 3")
@@ -549,13 +550,10 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
         for q in sorted(samples):
             if q_ell % q or q % ell:
                 continue
-            a = 1 if q == 1 else next(x for x in range(1, q + 1) if math.gcd(x, q) == 1)
-            A = a * (q_ell // q)
-            center_ok = Fraction(a, q) == Fraction(A, q_ell)
             # both half-widths are 1/(q_ell ell log ell) up to float rounding
             w_spread = psi(q) / q**2
             w_base = psi0(q_ell) / q_ell**2
-            ok = ok and center_ok and math.isclose(w_spread, w_base, rel_tol=CONTAINMENT_RTOL)
+            ok = ok and math.isclose(w_spread, w_base, rel_tol=CONTAINMENT_RTOL)
             verified += 1
     return DsCounterexampleReport(
         psi0,

@@ -315,18 +315,17 @@ def sin_bound_sum(q: int) -> BoundReport:
 
 
 def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
-    """Yield, for b = 0..q-1, the certified suprema of F_D with D missing b
-    over the q cells [t/q, (t+1)/q).
+    """Yield (b, cells) for b = 0..(q-1)/2: the certified suprema of F_D
+    with D missing b over the q cells [t/q, (t+1)/q).
 
     The cells, subcells and per-cell step are those of ``_Window.cell_sup``,
     folded the same way (cell q-1-t takes the bound of cell t), but the
     full-set geometric kernel g, g' is evaluated once for all b:
     W_b = g - e(b*phi) and W_b' = g' - 2*pi*i*b*e(b*phi), with e(b*phi)
     advanced by elementwise multiplication.  The digits fold too: q-1-D
-    misses q-1-b and W_{q-1-D}(phi) = e((q-1)*phi) conj(W_D(phi)), so only
-    b <= (q-1)/2 is evaluated, and b above yields the array of q-1-b (its
-    bound with centre q-1-c, as valid a centre as the median).  Those
-    arrays are kept until then: ceil(q/2)^2 floats.
+    misses q-1-b and W_{q-1-D}(phi) = e((q-1)*phi) conj(W_D(phi)), so the
+    cells of b also bound digit q-1-b (with centre q-1-c, as valid a centre
+    as its median), and the digits above (q-1)/2 are not yielded.
     """
     half = (q + 1) // 2
     N = 2 * q * grid
@@ -338,7 +337,6 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
     tp = 2j * math.pi
     recentred = {}  # median digit c -> g' - 2*pi*i*c*g
     eb = np.ones_like(g)  # e(b*phi)
-    lower = []  # the folded cell bounds of b < half, for the digit q-1-b
     for b in range(half):
         win = _Window(DigitSystem.excluding(q, {b}))
         c = win.center
@@ -346,12 +344,9 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
             recentred[c] = gp - tp * c * g
         # sups lives across the yield, or malloc trims and re-faults the heap top each b
         sups = _taylor_sup(g - eb, recentred[c] - tp * (b - c) * eb, 1.0 / N, win.m2)
-        lower.append(win.capped_sups(sups, t, q))
-        yield np.concatenate((lower[b], lower[b][: q - half][::-1]))
+        cells = win.capped_sups(sups, t, q)
+        yield b, np.concatenate((cells, cells[: q - half][::-1]))
         eb = eb * z1
-    for b in range(half, q):
-        cells = lower[q - 1 - b]
-        yield np.concatenate((cells, cells[: q - half][::-1]))
 
 
 def _check_grid(q: int, grid: int) -> None:
@@ -365,13 +360,15 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
     """Per-digit bound from the true window maxima.
 
     For every missing digit b, sums over t the certified supremum of
-    F_D over [t/q, (t+1)/q) (see ``_refined_cell_sups``); reports the
-    worst b.
+    F_D over [t/q, (t+1)/q) (see ``_refined_cell_sups``); digit q-1-b
+    takes the sum of b.  Reports the worst b.
     """
     if q < 3:
         raise UsageError("need q >= 3")
     _check_grid(q, grid)
-    per_digit = [float(np.sum(sups)) + SLACK * q for sups in _refined_cell_sups(q, grid)]
+    per_digit = [0.0] * q
+    for b, cells in _refined_cell_sups(q, grid):
+        per_digit[b] = per_digit[q - 1 - b] = float(np.sum(cells)) + SLACK * q
     value = max(per_digit)
     threshold = (q - 1) * q**TAU
     return BoundReport(

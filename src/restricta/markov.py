@@ -16,7 +16,7 @@ over iterates is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,7 @@ class TransitionMatrix:
 
     sys: DigitSystem
     ell: int
-    sigma: float
     entries: np.ndarray  # length q^(ell+1), already raised to sigma
-    grid: int
 
     @property
     def dim(self) -> int:
@@ -67,9 +65,9 @@ class EigenCertificate:
     iterations: int
     threshold: float
     certified: bool
-    converged: bool = True
-    ell: int | None = None
-    sigma: float = 1.0
+    converged: bool
+    ell: int
+    sigma: float
 
     def to_json(self) -> dict:
         return {
@@ -109,22 +107,10 @@ def build_matrix(
     entries = _Window(sys).cell_sup(n_words, grid)
     entries /= sys.size
     entries **= sigma
-    return TransitionMatrix(sys, ell, float(sigma), entries, grid)
+    return TransitionMatrix(sys, ell, entries)
 
 
-def _as_matvec(m):
-    """Uniform matvec/dimension access for TransitionMatrix or dense arrays."""
-    if isinstance(m, TransitionMatrix):
-        return m.matvec, m.dim
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise UsageError("need a square matrix")
-    if np.any(arr < 0):
-        raise UsageError("matrix must be nonnegative")
-    return (lambda v: arr @ v), arr.shape[0]
-
-
-def _iterate(m):
+def _iterate(m: TransitionMatrix):
     """Power iteration from all-ones with max-norm normalisation, until the
     Rayleigh quotient moves by less than POWER_TOL or POWER_MAX_ITER steps.
 
@@ -132,15 +118,14 @@ def _iterate(m):
     positive iterate v gives the certified bound max (Mv)/v.  Returns
     (best_bound, rayleigh, iterations, converged).
     """
-    matvec, n = _as_matvec(m)
-    v = np.ones(n)
+    v = np.ones(m.dim)
     best = math.inf
     rayleigh = 0.0
     prev = math.inf
     converged = False
     iters = 0
     for iters in range(1, POWER_MAX_ITER + 1):
-        w = matvec(v)
+        w = m.matvec(v)
         vv = np.maximum(v, 1e-300)
         bound = float(np.max(w / vv)) * (1.0 + 1e-12) + SLACK
         best = min(best, bound)
@@ -159,7 +144,7 @@ def _iterate(m):
     return best, rayleigh, iters, converged
 
 
-def row_sum_bound(m) -> float:
+def row_sum_bound(m: TransitionMatrix) -> float:
     """Certified upper bound on the spectral radius via scaled row sums.
 
     The first iterate (v = all ones) reproduces the plain maximal row sum;
@@ -168,27 +153,6 @@ def row_sum_bound(m) -> float:
     """
     best, _, _, _ = _iterate(m)
     return best
-
-
-def power_eigenvalue(m) -> EigenCertificate:
-    """Power iteration certificate: Rayleigh estimate plus row-sum bound.
-
-    Non-convergence is not fatal; the certificate then rests on the
-    row-sum bound alone.
-    """
-    best, rayleigh, iters, converged = _iterate(m)
-    ell = m.ell if isinstance(m, TransitionMatrix) else None
-    sigma = m.sigma if isinstance(m, TransitionMatrix) else 1.0
-    return EigenCertificate(
-        row_sum_bound=best,
-        power_estimate=rayleigh,
-        iterations=iters,
-        threshold=math.nan,
-        certified=False,
-        converged=converged,
-        ell=ell,
-        sigma=sigma,
-    )
 
 
 def analytic_ell1_bound(sys: DigitSystem, sigma: float) -> float | None:
@@ -222,34 +186,35 @@ def certify_base(
         raise UsageError("need ell_max >= 1")
     _check_sigma(sigma)
     thr = sys.q ** (1.0 / 5.0) if threshold is None else float(threshold)
+
+    def certificate(ell, bound, estimate, iterations, converged):
+        return EigenCertificate(
+            row_sum_bound=bound,
+            power_estimate=estimate,
+            iterations=iterations,
+            threshold=thr,
+            certified=bound < thr,
+            converged=converged,
+            ell=ell,
+            sigma=float(sigma),
+        )
+
     best: EigenCertificate | None = None
     attempted = 0
     for ell in range(1, ell_max + 1):
         if sys.q ** (ell + 1) > ENTRY_CAP:
             break
         attempted = ell
-        mat = build_matrix(sys, ell, sigma)
-        cert = power_eigenvalue(mat)
-        cert = replace(cert, threshold=thr, certified=cert.row_sum_bound < thr)
-        if best is None or cert.row_sum_bound < best.row_sum_bound:
-            best = cert
+        cert = certificate(ell, *_iterate(build_matrix(sys, ell, sigma)))
         if cert.certified:
             return cert
+        if best is None or cert.row_sum_bound < best.row_sum_bound:
+            best = cert
     if best is None:
         analytic = analytic_ell1_bound(sys, sigma)
         if analytic is None:
             raise CapExceeded(
                 f"no ell within entry cap {ENTRY_CAP} (largest attempted {attempted})"
             )
-        bound = analytic * (1.0 + 1e-12)
-        return EigenCertificate(
-            row_sum_bound=bound,
-            power_estimate=0.0,
-            iterations=0,
-            threshold=thr,
-            certified=bound < thr,
-            converged=True,
-            ell=1,
-            sigma=float(sigma),
-        )
+        return certificate(1, analytic * (1.0 + 1e-12), 0.0, 0, True)
     return best

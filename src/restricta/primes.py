@@ -234,8 +234,6 @@ def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
 def prime_spectrum(table: PrimeTable, N: int) -> np.ndarray:
     """S_P(j/N) for all j in [0, N): the conjugate DFT of the indicator of
     the primes up to N."""
-    if N > table.limit:
-        raise OutOfRange(f"{N} exceeds table limit {table.limit}")
     ps = table.primes(N)
     ind = np.zeros(N, dtype=np.float64)
     if ps.size and ps[-1] == N:  # wrap p = N onto residue 0

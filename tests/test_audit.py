@@ -98,15 +98,17 @@ def test_build_matrix_entries(ell, b):
 def test_refined_digit_sum_cells():
     q = 101
     per_digit = F.refined_digit_sum(q).details["per_digit"]
-    for b, sups in enumerate(F._refined_cell_sups(q)):
-        assert per_digit[b] == float(sups.sum()) + F.SLACK * q
-        # the two median digits, 51 and 50; b = 77 takes the array of b = 23
-        if b not in (0, 77):
+    # the array of b = 0 bounds digit 0; the array of b = 23 bounds its mirror digit 77
+    proved = {0: 0, 23: 77}
+    for b, sups in F._refined_cell_sups(q):
+        assert per_digit[b] == per_digit[q - 1 - b] == float(sups.sum()) + F.SLACK * q
+        if b not in proved:
             continue
-        digits = [d for d in range(q) if d != b]
+        missing = proved[b]
+        digits = [d for d in range(q) if d != missing]
         # 75 > q/2: a cell bounded from its mirror, cell 25
-        for t in sample_cells(q, 1, seed=b) + [75]:
-            assert proves_below(digits, Fraction(t, q), Fraction(t + 1, q), sups[t]), (b, t, sups[t])
+        for t in sample_cells(q, 1, seed=missing) + [75]:
+            assert proves_below(digits, Fraction(t, q), Fraction(t + 1, q), sups[t]), (missing, t, sups[t])
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,17 @@ class TestBasics:
         # a scan whose first q the check refuses: no CSV header before the error
         ("fourier", "--check", "sin-sum", "--scan", "1..4"),
         ("fourier", "--check", "pairwise", "--scan", "3..6"),
+        # a flag the chosen mode would ignore
+        ("fourier", "--check", "margin", "--sys", "q=10,exclude=7", "--q", "5"),
+        ("fourier", "--check", "sin-sum", "--q", "10", "--grid", "4"),
+        ("fourier", "--check", "pairwise", "--q", "10", "--grid", "4"),
+        ("fourier", "--check", "sin-sum", "--scan", "10..11", "--grid", "0"),
+        ("fourier", "--check", "sin-sum", "--q", "10", "--sys", "q=10,exclude=7"),
+        ("fourier", "--check", "refined", "--q", "10", "--sys", "q=10,exclude=7"),
+        ("fourier", "--check", "pairwise", "--q", "10", "--sys", "q=10,exclude=7"),
+        ("fourier", "--check", "pairwise", "--scan", "10..11", "--sys", "q=10,exclude=7"),
+        ("fourier", "--check", "sin-sum", "--scan", "10..11", "--q", "10"),
+        ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--A", "1.5"),
     ])
     def test_malformed_text_is_usage_error(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)

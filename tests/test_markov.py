@@ -16,6 +16,14 @@ from restricta.errors import CapExceeded, Unsupported, UsageError
 from tests.oracles import digit_window_sum
 
 
+def from_dense(rows) -> M.TransitionMatrix:
+    """A nonnegative n x n matrix as the ell = 1 matrix of base n, whose
+    entry (I, J) sits at the word I*n + J."""
+    arr = np.asarray(rows, dtype=np.float64)
+    n = len(arr)
+    return M.TransitionMatrix(DigitSystem.of(n, range(n)), 1, arr.ravel())
+
+
 def dense_from(mat: M.TransitionMatrix) -> np.ndarray:
     q, n = mat.sys.q, mat.dim
     dense = np.zeros((n, n))
@@ -91,10 +99,10 @@ class TestBuild:
 
 class TestRowSumBound:
     def test_dense_fixture(self):
-        assert M.row_sum_bound([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(3.0, abs=1e-9)
+        assert M.row_sum_bound(from_dense([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, abs=1e-9)
 
     def test_identity(self):
-        assert M.row_sum_bound(np.eye(4)) == pytest.approx(1.0, abs=1e-9)
+        assert M.row_sum_bound(from_dense(np.eye(4))) == pytest.approx(1.0, abs=1e-9)
 
     @given(
         st.lists(
@@ -106,30 +114,32 @@ class TestRowSumBound:
     @settings(max_examples=60, deadline=None)
     def test_dominates_spectral_radius(self, rows):
         mat = np.array(rows)
+        m = from_dense(mat)
+        assert np.array_equal(dense_from(m), mat)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "POWER_MAX_ITER", 300)
-            bound = M.row_sum_bound(mat)
-            cert = M.power_eigenvalue(mat)
+            bound = M.row_sum_bound(m)
+            best, rayleigh, _, _ = M._iterate(m)
         rho = max(abs(np.linalg.eigvals(mat)))
         assert bound >= rho - 1e-8
-        assert cert.power_estimate <= cert.row_sum_bound + 1e-6
+        assert rayleigh <= best + 1e-6
 
 
 class TestPowerEigenvalue:
     def test_identity_one_step(self):
-        cert = M.power_eigenvalue(np.eye(3))
-        assert cert.power_estimate == pytest.approx(1.0)
-        assert cert.converged
+        _, rayleigh, _, converged = M._iterate(from_dense(np.eye(3)))
+        assert rayleigh == pytest.approx(1.0)
+        assert converged
 
     def test_dense_fixture(self):
-        cert = M.power_eigenvalue([[2.0, 1.0], [1.0, 2.0]])
-        assert cert.power_estimate == pytest.approx(3.0, abs=1e-10)
+        _, rayleigh, _, _ = M._iterate(from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        assert rayleigh == pytest.approx(3.0, abs=1e-10)
 
     def test_matches_dense_eigensolver(self):
         sys = DigitSystem.excluding(10, {7})
-        m = M.build_matrix(sys, 2)
-        cert = M.power_eigenvalue(m)
-        rho = max(abs(np.linalg.eigvals(dense_from(m))))
+        cert = M.certify_base(sys, 2)
+        assert cert.ell == 2
+        rho = max(abs(np.linalg.eigvals(dense_from(M.build_matrix(sys, 2)))))
         assert cert.power_estimate == pytest.approx(rho, abs=1e-8)
         assert cert.power_estimate <= cert.row_sum_bound
         assert cert.row_sum_bound >= rho - 1e-10
@@ -172,6 +182,15 @@ class TestCertify:
     def test_general_set_above_cap_raises(self):
         with pytest.raises(CapExceeded):
             M.certify_base(DigitSystem.of(10**5, (0, 1, 2)), 1)
+
+    # sigma = 1 returns the best of ell = 1, 2; sigma = 235/154 certifies at ell = 1
+    @pytest.mark.parametrize("sigma, ell", [(1.0, 2), (235 / 154, 1)])
+    def test_certificate_reads_iterate(self, sigma, ell):
+        sys = DigitSystem.excluding(10, {7})
+        js = M.certify_base(sys, 2, sigma=sigma).to_json()
+        bound, rayleigh, iterations, converged = M._iterate(M.build_matrix(sys, ell, sigma))
+        assert (js["ell"], js["sigma"], js["iterations"], js["rowSumBound"]) == (ell, sigma, iterations, bound)
+        assert (js["powerEstimate"], js["converged"]) == (rayleigh, converged)
 
     def test_certificate_json_shape(self):
         cert = M.certify_base(DigitSystem.excluding(10, {7}), 1)
