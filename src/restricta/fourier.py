@@ -26,6 +26,7 @@ MEAN_CAP = 10**8
 MOMENT_CAP = 10**7
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
+REFINED_WORK_CAP = 2 * 10**8  # ceil(q/2)^2 * grid subcell steps at most in refined_digit_sum
 FAREY_SUBCELLS = 512  # subcells per window in farey_max_sum
 _CHUNK = 1 << 17
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
@@ -361,11 +362,16 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
 
     For every missing digit b, sums over t the certified supremum of
     F_D over [t/q, (t+1)/q) (see ``_refined_cell_sups``); digit q-1-b
-    takes the sum of b.  Reports the worst b.
+    takes the sum of b.  Reports the worst b.  Refused (CapExceeded)
+    before any array is built when q*grid is above SUBCELL_CAP (memory)
+    or the ceil(q/2)^2*grid subcell steps above REFINED_WORK_CAP (time).
     """
     if q < 3:
         raise UsageError("need q >= 3")
     _check_grid(q, grid)
+    steps = ((q + 1) // 2) ** 2 * grid  # ceil(q/2) digits, each over ceil(q/2) cells of grid subcells
+    if steps > REFINED_WORK_CAP:
+        raise CapExceeded(f"ceil(q/2)^2 * grid = {steps} subcell steps above cap {REFINED_WORK_CAP}")
     per_digit = [0.0] * q
     for b, cells in _refined_cell_sups(q, grid):
         per_digit[b] = per_digit[q - 1 - b] = float(np.sum(cells)) + SLACK * q

@@ -6,10 +6,12 @@ wheel pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
 (period 3*5*7*11*13 = 15015 odd slots), so only the base primes >= 17 are
 crossed off.  ``PrimeTable.segments`` decodes one segment's primes at a
 time, and the consumers fold over it, holding one segment of primes at
-most: exact counts in arithmetic progressions, the digit census (two block
-lookup tables of size q^k <= 2^16, a few lookups per prime), and
-S_P(theta) = sum_{p<=N} e(p*theta) with exact phase reduction (a
-compensated sum per segment, fsum across).  Also: Ramanujan sums,
+most: exact counts in arithmetic progressions and S_P(theta) =
+sum_{p<=N} e(p*theta) with exact phase reduction (a compensated sum per
+segment, fsum across).  The digit census keeps no table of the range: it
+sieves only the blocks of q^j integers whose leading digits are allowed,
+with the same segment kernel, and counts each piece through one digit
+pattern.  Also: Ramanujan sums,
 deterministic Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
 factorization, which Mobius reads: trial division by the primes of one
@@ -122,28 +124,48 @@ def _simple_sieve(n: int) -> np.ndarray:
 def _wheel_pattern() -> np.ndarray:
     """True at odd slot i when 2i+1 is prime to 3, 5, 7, 11 and 13, for at
     least SEGMENT + WHEEL slots; the pattern repeats every WHEEL slots, so
-    every segment is a slice of it."""
+    every run of at most SEGMENT slots is a slice of it."""
     n = 2 * np.arange(WHEEL, dtype=np.int64) + 1
     one = (n % 3 != 0) & (n % 5 != 0) & (n % 7 != 0) & (n % 11 != 0) & (n % 13 != 0)
     return np.tile(one, SEGMENT // WHEEL + 2)
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented odd-only sieve of Eratosthenes up to limit (inclusive).
+_FIRST_SLOTS = np.array([False, True, True, True, False, True, True])  # 1, 3, 5, ..., 13
 
-    Every segment is copied from the wheel pattern, which has struck out
-    3, 5, 7, 11 and 13; the base primes from 17 to sqrt(limit) are then
-    crossed off from p*p on, the odd multiples p*(2k+1) sitting p slots
-    apart.
+
+def _sieve_slots(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray) -> np.ndarray:
+    """Primality flags of the odd slots [lo, hi), hi - lo <= SEGMENT, given
+    base, the primes from 17 up to the square root of the largest integer
+    the caller reads (flags above that may be wrong).
+
+    The flags start as a copy of the wheel pattern, which has struck out 3,
+    5, 7, 11 and 13; each base prime p with p*p in range is then crossed
+    off from max(p*p, its first odd multiple >= 2*lo + 1) on, the odd
+    multiples p*(2k+1) sitting p slots apart.
     """
+    phase = lo % WHEEL
+    flags = wheel[phase : phase + hi - lo].copy()
+    if lo < len(_FIRST_SLOTS):
+        head = _FIRST_SLOTS[lo:hi]
+        flags[: len(head)] = head
+    live = base[: int(np.searchsorted(base, math.isqrt(2 * hi - 1), side="right"))]
+    home = (live - 1) // 2  # slot of p: its odd multiples are the slots home + k*p
+    first = (live * live - 1) // 2  # slot of p*p
+    starts = np.maximum(first, lo + (home - lo) % live) - lo
+    for s, p in zip(starts.tolist(), live.tolist()):
+        flags[s::p] = False
+    return flags
+
+
+def sieve_primes(limit: int) -> PrimeTable:
+    """Segmented odd-only sieve of Eratosthenes up to limit (inclusive),
+    one ``_sieve_slots`` call per segment."""
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
     if limit > SIEVE_LIMIT:
         raise LimitExceeded(f"sieve limit {limit} above 2^40")
     base = _simple_sieve(math.isqrt(limit))
     base = base[base >= 17]
-    home = (base - 1) // 2  # slot of p: its odd multiples are the slots home + k*p
-    first = (base * base - 1) // 2  # slot of p*p
     wheel = _wheel_pattern()
     nslots = (limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
     nseg = -(-nslots // SEGMENT)
@@ -151,15 +173,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     seg_counts = np.empty(nseg, dtype=np.int64)
     for seg in range(nseg):
         lo = seg * SEGMENT
-        phase = lo % WHEEL
-        flags = wheel[phase : phase + SEGMENT].copy()
-        if seg == 0:
-            flags[0] = False  # 1
-            flags[[1, 2, 3, 5, 6]] = True  # 3, 5, 7, 11, 13
-        live = int(np.searchsorted(first, lo + SEGMENT))
-        starts = np.maximum(first[:live], lo + (home[:live] - lo) % base[:live]) - lo
-        for s, p in zip(starts.tolist(), base[:live].tolist()):
-            flags[s::p] = False
+        flags = _sieve_slots(lo, lo + SEGMENT, base, wheel)
         flags[nslots - lo :] = False
         seg_counts[seg] = np.count_nonzero(flags) + (1 if seg == 0 else 0)  # and 2
         packed[seg * (SEGMENT // 8) : (seg + 1) * (SEGMENT // 8)] = np.packbits(flags)
@@ -173,51 +187,97 @@ def count_primes_ap(table: PrimeTable, x: int, q: int, a: int) -> int:
     return sum(int(np.count_nonzero(ps % q == a)) for ps in table.segments(x))
 
 
-def _block_tables(sys) -> tuple[np.ndarray, np.ndarray]:
-    """Digit tables for blocks of k base-q digits, Q = q^k <= 2^16 (k >= 1).
+def _digit_patterns(sys) -> tuple[int, np.ndarray, np.ndarray]:
+    """(Q, full, lead) for Q = q^j, the largest power of q with at most
+    2*SEGMENT integers (j = 0, Q = 1 when q itself is larger).
 
-    full[r]: every digit of r written with exactly k digits (zero-padded)
-    is allowed; lead[r]: every digit of the plain expansion of r is allowed.
+    full[r]: every digit of r written with exactly j digits (zero-padded)
+    is allowed; lead[r]: every digit of the plain expansion of r is.  Both
+    grow one digit at a time as outer products r = r' * q + d, so no
+    integer array is built.
     """
     q = sys.q
-    k = 1
-    while q ** (k + 1) <= 1 << 16:
-        k += 1
-    allowed = np.zeros(q, dtype=bool)
-    allowed[list(sys.digits)] = True
-    t = np.arange(q**k, dtype=np.int64)
-    full = np.ones(q**k, dtype=bool)
-    lead = np.ones(q**k, dtype=bool)
-    for _ in range(k):
-        ok = allowed[t % q]
-        full &= ok
-        lead &= ok | (t == 0)
-        t //= q
-    return full, lead
+    full = lead = np.ones(1, dtype=bool)
+    if q <= 2 * SEGMENT:
+        allowed = np.zeros(q, dtype=bool)
+        allowed[list(sys.digits)] = True
+        while len(full) * q <= 2 * SEGMENT:
+            full = np.logical_and.outer(full, allowed).ravel()
+            lead = np.logical_and.outer(lead, allowed).ravel()
+            lead[0] = True  # the expansion of 0 is empty
+    return len(full), full, lead
+
+
+def _block_runs(sys, m: int) -> list[list[int]]:
+    """The half-open runs [lo, hi) of consecutive integers in {0} and the
+    members of A in [1, m], increasing and merged.
+
+    A member t*q + d >= q has a member prefix t and an allowed last digit
+    d, so the runs come from those of the prefixes in [0, m // q] (0 as
+    the empty prefix) and the runs of consecutive allowed digits.
+    """
+    q = sys.q
+    if m < 1:
+        return [[0, 1]]
+    spans = []  # runs of consecutive allowed digits, half-open
+    for d in sys.digits:
+        if spans and spans[-1][1] == d:
+            spans[-1][1] = d + 1
+        else:
+            spans.append([d, d + 1])
+    runs = [[0, 1]]
+    for t0, t1 in _block_runs(sys, m // q):
+        for t in range(t0, t1):
+            for a, b in spans:
+                lo, hi = t * q + a, min(t * q + b, m + 1)
+                if lo >= hi:
+                    break
+                if runs[-1][1] >= lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+    return runs
 
 
 def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
-    """#{p <= x prime with all base-q digits allowed}, one segment at a time.
+    """#{p <= x prime with all base-q digits allowed}, sieving only the
+    blocks of integers that can hold such a prime.
 
-    Each segment's primes are cut into blocks of k base-q digits, Q = q^k
-    <= 2^16, from the low end, with two lookup tables built per call: a
-    block with a nonzero rest above it must be in ``full`` (zero-padded),
-    the top block in ``lead`` (no padding).  A prime failing a block is
-    dropped at once.  The primes are increasing, so those that reach their
-    top block at a level are a prefix; at 3*10^8 in base 10 (Q = 10^4) that
-    is 3 lookups per prime.
+    With Q = q^j from ``_digit_patterns``, n = i*Q + r (0 <= r < Q) is a
+    member of A exactly when i = 0 and the plain expansion of r is allowed,
+    or i >= 1 is a member and the j digits of r, zero-padded, are allowed.
+    So only the blocks [i*Q, (i+1)*Q) with i = 0 or i in A are sieved,
+    merged into runs, and each run SEGMENT odd slots at a time with the
+    base primes of ``table`` (which must reach sqrt(x)); the block holding
+    x is cut at x.  Each piece's flags are ANDed with the pattern ``full``
+    (``lead`` in block 0) at the odd integers and counted; no prime is
+    decoded.  The pattern at odd slot s is full[(2s+1) % Q], which repeats
+    every Q/2 slots for even Q and every Q slots for odd Q.
     """
-    full, lead = _block_tables(sys)
-    Q = len(full)
-    count = 0
-    for ps in table.segments(x):
-        rem = ps
-        while rem.size:
-            top = int(np.searchsorted(rem, Q))
-            count += int(np.count_nonzero(lead[rem[:top]]))
-            rem = rem[top:]
-            rest = rem // Q
-            rem = rest[full[rem - rest * Q]]
+    if x > SIEVE_LIMIT:
+        raise LimitExceeded(f"sieve limit {x} above 2^40")
+    base = table.primes(math.isqrt(max(x, 0)))
+    base = base[base >= 17]
+    if x < 2:
+        return 0
+    Q, full, lead = _digit_patterns(sys)
+    odd = full[1::2] if Q % 2 == 0 else np.concatenate((full[1::2], full[0::2]))  # full[(2s+1) % Q]
+    period = len(odd)
+    tiled = np.tile(odd, -(-SEGMENT // period) + 1)
+    lead_odd = lead[1::2].copy()  # block 0: the odd r < Q are the slots [0, Q // 2)
+    del full, lead, odd
+    wheel = _wheel_pattern()
+    count = 1 if sys.contains(2) else 0  # the one even prime
+    for i0, i1 in _block_runs(sys, x // Q):
+        stop = min(i1 * Q, x + 1) // 2  # slots of the odd integers below min(i1*Q, x + 1)
+        for lo in range(i0 * Q // 2, stop, SEGMENT):
+            hi = min(lo + SEGMENT, stop)
+            flags = _sieve_slots(lo, hi, base, wheel)
+            split = min(max(Q // 2 - lo, 0), hi - lo)
+            flags[:split] &= lead_odd[lo : lo + split]
+            phase = (lo + split) % period
+            flags[split:] &= tiled[phase : phase + hi - lo - split]
+            count += int(np.count_nonzero(flags))
     return count
 
 

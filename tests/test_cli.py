@@ -167,6 +167,22 @@ class TestJsonOutputs:
         assert code == 1
         assert json.loads(out)["error"] == "cap-exceeded"
 
+    def test_refined_work_refused_before_any_array(self, capsys):
+        # q * grid = 4*10^6 is inside the memory cap, but ceil(q/2)^2 * grid
+        # = 3.1*10^10 subcell steps would run for about 20 minutes
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "fourier", "--check", "refined", "--q", "31250", "--grid", "128")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert json.loads(out)["error"] == "cap-exceeded"
+
+    @pytest.mark.parametrize("q,grid", [(101, 128), (501, 128), (1001, 128), (1001, 256), (101, 39603)])
+    def test_refined_work_cap_admits_documented_sizes(self, monkeypatch, q, grid):
+        # the README's sizes, up to the at-cap example, pass both caps; the
+        # cells are stubbed out so that only the checks run
+        monkeypatch.setattr(F, "_refined_cell_sups", lambda q, grid: iter(()))
+        assert F.refined_digit_sum(q, grid).details["grid"] == grid
+
     @pytest.mark.parametrize("extra", [(), ("--full-scan", "--A", "1.5")])
     def test_arcs_refuses_above_scan_cap_before_sieving(self, capsys, monkeypatch, extra):
         def refuse(limit):

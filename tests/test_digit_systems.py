@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restricta import digit_systems
+from restricta import primes as _primes
 from restricta.digit_systems import (
     CensusReport,
     DigitSystem,
@@ -13,7 +15,7 @@ from restricta.digit_systems import (
     enumerate_restricted,
     prediction_constant,
 )
-from restricta.errors import CapExceeded, UsageError
+from restricta.errors import CapExceeded, LimitExceeded, UsageError
 
 
 def brute_member(n: int, q: int, digits: set[int]) -> bool:
@@ -152,7 +154,8 @@ class TestCensus:
         assert isinstance(rep, CensusReport)
         assert rep.ratio == pytest.approx(rep.prime_count / rep.predicted)
 
-    @pytest.mark.parametrize("x,count,primes", [(10**7, 4782970, 266823), (10**8, 43046722, 2079512)])
+    @pytest.mark.parametrize("x,count,primes", [(10**7, 4782970, 266823), (10**8, 43046722, 2079512),
+                                                (10**9, 387420490, 16503238)])
     def test_missing_seven_pinned(self, x, count, primes):
         rep = census(DigitSystem.excluding(10, {7}), x)
         assert (rep.count, rep.prime_count) == (count, primes)

@@ -157,6 +157,116 @@ class TestStreamedLayer:
             assert abs(P.prime_exp_sum(t, N, theta) - direct) < 1e-9
 
 
+# Even blocks q^j (q = 2, 10, 16) and odd ones (q = 3, 7), with one and two
+# digits missing and with 0 missing.
+BLOCK_SYSTEMS = (
+    DigitSystem.excluding(2, {1}),
+    DigitSystem.excluding(2, {0}),
+    DigitSystem.excluding(3, {2}),
+    DigitSystem.excluding(3, {0}),
+    DigitSystem.excluding(3, {0, 2}),
+    DigitSystem.excluding(7, {1}),
+    DigitSystem.excluding(7, {0}),
+    DigitSystem.excluding(7, {1, 5}),
+    DigitSystem.excluding(10, {7}),
+    DigitSystem.excluding(10, {0}),
+    DigitSystem.excluding(10, {3, 8}),
+    DigitSystem.excluding(16, {15}),
+    DigitSystem.excluding(16, {0}),
+    DigitSystem.excluding(16, {0, 9}),
+)
+
+
+def _block(q: int) -> int:
+    """The largest power of q with at most 2*SEGMENT integers."""
+    Q = 1
+    while Q * q <= 2 * P.SEGMENT:
+        Q *= q
+    return Q
+
+
+def _digit_members(ps: np.ndarray, q: int, digits) -> np.ndarray:
+    """Brute force: every base-q digit of each element is allowed."""
+    allowed = np.zeros(q, dtype=bool)
+    allowed[list(digits)] = True
+    ok = np.ones(ps.size, dtype=bool)
+    t = ps.copy()
+    while t.any():
+        ok &= allowed[t % q] | (t == 0)
+        t //= q
+    return ok
+
+
+@pytest.fixture(scope="module")
+def block_oracle():
+    """Plain-sieve primes past three blocks of the largest Q, and a table of
+    the base primes up to the square root of that."""
+    top = 3 * max(_block(q) for q in (2, 3, 7, 10, 16)) + 1
+    return P._simple_sieve(top), P.sieve_primes(math.isqrt(top))
+
+
+class TestAdmissibleBlocks:
+    @pytest.mark.parametrize("sys", BLOCK_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
+    def test_counts_at_block_edges(self, sys, block_oracle):
+        ref, base = block_oracle
+        Q = _block(sys.q)
+        assert P._digit_patterns(sys)[0] == Q
+        below = np.cumsum(_digit_members(ref, sys.q, sys.digits))
+        for x in (2, 3, Q - 1, Q, Q + 1, 2 * Q - 1, 2 * Q + 1, 3 * Q - 1, 3 * Q, 3 * Q + 1):
+            expected = int(below[np.searchsorted(ref, x, side="right") - 1])
+            assert P.count_primes_digit_filtered(base, x, sys) == expected, x
+
+    @pytest.mark.parametrize("sys,x", [
+        (DigitSystem.excluding(3, {1}), 200_003),
+        (DigitSystem.of(7, (1, 2, 4)), 7**7 + 5),
+        # Q = q: q^2 is above 2*SEGMENT; x below q holds block 0 only
+        (DigitSystem.of(1_000_003, range(1, 700_000, 97)), 600_001),
+        (DigitSystem.excluding(1500, {0, 7, 1499}), 3_000_000),
+    ], ids=("q=3", "q=7", "q>x", "q=1500"))
+    def test_counts_match_contains(self, sys, x):
+        ref = P._simple_sieve(x).tolist()
+        expected = sum(1 for p in ref if sys.contains(p))
+        assert P.count_primes_digit_filtered(P.sieve_primes(math.isqrt(x)), x, sys) == expected
+
+    @pytest.mark.parametrize("digits,x", [
+        # the runs merge across prefixes, where both 0 and q - 1 are allowed
+        ((*range(1000), *range(2**21 - 999, 2**21 + 1)), 5_000_000),
+        (range(1, 30_000, 7), 2_000_000),
+    ], ids=("x>q", "x<q"))
+    def test_single_integer_blocks(self, digits, x):
+        # q above 2*SEGMENT: Q = 1, and the blocks are the members themselves
+        sys = DigitSystem.of(2**21 + 1, digits)
+        assert P._digit_patterns(sys)[0] == 1
+        ref = P._simple_sieve(x)
+        expected = int(np.count_nonzero(_digit_members(ref, sys.q, sys.digits)))
+        assert P.count_primes_digit_filtered(P.sieve_primes(math.isqrt(x)), x, sys) == expected
+
+    @pytest.mark.parametrize("sys", BLOCK_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
+    def test_block_runs_are_maximal(self, sys):
+        for m in (0, 1, sys.q - 1, sys.q, sys.q**2 + 3, 1000):
+            runs = []
+            for n in [0, *(n for n in range(1, m + 1) if sys.contains(n))]:
+                if runs and runs[-1][1] == n:
+                    runs[-1][1] = n + 1
+                else:
+                    runs.append([n, n + 1])
+            assert P._block_runs(sys, m) == runs, m
+
+    def test_refuses_a_table_below_sqrt_x(self):
+        with pytest.raises(OutOfRange):
+            P.count_primes_digit_filtered(P.sieve_primes(100), 10**5, DigitSystem.excluding(10, {7}))
+
+    def test_refuses_x_above_sieve_limit(self, table_1e4):
+        with pytest.raises(LimitExceeded):
+            P.count_primes_digit_filtered(table_1e4, 2**40 + 1, DigitSystem.excluding(10, {7}))
+
+    def test_small_x(self, table_1e4):
+        for x in (0, 1, 2, 3, 4, 5, 11, 12, 13, 22, 23, 29, 31):
+            for sys in (DigitSystem.excluding(10, {2}), DigitSystem.excluding(2, {0})):
+                expected = sum(1 for p in range(2, x + 1) if trial_division_is_prime(p) and sys.contains(p))
+                assert P.count_primes_digit_filtered(table_1e4, x, sys) == expected
+
+
 class TestCountAp:
     def test_examples(self, table_1e4):
         assert P.count_primes_ap(table_1e4, 100, 4, 1) == 11
