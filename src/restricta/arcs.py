@@ -45,9 +45,7 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     (same qualifying comparison)."""
     if math.isnan(A):
         raise UsageError("need a number A, got nan")
-    N = sys.q**k
-    if N > SCAN_CAP:
-        raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
+    N = _scan_points(sys, k)
     C = math.log(N) ** A
     if C >= N / 2:  # the s = 1 windows already blanket the whole circle
         return np.zeros(N, dtype=np.int8)
@@ -76,15 +74,23 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
 CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)  # by class index
 
 
-def _primes_and_spectrum(sys: DigitSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes up to N = q^k and S_P(j/N) for every j in [0, N).  k is
-    checked before N is formed, and N against SCAN_CAP before anything is
-    sieved."""
+def _scan_points(sys: DigitSystem, k: int) -> int:
+    """N = q^k, refused above SCAN_CAP before it is formed: q >= 2, so a k
+    above the cap's bit length, or a q above the cap, puts q^k past it."""
     if k < 1:
         raise UsageError("need k >= 1")
+    if k > SCAN_CAP.bit_length() or sys.q > SCAN_CAP:
+        raise CapExceeded(f"q^k above scan cap {SCAN_CAP}")
     N = sys.q**k
     if N > SCAN_CAP:
         raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
+    return N
+
+
+def _primes_and_spectrum(sys: DigitSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to N = q^k and S_P(j/N) for every j in [0, N), refused
+    by ``_scan_points`` before anything is sieved."""
+    N = _scan_points(sys, k)
     table = sieve_primes(N)
     return table.primes(N), prime_spectrum(table, N)
 
@@ -116,7 +122,7 @@ def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
     0 is an allowed digit and N is composite.
     """
     ps, spectrum = _primes_and_spectrum(sys, k)
-    N = sys.q**k
+    N = len(spectrum)
     counted = census(sys, N)
     # primary piece: q^{-k} sum_l S_P(l/q) S_A(-l/q)
     prof = FourierProfile(sys, k)
@@ -137,8 +143,8 @@ def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
 
 def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
     """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
-    N = sys.q**k
     spectrum_abs = np.abs(_primes_and_spectrum(sys, k)[1])
+    N = len(spectrum_abs)
     classes = classify_all(sys, k, A)
     prof = FourierProfile(sys, k)
     masses = np.zeros(4)

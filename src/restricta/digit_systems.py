@@ -28,7 +28,7 @@ class DigitSystem:
 
     q: int
     digits: tuple[int, ...]
-    _mask: int = field(init=False, repr=False, compare=False, default=0)
+    _allowed: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         if self.q < 2:
@@ -39,10 +39,7 @@ class DigitSystem:
         if ds[0] < 0 or ds[-1] >= self.q:
             raise UsageError(f"digits must lie in [0, {self.q})")
         object.__setattr__(self, "digits", ds)
-        mask = 0
-        for d in ds:
-            mask |= 1 << d
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_allowed", frozenset(ds))
 
     @classmethod
     def of(cls, q: int, digits) -> "DigitSystem":
@@ -107,17 +104,17 @@ class DigitSystem:
 
     def missing(self) -> tuple[int, ...]:
         """Digits of [0,q) not in D."""
-        return tuple(d for d in range(self.q) if not (self._mask >> d) & 1)
+        return tuple(d for d in range(self.q) if d not in self._allowed)
 
     def contains(self, n: int) -> bool:
         """Digit predicate on the standard base-q expansion of n >= 0."""
         if n < 0:
             return False
         if n == 0:
-            return bool(self._mask & 1)
-        q, mask = self.q, self._mask
+            return 0 in self._allowed
+        q, allowed = self.q, self._allowed
         while n:
-            if not (mask >> (n % q)) & 1:
+            if n % q not in allowed:
                 return False
             n //= q
         return True
@@ -148,7 +145,7 @@ def count_restricted(sys: DigitSystem, x: int) -> int:
     nd = len(sys.digits)
     lead = [d for d in sys.digits if d > 0]
     count = 1 if x >= 1 and sys.contains(x) else 0
-    count += 1 if (sys._mask & 1) else 0  # n = 0
+    count += 1 if 0 in sys._allowed else 0  # n = 0
     # members with fewer digits than x (no leading zero)
     for j in range(1, len(xd)):
         count += len(lead) * nd ** (j - 1)
@@ -175,7 +172,7 @@ def enumerate_restricted(sys: DigitSystem, x: int) -> list[int]:
     if total > ENUM_CAP:
         raise CapExceeded(f"|A(x)| = {total} exceeds cap {ENUM_CAP}")
     out = []
-    if x >= 0 and (sys._mask & 1):
+    if x >= 0 and 0 in sys._allowed:
         out.append(0)
     level = [d for d in sys.digits if 0 < d <= x]
     while level:

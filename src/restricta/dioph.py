@@ -259,24 +259,15 @@ class IntervalUnion:
     """Finite disjoint union of closed subintervals of [0,1] with exact
     rational endpoints; touching intervals merge on normalisation.
 
-    The intervals are held as sorted, merged pairs ``ends`` of integer
-    numerators over one denominator ``den``, so no gcd is taken inside a
-    merge; ``intervals`` gives them back as Fraction pairs.
+    ``IntervalUnion(den, pairs)`` reads each integer pair (lo, hi) as
+    [lo/den, hi/den] and holds the sorted, merged pairs as ``ends`` over the
+    one denominator ``den``, so no gcd is taken inside a merge.
     """
 
     __slots__ = ("den", "ends")
 
-    def __init__(self, intervals=()):
-        pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
-        self.den = math.lcm(*(x.denominator for pair in pairs for x in pair))
-        self.ends = self._normalize([(int(lo * self.den), int(hi * self.den)) for lo, hi in pairs])
-
-    @classmethod
-    def _over(cls, den: int, pairs) -> "IntervalUnion":
-        """The union of integer pairs (lo, hi) read as [lo/den, hi/den]."""
-        u = cls.__new__(cls)
-        u.den, u.ends = den, cls._normalize(pairs)
-        return u
+    def __init__(self, den: int, pairs=()):
+        self.den, self.ends = den, IntervalUnion._normalize(pairs)
 
     @staticmethod
     def _normalize(pairs) -> tuple:
@@ -294,41 +285,11 @@ class IntervalUnion:
         return ((lo * k, hi * k) for lo, hi in self.ends)
 
     @property
-    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in self.ends)
-
-    @property
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self.ends), self.den)
 
     def __len__(self) -> int:
         return len(self.ends)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalUnion) and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
-
-    def __repr__(self):
-        return f"IntervalUnion({list(self.intervals)!r})"
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        num, den = x.numerator * self.den, x.denominator  # x = num / (den * self.den)
-        for lo, hi in self.ends:
-            if lo * den <= num <= hi * den:
-                return True
-            if lo * den > num:
-                break
-        return False
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        den = math.lcm(self.den, other.den)
-        return IntervalUnion._over(den, [*self._scaled(den), *other._scaled(den)])
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         den = math.lcm(self.den, other.den)
@@ -344,7 +305,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion._over(den, out)
+        return IntervalUnion(den, out)
 
     def endpoints_float(self) -> np.ndarray:
         """Flat endpoint array for fast membership sweeps (int / int is
@@ -364,12 +325,14 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     """
     if q < 1:
         raise UsageError("need q >= 1")
+    if q >= INTERVAL_CAP:
+        raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
     delta = psi.exact(q) / (q * q)
     if delta <= 0:
-        return IntervalUnion()
+        return IntervalUnion(1)
     den = math.lcm(q, delta.denominator)
     step, half = den // q, delta.numerator * (den // delta.denominator)
-    return IntervalUnion._over(den, [
+    return IntervalUnion(den, [
         (max(0, a * step - half), min(den, a * step + half))
         for a in range(q + 1)
         if not reduced or math.gcd(a, q) == 1
@@ -526,6 +489,8 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
     """
     if ell_max < 3:
         raise UsageError("need ell_max >= 3")
+    if ell_max > THETA_SIEVE_CAP:
+        raise CapExceeded(f"ell_max above sieve cap {THETA_SIEVE_CAP}")
     primes = _simple_sieve(ell_max).tolist()
     base_terms = [1.0 / (p * math.log(p)) for p in primes]
     mertens = []

@@ -18,16 +18,15 @@ import numpy as np
 
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
-from .numutil import catalan_constant, e1, frac_exact, frac_mul, fsum_chunks, unit
+from .numutil import catalan_constant, e1, frac_exact, fsum_chunks, unit
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
 MEAN_CAP = 10**8
-MOMENT_CAP = 10**7
+MOMENT_CAP = 10**7  # points in one array pass: a moment grid, or q in a sin-sum or pairwise closed form
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
 REFINED_WORK_CAP = 2 * 10**8  # ceil(q/2)^2 * grid subcell steps at most in refined_digit_sum
-FAREY_SUBCELLS = 512  # subcells per window in farey_max_sum
 _CHUNK = 1 << 17
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
 # switch to their limit value (the sliver affected is ~1e-10 wide, where
@@ -99,19 +98,21 @@ class _Window:
 
     # -- complex values ---------------------------------------------------
 
-    def _evaluate(self, phase, deriv: bool):
-        """W, or (W, W') when ``deriv``, where phase(n) = n*phi mod 1.
+    def _evaluate(self, m, N: int, deriv: bool):
+        """W, or (W, W') when ``deriv``, at the exact phases phi = m/N.
 
-        Each e(n*phi) is computed once and serves both W and W'; a hole at
-        1, r or a reuses the hull's exponential.  The hull ratio takes its
-        phi -> 0 limit where |e(phi) - 1| < _DEN_EPS.
+        Each e(n*phi) is taken at the correctly rounded (n*m mod N)/N, once,
+        and serves both W and W'; a hole at 1, r or a reuses the hull's
+        exponential.  The hull ratio takes its phi -> 0 limit where
+        |e(phi) - 1| < _DEN_EPS.
         """
+        m = np.asarray(m, dtype=np.int64)
         tp = 2j * math.pi
         z = {}  # the hull's e(n*phi) by n
         w = wp = 0.0
         if self.closed:
             a, r = self.start, self.length
-            z = {n: unit(phase(n)) for n in {1, r, a} - {0}}
+            z = {n: unit((n * m % N) / N) for n in {1, r, a} - {0}}
             z1, zr = z[1], z[r]
             den = z1 - 1.0
             small = np.abs(den) < _DEN_EPS
@@ -131,26 +132,19 @@ class _Window:
                 w = za * w
         terms, sign = (self.holes, -1.0) if self.closed else (self.sys.digits, 1.0)
         for d in terms:
-            zd = z[d] if d in z else unit(phase(d))
+            zd = z[d] if d in z else unit((d * m % N) / N)
             w = w + sign * zd
             if deriv:
                 wp = wp + sign * tp * d * zd
         return (w, wp) if deriv else w
 
-    def values_and_derivatives(self, phi: np.ndarray):
-        """(W, W') at float phases (already reduced mod 1 or not; e() is periodic)."""
-        phi = np.asarray(phi, dtype=np.float64)
-        return self._evaluate(lambda n: (n * phi) % 1.0, True)
-
     def values_at_fractions(self, m: np.ndarray, N: int) -> np.ndarray:
-        """Complex W at phi = m/N using exact integer phase reduction."""
-        m = np.asarray(m, dtype=np.int64)
-        return self._evaluate(lambda n: (n * m % N) / N, False)
+        """Complex W at phi = m/N."""
+        return self._evaluate(m, N, False)
 
     def values_and_derivatives_at_fractions(self, m: np.ndarray, N: int):
-        """(W, W') at phi = m/N, exact phases, from the same exponentials."""
-        m = np.asarray(m, dtype=np.int64)
-        return self._evaluate(lambda n: (n * m % N) / N, True)
+        """(W, W') at phi = m/N, from the same exponentials."""
+        return self._evaluate(m, N, True)
 
     # -- certified cell suprema -------------------------------------------
 
@@ -224,9 +218,9 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
     return res
 
 
-def _level_chunks(profile: FourierProfile, chunk: int, deriv: bool):
+def _level_chunks(profile: FourierProfile, chunk: int):
     """Yield (j0, j, factors) over the grid in chunks, where factors lazily
-    gives W(q^i j/N) for i = 0..k-1, or (W, W') when ``deriv``.
+    gives W(q^i j/N) for i = 0..k-1.
 
     W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a
     level with M <= chunk is tabulated once at m/M and gathered; the rest
@@ -237,15 +231,13 @@ def _level_chunks(profile: FourierProfile, chunk: int, deriv: bool):
     q, k = profile.sys.q, profile.k
     N = profile.n_points
     win = _Window(profile.sys)
-    evaluate = win.values_and_derivatives_at_fractions if deriv else win.values_at_fractions
     mods = [q ** (k - i) for i in range(k)]
-    tabs = [evaluate(np.arange(M), M) if M <= chunk else None for M in mods]
+    tabs = [win.values_at_fractions(np.arange(M), M) if M <= chunk else None for M in mods]
 
     def level(i, j):
         if tabs[i] is None:
-            return evaluate(j * pow(q, i, N) % N, N)
-        r, tab = j % mods[i], tabs[i]
-        return (tab[0][r], tab[1][r]) if deriv else tab[r]
+            return win.values_at_fractions(j * pow(q, i, N) % N, N)
+        return tabs[i][j % mods[i]]
 
     for j0 in range(0, N, chunk):
         j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
@@ -254,42 +246,27 @@ def _level_chunks(profile: FourierProfile, chunk: int, deriv: bool):
 
 def sa_chunks(profile: FourierProfile):
     """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid."""
-    for j0, j, factors in _level_chunks(profile, _CHUNK, False):
+    for j0, j, factors in _level_chunks(profile, _CHUNK):
         acc = np.ones(len(j), dtype=np.complex128)
         for w in factors:
             acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
 
 
-def _product_rule(q: int, W, Wd):
-    """(S, S') for S(theta) = prod_i W_i(q^i theta) from the factors W_i and
-    their derivatives Wd_i: S' = sum_i q^i Wd_i prod_{j != i} W_j, with
-    prefix/suffix partial products (exact derivative of the product form)."""
-    prefix = np.ones_like(W[0])
-    prefixes = []
-    for w in W:
-        prefixes.append(prefix)
-        prefix = prefix * w
-    suffix = np.ones_like(W[0])
-    deriv = np.zeros_like(W[0])
-    for i in range(len(W) - 1, -1, -1):
-        deriv += (q**i) * Wd[i] * prefixes[i] * suffix
-        suffix = suffix * W[i]
-    return prefix, deriv
-
-
-def sa_derivative_chunks(profile: FourierProfile):
-    """Yield (j0, S_A'(j/N)) by the product rule over the digit levels."""
-    for j0, _, factors in _level_chunks(profile, _CHUNK, True):
-        yield j0, _product_rule(profile.sys.q, *zip(*factors))[1]
-
-
 # --------------------------------------------------- certified bound sums
+
+
+def _check_closed_form(q: int) -> None:
+    """The closed forms hold a few floats per t < q/2 (0.23 s and 180 MB
+    at q = 10^7): refused above MOMENT_CAP, before any float is formed."""
+    if q > MOMENT_CAP:
+        raise CapExceeded(f"q above cap {MOMENT_CAP} for the closed-form sum")
 
 
 def sin_display_value(q: int) -> float:
     """The closed-form per-digit bound sum for one missing digit:
     3q-4 + 2*sum_{1<=t<(q-1)/2} 1/sin(pi t/q) + [q odd]/sin(pi(q-1)/2q)."""
+    _check_closed_form(q)
     t_hi = int(math.ceil((q - 1) / 2 - 1e-12))
     t = np.arange(1, t_hi, dtype=np.float64)
     val = 3.0 * q - 4.0 + 2.0 * float(np.sum(1.0 / np.sin(np.pi * t / q)))
@@ -389,6 +366,7 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
 def pairwise_display_value(q: int) -> float:
     """The closed-form two-digit bound sum:
     (3q-4)^2 + (2*sum 1/sin(pi t/q) + ...)(6q-8 + 2*sum sin(pi u/q) + ...)."""
+    _check_closed_form(q)
     t_hi = int(math.ceil((q - 1) / 2 - 1e-12))
     t = np.arange(1, t_hi, dtype=np.float64)
     f1 = 2.0 * float(np.sum(1.0 / np.sin(np.pi * t / q)))
@@ -463,14 +441,6 @@ def mean_l1(profile: FourierProfile) -> float:
     return math.fsum(parts)
 
 
-def mean_l1_derivative(profile: FourierProfile) -> float:
-    """(1/N) * sum_j |S_A'(j/N)|, the grid mean of the derivative."""
-    if profile.n_points > MEAN_CAP:
-        raise CapExceeded(f"N = {profile.n_points} above cap {MEAN_CAP}")
-    parts = [fsum_chunks(np.abs(vals)) for _, vals in sa_derivative_chunks(profile)]
-    return math.fsum(parts) / profile.n_points
-
-
 def power_sum(profile: FourierProfile, sigma: float) -> float:
     """sum_j |S_A(j/N)|^sigma over the full grid."""
     if profile.n_points > MOMENT_CAP:
@@ -496,51 +466,6 @@ def moment_tail(profile: FourierProfile, sigma: float, T: float) -> tuple[int, f
         msum_parts.append(fsum_chunks(mags**sigma))
     bound = (T / A) ** sigma * math.fsum(msum_parts)
     return count, bound
-
-
-def _member_spread(sys: DigitSystem, k: int, c0: int) -> tuple[int, int]:
-    """(c, sum_{n in A} (n - c)^2) over the k-digit padded set A, where
-    c = c0 (q^k - 1)/(q - 1): n - c = sum_i (d_i - c0) q^i over independent
-    digits, so the squares give |D|^(k-1) s2 q^(2i) and the cross terms
-    |D|^(k-2) s1^2 q^(i+j), s1 = sum_D (d - c0) and s2 = sum_D (d - c0)^2."""
-    q, nd = sys.q, sys.size
-    s1 = sum(d - c0 for d in sys.digits)
-    s2 = sum((d - c0) ** 2 for d in sys.digits)
-    p1 = (q**k - 1) // (q - 1)  # sum_i q^i
-    p2 = (q ** (2 * k) - 1) // (q * q - 1)  # sum_i q^(2i); p1^2 = p2 at k = 1
-    return c0 * p1, nd ** (k - 1) * s2 * p2 + s1 * s1 * nd ** max(k - 2, 0) * (p1 * p1 - p2)
-
-
-def farey_max_sum(profile: FourierProfile, S: int, xi: float) -> float:
-    """sum over reduced r/s, s <= S, of max_{|eta|<=1/(4S^2)} |S_A(r/s+xi+eta)|.
-
-    Each window is split into FAREY_SUBCELLS subcells bounded by
-    ``_taylor_sup`` at their midpoints, with S_A and S_A' from the product
-    rule.  G = e(-c*theta) S_A is recentred at c = c0 (q^k - 1)/(q - 1),
-    c0 the median digit, so |G''| <= M2 = (2*pi)^2 sum_{n in A} (n - c)^2.
-    Each window maximum is capped at |A|.
-    """
-    if S < 1:
-        raise UsageError("need S >= 1")
-    if S * S > profile.n_points:
-        raise CapExceeded("window scale 1/(4S^2) below grid resolution q^-k")
-    sys, k = profile.sys, profile.k
-    win = _Window(sys)
-    c, spread = _member_spread(sys, k, win.center)
-    m2 = (2.0 * math.pi) ** 2 * float(spread)
-    delta = 1.0 / (4.0 * S * S)
-    eta = delta * (np.arange(1, 2 * FAREY_SUBCELLS, 2) / FAREY_SUBCELLS - 1.0)
-    total = []
-    for s in range(1, S + 1):
-        for r in range(s):
-            if math.gcd(r, s) != 1:
-                continue
-            theta = eta + (r / s + xi)
-            levels = [win.values_and_derivatives(frac_mul(theta, float(sys.q**i))) for i in range(k)]
-            sa, sap = _product_rule(sys.q, *zip(*levels))
-            sup = float(np.max(_taylor_sup(sa, sap - 2j * math.pi * c * sa, delta / FAREY_SUBCELLS, m2)))
-            total.append(min(sup, float(profile.set_size)))
-    return math.fsum(total) + SLACK * len(total)
 
 
 # ------------------------------------------------------------- constants

@@ -18,11 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, UsageError
-from .primes import _simple_sieve, divisors, factorize, is_prime_int, primorial
+from .primes import _simple_sieve, divisors, factorize, primorial
 
 GRAPH_CAP = 10**4
 MODEL_CAP = 2000
 PAIR_BUDGET = 10**7
+CHOW_CAP = 1000  # largest y: the triple check over the 135 primes in (y, 2y] takes 1 s there
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,8 @@ def chow_counterexample(y: int) -> ChowReport:
     maximal multiplicity of a divisor >= B is exactly 2 (when |S| >= 2)."""
     if y < 4:
         raise UsageError("need y >= 4 (so that p*l*m > 4y^2 for the triple check)")
+    if y > CHOW_CAP:
+        raise CapExceeded(f"y above cap {CHOW_CAP}")
     Q = primorial(2 * y)
     band = [p for p in _simple_sieve(2 * y).tolist() if p > y]
     if not band:
@@ -227,15 +230,6 @@ def bipartite_from_set(S, B: int) -> BipartiteGcdGraph:
     return BipartiteGcdGraph(vals, vals, B, tuple(edges))
 
 
-@dataclass(frozen=True)
-class CompressionCandidate:
-    keep_v: bool  # True: restrict to p | v; False: restrict to p does not divide v
-    keep_w: bool
-    graph: BipartiteGcdGraph
-    measure: float
-    empty: bool
-
-
 _KEEPS = ((True, True), (True, False), (False, True), (False, False))  # TT, TF, FT, FF
 
 
@@ -263,26 +257,13 @@ def _restrict(g: BipartiteGcdGraph, p: int, keep_v: bool, keep_w: bool) -> Bipar
     )
 
 
-def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]:
-    """The four restrictions (p | v or not) x (p | w or not), in the order
-    TT, TF, FT, FF.  Their vertex sets tile V x W, so their edge sets
-    partition the original edges."""
-    if not is_prime_int(p):
-        raise UsageError(f"{p} is not prime")
-    out = []
-    for keep_v, keep_w in _KEEPS:
-        sub = _restrict(g, p, keep_v, keep_w)
-        out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
-    return out
-
-
 def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, bool, bool] | None:
     """(p, keep_v, keep_w) for the nonempty candidate of highest measure
     over the given primes, scored from counts without building it; None
     when every candidate is empty.
 
     Ties go to the first in increasing p, then in the order TT, TF, FT, FF
-    of ``compression_step``.  Vertex counts come from one divisibility mask
+    of ``_KEEPS``.  Vertex counts come from one divisibility mask
     per side, and the edge counts of all four candidates from one bincount
     of the quadrant codes 2*(p does not divide v) + (p does not divide w).
     """

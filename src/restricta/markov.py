@@ -185,6 +185,11 @@ def certify_base(
     if ell_max < 1:
         raise UsageError("need ell_max >= 1")
     _check_sigma(sigma)
+    matrix_free = sys.q**2 > ENTRY_CAP  # not even ell = 1 fits the cap
+    if matrix_free:
+        analytic = analytic_ell1_bound(sys, sigma)
+        if analytic is None:
+            raise CapExceeded(f"no ell within entry cap {ENTRY_CAP} (largest attempted 0)")
     thr = sys.q ** (1.0 / 5.0) if threshold is None else float(threshold)
 
     def certificate(ell, bound, estimate, iterations, converged):
@@ -199,22 +204,15 @@ def certify_base(
             sigma=float(sigma),
         )
 
+    if matrix_free:
+        return certificate(1, analytic * (1.0 + 1e-12), 0.0, 0, True)
     best: EigenCertificate | None = None
-    attempted = 0
     for ell in range(1, ell_max + 1):
         if sys.q ** (ell + 1) > ENTRY_CAP:
             break
-        attempted = ell
         cert = certificate(ell, *_iterate(build_matrix(sys, ell, sigma)))
         if cert.certified:
             return cert
         if best is None or cert.row_sum_bound < best.row_sum_bound:
             best = cert
-    if best is None:
-        analytic = analytic_ell1_bound(sys, sigma)
-        if analytic is None:
-            raise CapExceeded(
-                f"no ell within entry cap {ENTRY_CAP} (largest attempted {attempted})"
-            )
-        return certificate(1, analytic * (1.0 + 1e-12), 0.0, 0, True)
     return best

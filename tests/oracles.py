@@ -12,7 +12,10 @@ its oracle too:
 * ``prime_spectrum_direct`` sums e(p j/N) over the primes for every j,
   the spectrum that ``primes.prime_spectrum`` takes from one FFT;
 * ``sin_bound`` is the pointwise bound on F_D for one missing digit that
-  ``fourier._Window.capped_sups`` applies to each cell.
+  ``fourier._Window.capped_sups`` applies to each cell;
+* ``compression_step`` builds all four restrictions of a bipartite gcd
+  graph at one prime, of which ``gcdgraph.compress_greedy`` scores all
+  from counts and builds only the one it takes.
 
 Two oracles check a fold, not a kernel: ``cell_sup_unfolded`` and
 ``refined_cell_sups_unfolded`` evaluate every cell and every digit, where
@@ -35,7 +38,9 @@ from restricta.arcs import DEFAULT_A, MINOR, NONSMOOTH_MAJOR, PRIMARY_MAJOR, SMO
 from restricta.digit_systems import DigitSystem
 from restricta.errors import UsageError
 from restricta.fourier import _taylor_sup, _Window
+from restricta.gcdgraph import BipartiteGcdGraph
 from restricta.numutil import unit
+from restricta.primes import is_prime_int
 
 
 @dataclass(frozen=True)
@@ -188,4 +193,32 @@ def refined_cell_sups_unfolded(q: int, grid: int) -> list[np.ndarray]:
         sups = _taylor_sup(g - eb, gp - tp * c * g - tp * (b - c) * eb, 1.0 / N, win.m2)
         out.append(win.capped_sups(sups, t, q))
         eb = eb * z1
+    return out
+
+
+@dataclass(frozen=True)
+class CompressionCandidate:
+    keep_v: bool  # True: restrict to p | v; False: restrict to p does not divide v
+    keep_w: bool
+    graph: BipartiteGcdGraph
+    measure: float
+    empty: bool
+
+
+def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]:
+    """The four restrictions (p | v or not) x (p | w or not), in the order
+    TT, TF, FT, FF.  Their vertex sets tile V x W, so their edge sets
+    partition the original edges.  A side restricted to p | v tracks the
+    divisor a*p, or a when p already divides a."""
+    if not is_prime_int(p):
+        raise UsageError(f"{p} is not prime")
+    out = []
+    for keep_v, keep_w in ((True, True), (True, False), (False, True), (False, False)):
+        vs = [i for i, v in enumerate(g.V) if (v % p == 0) == keep_v]
+        ws = [j for j, w in enumerate(g.W) if (w % p == 0) == keep_w]
+        edges = tuple((vs.index(i), ws.index(j)) for i, j in g.edges if i in vs and j in ws)
+        a = g.a * p if keep_v and g.a % p else g.a
+        b = g.b * p if keep_w and g.b % p else g.b
+        sub = BipartiteGcdGraph(tuple(g.V[i] for i in vs), tuple(g.W[j] for j in ws), g.B, edges, a, b)
+        out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
     return out

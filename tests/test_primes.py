@@ -238,8 +238,11 @@ class TestAdmissibleBlocks:
         sys = DigitSystem.of(2**21 + 1, digits)
         assert P._digit_patterns(sys)[0] == 1
         ref = P._simple_sieve(x)
-        expected = int(np.count_nonzero(_digit_members(ref, sys.q, sys.digits)))
+        members = _digit_members(ref, sys.q, sys.digits)
+        expected = int(np.count_nonzero(members))
         assert P.count_primes_digit_filtered(P.sieve_primes(math.isqrt(x)), x, sys) == expected
+        # one set lookup per digit, so a q-bit base costs no more per prime
+        assert [sys.contains(p) for p in ref.tolist()] == members.tolist()
 
     @pytest.mark.parametrize("sys", BLOCK_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
     def test_block_runs_are_maximal(self, sys):
