@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .digit_systems import DigitSystem, census
 from .errors import CapExceeded, UsageError
-from .fourier import FourierProfile, restricted_exp_sum, sa_chunks
-from .numutil import fsum_chunks, unit
+from .fourier import FourierProfile, sa_chunks
+from .numutil import fsum_chunks
 from .primes import factorize, prime_spectrum, sieve_primes
 
 SCAN_CAP = 10**7
@@ -87,12 +86,11 @@ def _scan_points(sys: DigitSystem, k: int) -> int:
     return N
 
 
-def _primes_and_spectrum(sys: DigitSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes up to N = q^k and S_P(j/N) for every j in [0, N), refused
-    by ``_scan_points`` before anything is sieved."""
+def _spectrum(sys: DigitSystem, k: int) -> np.ndarray:
+    """S_P(j/N) for every j in [0, N), N = q^k, refused by ``_scan_points``
+    before anything is sieved."""
     N = _scan_points(sys, k)
-    table = sieve_primes(N)
-    return table.primes(N), prime_spectrum(table, N)
+    return prime_spectrum(sieve_primes(N), N)
 
 
 @dataclass(frozen=True)
@@ -115,35 +113,28 @@ class MainTermReport:
 
 def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
     """pi_A(q^k) exactly and its heuristic prediction (both from ``census``),
-    the primary-arc contribution, and the full discrete identity sum
-    (1/N) sum_j S_P S_A.
+    the full discrete identity sum (1/N) sum_j S_P(j/N) S_A(-j/N), and its
+    primary-arc part: the terms at j/N = l/q, the j divisible by q^(k-1).
 
     The identity sum reproduces pi_A(N) exactly (up to roundoff) whenever
     0 is an allowed digit and N is composite.
     """
-    ps, spectrum = _primes_and_spectrum(sys, k)
+    spectrum = _spectrum(sys, k)
     N = len(spectrum)
     counted = census(sys, N)
-    # primary piece: q^{-k} sum_l S_P(l/q) S_A(-l/q)
-    prof = FourierProfile(sys, k)
-    primary = 0.0
-    for ell in range(sys.q):
-        sp = complex(np.sum(unit(ps * ell % sys.q / sys.q)))
-        sa = restricted_exp_sum(prof, Fraction(-ell, sys.q))
-        primary += (sp * sa).real
-    primary /= N
-    # full identity sum over all j
-    ident_parts = []
-    for j0, sa_vals in sa_chunks(prof):
-        sp_vals = spectrum[j0 : j0 + len(sa_vals)]
-        ident_parts.append(complex(np.sum(sp_vals * np.conj(sa_vals))))
+    step = N // sys.q
+    ident_parts, primary_parts = [], []
+    for j0, sa_vals in sa_chunks(FourierProfile(sys, k)):
+        terms = spectrum[j0 : j0 + len(sa_vals)] * np.conj(sa_vals)  # S_A(-x) = conj S_A(x)
+        ident_parts.append(complex(np.sum(terms)))
+        primary_parts.append(math.fsum(terms.real[-j0 % step :: step]))
     ident = math.fsum(p.real for p in ident_parts) / N
-    return MainTermReport(counted.prime_count, primary, counted.predicted, ident)
+    return MainTermReport(counted.prime_count, math.fsum(primary_parts) / N, counted.predicted, ident)
 
 
 def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
     """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
-    spectrum_abs = np.abs(_primes_and_spectrum(sys, k)[1])
+    spectrum_abs = np.abs(_spectrum(sys, k))
     N = len(spectrum_abs)
     classes = classify_all(sys, k, A)
     prof = FourierProfile(sys, k)

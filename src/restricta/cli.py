@@ -108,7 +108,7 @@ def _only(args, route: str, *taken: str) -> None:
 def _cmd_fourier(args):
     if args.scan:
         lo, hi = _split(args.scan, "..", "--scan qmin..qmax")
-        if args.check not in ("sin-sum", "pairwise"):
+        if args.check not in _fourier.SCANS:
             raise UsageError("--scan supports sin-sum and pairwise")
         _only(args, "--scan")
         reports = _fourier.scan_bound(args.check, lo, hi)
@@ -121,19 +121,14 @@ def _cmd_fourier(args):
         if not args.sys:
             raise UsageError("--check margin needs --sys")
         return _fourier.generalized_margin(DigitSystem.parse(args.sys), **grid).to_json()
-    if args.check not in ("sin-sum", "refined", "pairwise"):
+    checks = {**_fourier.SCANS, "refined": lambda q: _fourier.refined_digit_sum(q, **grid)}
+    if args.check not in checks:
         raise UsageError(f"unknown check {args.check!r}")
     taken = ("q", "grid") if args.check == "refined" else ("q",)
     _only(args, f"--check {args.check}", *taken)
     if args.q is None:
         raise UsageError(f"--check {args.check} needs --q")
-    if args.check == "sin-sum":
-        rep = _fourier.sin_bound_sum(args.q)
-    elif args.check == "refined":
-        rep = _fourier.refined_digit_sum(args.q, **grid)
-    else:
-        rep = _fourier.pairwise_bound_sum(args.q)
-    return {**rep.to_json(), "q": args.q}
+    return {**checks[args.check](args.q).to_json(), "q": args.q}
 
 
 def _cmd_certify(args):

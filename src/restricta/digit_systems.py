@@ -20,6 +20,7 @@ from .errors import CapExceeded, LimitExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
+DIGIT_CAP = 10**7  # digits one system may build: the largest q a dense-digit route accepts
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class DigitSystem:
 
     @classmethod
     def excluding(cls, q: int, removed) -> "DigitSystem":
+        if q > DIGIT_CAP:  # refused before range(q) is walked
+            raise CapExceeded(f"base q above digit cap {DIGIT_CAP}")
         rem = set(removed)
         return cls(q, tuple(d for d in range(q) if d not in rem))
 
@@ -55,7 +58,9 @@ class DigitSystem:
         """Parse the CLI form "q=10,D=0-6.8-9" or "q=10,exclude=7".
 
         Digit ranges are dot-separated, each "a-b" inclusive or a single
-        digit.
+        digit.  Each range is checked before it is expanded: an allowed
+        range must lie in [0, q), an excluded one is clipped to it, and
+        more than DIGIT_CAP digits in all are refused.
         """
         q = None
         dspec = None
@@ -76,14 +81,23 @@ class DigitSystem:
                 raise UsageError(f"unknown digit-system key {key!r}")
         if q is None or dspec is None:
             raise UsageError(f"digit-system spec needs q= and D=/exclude=: {text!r}")
-        chosen = set()
+        spans = []
         for rng in dspec.split("."):
             rng = rng.strip()
             if "-" in rng:
-                lo, hi = (parsed(int, d, "digit range") for d in rng.split("-", 1))
-                chosen.update(range(lo, hi + 1))
+                spans.append(tuple(parsed(int, d, "digit range") for d in rng.split("-", 1)))
             else:
-                chosen.add(parsed(int, rng, "digit"))
+                spans.append((parsed(int, rng, "digit"),) * 2)
+        if q < 2:
+            raise UsageError(f"base must be >= 2, got {q}")
+        if mode == "exclude":  # a digit outside [0, q) excludes nothing
+            spans = [(max(lo, 0), min(hi, q - 1)) for lo, hi in spans]
+        spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+        if any(lo < 0 or hi >= q for lo, hi in spans):
+            raise UsageError(f"digits must lie in [0, {q})")
+        if sum(hi - lo + 1 for lo, hi in spans) > DIGIT_CAP:
+            raise CapExceeded(f"digit ranges above digit cap {DIGIT_CAP}")
+        chosen = {d for lo, hi in spans for d in range(lo, hi + 1)}
         if mode == "exclude":
             return cls.excluding(q, chosen)
         return cls.of(q, chosen)

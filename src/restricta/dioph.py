@@ -225,7 +225,8 @@ def _log_primorial_below(ell: int) -> float:
 
 def _ds_spread_values(upto: int) -> np.ndarray:
     """Vectorised ds_spread over 1..upto via greatest-prime-factor and
-    squarefree sieves; the q^2/primorial ratio is computed in logs."""
+    squarefree sieves; the q^2/primorial ratio is computed in logs, with
+    theta(ell) from ``_log_primorial`` as ``PsiFunction.exact`` takes it."""
     gpf = np.zeros(upto + 1, dtype=np.int64)
     sqfree = np.ones(upto + 1, dtype=bool)
     primes = _simple_sieve(upto) if upto >= 2 else np.empty(0, dtype=np.int64)
@@ -237,12 +238,12 @@ def _ds_spread_values(upto: int) -> np.ndarray:
     # theta(ell) above 2 log(upto) + 746 puts every log_val below -746,
     # where exp underflows to 0: such ell never reach the loop
     limit = 2.0 * math.log(max(upto, 1)) + 746.0
-    log_theta, acc = {}, 0.0
+    log_theta = {}
     for p in primes.tolist():
-        acc += math.log(p)
-        if acc > limit:
+        theta = _log_primorial(p)
+        if theta > limit:
             break
-        log_theta[p] = acc
+        log_theta[p] = theta
     out = np.zeros(upto)
     ok = sqfree & (gpf > 0) & (gpf <= max(log_theta, default=0))
     for m in (np.flatnonzero(ok[1:]) + 1).tolist():
@@ -339,18 +340,25 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     ])
 
 
+def _events(psi: PsiFunction, Q: int, R: int, reduced: bool):
+    """Yield event_union(q) for q in [Q, R), refused once the intervals
+    built so far pass INTERVAL_CAP."""
+    count = 0
+    for q in range(Q, R):
+        ev = event_union(q, psi, reduced)
+        count += len(ev)
+        if count > INTERVAL_CAP:
+            raise CapExceeded(f"interval count above {INTERVAL_CAP}")
+        yield ev
+
+
 def truncated_limsup_measure(
     psi: PsiFunction, Q: int, R: int, reduced: bool = True
 ) -> Fraction:
     """Exact measure of the union of events over q in [Q, R)."""
     if Q > R:
         raise UsageError("need Q <= R")
-    events, count = [], 0
-    for q in range(Q, R):
-        events.append(event_union(q, psi, reduced))
-        count += len(events[-1])
-        if count > INTERVAL_CAP:
-            raise CapExceeded(f"interval count above {INTERVAL_CAP}")
+    events = list(_events(psi, Q, R, reduced))
     den = math.lcm(*(ev.den for ev in events))
     total = run_lo = run_hi = 0
     for lo, hi in heapq.merge(*(ev._scaled(den) for ev in events)):  # each end is scaled only while in the merge
@@ -361,13 +369,14 @@ def truncated_limsup_measure(
 
 
 def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:
-    """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures)."""
+    """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures),
+    refused once the events' intervals pass INTERVAL_CAP."""
     total = Fraction(0)
-    for q in range(Q, cap + 1):
-        total += event_union(q, psi, reduced=True).measure
+    for q, ev in enumerate(_events(psi, Q, cap + 1, True), Q):
+        total += ev.measure
         if total >= 1:
             return q + 1
-    raise NotReached(cap)
+    raise NotReached(f"target not reached by cap {cap}")
 
 
 def pair_overlap(q: int, r: int, psi: PsiFunction) -> tuple[Fraction, float]:
@@ -454,8 +463,6 @@ class DsCounterexampleReport:
     series inherits a Mertens factor and diverges, yet the spread events
     are contained in the base events."""
 
-    psi0: PsiFunction
-    psi: PsiFunction
     base_series: float
     spread_series: float
     spread_series_half: float
@@ -521,8 +528,6 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
             ok = ok and math.isclose(w_spread, w_base, rel_tol=CONTAINMENT_RTOL)
             verified += 1
     return DsCounterexampleReport(
-        psi0,
-        psi,
         math.fsum(base_terms),
         math.fsum(spread_terms),
         spread_half,

@@ -28,13 +28,9 @@ class OutOfRange(RestrictaError):
 
 
 class NotReached(RestrictaError):
-    """A scan hit its cap before the target condition; carries the cap."""
+    """A scan hit its cap before the target condition."""
 
     kind = "not-reached"
-
-    def __init__(self, cap, message=None):
-        self.cap = cap
-        super().__init__(message or f"target not reached by cap {cap}")
 
 
 class FactorizationTooHard(RestrictaError):

@@ -18,11 +18,10 @@ import numpy as np
 
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
-from .numutil import catalan_constant, e1, frac_exact, fsum_chunks, unit
+from .numutil import catalan_constant, frac_exact, fsum_chunks, unit
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
-MEAN_CAP = 10**8
 MOMENT_CAP = 10**7  # points in one array pass: a moment grid, or q in a sin-sum or pairwise closed form
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
@@ -98,8 +97,8 @@ class _Window:
 
     # -- complex values ---------------------------------------------------
 
-    def _evaluate(self, m, N: int, deriv: bool):
-        """W, or (W, W') when ``deriv``, at the exact phases phi = m/N.
+    def values(self, m, N: int, deriv: bool = False):
+        """Complex W, or (W, W') when ``deriv``, at the exact phases phi = m/N.
 
         Each e(n*phi) is taken at the correctly rounded (n*m mod N)/N, once,
         and serves both W and W'; a hole at 1, r or a reuses the hull's
@@ -138,14 +137,6 @@ class _Window:
                 wp = wp + sign * tp * d * zd
         return (w, wp) if deriv else w
 
-    def values_at_fractions(self, m: np.ndarray, N: int) -> np.ndarray:
-        """Complex W at phi = m/N."""
-        return self._evaluate(m, N, False)
-
-    def values_and_derivatives_at_fractions(self, m: np.ndarray, N: int):
-        """(W, W') at phi = m/N, from the same exponentials."""
-        return self._evaluate(m, N, True)
-
     # -- certified cell suprema -------------------------------------------
 
     def cell_sup(self, n: int, grid: int) -> np.ndarray:
@@ -163,7 +154,7 @@ class _Window:
         for t0 in range(0, half, rows):
             t = np.arange(t0, min(t0 + rows, half), dtype=np.int64)
             m = 2 * np.arange(t0 * grid, (t0 + len(t)) * grid, dtype=np.int64) + 1  # cell-major
-            w, wp = self.values_and_derivatives_at_fractions(m, N)
+            w, wp = self.values(m, N, deriv=True)
             sups = _taylor_sup(w, wp - 2j * math.pi * self.center * w, 1.0 / N, self.m2)
             del w, wp  # free this chunk before the next one is evaluated
             best[t0 : t0 + len(t)] = best[n - 1 - t] = self.capped_sups(sups, t, n)
@@ -210,45 +201,30 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
     qq = 1
     for _ in range(profile.k):
         ph = ((qq * num) % den) / den
-        w = 0j
-        for d in sys.digits:
-            w += e1(frac_exact(d, ph))
-        res *= w
+        res *= complex(np.sum(unit([frac_exact(d, ph) for d in sys.digits])))
         qq *= sys.q
     return res
 
 
-def _level_chunks(profile: FourierProfile, chunk: int):
-    """Yield (j0, j, factors) over the grid in chunks, where factors lazily
-    gives W(q^i j/N) for i = 0..k-1.
+def sa_chunks(profile: FourierProfile):
+    """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid, as
+    the product of the factors W(q^i j/N) for i = 0..k-1.
 
     W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a
-    level with M <= chunk is tabulated once at m/M and gathered; the rest
+    level with M <= _CHUNK is tabulated once at m/M and gathered; the rest
     are evaluated per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are
     correctly rounded divisions of the same rational, so every factor is
     the float that evaluating each point gives.
     """
-    q, k = profile.sys.q, profile.k
-    N = profile.n_points
+    q, k, N, chunk = profile.sys.q, profile.k, profile.n_points, _CHUNK
     win = _Window(profile.sys)
     mods = [q ** (k - i) for i in range(k)]
-    tabs = [win.values_at_fractions(np.arange(M), M) if M <= chunk else None for M in mods]
-
-    def level(i, j):
-        if tabs[i] is None:
-            return win.values_at_fractions(j * pow(q, i, N) % N, N)
-        return tabs[i][j % mods[i]]
-
+    tabs = [win.values(np.arange(M), M) if M <= chunk else None for M in mods]
     for j0 in range(0, N, chunk):
         j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
-        yield j0, j, (level(i, j) for i in range(k))
-
-
-def sa_chunks(profile: FourierProfile):
-    """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid."""
-    for j0, j, factors in _level_chunks(profile, _CHUNK):
         acc = np.ones(len(j), dtype=np.complex128)
-        for w in factors:
+        for i, tab in enumerate(tabs):
+            w = win.values(j * pow(q, i, N) % N, N) if tab is None else tab[j % mods[i]]
             acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
 
@@ -310,7 +286,7 @@ def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
     t = np.arange(half, dtype=np.int64)
     m = 2 * np.arange(half * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     full = _Window(DigitSystem.of(q, range(q)))
-    g, gp = full.values_and_derivatives_at_fractions(m, N)
+    g, gp = full.values(m, N, deriv=True)
     z1 = unit(m / N)
     tp = 2j * math.pi
     recentred = {}  # median digit c -> g' - 2*pi*i*c*g
@@ -389,24 +365,20 @@ def pairwise_bound_sum(q: int) -> BoundReport:
     return BoundReport("pairwise-sum", value, threshold, value < threshold, {})
 
 
+SCANS = {"sin-sum": sin_bound_sum, "pairwise": pairwise_bound_sum}  # the checks a q range can scan
+
+
 def scan_bound(kind: str, q_lo: int, q_hi: int):
-    """Yield BoundReports over q in [q_lo, q_hi], with q attached."""
+    """Yield (q, BoundReport) over q in [q_lo, q_hi] for the check SCANS[kind]."""
+    if kind not in SCANS:
+        raise UsageError(f"unknown scan kind {kind!r}")
     for q in range(q_lo, q_hi + 1):
-        if kind == "sin-sum":
-            rep = sin_bound_sum(q)
-        elif kind == "pairwise":
-            rep = pairwise_bound_sum(q)
-        else:
-            raise UsageError(f"unknown scan kind {kind!r}")
-        yield q, rep
+        yield q, SCANS[kind](q)
 
 
 def minimal_passing_q(kind: str, q_lo: int, q_hi: int) -> int | None:
     """First q in the window whose bound sum passes its threshold."""
-    for q, rep in scan_bound(kind, q_lo, q_hi):
-        if rep.passes:
-            return q
-    return None
+    return next((q for q, rep in scan_bound(kind, q_lo, q_hi) if rep.passes), None)
 
 
 def generalized_margin(sys: DigitSystem, grid: int = 256) -> BoundReport:
@@ -435,10 +407,7 @@ def generalized_margin(sys: DigitSystem, grid: int = 256) -> BoundReport:
 
 def mean_l1(profile: FourierProfile) -> float:
     """sum_{j=0}^{N-1} |S_A(j/N)|, exact grid sum (not normalised)."""
-    if profile.n_points > MEAN_CAP:
-        raise CapExceeded(f"N = {profile.n_points} above cap {MEAN_CAP}")
-    parts = [fsum_chunks(np.abs(vals)) for _, vals in sa_chunks(profile)]
-    return math.fsum(parts)
+    return power_sum(profile, 1.0)
 
 
 def power_sum(profile: FourierProfile, sigma: float) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import OutOfRange
 
-TWO_PI = 2.0 * math.pi
-
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
 SUM_CHUNK = 1 << 16  # numpy partial sums per chunk of this size, then fsum
 
@@ -58,11 +56,6 @@ def unit(phases):
     """e(t) = exp(2*pi*i*t) elementwise."""
     ph = np.asarray(phases, dtype=np.float64)
     return np.exp(2j * math.pi * ph)
-
-
-def e1(t: float) -> complex:
-    """Scalar e(t)."""
-    return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
 
 
 def csum(values: np.ndarray) -> complex:

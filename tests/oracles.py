@@ -11,6 +11,10 @@ its oracle too:
   ``fourier._Window`` evaluates in closed form and bounds cell by cell;
 * ``prime_spectrum_direct`` sums e(p j/N) over the primes for every j,
   the spectrum that ``primes.prime_spectrum`` takes from one FFT;
+* ``primary_term_direct`` sums the primary arcs l/q of the circle-method
+  identity with S_P(l/q) summed over the primes and S_A(-l/q) from the
+  digit product, where ``arcs.main_term_assembly`` reads both off the
+  grid of its identity sum;
 * ``sin_bound`` is the pointwise bound on F_D for one missing digit that
   ``fourier._Window.capped_sups`` applies to each cell;
 * ``compression_step`` builds all four restrictions of a bipartite gcd
@@ -32,12 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import primefactors
+from sympy import primefactors, primerange
 
 from restricta.arcs import DEFAULT_A, MINOR, NONSMOOTH_MAJOR, PRIMARY_MAJOR, SMOOTH_MAJOR
 from restricta.digit_systems import DigitSystem
 from restricta.errors import UsageError
-from restricta.fourier import _taylor_sup, _Window
+from restricta.fourier import FourierProfile, _taylor_sup, _Window, restricted_exp_sum
 from restricta.gcdgraph import BipartiteGcdGraph
 from restricta.numutil import unit
 from restricta.primes import is_prime_int
@@ -165,13 +169,26 @@ def prime_spectrum_direct(primes, N: int) -> np.ndarray:
     return out
 
 
+def primary_term_direct(sys, k: int) -> float:
+    """(1/N) sum_{l<q} Re S_P(l/q) S_A(-l/q) with N = q^k, S_P(l/q) summed
+    over the primes p <= N and S_A(-l/q) taken from the digit product."""
+    N = sys.q**k
+    ps = np.fromiter(primerange(2, N + 1), dtype=np.int64)
+    prof = FourierProfile(sys, k)
+    total = 0.0
+    for ell in range(sys.q):
+        sp = complex(np.sum(unit(ps * ell % sys.q / sys.q)))
+        total += (sp * restricted_exp_sum(prof, Fraction(-ell, sys.q))).real
+    return total / N
+
+
 def cell_sup_unfolded(win, n: int, grid: int) -> np.ndarray:
     """``win.cell_sup(n, grid)`` with every cell t < n evaluated at its own
     subcell midpoints, none taken from its mirror."""
     N = 2 * n * grid
     t = np.arange(n, dtype=np.int64)
     m = 2 * np.arange(n * grid, dtype=np.int64) + 1
-    w, wp = win.values_and_derivatives_at_fractions(m, N)
+    w, wp = win.values(m, N, deriv=True)
     sups = _taylor_sup(w, wp - 2j * math.pi * win.center * w, 1.0 / N, win.m2)
     return win.capped_sups(sups, t, n)
 
@@ -182,7 +199,7 @@ def refined_cell_sups_unfolded(q: int, grid: int) -> list[np.ndarray]:
     N = 2 * q * grid
     t = np.arange(q, dtype=np.int64)
     m = 2 * np.arange(q * grid, dtype=np.int64) + 1
-    g, gp = _Window(DigitSystem.of(q, range(q))).values_and_derivatives_at_fractions(m, N)
+    g, gp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=True)
     z1 = unit(m / N)
     tp = 2j * math.pi
     out = []

@@ -7,7 +7,7 @@ from restricta import arcs as A
 from restricta.digit_systems import DigitSystem
 from restricta.errors import UsageError
 
-from tests.oracles import FareyPoint, classify_point
+from tests.oracles import FareyPoint, classify_point, primary_term_direct
 
 
 class TestDirichletCover:
@@ -93,6 +93,16 @@ class TestMainTerm:
         rep = A.main_term_assembly(DigitSystem.excluding(10, {7}), 4)
         # loose at k = 4: same order of magnitude, reported not asserted tightly
         assert 0.5 < rep.primary_term / rep.prediction < 2.0
+
+    @pytest.mark.parametrize("spec, k", [
+        # the systems of the pinned and compared `arcs` assembly argv
+        ("q=10,exclude=7", 4), ("q=7,exclude=3", 1), ("q=10,exclude=7", 6),
+        ("q=10,D=0-4", 6), ("q=2,D=1", 10), ("q=6,exclude=1", 6),
+    ])
+    def test_primary_term_matches_direct_sum(self, spec, k):
+        sys = DigitSystem.parse(spec)
+        got = A.main_term_assembly(sys, k).primary_term
+        assert got == pytest.approx(primary_term_direct(sys, k), rel=1e-12, abs=0)
 
     def test_identity_at_fft_scale(self):
         # sparse digit set at N = 10^6 exercises the spectrum FFT path

@@ -209,6 +209,13 @@ class TestJsonOutputs:
         (("dioph", "--psi", "constant:1/2", "--cmd", "counterexample", "--ell-max", str(10**400)), "cap-exceeded", 1),
         (("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", str(10**400)), "cap-exceeded", 1),
         (("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", str(10**400), "--r", "7"), "cap-exceeded", 1),
+        # digit systems: each range is checked, and the digits counted, before any is built
+        (("census", "--sys", "q=1000000000,exclude=7", "--x", "10"), "cap-exceeded", 1),
+        (("certify", "--sys", f"q={10**400},exclude=7", "--ell-max", "1"), "cap-exceeded", 1),
+        (("census", "--sys", "q=100000000,D=0-9999999.10000000", "--x", "10"), "cap-exceeded", 1),
+        (("census", "--sys", f"q={10**400},exclude=0-{10**400}", "--x", "10"), "cap-exceeded", 1),
+        (("census", "--sys", "q=10,D=0-20000000", "--x", "10"), "usage-error", 2),
+        (("census", "--sys", f"q=10,D=3.{10**400}", "--x", "10"), "usage-error", 2),
     ], ids=lambda v: " ".join(v).replace(str(10**4000), "10^4000").replace(str(10**400), "10^400")
         if isinstance(v, tuple) else str(v))
     def test_oversized_integers_refused(self, capsys, argv, error, status):
@@ -383,8 +390,9 @@ class TestDeterminism:
         # q^2 above the entry cap: the matrix-free ell = 1 bound
         (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),
          "24160695ff9e7cd80008dd5789b4cbca17254955cd10f67ebcbb988ed78e9fd7"),
+        # primaryTerm read off the identity grid: 671.4090000000001 -> 671.409
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4"),
-         "47b00bea656028601a656d4282028a7c5b23b57216b39233c66136de87f8bc90"),
+         "526311d297a7451cb968e0ebd2ba16d3bccc56a4601f7fcdb7fe89e51b86016e"),
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4", "--full-scan", "--A", "1.5"),
          "237ecf9a03773ef0aa37ebb78518b63e5c1c28dc531e0d249f4d86e9e389da15"),
         # N = 7 is prime: the spectrum wraps p = N onto residue 0

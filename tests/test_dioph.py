@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -256,18 +257,27 @@ class TestPsiFamilies:
         gpf = np.zeros(upto + 1, dtype=np.int64)
         sqfree = np.ones(upto + 1, dtype=bool)
         primes = D._simple_sieve(upto).tolist() if upto >= 2 else []
-        log_theta, acc = {}, 0.0
         for p in primes:
             gpf[p::p] = p
             sqfree[p * p :: p * p] = False
-            acc += math.log(p)
-            log_theta[p] = acc
+        # theta(p) is the exact sum of the float logs rounded once, which is
+        # what math.fsum returns (checked on a sample of prefixes)
+        logs = [math.log(p) for p in primes]
+        log_theta = dict(zip(primes, map(float, itertools.accumulate(map(Fraction, logs)))))
+        for i in range(0, len(primes), 97):
+            assert log_theta[primes[i]] == math.fsum(logs[: i + 1])
         want = np.zeros(upto)
         for m in (np.flatnonzero((sqfree & (gpf > 0))[1:]) + 1).tolist():
             ell = int(gpf[m])
             log_val = 2.0 * math.log(m) - log_theta[ell] - math.log(ell * math.log(ell))
             want[m - 1] = math.exp(log_val) if log_val > -745.0 else 0.0
         assert np.array_equal(D._ds_spread_values(upto), want)
+
+    def test_ds_spread_values_equal_exact(self):
+        # the vectorised and the scalar path share one theta(ell)
+        psi = PsiFunction.ds_spread()
+        vec = psi.values(20000)
+        assert [n for n in range(1, 20001) if vec[n - 1] != float(psi.exact(n))] == []
 
     def test_table_zero_off_table(self):
         psi = PsiFunction.from_pairs([(5, 1)])
@@ -368,6 +378,15 @@ class TestTruncatedMeasure:
     def test_select_r_not_reached(self):
         with pytest.raises(NotReached):
             D.select_R(PsiFunction.constant(0), 2, cap=100)
+
+    def test_select_r_refused_past_interval_cap(self, monkeypatch):
+        # psi = 1/q^2: the event measures sum to less than 1, so only the
+        # interval count stops the walk before the q cap
+        monkeypatch.setattr(D, "INTERVAL_CAP", 5000)
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            D.select_R(PsiFunction.power(2), 2)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPairOverlap:

@@ -94,9 +94,9 @@ class TestWindow:
         sys = DigitSystem.of(q, digits)
         win = _Window(sys)
         direct = sum(cmath.exp(2j * math.pi * (d * m % 2**53) / 2**53) for d in sys.digits)
-        got = complex(win.values_at_fractions(np.array([m]), 2**53)[0])
+        got = complex(win.values(np.array([m]), 2**53)[0])
         assert abs(got - direct) < 1e-9
-        got2 = complex(win.values_at_fractions(np.array([3]), 7)[0])
+        got2 = complex(win.values(np.array([3]), 7)[0])
         direct2 = sum(cmath.exp(2j * math.pi * d * 3 / 7) for d in sys.digits)
         assert abs(got2 - direct2) < 1e-9
 
@@ -109,7 +109,7 @@ class TestWindow:
             win = _Window(sys)
             for m in (0, 2**53, 2**53 - 1, round(1e-12 * 2**53), 2**52):
                 direct = sum(cmath.exp(2j * math.pi * (d * m % 2**53) / 2**53) for d in sys.digits)
-                got = complex(win.values_at_fractions(np.array([m]), 2**53)[0])
+                got = complex(win.values(np.array([m]), 2**53)[0])
                 assert abs(got - direct) < 1e-6
 
     @given(st.integers(2, 11), st.data(), st.integers(0, 300))
@@ -118,8 +118,8 @@ class TestWindow:
         digits = data.draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=q))
         sys = DigitSystem.of(q, digits)
         win = _Window(sys)
-        w, wp = win.values_and_derivatives_at_fractions(np.array([num]), 301)
-        assert complex(w[0]) == complex(win.values_at_fractions(np.array([num]), 301)[0])
+        w, wp = win.values(np.array([num]), 301, deriv=True)
+        assert complex(w[0]) == complex(win.values(np.array([num]), 301)[0])
         got = complex(wp[0])
         direct = sum(
             2j * math.pi * d * cmath.exp(2j * math.pi * d * num / 301) for d in sys.digits
@@ -286,13 +286,13 @@ class TestFold:
 
     def test_cell_sup_evaluates_half_the_cells(self, monkeypatch):
         evaluated = []
-        plain = _Window.values_and_derivatives_at_fractions
+        plain = _Window.values
 
-        def counting(self, m, N):
+        def counting(self, m, N, deriv=False):
             evaluated.append(np.size(m))
-            return plain(self, m, N)
+            return plain(self, m, N, deriv)
 
-        monkeypatch.setattr(_Window, "values_and_derivatives_at_fractions", counting)
+        monkeypatch.setattr(_Window, "values", counting)
         _Window(DigitSystem.excluding(7, {3})).cell_sup(7**5, 6)
         assert sum(evaluated) == (7**5 + 1) // 2 * 6
 
@@ -327,6 +327,12 @@ class TestMeans:
         # sum over k digits <= (q-1)^(k-l) * q^(k-l) * sum over l digits
         assert m4 <= 9**2 * 10**2 * m2 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("b", [1, 4, 7])
+    def test_mean_l1_is_first_power_sum(self, b):
+        # mean_l1 streams through power_sum, and x**1.0 == x
+        prof = FourierProfile(DigitSystem.excluding(10, {b}), 6)
+        assert F.mean_l1(prof).hex() == F.power_sum(prof, 1.0).hex()
+
     def test_mean_l1_threshold_at_passing_q(self):
         q = 133359
         sys = DigitSystem.excluding(q, {1})
@@ -358,7 +364,7 @@ def pointwise_factors(prof):
     q, k, N = prof.sys.q, prof.k, prof.n_points
     win = _Window(prof.sys)
     j = np.arange(N)
-    return [win.values_at_fractions(j * pow(q, i, N) % N, N) for i in range(k)]
+    return [win.values(j * pow(q, i, N) % N, N) for i in range(k)]
 
 
 def joined(chunks):
@@ -377,15 +383,15 @@ class TestGridTabulation:
     """Tabulated levels give the floats of evaluating every point."""
 
     @pytest.mark.parametrize("prof", TABULATED)
-    def test_levels_match_pointwise(self, prof):
+    def test_levels_match_pointwise(self, prof, monkeypatch):
         # the closed form serves every set here but the direct sum D = {1, 4}
         assert _Window(prof.sys).closed == (prof.sys.digits != (1, 4))
-        want = pointwise_factors(prof)
+        want = np.ones(prof.n_points, dtype=np.complex128)
+        for w in pointwise_factors(prof):
+            want *= w
         for chunk in (F._CHUNK, 6**4, 6**4 + 5):
-            for j0, j, factors in F._level_chunks(prof, chunk):
-                at = slice(j0, j0 + len(j))
-                for got, ref in zip(factors, want):
-                    assert same_bits(got, ref[at])
+            monkeypatch.setattr(F, "_CHUNK", chunk)
+            assert same_bits(joined(F.sa_chunks(prof)), want)
 
     @pytest.mark.parametrize("digits", [(0, 2, 3, 5), (1, 2, 3), (1, 4)])
     def test_chunk_one_tabulates_nothing(self, digits, monkeypatch):
@@ -411,20 +417,20 @@ class TestGridTabulation:
     def test_window_derivative_independent_of_batch_size(self):
         win = _Window(DigitSystem.of(10, (1, 2, 3, 4)))
         m = np.arange(1 << 15)
-        w, wp = win.values_and_derivatives_at_fractions(m, 10**5)
+        w, wp = win.values(m, 10**5, deriv=True)
         for lo in (0, 6, 1000):
-            ws, wps = win.values_and_derivatives_at_fractions(m[lo : lo + 10], 10**5)
+            ws, wps = win.values(m[lo : lo + 10], 10**5, deriv=True)
             assert same_bits(ws, w[lo : lo + 10]) and same_bits(wps, wp[lo : lo + 10])
 
     def test_work_count(self, monkeypatch):
         evaluated = []
-        plain = _Window.values_at_fractions
+        plain = _Window.values
 
-        def counting(self, m, N):
+        def counting(self, m, N, deriv=False):
             evaluated.append(np.size(m))
-            return plain(self, m, N)
+            return plain(self, m, N, deriv)
 
-        monkeypatch.setattr(_Window, "values_at_fractions", counting)
+        monkeypatch.setattr(_Window, "values", counting)
         for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
             pass
         assert sum(evaluated) <= 10**6 + 111110

@@ -28,6 +28,8 @@ ALLOWLIST = {
     ("restricta.fourier", "minimal_passing_q"): "test_acceptance.py::test_04 and test_05 threshold scans",
     ("restricta.fourier", "moment_tail"): "perfbench op circle.moment_tail",
     ("restricta.fourier", "power_sum"): "test_acceptance.py::test_11_parseval",
+    ("restricta.fourier", "restricted_exp_sum"): "test_acceptance.py::test_10_product_formula_oracle",
+    ("restricta.numutil", "frac_exact"): "restricted_exp_sum, for test_acceptance.py::test_10",
     ("restricta.fourier", "typical_growth_constant"): "test_acceptance.py::test_01_growth_constant",
     ("restricta.numutil", "catalan_constant"): "typical_growth_constant, for test_acceptance.py::test_01",
     ("restricta.markov", "row_sum_bound"): "test_acceptance.py::test_06; perfbench ops certify.sigma1/sigma2",
@@ -45,6 +47,10 @@ ARGV = [
     f"census --sys q=10,exclude=7 --x {2**40 + 1}",
     "census --sys q=1000000016000000063,D=1 --x 10",
     "census --sys q=10 --x 50",
+    # digit systems refused before any digit is built
+    "census --sys q=1000000000,exclude=7 --x 10",
+    "census --sys q=100000000,D=0-99999999 --x 10",
+    "census --sys q=10,D=0-20000000 --x 10",
     # fourier: every check, both scans, and the caps
     "fourier --check sin-sum --q 101",
     "fourier --check pairwise --q 101",
