@@ -8,7 +8,6 @@ from D (the expansion of 0 is empty, so 0 is a member iff 0 is allowed).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .errors import CapExceeded, LimitExceeded, UsageError, parsed
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
 DIGIT_CAP = 10**7  # digits one system may build: the largest q a dense-digit route accepts
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -173,35 +173,46 @@ def count_restricted(sys: DigitSystem, x: int) -> int:
     return count
 
 
-def enumerate_restricted(sys: DigitSystem, x: int) -> list[int]:
-    """Strictly increasing list of all members of A(x).
+def enumerate_restricted(sys: DigitSystem, x: int) -> np.ndarray:
+    """Strictly increasing array of all members of A(x): int64 when
+    x < 2^63, else object (Python ints).
 
     Raises CapExceeded when count_restricted(sys, x) exceeds ENUM_CAP.
     Members are generated length by length: a j-digit member is a
     (j-1)-digit prefix with a nonzero leading digit, extended by any
     allowed digit.  Each length comes out increasing, because the digits
-    are sorted and t*q + d < (t+1)*q for every digit d.
+    are sorted and t*q + d < (t+1)*q for every digit d.  The members up to
+    2^63 - 1 are built as int64 arrays, one outer product t*q + d per
+    length (in uint64, which holds every t*q + d with t*q <= 2^63 - 1);
+    the longer ones are extended from their int64 prefixes in Python.
     """
     total = count_restricted(sys, x)
     if total > ENUM_CAP:
         raise CapExceeded(f"|A(x)| = {total} exceeds cap {ENUM_CAP}")
-    out = []
-    if x >= 0 and 0 in sys._allowed:
-        out.append(0)
-    level = [d for d in sys.digits if 0 < d <= x]
+    q, top = sys.q, min(x, _INT64_MAX)
+    parts = [np.zeros(1, dtype=np.int64)] if x >= 0 and 0 in sys._allowed else []
+    level = np.array([d for d in sys.digits if 0 < d <= top], dtype=np.int64)
+    digits = np.array(sys.digits, dtype=np.uint64) if q <= top else None
+    while level.size:
+        parts.append(level)
+        prefixes = level[: np.searchsorted(level, top // q, side="right")]
+        if not prefixes.size:
+            break
+        nxt = np.add.outer(prefixes.astype(np.uint64) * np.uint64(q), digits).ravel()
+        level = nxt[: np.searchsorted(nxt, np.uint64(top), side="right")].view(np.int64)
+    small = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if x <= _INT64_MAX:
+        return small
+    # the members above 2^63 - 1: one-digit ones, then the extensions of
+    # the int64 members t with t*q + max(D) above it, then theirs
+    seeds = small[np.searchsorted(small, (_INT64_MAX - sys.digits[-1]) // q + 1) :].tolist()
+    level = [d for d in sys.digits if _INT64_MAX < d <= x]
+    level += [v for t in seeds if t for d in sys.digits if _INT64_MAX < (v := t * q + d) <= x]
+    big = []
     while level:
-        out.extend(level)
-        nxt = []
-        for t in level:
-            base = t * sys.q
-            if base > x:
-                continue
-            for d in sys.digits:
-                v = base + d
-                if v <= x:
-                    nxt.append(v)
-        level = nxt
-    return out
+        big.extend(level)
+        level = [t * q + d for t in level if t * q <= x for d in sys.digits if t * q + d <= x]
+    return np.concatenate((small.astype(object), np.array(big, dtype=object)))
 
 
 def prediction_constant(sys: DigitSystem) -> Fraction:
@@ -254,9 +265,8 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
     if count <= ENUM_ROUTE_MAX:
         members = enumerate_restricted(sys, x)
         small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
-        head = np.fromiter(itertools.islice(members, small), dtype=np.int64, count=small)
-        prime_count = int(np.count_nonzero(_primes.is_prime_int(head)))
-        prime_count += sum(1 for n in members[small:] if _primes.is_prime_int(n))
+        prime_count = int(np.count_nonzero(_primes.is_prime_int(members[:small].astype(np.int64, copy=False))))
+        prime_count += sum(1 for n in members[small:].tolist() if _primes.is_prime_int(n))
     else:
         if x > _primes.SIEVE_LIMIT:
             raise LimitExceeded(f"sieve limit {x} above 2^40")

@@ -1,10 +1,16 @@
-"""Low-level numeric helpers: exact phase reduction and deterministic sums.
+"""Low-level numeric helpers: exact phases, e(t) and deterministic sums.
 
 Phase accuracy is the main concern: evaluating e(n*theta) for n up to 2^40
 by naive multiplication loses all fractional accuracy.  ``frac_exact``
-reduces n*theta mod 1 through the exact binary rational of the float, and
-``frac_mul`` does the same for arrays via an error-free two-product, so
-phases are correct to ~1 ulp regardless of n.
+reduces n*theta mod 1 through the exact binary rational of the float.  The
+array path works in 64-bit fixed point: ``fixed_phase`` reduces theta mod 1
+once, exactly, to the two 64-bit halves of T = floor(frac(theta)*2^128),
+and ``fixed_phases`` forms (n*theta mod 1)*2^64 for a uint64 array n as
+n*t_hi + mul_hi(n, t_lo) in wrapping integer arithmetic, too small by less
+than 2 units of 2^-64 (one from the truncated product, and n*2^-64 from the
+truncated T) with no float involved.  ``unit_fixed`` evaluates e(ph/2^64)
+as a root of unity from a 4096-entry table, indexed by the top 12 bits,
+times a short Taylor polynomial in the remaining 52 bits.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRange
-
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
 SUM_CHUNK = 1 << 16  # numpy partial sums per chunk of this size, then fsum
+ROOT_BITS = 12  # the root table holds e(k/2^ROOT_BITS) for every k
+_LO32 = 0xFFFF_FFFF
+_LOW = np.uint64((1 << (64 - ROOT_BITS)) - 1)  # the bits below the table index
+_TURN = 2 * math.pi / 2.0**64  # radians per unit of a 64-bit phase
 
 
 def frac_exact(n: int, theta: float) -> float:
@@ -25,31 +32,103 @@ def frac_exact(n: int, theta: float) -> float:
     return ((n * p) % q2) / q2
 
 
-def frac_mul(n, theta):
-    """(n*theta) mod 1 in [0,1) for an int64/float array n and float theta.
+def mul_hi(x: np.ndarray, y) -> np.ndarray:
+    """High 64 bits of the 128-bit products x*y of a uint64 array x and a
+    uint64 array or scalar y, from four 32-bit limb products (each below
+    2^64, so none wraps)."""
+    y0, y1 = y & _LO32, y >> 32
+    hi = x >> 32
+    lo = x & _LO32
+    p01 = lo * y1
+    lo *= y0
+    lo >>= 32
+    p10 = hi * y0
+    hi *= y1
+    lo += p01 & _LO32
+    lo += p10 & _LO32  # the middle column, below 3*2^32
+    lo >>= 32
+    p01 >>= 32
+    p10 >>= 32
+    hi += p01
+    hi += p10
+    hi += lo
+    return hi
 
-    Error-free transformation of the product (Dekker two-product without
-    fma), then exact fractional split; absolute error is a few ulp.
-    Requires |n*theta| < 2^53, and |n| <= 2^53 for integer n: float64 holds
-    every integer only up to 2^53, so a larger one is refused with
-    OutOfRange rather than rounded.
+
+def fixed_phase(theta: float) -> tuple[np.uint64, np.uint64]:
+    """(t_hi, t_lo): the high and low 64 bits of T = floor(frac(theta) * 2^128),
+    from the exact binary rational of theta (any finite float, negative or
+    above 1 included)."""
+    p, q2 = float(theta).as_integer_ratio()  # q2 is a power of two
+    t = ((p % q2) << 128) // q2
+    return np.uint64(t >> 64), np.uint64(t & ((1 << 64) - 1))
+
+
+def fixed_phases(n: np.ndarray, t: tuple[np.uint64, np.uint64], out: np.ndarray | None = None) -> np.ndarray:
+    """(n*theta mod 1) * 2^64 for a uint64 array n, as uint64: n*t_hi +
+    mul_hi(n, t_lo), wrapping, below the true phase by less than 1 + n/2^64."""
+    out = np.multiply(n, t[0], out=out)
+    out += mul_hi(n, t[1])
+    return out
+
+
+def _root_table() -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2*pi*k/2^ROOT_BITS for every k, from the first octant
+    by exact symmetry: the second octant swaps cos and sin, and each
+    quarter turn maps (c, s) to (-s, c), so e(k/4) is exact and e(1/8) is
+    the correctly rounded sqrt(1/2) in both parts."""
+    size = 1 << ROOT_BITS
+    o = size // 8
+    c = np.array([math.cos(2 * math.pi * j / size) for j in range(o)] + [math.sqrt(0.5)])
+    s = np.array([math.sin(2 * math.pi * j / size) for j in range(o)] + [math.sqrt(0.5)])
+    qc = np.concatenate((c, s[o - 1 : 0 : -1]))  # the first quarter turn
+    qs = np.concatenate((s, c[o - 1 : 0 : -1]))
+    return np.concatenate((qc, -qs, -qc, qs)), np.concatenate((qs, qc, -qs, -qc))
+
+
+_ROOT_COS, _ROOT_SIN = _root_table()
+
+
+def unit_fixed(ph: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of 2*pi*ph/2^64 for a uint64 array ph, as float64 views
+    into work (six uint64 rows of len(ph); allocated when not given).
+
+    With k the top ROOT_BITS bits of ph and r < 2*pi*2^-12 the angle of the
+    rest, e = e(k/2^ROOT_BITS) * (cos r + i sin r): cos r - 1 through r^6
+    and sin r through r^5, whose first omitted terms are below 4e-24, and
+    the table entry added last, so each part is within about 1 ulp.
     """
-    a = np.asarray(n)
-    if a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 1 << 53:
-        raise OutOfRange("frac_mul needs integers n with |n| <= 2^53")
-    a = a.astype(np.float64, copy=False)
-    p = a * theta
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLIT * theta
-    b_hi = c - (c - theta)
-    b_lo = theta - b_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    f = p - np.floor(p)  # exact: both operands share exponent range
-    f = f + err
-    f -= np.floor(f)
-    return f
+    if work is None:
+        work = np.empty((6, len(ph)), dtype=np.uint64)
+    idx, bits = work[0], work[1]
+    tmp, r2, r, cm1, sn, cos = (w.view(np.float64) for w in work)  # tmp and r2 reuse idx and bits
+    np.right_shift(ph, 64 - ROOT_BITS, out=idx)
+    np.bitwise_and(ph, _LOW, out=bits)
+    np.multiply(bits.view(np.int64), _TURN, out=r)  # below 2^52 units: exact in float64
+    np.multiply(r, r, out=r2)
+    np.multiply(r2, -1 / 720, out=cm1)
+    cm1 += 1 / 24
+    cm1 *= r2
+    cm1 -= 0.5
+    cm1 *= r2  # cos r - 1
+    np.multiply(r2, 1 / 120, out=sn)
+    sn -= 1 / 6
+    sn *= r2
+    sn *= r
+    sn += r  # sin r
+    tc, ts = r, r2  # r and r^2 are spent: their rows take the table entries
+    _ROOT_COS.take(idx.view(np.int64), out=tc, mode="clip")  # idx is below 2^ROOT_BITS
+    _ROOT_SIN.take(idx.view(np.int64), out=ts, mode="clip")
+    np.multiply(tc, cm1, out=cos)
+    np.multiply(ts, sn, out=tmp)
+    cos -= tmp
+    cos += tc
+    sin = cm1
+    sin *= ts
+    sn *= tc
+    sin += sn
+    sin += ts
+    return cos, sin
 
 
 def unit(phases):

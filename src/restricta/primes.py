@@ -4,15 +4,19 @@ The sieve stores one bit per odd integer (2, the only even prime, is handled
 apart) in segments of SEGMENT odd slots.  Each segment starts as a copy of a
 wheel pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
 (period 3*5*7*11*13 = 15015 odd slots), so only the base primes >= 17 are
-crossed off.  ``PrimeTable.segments`` decodes one segment's primes at a
-time, and the consumers fold over it, holding one segment of primes at
-most: exact counts in arithmetic progressions and S_P(theta) =
-sum_{p<=N} e(p*theta) with exact phase reduction (a compensated sum per
-segment, fsum across).  The digit census keeps no table of the range: it
-sieves only the blocks of q^j integers whose leading digits are allowed,
-with the same segment kernel, and counts each piece through one digit
-pattern.  Also: Ramanujan sums,
-deterministic Miller-Rabin (an int, refused at psi_13, or a whole int64
+crossed off.  Counts in an arithmetic progression read the sieve slots
+directly: the odd p = a (mod q) fill one residue class of slots, counted
+at one stride per segment, so nothing is decoded and q may be any size.
+``PrimeTable.segments`` decodes one segment's primes at a time, and
+S_P(theta) = sum_{p<=N} e(p*theta) folds over it in blocks of EXP_BLOCK
+primes: theta is reduced mod 1 once, exactly, to 128-bit fixed point, and
+each block forms its 64-bit phases and their roots of unity (a 4096-entry
+table times a short polynomial, see ``numutil``) in one workspace, with a
+numpy sum per block and an fsum across.  The digit census keeps no table
+of the range: it sieves only the blocks of q^j integers whose leading
+digits are allowed, with the same segment kernel, and counts each piece
+through one digit pattern.  Also: Ramanujan sums, deterministic
+Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
 factorization, which Mobius reads: trial division by the primes of one
 list grown on demand, with Miller-Rabin only for a cofactor that
@@ -28,12 +32,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
-from .numutil import csum, frac_mul, unit
+from .numutil import csum, fixed_phase, fixed_phases, mul_hi, unit, unit_fixed
 
 SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
 TRIAL_LIMIT = 10**6  # factorize trial-divides by the primes up to this
 WHEEL = 3 * 5 * 7 * 11 * 13  # period, in odd slots, of the pre-sieved pattern
+EXP_BLOCK = 1 << 15  # primes per block of S_P(theta): its workspace stays in cache
 
 # (psi_k, k): the first k prime bases decide every n < psi_k, the least strong
 # pseudoprime to all of them (Jaeschke 1993; Jiang-Deng 2014; Sorenson-Webster
@@ -73,15 +78,18 @@ class PrimeTable:
         if x > self.limit:
             raise OutOfRange(f"{x} exceeds table limit {self.limit}")
 
+    def _segment_bits(self, seg: int, x: int) -> np.ndarray:
+        """Primality flags of the odd slots of segment seg up to x, bool
+        (slot i of the segment holds 2*(seg*SEGMENT + i) + 1)."""
+        width = SEGMENT // 8
+        bits = np.unpackbits(self._packed[seg * width : (seg + 1) * width]).view(bool)
+        return bits[: max(0, min(SEGMENT, (x + 1) // 2 - seg * SEGMENT))]
+
     def _segment_primes(self, seg: int, x: int) -> np.ndarray:
         """Primes <= x in segment seg, increasing, int64."""
-        width = SEGMENT // 8
-        bits = np.unpackbits(self._packed[seg * width : (seg + 1) * width])
-        ps = np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+        ps = np.flatnonzero(self._segment_bits(seg, x)).astype(np.int64, copy=False)
         ps *= 2
         ps += 2 * seg * SEGMENT + 1
-        if ps.size and ps[-1] > x:
-            ps = ps[: np.searchsorted(ps, x, side="right")]
         if seg == 0:
             ps = np.concatenate((np.array([2], dtype=np.int64), ps))
         return ps
@@ -181,10 +189,29 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def count_primes_ap(table: PrimeTable, x: int, q: int, a: int) -> int:
-    """Exact #{p <= x : p prime, p = a (mod q)}, one segment at a time."""
+    """Exact #{p <= x : p prime, p = a (mod q)}, read off the sieve slots.
+
+    Odd slot s holds 2s+1, so the odd p = a (mod q) sit in one residue
+    class of slots: s = (a-1)/2 (mod q/2) for even q (none for even a),
+    and s = (a-1)*2^-1 (mod q) for odd q.  Each segment counts its flags
+    at that stride; the prime 2 is counted apart.
+    """
     if q < 1 or not (0 <= a < q):
         raise UsageError("need q >= 1 and 0 <= a < q")
-    return sum(int(np.count_nonzero(ps % q == a)) for ps in table.segments(x))
+    table._check(x)
+    count = 1 if x >= 2 and 2 % q == a else 0
+    if q % 2 == 0:
+        if a % 2 == 0:
+            return count
+        step, first = q // 2, (a - 1) // 2
+    else:
+        step, first = q, (a - 1) * pow(2, -1, q) % q
+    for seg in range((x - 1) // 2 // SEGMENT + 1):
+        bits = table._segment_bits(seg, x)
+        start = (first - seg * SEGMENT) % step
+        if start < len(bits):
+            count += int(np.count_nonzero(bits[start :: min(step, SEGMENT)]))
+    return count
 
 
 def _digit_patterns(sys) -> tuple[int, np.ndarray, np.ndarray]:
@@ -282,13 +309,24 @@ def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
 
 
 def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
-    """S_P(theta) = sum_{p <= N} e(p*theta): a compensated sum per segment,
-    then an exact fsum across segments."""
+    """S_P(theta) = sum_{p <= N} e(p*theta): theta is reduced mod 1 once,
+    exactly, to 128-bit fixed point; each block of EXP_BLOCK primes forms
+    its 64-bit phases and their roots of unity in one workspace, a numpy
+    sum per block, and an exact fsum across blocks."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise UsageError(f"need a finite theta, got {theta}")
-    parts = [csum(unit(frac_mul(ps, theta))) for ps in table.segments(N)]
-    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+    t = fixed_phase(theta)
+    work = np.empty((7, EXP_BLOCK), dtype=np.uint64)
+    re, im = [], []
+    for ps in table.segments(N):
+        n = ps.view(np.uint64)
+        for i in range(0, len(n), EXP_BLOCK):
+            m = min(EXP_BLOCK, len(n) - i)
+            c, s = unit_fixed(fixed_phases(n[i : i + m], t, out=work[6, :m]), work[:6, :m])
+            re.append(float(c.sum()))
+            im.append(float(s.sum()))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def prime_spectrum(table: PrimeTable, N: int) -> np.ndarray:
@@ -453,18 +491,8 @@ def _trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prime, live & (n >= 1 << 16)
 
 
-def _mul_hi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products x*y of uint64 arrays, from four
-    32-bit limb products (each below 2^64, so none wraps)."""
-    x0, x1 = x & _LO32, x >> 32
-    y0, y1 = y & _LO32, y >> 32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = ((x0 * y0) >> 32) + (p01 & _LO32) + (p10 & _LO32)
-    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
 def _sqr_hi(x: np.ndarray) -> np.ndarray:
-    """High 64 bits of x*x: as ``_mul_hi``, with the two cross products equal."""
+    """High 64 bits of x*x: as ``numutil.mul_hi``, with the two cross products equal."""
     x0, x1 = x & _LO32, x >> 32
     p01 = x0 * x1
     mid = ((x0 * x0) >> 32) + ((p01 & _LO32) << 1)
@@ -475,7 +503,7 @@ def _redc(hi, lo, n, n_neg_inv):
     """Montgomery reduction (hi*2^64 + lo) / 2^64 mod n, for a product below
     n^2 and odd n < 2^63: with m = lo*n' mod 2^64, lo + (m*n mod 2^64) is 0
     when lo is 0 and 2^64 otherwise, and the quotient is below 2n < 2^64."""
-    t = hi + _mul_hi(lo * n_neg_inv, n) + (lo != 0)
+    t = hi + mul_hi(lo * n_neg_inv, n) + (lo != 0)
     return np.minimum(t, t - n)  # t - n wraps above t when t < n
 
 

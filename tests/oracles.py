@@ -19,7 +19,12 @@ its oracle too:
   ``fourier._Window.capped_sups`` applies to each cell;
 * ``compression_step`` builds all four restrictions of a bipartite gcd
   graph at one prime, of which ``gcdgraph.compress_greedy`` scores all
-  from counts and builds only the one it takes.
+  from counts and builds only the one it takes;
+* ``frac_mul`` reduces n*theta mod 1 for a float array by an error-free
+  two-product, the float phase path that ``numutil.fixed_phases``
+  replaced in ``primes.prime_exp_sum``;
+* ``enumerate_list`` lists A(x) one Python int at a time, where
+  ``digit_systems.enumerate_restricted`` builds int64 outer products.
 
 Two oracles check a fold, not a kernel: ``cell_sup_unfolded`` and
 ``refined_cell_sups_unfolded`` evaluate every cell and every digit, where
@@ -40,7 +45,7 @@ from sympy import primefactors, primerange
 
 from restricta.arcs import DEFAULT_A, MINOR, NONSMOOTH_MAJOR, PRIMARY_MAJOR, SMOOTH_MAJOR
 from restricta.digit_systems import DigitSystem
-from restricta.errors import UsageError
+from restricta.errors import OutOfRange, UsageError
 from restricta.fourier import FourierProfile, _taylor_sup, _Window, restricted_exp_sum
 from restricta.gcdgraph import BipartiteGcdGraph
 from restricta.numutil import unit
@@ -238,4 +243,46 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
         b = g.b * p if keep_w and g.b % p else g.b
         sub = BipartiteGcdGraph(tuple(g.V[i] for i in vs), tuple(g.W[j] for j in ws), g.B, edges, a, b)
         out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
+    return out
+
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant
+
+
+def frac_mul(n, theta):
+    """(n*theta) mod 1 in [0,1) for an int64/float array n and float theta.
+
+    Error-free transformation of the product (Dekker two-product without
+    fma), then exact fractional split; absolute error is a few ulp.
+    Requires |n*theta| < 2^53, and |n| <= 2^53 for integer n: float64 holds
+    every integer only up to 2^53, so a larger one is refused with
+    OutOfRange rather than rounded.
+    """
+    a = np.asarray(n)
+    if a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 1 << 53:
+        raise OutOfRange("frac_mul needs integers n with |n| <= 2^53")
+    a = a.astype(np.float64, copy=False)
+    p = a * theta
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * theta
+    b_hi = c - (c - theta)
+    b_lo = theta - b_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    f = p - np.floor(p)  # exact: both operands share exponent range
+    f = f + err
+    f -= np.floor(f)
+    return f
+
+
+def enumerate_list(sys, x: int) -> list[int]:
+    """The members of A(x) in increasing order, as Python ints: length by
+    length, each prefix t extended by every allowed digit d with t*q + d
+    <= x."""
+    out = [0] if x >= 0 and 0 in sys.digits else []
+    level = [d for d in sys.digits if 0 < d <= x]
+    while level:
+        out.extend(level)
+        level = [t * sys.q + d for t in level if t * sys.q <= x for d in sys.digits if t * sys.q + d <= x]
     return out

@@ -19,7 +19,9 @@ from restricta import markov as M
 from restricta import primes as P
 from restricta.digit_systems import DigitSystem, census, enumerate_restricted
 from restricta.dioph import PsiFunction
-from restricta.numutil import csum, frac_mul, unit
+from restricta.numutil import csum, unit
+
+from tests.oracles import frac_mul
 
 TAU = F.TAU
 

@@ -236,10 +236,12 @@ class TestJsonOutputs:
         assert out == '{"error":"usage-error","message":"need k >= 1"}\n'
 
     def test_census_refuses_unproven_primality(self, capsys):
-        # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13
+        # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13;
+        # those past 2^63 are tested one by one, in order, so R_26 is named
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=1", "--x", str(10**39))
         assert code == 1
         assert json.loads(out)["error"] == "out-of-range"
+        assert json.loads(out)["message"].startswith("1" * 26 + " >= psi_13")
 
     def test_non_finite_ratio_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,exclude=7", "--x", "1")
@@ -261,6 +263,13 @@ class TestJsonOutputs:
         assert payload["pi"] == 25
         assert payload["ap"]["count"] == 11
         assert payload["value"]["re"] == pytest.approx(-23.0)
+
+    @pytest.mark.parametrize("q", [10**20, 7 * 10**399 + 1], ids=["q=10^20", "q=7*10^399+1"])
+    def test_primes_ap_modulus_past_int64(self, capsys, q):
+        # p = 3 is the one prime that is 3 mod q
+        code, out, _ = run_cli(capsys, "primes", "--limit", "100", "--ap", f"{q},3")
+        assert code == 0
+        assert out == '{"N":100,"ap":{"a":3,"count":1,"q":%d},"pi":25}\n' % q
 
     def test_rationals_as_strings(self, capsys):
         code, out, _ = run_cli(capsys, "dioph", "--psi", "constant:1/2",
@@ -401,8 +410,9 @@ class TestDeterminism:
         # |A(x)| above the enumerate route: the sieve route
         (("census", "--sys", "q=10,exclude=7", "--x", "10000000"),
          "0b4f4edbf242bdd680a3425cf63f17e142ffdab6f6056b51bd4b24b4f906d7d8"),
+        # S_P from 64-bit fixed-point phases: value within 4e-14 of mpmath
         (("primes", "--limit", "1000000", "--ap", "10,3", "--exp-sum", "0.123"),
-         "110e8316efc5a40c8b001f54da9974b60011504b749b273a2e318d26b98ca377"),
+         "b579f9b612615d45cce6475872de36fa277bf89edbdbabda8a015b1b3d462759"),
         (("fourier", "--check", "pairwise", "--q", "20"),
          "e6ceba59a59fb7babcb66134488521926f5c655f432ede15b2475cce0a48759b"),
         # no --R: the union of one q's events

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from restricta import digit_systems
@@ -16,6 +18,8 @@ from restricta.digit_systems import (
     prediction_constant,
 )
 from restricta.errors import CapExceeded, LimitExceeded, UsageError
+
+from tests.oracles import enumerate_list
 
 
 def brute_member(n: int, q: int, digits: set[int]) -> bool:
@@ -60,21 +64,45 @@ class TestCounting:
 
 class TestEnumeration:
     def test_examples(self):
-        assert enumerate_restricted(DigitSystem.of(10, (7, 8, 9)), 100) == [
+        assert enumerate_restricted(DigitSystem.of(10, (7, 8, 9)), 100).tolist() == [
             7, 8, 9, 77, 78, 79, 87, 88, 89, 97, 98, 99,
         ]
-        assert enumerate_restricted(DigitSystem.of(2, (1,)), 40) == [1, 3, 7, 15, 31]
-        assert enumerate_restricted(DigitSystem.of(10, (1, 3, 4)), 50) == [
+        assert enumerate_restricted(DigitSystem.of(2, (1,)), 40).tolist() == [1, 3, 7, 15, 31]
+        assert enumerate_restricted(DigitSystem.of(10, (1, 3, 4)), 50).tolist() == [
             1, 3, 4, 11, 13, 14, 31, 33, 34, 41, 43, 44,
         ]
 
     @given(systems, st.integers(0, 2000))
     @settings(max_examples=40, deadline=None)
     def test_length_equals_count_and_sorted(self, sys, x):
-        members = enumerate_restricted(sys, x)
+        members = enumerate_restricted(sys, x).tolist()
         assert len(members) == count_restricted(sys, x)
         assert members == sorted(members)
         assert all(brute_member(n, sys.q, set(sys.digits)) for n in members)
+
+    @given(systems, st.sampled_from((0, 1, 2000, 2**63 - 1, 2**63, 10**21)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_list_oracle(self, sys, x):
+        assume(count_restricted(sys, x) <= 20_000)
+        members = enumerate_restricted(sys, x)
+        assert members.dtype == (np.int64 if x < 2**63 else object)
+        assert members.tolist() == enumerate_list(sys, x)
+
+    @pytest.mark.parametrize("x", (2**63 - 1, 2**63, 10**21))
+    @pytest.mark.parametrize("sys", (
+        DigitSystem.of(2**21, (0, 1)),  # 2^63 = q^3 is a member
+        DigitSystem.of(2**21, (1, 2**21 - 1)),
+        DigitSystem.of(2, (1,)),  # 2^63 - 1 is a member
+        DigitSystem.of(1000, (0, 1, 7)),
+        DigitSystem.of(10, (1,)),
+        DigitSystem.of(2**64, (0, 1, 2**63)),  # a one-digit member above int64
+        DigitSystem.of(10**20, (3, 10**19)),
+    ), ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
+    def test_int64_edge(self, sys, x):
+        members = enumerate_restricted(sys, x)
+        assert members.dtype == (np.int64 if x < 2**63 else object)
+        assert members.tolist() == enumerate_list(sys, x)
+        assert len(members) == count_restricted(sys, x)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(digit_systems, "ENUM_CAP", 1000)
@@ -170,6 +198,17 @@ class TestCensus:
         # R_21 to the scalar one; the primes are R_2 = 11 and R_19
         rep = census(DigitSystem.of(10, (1,)), 10**21)
         assert (rep.count, rep.prime_count) == (21, 2)
+
+    def test_enumerate_route_memory(self):
+        # the 262142 members as int64 arrays, not Python ints: 4.8 MB traced
+        tracemalloc.start()
+        try:
+            rep = census(DigitSystem.of(10, (1, 9)), 10**17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.prime_count == 18530
+        assert peak < 8 * 2**20
 
     def test_sieve_route_matches_enum_route(self, monkeypatch):
         sys = DigitSystem.excluding(10, {7})

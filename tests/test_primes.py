@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,10 +140,10 @@ class TestStreamedLayer:
         x = EDGE_X[-2]
         assert P.count_primes_digit_filtered(P.sieve_primes(x), x, sys) == int(np.count_nonzero(member[ref <= x]))
 
-    @pytest.mark.parametrize("q", (1, 2, 3, 10, 30))
+    @pytest.mark.parametrize("q", (1, 2, 3, 4, 7, 10, 12, 30))
     def test_ap_counts_partition_pi(self, q, edge_oracle):
         ref, t = edge_oracle
-        for x in EDGE_X:
+        for x in (0, 1, *EDGE_X):
             below = ref[ref <= x]
             counts = [P.count_primes_ap(t, x, q, a) for a in range(q)]
             assert counts == [int(np.count_nonzero(below % q == a)) for a in range(q)]
@@ -283,6 +284,12 @@ class TestCountAp:
         total = sum(P.count_primes_ap(table, x, q, a) for a in range(q))
         assert total == table.pi(x)
 
+    @pytest.mark.parametrize("q", (10**20, 2**63, 2**64 + 2, 7 * 10**399 + 1))
+    def test_modulus_past_int64(self, q, table_1e4):
+        ps = table_1e4.primes(10**4).tolist()
+        for a in (0, 1, 2, 3, 9973, 9974, q - 1):
+            assert P.count_primes_ap(table_1e4, 10**4, q, a) == sum(1 for p in ps if p % q == a)
+
 
 class TestRamanujan:
     def test_examples(self):
@@ -307,6 +314,7 @@ class TestPrimeExpSum:
         v = P.prime_exp_sum(table_1e4, 100, 0.5)
         assert v.real == pytest.approx(2 - 25)
         assert abs(v.imag) < 1e-12
+        assert v.imag == 0
 
     def test_near_ramanujan_prediction(self, table_1e6):
         v = P.prime_exp_sum(table_1e6, 10**6, 1.0 / 3.0)
@@ -339,6 +347,23 @@ class TestPrimeExpSum:
     def test_out_of_range(self, table_1e4):
         with pytest.raises(OutOfRange):
             P.prime_exp_sum(table_1e4, 10**5, 0.1)
+
+    def test_against_mpmath_witness(self, table_1e6):
+        # S_P(0.123) over the 78498 primes up to 10^6, theta the float 0.123,
+        # summed at 30 digits with mpmath
+        v = P.prime_exp_sum(table_1e6, 10**6, 0.123)
+        assert abs(v - complex(120.65510833947569396, 42.345067053272483438)) < 1e-11
+
+    def test_memory(self):
+        # one block workspace and one decoded segment at a time: 5.0 MB traced
+        table = P.sieve_primes(10**7)
+        tracemalloc.start()
+        try:
+            P.prime_exp_sum(table, 10**7, 0.41421356237309515)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -32,6 +32,8 @@ ALLOWLIST = {
     ("restricta.numutil", "frac_exact"): "restricted_exp_sum, for test_acceptance.py::test_10",
     ("restricta.fourier", "typical_growth_constant"): "test_acceptance.py::test_01_growth_constant",
     ("restricta.numutil", "catalan_constant"): "typical_growth_constant, for test_acceptance.py::test_01",
+    ("restricta.numutil", "csum"): "ramanujan_sum, for test_acceptance.py::test_09",
+    ("restricta.numutil", "_root_table"): "runs once at import, to build _ROOT_COS and _ROOT_SIN",
     ("restricta.markov", "row_sum_bound"): "test_acceptance.py::test_06; perfbench ops certify.sigma1/sigma2",
     ("restricta.primes", "mobius"): "test_acceptance.py::test_09_ramanujan_identity",
     ("restricta.primes", "ramanujan_sum"): "test_acceptance.py::test_09_ramanujan_identity",
