@@ -89,8 +89,7 @@ def _scan_points(sys: DigitSystem, k: int) -> int:
 def _spectrum(sys: DigitSystem, k: int) -> np.ndarray:
     """S_P(j/N) for every j in [0, N), N = q^k, refused by ``_scan_points``
     before anything is sieved."""
-    N = _scan_points(sys, k)
-    return prime_spectrum(sieve_primes(N), N)
+    return prime_spectrum(sieve_primes(_scan_points(sys, k)))
 
 
 @dataclass(frozen=True)

@@ -83,12 +83,13 @@ def _split(text: str, sep: str, form: str) -> tuple[int, int]:
 
 def _cmd_primes(args):
     table = _primes.sieve_primes(args.limit)
-    out = {"N": args.limit, "pi": table.pi(args.limit)}
-    if args.ap:
-        q, a = _split(args.ap, ",", "--ap q,a")
-        out["ap"] = {"q": q, "a": a, "count": _primes.count_primes_ap(table, args.limit, q, a)}
-    if args.exp_sum is not None:
-        out["value"] = _primes.prime_exp_sum(table, args.limit, args.exp_sum)
+    ap = _split(args.ap, ",", "--ap q,a") if args.ap else None
+    pi, count, value = _primes.prime_sums(table, ap, args.exp_sum)
+    out = {"N": args.limit, "pi": pi}
+    if ap:
+        out["ap"] = {"q": ap[0], "a": ap[1], "count": count}
+    if value is not None:
+        out["value"] = value
     return out
 
 
@@ -187,13 +188,15 @@ def _cmd_dioph(args):
     raise UsageError(f"unknown dioph cmd {cmd!r}")
 
 
-def _read_set(path: str) -> list[int]:
+def _read_instance(path: str, B: int) -> _gcd.GcdInstance:
+    """The set file's integers with threshold B, checked by ``GcdInstance``
+    (nonempty, positive, B >= 1)."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read set {path!r}: {exc.strerror}") from None
-    return [parsed(int, word, "set element") for word in text.split()]
+    return _gcd.GcdInstance(tuple(parsed(int, word, "set element") for word in text.split()), B)
 
 
 def _cmd_gcdgraph(args):
@@ -204,7 +207,8 @@ def _cmd_gcdgraph(args):
         return _gcd.chow_counterexample(args.y).to_json()
     if not args.set:
         raise UsageError(f"{cmd} needs --set")
-    S = _read_set(args.set)
+    inst = _read_instance(args.set, args.B)
+    S = inst.S
     if cmd == "build":
         g = _gcd.build_gcd_graph(S, args.B)
         return {
@@ -213,13 +217,13 @@ def _cmd_gcdgraph(args):
             "density": g.density,
         }
     if cmd == "model":
-        res = _gcd.model_problem_search(_gcd.GcdInstance(tuple(S), args.B))
+        res = _gcd.model_problem_search(inst)
         if res is None:
             return {"B": args.B, "found": False}
         g, mult = res
         return {"B": args.B, "found": True, "g": str(g), "multiplicity": mult}
     if cmd == "green-walker":
-        S2 = _read_set(args.set2) if args.set2 else S
+        S2 = _read_instance(args.set2, args.B).S if args.set2 else S
         delta, ratio = _gcd.green_walker_ratio(S, S2, args.B)
         return {"B": args.B, "delta": delta, "ratio": ratio}
     if cmd == "compress":

@@ -79,7 +79,16 @@ class PsiFunction:
 
     @classmethod
     def from_pairs(cls, pairs) -> "PsiFunction":
+        """psi(n) = v for each pair (n, v), each n >= 1 at most once and each
+        v >= 0; zero off the table."""
         tab = tuple(sorted((int(n), Fraction(v)) for n, v in pairs))
+        if tab and tab[0][0] < 1:
+            raise UsageError(f"psi table needs n >= 1, got {tab[0][0]}")
+        if any(v < 0 for _, v in tab):
+            raise UsageError("psi table values must be >= 0")
+        for (m, _), (n, _) in zip(tab, tab[1:]):
+            if m == n:
+                raise UsageError(f"psi table gives n = {n} twice")
         return cls("table", table=tab)
 
     @classmethod

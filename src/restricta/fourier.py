@@ -243,8 +243,7 @@ def sin_display_value(q: int) -> float:
     """The closed-form per-digit bound sum for one missing digit:
     3q-4 + 2*sum_{1<=t<(q-1)/2} 1/sin(pi t/q) + [q odd]/sin(pi(q-1)/2q)."""
     _check_closed_form(q)
-    t_hi = int(math.ceil((q - 1) / 2 - 1e-12))
-    t = np.arange(1, t_hi, dtype=np.float64)
+    t = np.arange(1, q // 2, dtype=np.float64)
     val = 3.0 * q - 4.0 + 2.0 * float(np.sum(1.0 / np.sin(np.pi * t / q)))
     terms = len(t) + 1
     if (q - 1) % 2 == 0:
@@ -343,8 +342,7 @@ def pairwise_display_value(q: int) -> float:
     """The closed-form two-digit bound sum:
     (3q-4)^2 + (2*sum 1/sin(pi t/q) + ...)(6q-8 + 2*sum sin(pi u/q) + ...)."""
     _check_closed_form(q)
-    t_hi = int(math.ceil((q - 1) / 2 - 1e-12))
-    t = np.arange(1, t_hi, dtype=np.float64)
+    t = np.arange(1, q // 2, dtype=np.float64)
     f1 = 2.0 * float(np.sum(1.0 / np.sin(np.pi * t / q)))
     u = np.arange(2, q // 2 + 1, dtype=np.float64)
     f2 = 6.0 * q - 8.0 + 2.0 * float(np.sum(np.sin(np.pi * u / q)))

@@ -1,21 +1,17 @@
 """Prime generation and the prime exponential sum S_P(theta).
 
-The sieve stores one bit per odd integer (2, the only even prime, is handled
-apart) in segments of SEGMENT odd slots.  Each segment starts as a copy of a
-wheel pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
+A ``PrimeTable`` keeps only its limit and the base primes up to its square
+root.  Its ``slots()`` walk sieves the range one segment of SEGMENT odd
+slots at a time (one flag per odd integer; 2, the only even prime, is
+handled apart) and keeps none of it.  Each segment starts as a wheel
+pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
 (period 3*5*7*11*13 = 15015 odd slots), so only the base primes >= 17 are
-crossed off.  Counts in an arithmetic progression read the sieve slots
-directly: the odd p = a (mod q) fill one residue class of slots, counted
-at one stride per segment, so nothing is decoded and q may be any size.
-``PrimeTable.segments`` decodes one segment's primes at a time, and
-S_P(theta) = sum_{p<=N} e(p*theta) folds over it in blocks of EXP_BLOCK
-primes: theta is reduced mod 1 once, exactly, to 128-bit fixed point, and
-each block forms its 64-bit phases and their roots of unity (a 4096-entry
-table times a short polynomial, see ``numutil``) in one workspace, with a
-numpy sum per block and an fsum across.  The digit census keeps no table
-of the range: it sieves only the blocks of q^j integers whose leading
-digits are allowed, with the same segment kernel, and counts each piece
-through one digit pattern.  Also: Ramanujan sums, deterministic
+crossed off.  ``prime_sums`` takes pi(N), a count in an arithmetic
+progression and S_P(theta) = sum_{p<=N} e(p*theta) from one walk, and
+``prime_spectrum`` fills the indicator of the primes from one walk.  The
+digit census sieves only the blocks of q^j integers whose leading digits
+are allowed, with the same segment kernel, and counts each piece through
+one digit pattern.  Also: Ramanujan sums, deterministic
 Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
 factorization, which Mobius reads: trial division by the primes of one
@@ -61,61 +57,39 @@ _MR_TABLE = (
 
 
 class PrimeTable:
-    """Primality table for [0, limit]: one bit per odd integer, in segments
-    of SEGMENT odd slots, with the prime count of every segment.
+    """The primes up to limit, kept as the base primes up to sqrt(limit).
 
-    ``segments(x)`` yields each segment's primes <= x; ``primes(x)`` is
-    their concatenation and ``pi(x)`` adds whole-segment counts to one
-    decoded segment.
+    Nothing of the range is stored: ``slots()`` sieves it one segment at a
+    time on demand, and every quantity over the primes up to limit is one
+    pass over it.
     """
 
-    def __init__(self, limit: int, packed: np.ndarray, seg_counts: np.ndarray):
+    def __init__(self, limit: int, base: np.ndarray):
         self.limit = limit
-        self._packed = packed  # uint8, bit i (big-endian per byte) is 2i+1
-        self._seg_counts = seg_counts  # primes per segment, 2 in segment 0
+        self._base = base  # the primes from 17 up to sqrt(limit), int64
 
-    def _check(self, x: int) -> None:
-        if x > self.limit:
-            raise OutOfRange(f"{x} exceeds table limit {self.limit}")
+    def slots(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, flags) for each segment in turn: flags[i] tells whether the
+        odd integer 2*(lo + i) + 1 is prime, for the odd integers up to
+        limit (the prime 2 has no slot)."""
+        nslots = (self.limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
+        for lo in range(0, nslots, SEGMENT):
+            yield lo, _sieve_slots(lo, min(lo + SEGMENT, nslots), self._base)
 
-    def _segment_bits(self, seg: int, x: int) -> np.ndarray:
-        """Primality flags of the odd slots of segment seg up to x, bool
-        (slot i of the segment holds 2*(seg*SEGMENT + i) + 1)."""
-        width = SEGMENT // 8
-        bits = np.unpackbits(self._packed[seg * width : (seg + 1) * width]).view(bool)
-        return bits[: max(0, min(SEGMENT, (x + 1) // 2 - seg * SEGMENT))]
+    def primes(self) -> np.ndarray:
+        """All primes <= limit, increasing, int64."""
+        return np.concatenate([_decode(lo, flags) for lo, flags in self.slots()])
 
-    def _segment_primes(self, seg: int, x: int) -> np.ndarray:
-        """Primes <= x in segment seg, increasing, int64."""
-        ps = np.flatnonzero(self._segment_bits(seg, x)).astype(np.int64, copy=False)
-        ps *= 2
-        ps += 2 * seg * SEGMENT + 1
-        if seg == 0:
-            ps = np.concatenate((np.array([2], dtype=np.int64), ps))
-        return ps
 
-    def segments(self, x: int | None = None) -> Iterator[np.ndarray]:
-        """The primes <= x (default: the full table) of each segment in
-        turn, increasing, int64; nothing when x < 2."""
-        x = self.limit if x is None else x
-        self._check(x)
-        if x < 2:
-            return
-        for seg in range((x - 1) // 2 // SEGMENT + 1):
-            yield self._segment_primes(seg, x)
-
-    def primes(self, x: int | None = None) -> np.ndarray:
-        """All primes <= x (default: the full table), increasing, int64."""
-        parts = list(self.segments(x))
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def pi(self, x: int) -> int:
-        """Exact prime count up to x."""
-        self._check(x)
-        if x < 2:
-            return 0
-        seg = (x - 1) // 2 // SEGMENT
-        return int(self._seg_counts[:seg].sum()) + len(self._segment_primes(seg, x))
+def _decode(lo: int, flags: np.ndarray) -> np.ndarray:
+    """The primes of one segment's flags, increasing, int64, with 2 first
+    in the segment at lo = 0."""
+    ps = np.flatnonzero(flags).astype(np.int64, copy=False)
+    ps *= 2
+    ps += 2 * lo + 1
+    if lo == 0:
+        ps = np.concatenate((np.array([2], dtype=np.int64), ps))
+    return ps
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -129,30 +103,23 @@ def _simple_sieve(n: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
-def _wheel_pattern() -> np.ndarray:
-    """True at odd slot i when 2i+1 is prime to 3, 5, 7, 11 and 13, for at
-    least SEGMENT + WHEEL slots; the pattern repeats every WHEEL slots, so
-    every run of at most SEGMENT slots is a slice of it."""
-    n = 2 * np.arange(WHEEL, dtype=np.int64) + 1
-    one = (n % 3 != 0) & (n % 5 != 0) & (n % 7 != 0) & (n % 11 != 0) & (n % 13 != 0)
-    return np.tile(one, SEGMENT // WHEEL + 2)
-
-
+# True at odd slot i < WHEEL when 2i+1 is prime to 3, 5, 7, 11 and 13; the
+# pattern repeats every WHEEL slots
+_WHEEL = np.gcd(2 * np.arange(WHEEL) + 1, WHEEL) == 1
 _FIRST_SLOTS = np.array([False, True, True, True, False, True, True])  # 1, 3, 5, ..., 13
 
 
-def _sieve_slots(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray) -> np.ndarray:
+def _sieve_slots(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Primality flags of the odd slots [lo, hi), hi - lo <= SEGMENT, given
     base, the primes from 17 up to the square root of the largest integer
     the caller reads (flags above that may be wrong).
 
-    The flags start as a copy of the wheel pattern, which has struck out 3,
+    The flags start as the wheel pattern repeated, which has struck out 3,
     5, 7, 11 and 13; each base prime p with p*p in range is then crossed
     off from max(p*p, its first odd multiple >= 2*lo + 1) on, the odd
     multiples p*(2k+1) sitting p slots apart.
     """
-    phase = lo % WHEEL
-    flags = wheel[phase : phase + hi - lo].copy()
+    flags = np.resize(np.roll(_WHEEL, -(lo % WHEEL)), hi - lo)
     if lo < len(_FIRST_SLOTS):
         head = _FIRST_SLOTS[lo:hi]
         flags[: len(head)] = head
@@ -166,52 +133,69 @@ def _sieve_slots(lo: int, hi: int, base: np.ndarray, wheel: np.ndarray) -> np.nd
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented odd-only sieve of Eratosthenes up to limit (inclusive),
-    one ``_sieve_slots`` call per segment."""
+    """The table of the primes up to limit (inclusive): the base primes up
+    to sqrt(limit) from a plain sieve; ``PrimeTable.slots`` runs the
+    segmented odd-only sieve of Eratosthenes over the range."""
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
     if limit > SIEVE_LIMIT:
         raise LimitExceeded(f"sieve limit {limit} above 2^40")
     base = _simple_sieve(math.isqrt(limit))
-    base = base[base >= 17]
-    wheel = _wheel_pattern()
-    nslots = (limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
-    nseg = -(-nslots // SEGMENT)
-    packed = np.empty(nseg * (SEGMENT // 8), dtype=np.uint8)
-    seg_counts = np.empty(nseg, dtype=np.int64)
-    for seg in range(nseg):
-        lo = seg * SEGMENT
-        flags = _sieve_slots(lo, lo + SEGMENT, base, wheel)
-        flags[nslots - lo :] = False
-        seg_counts[seg] = np.count_nonzero(flags) + (1 if seg == 0 else 0)  # and 2
-        packed[seg * (SEGMENT // 8) : (seg + 1) * (SEGMENT // 8)] = np.packbits(flags)
-    return PrimeTable(limit, packed, seg_counts)
+    return PrimeTable(limit, base[base >= 17])
 
 
-def count_primes_ap(table: PrimeTable, x: int, q: int, a: int) -> int:
-    """Exact #{p <= x : p prime, p = a (mod q)}, read off the sieve slots.
+def prime_sums(
+    table: PrimeTable, ap: tuple[int, int] | None = None, theta: float | None = None
+) -> tuple[int, int | None, complex | None]:
+    """(pi(N), #{p <= N : p = a (mod q)}, S_P(theta)) for N = table.limit,
+    from one walk over ``table.slots()``; the count is None without
+    ap = (q, a), and S_P(theta) = sum_{p <= N} e(p*theta) None without
+    theta.  Both are checked before the walk starts.
 
-    Odd slot s holds 2s+1, so the odd p = a (mod q) sit in one residue
-    class of slots: s = (a-1)/2 (mod q/2) for even q (none for even a),
-    and s = (a-1)*2^-1 (mod q) for odd q.  Each segment counts its flags
-    at that stride; the prime 2 is counted apart.
+    The count reads the sieve slots: odd slot s holds 2s+1, so the odd
+    p = a (mod q) sit in one residue class of slots, s = (a-1)/2 (mod q/2)
+    for even q (none for even a) and s = (a-1)*2^-1 (mod q) for odd q;
+    each segment counts its flags at that stride, so nothing is decoded and
+    q may be any size.  The prime 2 is counted apart.
+
+    For S_P, theta is reduced mod 1 once, exactly, to 128-bit fixed point;
+    each segment's primes are decoded, and each block of EXP_BLOCK of them
+    forms its 64-bit phases and their roots of unity (a 4096-entry table
+    times a short polynomial, see ``numutil``) in one workspace, with a
+    numpy sum per block and an exact fsum across blocks.
     """
-    if q < 1 or not (0 <= a < q):
-        raise UsageError("need q >= 1 and 0 <= a < q")
-    table._check(x)
-    count = 1 if x >= 2 and 2 % q == a else 0
-    if q % 2 == 0:
-        if a % 2 == 0:
-            return count
-        step, first = q // 2, (a - 1) // 2
-    else:
-        step, first = q, (a - 1) * pow(2, -1, q) % q
-    for seg in range((x - 1) // 2 // SEGMENT + 1):
-        bits = table._segment_bits(seg, x)
-        start = (first - seg * SEGMENT) % step
-        if start < len(bits):
-            count += int(np.count_nonzero(bits[start :: min(step, SEGMENT)]))
-    return count
+    count, step = None, 0  # step: the stride of the odd p = a (mod q) in slots; 0: none
+    if ap is not None:
+        q, a = ap
+        if q < 1 or not (0 <= a < q):
+            raise UsageError("need q >= 1 and 0 <= a < q")
+        count = 1 if 2 % q == a else 0
+        if q % 2 == 1:
+            step, first = q, (a - 1) * pow(2, -1, q) % q
+        elif a % 2 == 1:
+            step, first = q // 2, (a - 1) // 2
+    if theta is not None:
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise UsageError(f"need a finite theta, got {theta}")
+        t = fixed_phase(theta)
+        work = np.empty((7, EXP_BLOCK), dtype=np.uint64)
+        re, im = [], []
+    pi = 1  # the prime 2
+    for lo, flags in table.slots():
+        pi += int(np.count_nonzero(flags))
+        if step:
+            start = (first - lo) % step
+            if start < len(flags):
+                count += int(np.count_nonzero(flags[start :: min(step, SEGMENT)]))
+        if theta is not None:
+            n = _decode(lo, flags).view(np.uint64)
+            for i in range(0, len(n), EXP_BLOCK):
+                m = min(EXP_BLOCK, len(n) - i)
+                c, s = unit_fixed(fixed_phases(n[i : i + m], t, out=work[6, :m]), work[:6, :m])
+                re.append(float(c.sum()))
+                im.append(float(s.sum()))
+    return pi, count, None if theta is None else complex(math.fsum(re), math.fsum(im))
 
 
 def _digit_patterns(sys) -> tuple[int, np.ndarray, np.ndarray]:
@@ -275,15 +259,18 @@ def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
     or i >= 1 is a member and the j digits of r, zero-padded, are allowed.
     So only the blocks [i*Q, (i+1)*Q) with i = 0 or i in A are sieved,
     merged into runs, and each run SEGMENT odd slots at a time with the
-    base primes of ``table`` (which must reach sqrt(x)); the block holding
-    x is cut at x.  Each piece's flags are ANDed with the pattern ``full``
-    (``lead`` in block 0) at the odd integers and counted; no prime is
-    decoded.  The pattern at odd slot s is full[(2s+1) % Q], which repeats
+    primes of ``table`` as base primes (OutOfRange when its limit is below
+    sqrt(x)); the block holding x is cut at x.  Each piece's flags are
+    ANDed with the pattern ``full`` (``lead`` in block 0) at the odd
+    integers and counted; no prime is decoded.  The pattern at odd slot s is full[(2s+1) % Q], which repeats
     every Q/2 slots for even Q and every Q slots for odd Q.
     """
     if x > SIEVE_LIMIT:
         raise LimitExceeded(f"sieve limit {x} above 2^40")
-    base = table.primes(math.isqrt(max(x, 0)))
+    root = math.isqrt(max(x, 0))
+    if table.limit < root:
+        raise OutOfRange(f"{root} exceeds table limit {table.limit}")
+    base = table.primes()
     base = base[base >= 17]
     if x < 2:
         return 0
@@ -293,13 +280,12 @@ def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
     tiled = np.tile(odd, -(-SEGMENT // period) + 1)
     lead_odd = lead[1::2].copy()  # block 0: the odd r < Q are the slots [0, Q // 2)
     del full, lead, odd
-    wheel = _wheel_pattern()
     count = 1 if sys.contains(2) else 0  # the one even prime
     for i0, i1 in _block_runs(sys, x // Q):
         stop = min(i1 * Q, x + 1) // 2  # slots of the odd integers below min(i1*Q, x + 1)
         for lo in range(i0 * Q // 2, stop, SEGMENT):
             hi = min(lo + SEGMENT, stop)
-            flags = _sieve_slots(lo, hi, base, wheel)
+            flags = _sieve_slots(lo, hi, base)
             split = min(max(Q // 2 - lo, 0), hi - lo)
             flags[:split] &= lead_odd[lo : lo + split]
             phase = (lo + split) % period
@@ -308,37 +294,17 @@ def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
     return count
 
 
-def prime_exp_sum(table: PrimeTable, N: int, theta: float) -> complex:
-    """S_P(theta) = sum_{p <= N} e(p*theta): theta is reduced mod 1 once,
-    exactly, to 128-bit fixed point; each block of EXP_BLOCK primes forms
-    its 64-bit phases and their roots of unity in one workspace, a numpy
-    sum per block, and an exact fsum across blocks."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise UsageError(f"need a finite theta, got {theta}")
-    t = fixed_phase(theta)
-    work = np.empty((7, EXP_BLOCK), dtype=np.uint64)
-    re, im = [], []
-    for ps in table.segments(N):
-        n = ps.view(np.uint64)
-        for i in range(0, len(n), EXP_BLOCK):
-            m = min(EXP_BLOCK, len(n) - i)
-            c, s = unit_fixed(fixed_phases(n[i : i + m], t, out=work[6, :m]), work[:6, :m])
-            re.append(float(c.sum()))
-            im.append(float(s.sum()))
-    return complex(math.fsum(re), math.fsum(im))
-
-
-def prime_spectrum(table: PrimeTable, N: int) -> np.ndarray:
-    """S_P(j/N) for all j in [0, N): the conjugate DFT of the indicator of
-    the primes up to N."""
-    ps = table.primes(N)
-    ind = np.zeros(N, dtype=np.float64)
-    if ps.size and ps[-1] == N:  # wrap p = N onto residue 0
-        ind[0] = 1.0
-        ps = ps[:-1]
-    ind[ps] = 1.0
-    return np.conj(np.fft.fft(ind))
+def prime_spectrum(table: PrimeTable) -> np.ndarray:
+    """S_P(j/N) for all j in [0, N), N = table.limit: the conjugate DFT of
+    the indicator of the primes up to N, filled from the sieve slots, with
+    p = N wrapped onto residue 0."""
+    N = table.limit
+    ind = np.zeros(N + 1, dtype=np.float64)
+    ind[2] = 1.0
+    for lo, flags in table.slots():
+        ind[2 * lo + 1 : 2 * (lo + len(flags)) : 2] = flags
+    ind[0] = ind[N]
+    return np.conj(np.fft.fft(ind[:N]))
 
 
 def mobius(n: int) -> int:

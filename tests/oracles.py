@@ -22,7 +22,7 @@ its oracle too:
   from counts and builds only the one it takes;
 * ``frac_mul`` reduces n*theta mod 1 for a float array by an error-free
   two-product, the float phase path that ``numutil.fixed_phases``
-  replaced in ``primes.prime_exp_sum``;
+  replaced in the S_P(theta) of ``primes.prime_sums``;
 * ``enumerate_list`` lists A(x) one Python int at a time, where
   ``digit_systems.enumerate_restricted`` builds int64 outer products.
 

@@ -6,6 +6,7 @@ import pytest
 from restricta import arcs as A
 from restricta.digit_systems import DigitSystem
 from restricta.errors import UsageError
+from restricta.primes import prime_sums, sieve_primes
 
 from tests.oracles import FareyPoint, classify_point, primary_term_direct
 
@@ -84,10 +85,11 @@ class TestMainTerm:
         rep = A.main_term_assembly(DigitSystem.excluding(10, {7}), 3)
         assert abs(rep.identity_sum - rep.exact_count) < 1e-6
 
-    def test_full_digit_set_gives_pi(self, table_1e4):
+    def test_full_digit_set_gives_pi(self):
         rep = A.main_term_assembly(DigitSystem.of(10, range(10)), 3)
-        assert round(rep.identity_sum) == table_1e4.pi(1000)
-        assert rep.exact_count == table_1e4.pi(1000)
+        pi = prime_sums(sieve_primes(1000))[0]
+        assert round(rep.identity_sum) == pi
+        assert rep.exact_count == pi
 
     def test_primary_term_tracks_prediction(self):
         rep = A.main_term_assembly(DigitSystem.excluding(10, {7}), 4)
@@ -117,11 +119,11 @@ class TestMinorArcMass:
         mass = A.arc_mass_breakdown(sys, 3, 1.5)["mass"]["non-primary"]
         assert mass < 1e-6 * 10**3
 
-    def test_positive_and_below_zero_term(self, table_1e6):
+    def test_positive_and_below_zero_term(self):
         sys = DigitSystem.excluding(10, {7})
         breakdown = A.arc_mass_breakdown(sys, 5, 1.5)
         mass = breakdown["mass"]["non-primary"]
-        zero_term = 9**5 * table_1e6.pi(10**5) / 10**5
+        zero_term = 9**5 * prime_sums(sieve_primes(10**5))[0] / 10**5
         assert 0 < mass < zero_term
 
     def test_mass_ratio_decreases_with_k(self):

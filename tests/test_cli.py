@@ -26,6 +26,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+MALFORMED_FILES = {
+    "zero": "0 6 10\n",
+    "negative": "-6 10 15\n",
+    "empty": "\n",
+    "sets": "6 10 15\n",
+    "psi_twice": "n,psi\n3,1/2\n3,1/4\n",
+    "psi_negative": "n,psi\n3,-1\n",
+    "psi_n0": "n,psi\n0,1/2\n3,1/4\n",
+}
+
+
 class TestBasics:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
@@ -92,9 +103,22 @@ class TestBasics:
         ("fourier", "--check", "pairwise", "--scan", "10..11", "--sys", "q=10,exclude=7"),
         ("fourier", "--check", "sin-sum", "--scan", "10..11", "--q", "10"),
         ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--A", "1.5"),
+        # a set or psi table the computation cannot take (files in MALFORMED_FILES)
+        ("gcdgraph", "--cmd", "green-walker", "--set", "{zero}", "--B", "1"),
+        ("gcdgraph", "--cmd", "green-walker", "--set", "{sets}", "--set2", "{zero}", "--B", "1"),
+        ("gcdgraph", "--cmd", "build", "--set", "{negative}", "--B", "2"),
+        ("gcdgraph", "--cmd", "build", "--set", "{sets}", "--B", "0"),
+        ("gcdgraph", "--cmd", "compress", "--set", "{empty}", "--B", "2"),
+        ("dioph", "--psi", "table:{psi_twice}", "--cmd", "measure", "--q", "3"),
+        ("dioph", "--psi", "table:{psi_twice}", "--cmd", "series", "--Q", "3"),
+        ("dioph", "--psi", "table:{psi_negative}", "--cmd", "series", "--Q", "3"),
+        ("dioph", "--psi", "table:{psi_n0}", "--cmd", "series", "--Q", "3"),
     ])
-    def test_malformed_text_is_usage_error(self, capsys, argv):
-        code, out, _ = run_cli(capsys, *argv)
+    def test_malformed_text_is_usage_error(self, capsys, tmp_path, argv):
+        paths = {name: tmp_path / name for name in MALFORMED_FILES}
+        for name, text in MALFORMED_FILES.items():
+            paths[name].write_text(text)
+        code, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert json.loads(out)["error"] == "usage-error"
 
@@ -421,6 +445,10 @@ class TestDeterminism:
         # every element is below B: no divisor qualifies
         (("gcdgraph", "--cmd", "model", "--set", "{set}", "--B", "1000000"),
          "958bbed5bd400b6606bf9edf57c21c8fbdd5ae576753d7fb32683cb4b356872f"),
+        # one slot past the first segment, whose 2^20 odd slots end at 2^21 - 1:
+        # the walk's second segment is the one slot 2^21 + 1
+        (("primes", "--limit", "2097153", "--ap", "7,0", "--exp-sum", "0.3333"),
+         "bf72fae187f7cc926cf76813e226ac3d9ee29917fcb45c28f15610b80ad18125"),
     ])
     def test_pinned_route_outputs(self, capsys, tmp_path, argv, sha256):
         # seeded sets of 60 and 50 integers below 10^6, and a five-row psi table

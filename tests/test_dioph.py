@@ -129,6 +129,7 @@ psi_families = st.one_of(
     st.lists(
         st.tuples(st.integers(1, 60), st.fractions(min_value=0, max_value=40, max_denominator=30)),
         max_size=20,
+        unique_by=lambda pair: pair[0],
     ).map(PsiFunction.from_pairs),
     st.floats(0, 2).map(PsiFunction.khinchin_threshold),
     st.just(PsiFunction.ds_spread()),
@@ -282,6 +283,17 @@ class TestPsiFamilies:
     def test_table_zero_off_table(self):
         psi = PsiFunction.from_pairs([(5, 1)])
         assert psi(4) == 0.0 and psi(5) == 1.0
+
+    @pytest.mark.parametrize("pairs", [
+        [(3, Fraction(1, 2)), (3, Fraction(1, 4))],  # two values of psi(3)
+        [(3, Fraction(1, 2)), (5, 1), (3, Fraction(1, 2))],
+        [(3, -1)],
+        [(0, Fraction(1, 2)), (3, Fraction(1, 4))],
+        [(-2, 1)],
+    ], ids=("repeated", "repeated-equal", "negative", "n=0", "n<0"))
+    def test_table_refuses_bad_rows(self, pairs):
+        with pytest.raises(UsageError):
+            PsiFunction.from_pairs(pairs)
 
     def test_parse_errors(self):
         with pytest.raises(UsageError):

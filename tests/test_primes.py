@@ -27,6 +27,10 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def pi(x: int) -> int:
+    return P.prime_sums(P.sieve_primes(x))[0]
+
+
 def mobius_oracle(n: int) -> int:
     res, m, p = 1, n, 2
     while p * p <= m:
@@ -46,11 +50,11 @@ class TestSieve:
             assert (n in primes) == trial_division_is_prime(n), n
 
     def test_pi_values(self, table_1e6):
-        assert table_1e6.pi(100) == 25
-        assert table_1e6.pi(2) == 1
-        assert table_1e6.pi(10**6) == 78498
+        assert pi(100) == 25
+        assert pi(2) == 1
+        assert P.prime_sums(table_1e6)[0] == 78498
 
-    def test_pi_matches_independent_sieve(self, table_1e6):
+    def test_pi_matches_independent_sieve(self):
         flags = np.ones(10**6 + 1, dtype=bool)
         flags[:2] = False
         for p in range(2, 1001):
@@ -58,15 +62,17 @@ class TestSieve:
                 flags[p * p :: p] = False
         counts = np.cumsum(flags)
         for x in (10, 97, 5000, 524_288, 999_983, 10**6):
-            assert table_1e6.pi(x) == int(counts[x])
+            assert pi(x) == int(counts[x])
 
     def test_segment_boundaries(self, table_1e6):
         # limits straddling the 2^20 segment edge
-        reference = table_1e6.pi(10**6)
+        reference = P.prime_sums(table_1e6)[0]
         for lim in (2**20 - 1, 2**20, 2**20 + 1):
             t = P.sieve_primes(lim)
-            assert t.pi(10**6) == reference
-            assert 1_048_573 in t.primes()  # prime just below 2^20
+            ps = t.primes()
+            assert int(np.count_nonzero(ps <= 10**6)) == reference
+            assert P.prime_sums(t)[0] == len(ps)
+            assert 1_048_573 in ps  # prime just below 2^20
         t = P.sieve_primes(2**20 + 100)
         ps = t.primes()
         assert int(ps[-1]) <= 2**20 + 100
@@ -75,8 +81,6 @@ class TestSieve:
     def test_limits(self):
         with pytest.raises(LimitExceeded):
             P.sieve_primes(2**40 + 1)
-        with pytest.raises(OutOfRange):
-            P.sieve_primes(100).pi(101)
 
 
 # Edges of the first few segments (2^20 odd slots cover 2^21 integers), of
@@ -103,9 +107,10 @@ FILTER_SYSTEMS = (
 
 @pytest.fixture(scope="module")
 def edge_oracle():
-    """Plain-sieve primes up to the largest edge and its table."""
+    """Plain-sieve primes up to the largest edge, and a table of the base
+    primes up to its square root."""
     top = max(EDGE_X)
-    return P._simple_sieve(top), P.sieve_primes(top)
+    return P._simple_sieve(top), P.sieve_primes(math.isqrt(top))
 
 
 class TestStreamedLayer:
@@ -114,21 +119,29 @@ class TestStreamedLayer:
         ref = edge_oracle[0][edge_oracle[0] <= x]
         t = P.sieve_primes(x)
         assert np.array_equal(t.primes(), ref)
-        assert t.pi(x) == len(ref)
-        assert np.array_equal(np.concatenate([np.empty(0, np.int64), *t.segments()]), ref)
-        assert all(s.dtype == np.int64 for s in t.segments())
+        assert t.primes().dtype == np.int64
+        assert P.prime_sums(t)[0] == len(ref)
         flags = np.zeros(x + 1, dtype=bool)
         flags[ref] = True
+        # the walk: whole segments from slot 0, cut at the last odd integer <= x
+        walk = list(t.slots())
+        assert [lo for lo, _ in walk] == list(range(0, (x + 1) // 2, P.SEGMENT))
+        assert np.array_equal(np.concatenate([f for _, f in walk]), flags[1::2])
         primes = set(t.primes().tolist())
         for n in {*range(min(x, 400) + 1), *range(max(0, x - 400), x + 1)}:
             assert (n in primes) == flags[n], n
 
     def test_queries_below_limit(self, edge_oracle):
-        ref, t = edge_oracle
-        for x in (0, 1, *EDGE_X):
+        # a table answers at its limit only: each x is sieved apart
+        ref = edge_oracle[0]
+        for x in EDGE_X:
             below = ref[ref <= x]
-            assert t.pi(x) == len(below)
-            assert np.array_equal(t.primes(x), below)
+            t = P.sieve_primes(x)
+            assert P.prime_sums(t)[0] == len(below)
+            assert np.array_equal(t.primes(), below)
+        for x in (0, 1):
+            with pytest.raises(UsageError):
+                P.sieve_primes(x)
 
     @pytest.mark.parametrize("sys", FILTER_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
     def test_digit_filter_against_contains(self, sys, edge_oracle):
@@ -142,12 +155,14 @@ class TestStreamedLayer:
 
     @pytest.mark.parametrize("q", (1, 2, 3, 4, 7, 10, 12, 30))
     def test_ap_counts_partition_pi(self, q, edge_oracle):
-        ref, t = edge_oracle
-        for x in (0, 1, *EDGE_X):
+        ref = edge_oracle[0]
+        for x in EDGE_X:
             below = ref[ref <= x]
-            counts = [P.count_primes_ap(t, x, q, a) for a in range(q)]
+            t = P.sieve_primes(x)
+            sums = [P.prime_sums(t, (q, a)) for a in range(q)]
+            counts = [count for _, count, _ in sums]
             assert counts == [int(np.count_nonzero(below % q == a)) for a in range(q)]
-            assert sum(counts) == t.pi(x)
+            assert {pi for pi, _, _ in sums} == {sum(counts)}
 
     def test_exp_sum_against_direct_fsum(self):
         N = 10**5
@@ -155,7 +170,7 @@ class TestStreamedLayer:
         for theta in (0.1234567, 1 / 3, math.sqrt(2) - 1):
             phases = [2 * math.pi * frac_exact(p, theta) for p in P._simple_sieve(N).tolist()]
             direct = complex(math.fsum(map(math.cos, phases)), math.fsum(map(math.sin, phases)))
-            assert abs(P.prime_exp_sum(t, N, theta) - direct) < 1e-9
+            assert abs(P.prime_sums(t, theta=theta)[2] - direct) < 1e-9
 
 
 # Even blocks q^j (q = 2, 10, 16) and odd ones (q = 3, 7), with one and two
@@ -272,23 +287,32 @@ class TestAdmissibleBlocks:
 
 
 class TestCountAp:
-    def test_examples(self, table_1e4):
-        assert P.count_primes_ap(table_1e4, 100, 4, 1) == 11
-        assert P.count_primes_ap(table_1e4, 100, 4, 0) == 0
-        assert P.count_primes_ap(table_1e4, 100, 2, 0) == 1
+    def test_examples(self):
+        t = P.sieve_primes(100)
+        assert P.prime_sums(t, (4, 1))[1] == 11
+        assert P.prime_sums(t, (4, 0))[1] == 0
+        assert P.prime_sums(t, (2, 0))[1] == 1
+
+    def test_refused_before_the_walk(self, monkeypatch):
+        t = P.sieve_primes(100)
+        monkeypatch.setattr(t, "slots", lambda: pytest.fail("walked before the checks"))
+        for ap, theta in (((0, 0), None), ((4, 4), None), ((4, -1), None), (None, math.nan),
+                          (None, math.inf), ((4, 1), -math.inf)):
+            with pytest.raises(UsageError):
+                P.prime_sums(t, ap, theta)
 
     @given(st.integers(1, 12), st.integers(10, 5000))
     @settings(max_examples=30, deadline=None)
     def test_partition_over_residues(self, q, x):
-        table = P.sieve_primes(max(x, 2))
-        total = sum(P.count_primes_ap(table, x, q, a) for a in range(q))
-        assert total == table.pi(x)
+        table = P.sieve_primes(x)
+        total = sum(P.prime_sums(table, (q, a))[1] for a in range(q))
+        assert total == P.prime_sums(table)[0]
 
     @pytest.mark.parametrize("q", (10**20, 2**63, 2**64 + 2, 7 * 10**399 + 1))
     def test_modulus_past_int64(self, q, table_1e4):
-        ps = table_1e4.primes(10**4).tolist()
+        ps = table_1e4.primes().tolist()
         for a in (0, 1, 2, 3, 9973, 9974, q - 1):
-            assert P.count_primes_ap(table_1e4, 10**4, q, a) == sum(1 for p in ps if p % q == a)
+            assert P.prime_sums(table_1e4, (q, a))[1] == sum(1 for p in ps if p % q == a)
 
 
 class TestRamanujan:
@@ -306,24 +330,25 @@ class TestRamanujan:
 
 
 class TestPrimeExpSum:
-    def test_at_zero(self, table_1e4):
-        assert P.prime_exp_sum(table_1e4, 100, 0.0) == pytest.approx(25 + 0j)
+    def test_at_zero(self):
+        assert P.prime_sums(P.sieve_primes(100), theta=0.0)[2] == pytest.approx(25 + 0j)
 
-    def test_at_half(self, table_1e4):
+    def test_at_half(self):
         # e(p/2) = -1 for odd p, +1 for p = 2
-        v = P.prime_exp_sum(table_1e4, 100, 0.5)
+        v = P.prime_sums(P.sieve_primes(100), theta=0.5)[2]
         assert v.real == pytest.approx(2 - 25)
         assert abs(v.imag) < 1e-12
         assert v.imag == 0
 
     def test_near_ramanujan_prediction(self, table_1e6):
-        v = P.prime_exp_sum(table_1e6, 10**6, 1.0 / 3.0)
-        target = -table_1e6.pi(10**6) / 2
+        pi, _, v = P.prime_sums(table_1e6, theta=1.0 / 3.0)
+        target = -pi / 2
         assert abs(v - target) / abs(target) < 0.05
 
     def test_magnitude_bound(self, table_1e4):
         for theta in (0.123, 0.618, 0.95):
-            assert abs(P.prime_exp_sum(table_1e4, 10**4, theta)) <= table_1e4.pi(10**4)
+            pi, _, v = P.prime_sums(table_1e4, theta=theta)
+            assert abs(v) <= pi
 
     @given(st.integers(0, 2**20 - 1))
     @settings(max_examples=25, deadline=None)
@@ -331,8 +356,8 @@ class TestPrimeExpSum:
         # dyadic theta so that theta + 1 is exactly representable
         table = _SHARED["t"]
         theta = num / 2**20
-        a = P.prime_exp_sum(table, 5000, theta)
-        b = P.prime_exp_sum(table, 5000, theta + 1.0)
+        a = P.prime_sums(table, theta=theta)[2]
+        b = P.prime_sums(table, theta=theta + 1.0)[2]
         assert abs(a - b) < 1e-9
 
     @given(st.integers(-(2**20), 2**20))
@@ -340,30 +365,32 @@ class TestPrimeExpSum:
     def test_conjugate_symmetry(self, num):
         table = _SHARED["t"]
         theta = num / 2**20
-        a = P.prime_exp_sum(table, 5000, theta)
-        b = P.prime_exp_sum(table, 5000, -theta)
+        a = P.prime_sums(table, theta=theta)[2]
+        b = P.prime_sums(table, theta=-theta)[2]
         assert abs(a.conjugate() - b) < 1e-9
-
-    def test_out_of_range(self, table_1e4):
-        with pytest.raises(OutOfRange):
-            P.prime_exp_sum(table_1e4, 10**5, 0.1)
 
     def test_against_mpmath_witness(self, table_1e6):
         # S_P(0.123) over the 78498 primes up to 10^6, theta the float 0.123,
         # summed at 30 digits with mpmath
-        v = P.prime_exp_sum(table_1e6, 10**6, 0.123)
+        v = P.prime_sums(table_1e6, theta=0.123)[2]
         assert abs(v - complex(120.65510833947569396, 42.345067053272483438)) < 1e-11
 
     def test_memory(self):
-        # one block workspace and one decoded segment at a time: 5.0 MB traced
-        table = P.sieve_primes(10**7)
-        tracemalloc.start()
-        try:
-            P.prime_exp_sum(table, 10**7, 0.41421356237309515)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20
+        # one segment, one decoded segment and one block workspace at a
+        # time, the table included: 5.2 MB traced at both limits
+        peaks = []
+        for x in (10**7, 10**8):
+            tracemalloc.start()
+            try:
+                table = P.sieve_primes(x)
+                held = tracemalloc.get_traced_memory()[0]
+                P.prime_sums(table, (10, 3), 0.41421356237309515)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert held < 2**16  # the base primes only
+        assert peaks[0] < 6 * 2**20
+        assert peaks[1] - peaks[0] < 2**20
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -382,16 +409,18 @@ def setup_module():
 
 
 class TestSpectrum:
-    def test_direct_and_fft_paths_agree(self, table_1e4):
+    def test_direct_and_fft_paths_agree(self):
         for N in (720, 997):  # composite, and prime: p = N wraps onto j = 0
-            direct = prime_spectrum_direct(table_1e4.primes(N).tolist(), N)
-            fft = P.prime_spectrum(table_1e4, N)
+            table = P.sieve_primes(N)
+            direct = prime_spectrum_direct(table.primes().tolist(), N)
+            fft = P.prime_spectrum(table)
             assert np.max(np.abs(direct - fft)) < 1e-8, N
 
-    def test_value_at_zero_is_pi(self, table_1e4):
-        N = 1000
-        spec = P.prime_spectrum(table_1e4, N)
-        assert spec[0].real == pytest.approx(table_1e4.pi(N))
+    def test_value_at_zero_is_pi(self):
+        table = P.sieve_primes(1000)
+        spec = P.prime_spectrum(table)
+        assert len(spec) == 1000
+        assert spec[0].real == pytest.approx(P.prime_sums(table)[0])
 
 
 class TestFactorization:
