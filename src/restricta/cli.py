@@ -99,10 +99,15 @@ def _cmd_census(args):
     return {"sys": sys_.to_json(), **rep.to_json()}
 
 
+# the flags with no default that some route of their subcommand does not read
+_OPTIONAL = ("q", "r", "R", "sys", "grid", "unreduced", "set", "set2", "y")
+
+
 def _only(args, route: str, *taken: str) -> None:
-    """Refuse each of --q, --sys and --grid that the fourier route does not read."""
-    for flag in ("q", "sys", "grid"):
-        if flag not in taken and getattr(args, flag) is not None:
+    """Refuse each flag of _OPTIONAL that was given and that route does not read."""
+    for flag in _OPTIONAL:
+        given = getattr(args, flag, None)
+        if flag not in taken and given is not None and given is not False:  # --q 0 is given
             raise UsageError(f"{route} does not take --{flag}")
 
 
@@ -156,8 +161,12 @@ def _cmd_arcs(args):
 
 
 def _cmd_dioph(args):
-    psi = _dioph.PsiFunction.parse(args.psi)
     cmd = args.cmd
+    if cmd == "measure" and args.R is not None:
+        _only(args, "--cmd measure --R", "R", "unreduced")
+    else:
+        _only(args, f"--cmd {cmd}", *{"measure": ("q", "unreduced"), "pairs": ("q", "r")}.get(cmd, ()))
+    psi = _dioph.PsiFunction.parse(args.psi)
     if cmd == "series":
         kh, ds = _dioph.series_partial(psi, args.Q)
         return {"Q": args.Q, "khinchinSum": kh, "dsSum": ds}
@@ -201,6 +210,7 @@ def _read_instance(path: str, B: int) -> _gcd.GcdInstance:
 
 def _cmd_gcdgraph(args):
     cmd = args.cmd
+    _only(args, f"--cmd {cmd}", *{"chow": ("y",), "green-walker": ("set", "set2")}.get(cmd, ("set",)))
     if cmd == "chow":
         if args.y is None:
             raise UsageError("chow needs --y")
@@ -308,25 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(result, fmt: str, out) -> str:
-    """Write the result; return the sha256 digest of the emitted bytes."""
+    """Write the result; return the sha256 digest of the emitted bytes.
+    Exact rationals print in full, past Python's int-to-str digit limit."""
     digest = hashlib.sha256()
 
     def write(text: str):
         digest.update(text.encode())
         out.write(text)
 
-    if isinstance(result, tuple) and result and result[0] == "csv":
-        _, header, rows = result
-        write(",".join(header) + "\n")
-        for row in rows:
-            write(",".join(_csv_cell(c) for c in row) + "\n")
-            out.flush()
-    elif fmt == "csv" and isinstance(result, dict):
-        items = sorted(canonical(result).items())
-        write(",".join(k for k, _ in items) + "\n")
-        write(",".join(_csv_cell(v) if not isinstance(v, (dict, list)) else json.dumps(v, sort_keys=True) for _, v in items) + "\n")
-    else:
-        write(_dump_json(result) + "\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if isinstance(result, tuple) and result and result[0] == "csv":
+            _, header, rows = result
+            write(",".join(header) + "\n")
+            for row in rows:
+                write(",".join(_csv_cell(c) for c in row) + "\n")
+                out.flush()
+        elif fmt == "csv" and isinstance(result, dict):
+            items = sorted(canonical(result).items())
+            write(",".join(k for k, _ in items) + "\n")
+            write(",".join(_csv_cell(v) if not isinstance(v, (dict, list)) else json.dumps(v, sort_keys=True) for _, v in items) + "\n")
+        else:
+            write(_dump_json(result) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return digest.hexdigest()
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import primes as _primes
-from .errors import CapExceeded, LimitExceeded, UsageError, parsed
+from .errors import CapExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
@@ -256,10 +256,10 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
     Route selection: when |A(x)| <= ENUM_ROUTE_MAX, enumerate members and
     test them with deterministic Miller-Rabin, those below 2^63 in one array
     call and the rest one by one (OutOfRange for a member at or above
-    psi_13, where no base set is proven); otherwise sieve the base primes
-    to sqrt(x) and count with ``count_primes_digit_filtered``, which sieves
-    only the blocks of q^j integers whose leading digits are allowed.  x
-    above the sieve limit is refused before anything is sieved.
+    psi_13, where no base set is proven); otherwise count with
+    ``count_primes_digit_filtered`` over the table of x, which walks only
+    the blocks of q^j integers whose leading digits are allowed (x above
+    the sieve limit is refused before anything is sieved).
     """
     count = count_restricted(sys, x)
     if count <= ENUM_ROUTE_MAX:
@@ -268,10 +268,7 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
         prime_count = int(np.count_nonzero(_primes.is_prime_int(members[:small].astype(np.int64, copy=False))))
         prime_count += sum(1 for n in members[small:].tolist() if _primes.is_prime_int(n))
     else:
-        if x > _primes.SIEVE_LIMIT:
-            raise LimitExceeded(f"sieve limit {x} above 2^40")
-        table = _primes.sieve_primes(max(math.isqrt(x), 2))
-        prime_count = _primes.count_primes_digit_filtered(table, x, sys)
+        prime_count = _primes.count_primes_digit_filtered(_primes.sieve_primes(x), sys)
     const = prediction_constant(sys)
     predicted = float(const) * count / math.log(x) if x >= 2 else 0.0
     ratio = prime_count / predicted if predicted > 0 else math.inf

@@ -26,10 +26,22 @@ from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 INTERVAL_CAP = 10**7
 PAIR_RANGE_CAP = 2000
 THETA_SIEVE_CAP = 10**7  # largest ell whose theta(ell) ds_spread sieves
+POWER_BITS_CAP = 1 << 16  # bits of the largest n^a an exact power value forms
 CONTAINMENT_RTOL = 1e-12  # float families: psi and psi0 widths agree to ~4e-15
 
 
 # ------------------------------------------------------------ psi families
+
+
+def _finite(v, what: str) -> float:
+    """v as a float, or a UsageError when no finite float holds it."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise UsageError(f"{what} is not a finite float")
+    return f
 
 
 @dataclass(frozen=True)
@@ -51,15 +63,16 @@ class PsiFunction:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def power(cls, a: float) -> "PsiFunction":
+    def power(cls, a) -> "PsiFunction":
+        a = _finite(a, "power exponent")
         if a <= 0:
             raise UsageError("power family needs a > 0")
-        return cls("power", a=float(a))
+        return cls("power", a=a)
 
     @classmethod
     def constant(cls, c) -> "PsiFunction":
         c = Fraction(c)
-        if c < 0:
+        if _finite(c, "constant") < 0:
             raise UsageError("constant must be >= 0")
         return cls("constant", c=c)
 
@@ -80,8 +93,10 @@ class PsiFunction:
     @classmethod
     def from_pairs(cls, pairs) -> "PsiFunction":
         """psi(n) = v for each pair (n, v), each n >= 1 at most once and each
-        v >= 0; zero off the table."""
+        v >= 0 a finite float; zero off the table."""
         tab = tuple(sorted((int(n), Fraction(v)) for n, v in pairs))
+        for n, v in tab:
+            _finite(v, f"psi table value at n = {n}")
         if tab and tab[0][0] < 1:
             raise UsageError(f"psi table needs n >= 1, got {tab[0][0]}")
         if any(v < 0 for _, v in tab):
@@ -117,7 +132,7 @@ class PsiFunction:
             fam, arg = text, ""
         fam = fam.strip().lower()
         if fam == "power":
-            return cls.power(float(parsed(Fraction, arg, "power exponent")))
+            return cls.power(parsed(Fraction, arg, "power exponent"))
         if fam == "constant":
             return cls.constant(parsed(Fraction, arg, "constant"))
         if fam in ("khinchin", "khinchin_threshold"):
@@ -139,11 +154,15 @@ class PsiFunction:
 
     def exact(self, n: int) -> Fraction:
         """Exact rational value where the family allows; otherwise the exact
-        binary rational of the float value (deterministic)."""
+        binary rational of the float value (deterministic).  An integer
+        power n^a of more than about POWER_BITS_CAP bits (a*log2(n) above
+        it) is refused with CapExceeded before it is formed."""
         if n < 1:
             raise UsageError("psi is defined for n >= 1")
         if self.family == "power":
             if float(self.a).is_integer():
+                if self.a * math.log2(n) > POWER_BITS_CAP:
+                    raise CapExceeded(f"{n}^{self.a:g} above {POWER_BITS_CAP} bits")
                 return Fraction(1, n ** int(self.a))
             return Fraction(float(n) ** (-self.a))
         if self.family == "constant":

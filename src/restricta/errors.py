@@ -22,7 +22,7 @@ class LimitExceeded(RestrictaError):
 
 
 class OutOfRange(RestrictaError):
-    """Query exceeds the range a table was built for."""
+    """Query beyond the range a method is proven for."""
 
     kind = "out-of-range"
 

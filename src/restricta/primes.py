@@ -8,10 +8,10 @@ pattern with the multiples of 3, 5, 7, 11 and 13 already struck out
 (period 3*5*7*11*13 = 15015 odd slots), so only the base primes >= 17 are
 crossed off.  ``prime_sums`` takes pi(N), a count in an arithmetic
 progression and S_P(theta) = sum_{p<=N} e(p*theta) from one walk, and
-``prime_spectrum`` fills the indicator of the primes from one walk.  The
-digit census sieves only the blocks of q^j integers whose leading digits
-are allowed, with the same segment kernel, and counts each piece through
-one digit pattern.  Also: Ramanujan sums, deterministic
+``prime_spectrum`` fills the indicator of the primes from one walk, and
+the digit census walks only the slot runs of the blocks of q^j integers
+whose leading digits are allowed, counting each piece through one digit
+pattern.  Also: Ramanujan sums, deterministic
 Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
 factorization, which Mobius reads: trial division by the primes of one
@@ -68,17 +68,15 @@ class PrimeTable:
         self.limit = limit
         self._base = base  # the primes from 17 up to sqrt(limit), int64
 
-    def slots(self) -> Iterator[tuple[int, np.ndarray]]:
+    def slots(self, runs: list[tuple[int, int]] | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, flags) for each segment in turn: flags[i] tells whether the
-        odd integer 2*(lo + i) + 1 is prime, for the odd integers up to
-        limit (the prime 2 has no slot)."""
-        nslots = (self.limit + 1) // 2  # the odd integers 1, 3, ..., <= limit
-        for lo in range(0, nslots, SEGMENT):
-            yield lo, _sieve_slots(lo, min(lo + SEGMENT, nslots), self._base)
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, increasing, int64."""
-        return np.concatenate([_decode(lo, flags) for lo, flags in self.slots()])
+        odd integer 2*(lo + i) + 1 is prime.  The walk covers the odd
+        integers up to limit (the prime 2 has no slot), or only the
+        half-open slot runs [a, b) given, which lie in [0, (limit + 1) // 2),
+        each cut SEGMENT slots at a time from its start."""
+        for a, b in [(0, (self.limit + 1) // 2)] if runs is None else runs:
+            for lo in range(a, b, SEGMENT):
+                yield lo, _sieve_slots(lo, min(lo + SEGMENT, b), self._base)
 
 
 def _decode(lo: int, flags: np.ndarray) -> np.ndarray:
@@ -250,47 +248,36 @@ def _block_runs(sys, m: int) -> list[list[int]]:
     return runs
 
 
-def count_primes_digit_filtered(table: PrimeTable, x: int, sys) -> int:
-    """#{p <= x prime with all base-q digits allowed}, sieving only the
-    blocks of integers that can hold such a prime.
+def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
+    """#{p <= x prime with all base-q digits allowed}, x = table.limit,
+    walking only the blocks of integers that can hold such a prime.
 
     With Q = q^j from ``_digit_patterns``, n = i*Q + r (0 <= r < Q) is a
     member of A exactly when i = 0 and the plain expansion of r is allowed,
     or i >= 1 is a member and the j digits of r, zero-padded, are allowed.
-    So only the blocks [i*Q, (i+1)*Q) with i = 0 or i in A are sieved,
-    merged into runs, and each run SEGMENT odd slots at a time with the
-    primes of ``table`` as base primes (OutOfRange when its limit is below
-    sqrt(x)); the block holding x is cut at x.  Each piece's flags are
-    ANDed with the pattern ``full`` (``lead`` in block 0) at the odd
-    integers and counted; no prime is decoded.  The pattern at odd slot s is full[(2s+1) % Q], which repeats
-    every Q/2 slots for even Q and every Q slots for odd Q.
+    So ``table.slots`` walks only the blocks [i*Q, (i+1)*Q) with i = 0 or
+    i in A, merged into runs of odd slots, the block holding x cut at x.
+    Each piece's flags are ANDed with the pattern ``full`` (``lead`` in
+    block 0) at the odd integers and counted; no prime is decoded.  The
+    pattern at odd slot s is full[(2s+1) % Q], which repeats every Q/2
+    slots for even Q and every Q slots for odd Q.
     """
-    if x > SIEVE_LIMIT:
-        raise LimitExceeded(f"sieve limit {x} above 2^40")
-    root = math.isqrt(max(x, 0))
-    if table.limit < root:
-        raise OutOfRange(f"{root} exceeds table limit {table.limit}")
-    base = table.primes()
-    base = base[base >= 17]
-    if x < 2:
-        return 0
+    x = table.limit
     Q, full, lead = _digit_patterns(sys)
     odd = full[1::2] if Q % 2 == 0 else np.concatenate((full[1::2], full[0::2]))  # full[(2s+1) % Q]
     period = len(odd)
     tiled = np.tile(odd, -(-SEGMENT // period) + 1)
     lead_odd = lead[1::2].copy()  # block 0: the odd r < Q are the slots [0, Q // 2)
     del full, lead, odd
+    # slots of the odd integers in [i0*Q, min(i1*Q, x + 1))
+    runs = [(i0 * Q // 2, min(i1 * Q, x + 1) // 2) for i0, i1 in _block_runs(sys, x // Q)]
     count = 1 if sys.contains(2) else 0  # the one even prime
-    for i0, i1 in _block_runs(sys, x // Q):
-        stop = min(i1 * Q, x + 1) // 2  # slots of the odd integers below min(i1*Q, x + 1)
-        for lo in range(i0 * Q // 2, stop, SEGMENT):
-            hi = min(lo + SEGMENT, stop)
-            flags = _sieve_slots(lo, hi, base)
-            split = min(max(Q // 2 - lo, 0), hi - lo)
-            flags[:split] &= lead_odd[lo : lo + split]
-            phase = (lo + split) % period
-            flags[split:] &= tiled[phase : phase + hi - lo - split]
-            count += int(np.count_nonzero(flags))
+    for lo, flags in table.slots(runs):
+        split = min(max(Q // 2 - lo, 0), len(flags))
+        flags[:split] &= lead_odd[lo : lo + split]
+        phase = (lo + split) % period
+        flags[split:] &= tiled[phase : phase + len(flags) - split]
+        count += int(np.count_nonzero(flags))
     return count
 
 

@@ -1,12 +1,16 @@
 import importlib
 import inspect
+import itertools
 import json
 import math
 import pkgutil
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,7 @@ MALFORMED_FILES = {
     "psi_twice": "n,psi\n3,1/2\n3,1/4\n",
     "psi_negative": "n,psi\n3,-1\n",
     "psi_n0": "n,psi\n0,1/2\n3,1/4\n",
+    "psi_huge": "2,1e400\n",
 }
 
 
@@ -83,6 +88,10 @@ class TestBasics:
         ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--full-scan", "--A", "nan"),
         ("primes", "--limit", "100", "--exp-sum", "nan"),
         ("dioph", "--psi", "khinchin:nan", "--cmd", "series"),
+        ("dioph", "--psi", "power:1e400", "--cmd", "series", "--Q", "10"),
+        ("dioph", "--psi", "power:1e400", "--cmd", "hausdorff"),
+        ("dioph", "--psi", "constant:1e400", "--cmd", "series", "--Q", "3"),
+        ("dioph", "--psi", "constant:1e400", "--cmd", "measure", "--q", "3"),
         # a required companion flag missing, or a flag the route does not take
         ("fourier", "--check", "refined", "--scan", "3..6"),
         ("fourier", "--check", "sin-sum"),
@@ -103,6 +112,9 @@ class TestBasics:
         ("fourier", "--check", "pairwise", "--scan", "10..11", "--sys", "q=10,exclude=7"),
         ("fourier", "--check", "sin-sum", "--scan", "10..11", "--q", "10"),
         ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--A", "1.5"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "6", "--r", "10", "--unreduced"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", "7", "--R", "10"),
+        ("gcdgraph", "--cmd", "chow", "--y", "10", "--set", "/nonexistent"),
         # a set or psi table the computation cannot take (files in MALFORMED_FILES)
         ("gcdgraph", "--cmd", "green-walker", "--set", "{zero}", "--B", "1"),
         ("gcdgraph", "--cmd", "green-walker", "--set", "{sets}", "--set2", "{zero}", "--B", "1"),
@@ -113,6 +125,7 @@ class TestBasics:
         ("dioph", "--psi", "table:{psi_twice}", "--cmd", "series", "--Q", "3"),
         ("dioph", "--psi", "table:{psi_negative}", "--cmd", "series", "--Q", "3"),
         ("dioph", "--psi", "table:{psi_n0}", "--cmd", "series", "--Q", "3"),
+        ("dioph", "--psi", "table:{psi_huge}", "--cmd", "series", "--Q", "3"),
     ])
     def test_malformed_text_is_usage_error(self, capsys, tmp_path, argv):
         paths = {name: tmp_path / name for name in MALFORMED_FILES}
@@ -121,6 +134,21 @@ class TestBasics:
         code, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert json.loads(out)["error"] == "usage-error"
+
+    def test_readme_cli_lines_run(self, capsys, monkeypatch, tmp_path):
+        # every line of the README's CLI block, without its optional [...]
+        # parts and with each {a|b} expanded: a result or a usage error
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        lines = [re.sub(r"\s*\[[^]]*\]", "", line) for line in block.splitlines()]
+        assert lines and all(line.startswith("restricta ") for line in lines)
+        monkeypatch.chdir(tmp_path)  # a file the README names is not there
+        for line in lines:
+            parts = re.split(r"\{([^}]*)\}", line)  # odd parts: the alternatives of one {a|b}
+            for choice in itertools.product(*(part.split("|") for part in parts[1::2])):
+                text = "".join(p if i % 2 == 0 else choice[i // 2] for i, p in enumerate(parts))
+                code, out, _ = run_cli(capsys, *shlex.split(text)[1:])
+                assert code == 0 or (code == 2 and json.loads(out)["error"] == "usage-error"), text
 
     def test_package_binds_no_function_or_class(self):
         # each function and class has one home, its layer module
@@ -313,6 +341,23 @@ class TestJsonOutputs:
         payload = json.loads(out)
         assert code == 0
         assert round(payload["identitySum"]) == payload["exactCount"]
+
+    def test_exact_powers_bounded_and_printed(self, capsys):
+        # 3^(10^300) is refused before it is formed; 7^6002, about 5000
+        # digits, is printed in full past the int-to-str digit limit
+        code, out, _ = run_cli(capsys, "dioph", "--psi", "power:1e300", "--cmd", "measure", "--q", "3")
+        assert code == 1
+        assert json.loads(out)["error"] == "cap-exceeded"
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "dioph", "--psi", "power:6000", "--cmd", "measure", "--q", "7")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # lifted for the emit only
+        measure = json.loads(out)["measure"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(int(measure["num"]), int(measure["den"])) == Fraction(12, 7**6002)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_dioph_series_and_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, "dioph", "--psi", "power:1",

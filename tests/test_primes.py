@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restricta import primes as P
-from restricta.digit_systems import DigitSystem
+from restricta.digit_systems import DigitSystem, census
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
 from restricta.numutil import frac_exact
 
@@ -31,6 +31,11 @@ def pi(x: int) -> int:
     return P.prime_sums(P.sieve_primes(x))[0]
 
 
+def walk_primes(table) -> np.ndarray:
+    """The primes of a table, decoded from its walk segment by segment."""
+    return np.concatenate([P._decode(lo, flags) for lo, flags in table.slots()])
+
+
 def mobius_oracle(n: int) -> int:
     res, m, p = 1, n, 2
     while p * p <= m:
@@ -45,7 +50,7 @@ def mobius_oracle(n: int) -> int:
 
 class TestSieve:
     def test_agrees_with_trial_division(self, table_1e4):
-        primes = set(table_1e4.primes().tolist())
+        primes = set(walk_primes(table_1e4).tolist())
         for n in range(10**4 + 1):
             assert (n in primes) == trial_division_is_prime(n), n
 
@@ -69,12 +74,11 @@ class TestSieve:
         reference = P.prime_sums(table_1e6)[0]
         for lim in (2**20 - 1, 2**20, 2**20 + 1):
             t = P.sieve_primes(lim)
-            ps = t.primes()
+            ps = walk_primes(t)
             assert int(np.count_nonzero(ps <= 10**6)) == reference
             assert P.prime_sums(t)[0] == len(ps)
             assert 1_048_573 in ps  # prime just below 2^20
-        t = P.sieve_primes(2**20 + 100)
-        ps = t.primes()
+        ps = walk_primes(P.sieve_primes(2**20 + 100))
         assert int(ps[-1]) <= 2**20 + 100
         assert all(trial_division_is_prime(int(p)) for p in ps[-5:])
 
@@ -107,19 +111,17 @@ FILTER_SYSTEMS = (
 
 @pytest.fixture(scope="module")
 def edge_oracle():
-    """Plain-sieve primes up to the largest edge, and a table of the base
-    primes up to its square root."""
-    top = max(EDGE_X)
-    return P._simple_sieve(top), P.sieve_primes(math.isqrt(top))
+    """Plain-sieve primes up to the largest edge."""
+    return P._simple_sieve(max(EDGE_X))
 
 
 class TestStreamedLayer:
     @pytest.mark.parametrize("x", EDGE_X)
     def test_table_at_edge_limit(self, x, edge_oracle):
-        ref = edge_oracle[0][edge_oracle[0] <= x]
+        ref = edge_oracle[edge_oracle <= x]
         t = P.sieve_primes(x)
-        assert np.array_equal(t.primes(), ref)
-        assert t.primes().dtype == np.int64
+        assert np.array_equal(walk_primes(t), ref)
+        assert walk_primes(t).dtype == np.int64
         assert P.prime_sums(t)[0] == len(ref)
         flags = np.zeros(x + 1, dtype=bool)
         flags[ref] = True
@@ -127,35 +129,48 @@ class TestStreamedLayer:
         walk = list(t.slots())
         assert [lo for lo, _ in walk] == list(range(0, (x + 1) // 2, P.SEGMENT))
         assert np.array_equal(np.concatenate([f for _, f in walk]), flags[1::2])
-        primes = set(t.primes().tolist())
+        primes = set(walk_primes(t).tolist())
         for n in {*range(min(x, 400) + 1), *range(max(0, x - 400), x + 1)}:
             assert (n in primes) == flags[n], n
 
+    def test_walk_over_runs(self):
+        # runs that cross a segment edge, one slot, and one that ends at the
+        # last slot: each is cut SEGMENT slots at a time from its start, with
+        # the full walk's flags at those slots
+        x = 3 * 2**21 + 7
+        t = P.sieve_primes(x)
+        full = np.concatenate([f for _, f in t.slots()])
+        S = P.SEGMENT
+        runs = [(0, 3), (10, S + 20), (S + 100, S + 101), (2 * S - 7, 2 * S + 5), (2 * S + 9, (x + 1) // 2)]
+        walk = list(t.slots(runs))
+        assert [lo for lo, _ in walk] == [lo for a, b in runs for lo in range(a, b, S)]
+        for lo, flags in walk:
+            assert np.array_equal(flags, full[lo : lo + len(flags)]), lo
+        assert np.array_equal(np.concatenate([f for _, f in walk]), np.concatenate([full[a:b] for a, b in runs]))
+
     def test_queries_below_limit(self, edge_oracle):
         # a table answers at its limit only: each x is sieved apart
-        ref = edge_oracle[0]
+        ref = edge_oracle
         for x in EDGE_X:
             below = ref[ref <= x]
             t = P.sieve_primes(x)
             assert P.prime_sums(t)[0] == len(below)
-            assert np.array_equal(t.primes(), below)
+            assert np.array_equal(walk_primes(t), below)
         for x in (0, 1):
             with pytest.raises(UsageError):
                 P.sieve_primes(x)
 
     @pytest.mark.parametrize("sys", FILTER_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
     def test_digit_filter_against_contains(self, sys, edge_oracle):
-        ref, t = edge_oracle
+        ref = edge_oracle
         member = np.array([sys.contains(int(p)) for p in ref])
         for x in EDGE_X:
             expected = int(np.count_nonzero(member[ref <= x]))
-            assert P.count_primes_digit_filtered(t, x, sys) == expected, x
-        x = EDGE_X[-2]
-        assert P.count_primes_digit_filtered(P.sieve_primes(x), x, sys) == int(np.count_nonzero(member[ref <= x]))
+            assert P.count_primes_digit_filtered(P.sieve_primes(x), sys) == expected, x
 
     @pytest.mark.parametrize("q", (1, 2, 3, 4, 7, 10, 12, 30))
     def test_ap_counts_partition_pi(self, q, edge_oracle):
-        ref = edge_oracle[0]
+        ref = edge_oracle
         for x in EDGE_X:
             below = ref[ref <= x]
             t = P.sieve_primes(x)
@@ -215,22 +230,20 @@ def _digit_members(ps: np.ndarray, q: int, digits) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def block_oracle():
-    """Plain-sieve primes past three blocks of the largest Q, and a table of
-    the base primes up to the square root of that."""
-    top = 3 * max(_block(q) for q in (2, 3, 7, 10, 16)) + 1
-    return P._simple_sieve(top), P.sieve_primes(math.isqrt(top))
+    """Plain-sieve primes past three blocks of the largest Q."""
+    return P._simple_sieve(3 * max(_block(q) for q in (2, 3, 7, 10, 16)) + 1)
 
 
 class TestAdmissibleBlocks:
     @pytest.mark.parametrize("sys", BLOCK_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
     def test_counts_at_block_edges(self, sys, block_oracle):
-        ref, base = block_oracle
+        ref = block_oracle
         Q = _block(sys.q)
         assert P._digit_patterns(sys)[0] == Q
         below = np.cumsum(_digit_members(ref, sys.q, sys.digits))
         for x in (2, 3, Q - 1, Q, Q + 1, 2 * Q - 1, 2 * Q + 1, 3 * Q - 1, 3 * Q, 3 * Q + 1):
             expected = int(below[np.searchsorted(ref, x, side="right") - 1])
-            assert P.count_primes_digit_filtered(base, x, sys) == expected, x
+            assert P.count_primes_digit_filtered(P.sieve_primes(x), sys) == expected, x
 
     @pytest.mark.parametrize("sys,x", [
         (DigitSystem.excluding(3, {1}), 200_003),
@@ -242,7 +255,7 @@ class TestAdmissibleBlocks:
     def test_counts_match_contains(self, sys, x):
         ref = P._simple_sieve(x).tolist()
         expected = sum(1 for p in ref if sys.contains(p))
-        assert P.count_primes_digit_filtered(P.sieve_primes(math.isqrt(x)), x, sys) == expected
+        assert P.count_primes_digit_filtered(P.sieve_primes(x), sys) == expected
 
     @pytest.mark.parametrize("digits,x", [
         # the runs merge across prefixes, where both 0 and q - 1 are allowed
@@ -256,7 +269,7 @@ class TestAdmissibleBlocks:
         ref = P._simple_sieve(x)
         members = _digit_members(ref, sys.q, sys.digits)
         expected = int(np.count_nonzero(members))
-        assert P.count_primes_digit_filtered(P.sieve_primes(math.isqrt(x)), x, sys) == expected
+        assert P.count_primes_digit_filtered(P.sieve_primes(x), sys) == expected
         # one set lookup per digit, so a q-bit base costs no more per prime
         assert [sys.contains(p) for p in ref.tolist()] == members.tolist()
 
@@ -271,19 +284,20 @@ class TestAdmissibleBlocks:
                     runs.append([n, n + 1])
             assert P._block_runs(sys, m) == runs, m
 
-    def test_refuses_a_table_below_sqrt_x(self):
-        with pytest.raises(OutOfRange):
-            P.count_primes_digit_filtered(P.sieve_primes(100), 10**5, DigitSystem.excluding(10, {7}))
+    def test_refuses_x_above_sieve_limit(self):
+        # the census takes the sieve route there, and sieve_primes refuses x
+        with pytest.raises(LimitExceeded, match=r"sieve limit 1099511627777 above 2\^40"):
+            census(DigitSystem.excluding(10, {7}), 2**40 + 1)
 
-    def test_refuses_x_above_sieve_limit(self, table_1e4):
-        with pytest.raises(LimitExceeded):
-            P.count_primes_digit_filtered(table_1e4, 2**40 + 1, DigitSystem.excluding(10, {7}))
-
-    def test_small_x(self, table_1e4):
+    def test_small_x(self):
+        # below 2 no table is built: the census enumerates A(x)
         for x in (0, 1, 2, 3, 4, 5, 11, 12, 13, 22, 23, 29, 31):
             for sys in (DigitSystem.excluding(10, {2}), DigitSystem.excluding(2, {0})):
                 expected = sum(1 for p in range(2, x + 1) if trial_division_is_prime(p) and sys.contains(p))
-                assert P.count_primes_digit_filtered(table_1e4, x, sys) == expected
+                if x < 2:
+                    assert census(sys, x).prime_count == expected
+                else:
+                    assert P.count_primes_digit_filtered(P.sieve_primes(x), sys) == expected
 
 
 class TestCountAp:
@@ -310,7 +324,7 @@ class TestCountAp:
 
     @pytest.mark.parametrize("q", (10**20, 2**63, 2**64 + 2, 7 * 10**399 + 1))
     def test_modulus_past_int64(self, q, table_1e4):
-        ps = table_1e4.primes().tolist()
+        ps = P._simple_sieve(10**4).tolist()
         for a in (0, 1, 2, 3, 9973, 9974, q - 1):
             assert P.prime_sums(table_1e4, (q, a))[1] == sum(1 for p in ps if p % q == a)
 
@@ -412,7 +426,7 @@ class TestSpectrum:
     def test_direct_and_fft_paths_agree(self):
         for N in (720, 997):  # composite, and prime: p = N wraps onto j = 0
             table = P.sieve_primes(N)
-            direct = prime_spectrum_direct(table.primes().tolist(), N)
+            direct = prime_spectrum_direct(P._simple_sieve(N).tolist(), N)
             fft = P.prime_spectrum(table)
             assert np.max(np.abs(direct - fft)) < 1e-8, N
 
@@ -529,7 +543,7 @@ class TestFactorization:
         assert P.is_prime_int(n) == sympy.isprime(n)
 
     def test_mr_agrees_with_table(self, table_1e4):
-        primes = set(table_1e4.primes().tolist())
+        primes = set(walk_primes(table_1e4).tolist())
         for n in range(2, 2000):
             assert P.is_prime_int(n) == (n in primes)
 
