@@ -188,11 +188,11 @@ def _cmd_dioph(args):
     if cmd == "counterexample":
         return _dioph.ds_counterexample(args.ell_max).to_json()
     if cmd == "hausdorff":
-        expo = _dioph.hausdorff_exponent_for(psi)
+        expo = _dioph.hausdorff_exponent(psi)
         return {
             "exponent": expo,
-            "slopeBelow": _dioph.hausdorff_slope(psi.a, expo - 0.05),
-            "slopeAbove": _dioph.hausdorff_slope(psi.a, expo + 0.05),
+            "slopeBelow": _dioph.hausdorff_slope(psi, expo - 0.05),
+            "slopeAbove": _dioph.hausdorff_slope(psi, expo + 0.05),
         }
     raise UsageError(f"unknown dioph cmd {cmd!r}")
 
@@ -218,9 +218,8 @@ def _cmd_gcdgraph(args):
     if not args.set:
         raise UsageError(f"{cmd} needs --set")
     inst = _read_instance(args.set, args.B)
-    S = inst.S
     if cmd == "build":
-        g = _gcd.build_gcd_graph(S, args.B)
+        g = _gcd.build_gcd_graph(inst)
         return {
             "B": args.B,
             "edges": [[str(u), str(v)] for u, v in g.edges],
@@ -233,11 +232,11 @@ def _cmd_gcdgraph(args):
         g, mult = res
         return {"B": args.B, "found": True, "g": str(g), "multiplicity": mult}
     if cmd == "green-walker":
-        S2 = _read_instance(args.set2, args.B).S if args.set2 else S
-        delta, ratio = _gcd.green_walker_ratio(S, S2, args.B)
+        other = _read_instance(args.set2, args.B) if args.set2 else inst
+        delta, ratio = _gcd.green_walker_ratio(inst, other)
         return {"B": args.B, "delta": delta, "ratio": ratio}
     if cmd == "compress":
-        g = _gcd.compress_greedy(S, args.B)
+        g = _gcd.compress_greedy(inst)
         return {
             "B": args.B,
             "V": [str(v) for v in g.V],

@@ -564,27 +564,26 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
     )
 
 
-def hausdorff_exponent(a: float) -> float:
-    """Critical exponent 2/(2+a) for the power family psi(n) = n^-a:
-    sum phi(n) (psi(n)/n^2)^beta converges exactly when beta(2+a) > 2."""
-    if a <= 0:
-        raise Unsupported("analytic exponent defined for the power family with a > 0")
-    return 2.0 / (2.0 + a)
-
-
-def hausdorff_exponent_for(psi: PsiFunction) -> float:
+def _power_exponent(psi: PsiFunction) -> float:
+    """a > 0 of psi(n) = n^-a, the one family whose series are classified analytically."""
     if psi.family != "power":
         raise Unsupported("series classification is only analytic for the power family")
-    return hausdorff_exponent(psi.a)
+    return psi.a
 
 
-def hausdorff_slope(a: float, beta: float) -> float:
-    """Partial-sum increment diagnostic: the dyadic tail growth of
-    sum phi(n) (n^-(2+a))^beta between n_max = 2^15 and 2*n_max.  Near zero
+def hausdorff_exponent(psi: PsiFunction) -> float:
+    """Critical exponent 2/(2+a) for the power family psi(n) = n^-a:
+    sum phi(n) (psi(n)/n^2)^beta converges exactly when beta(2+a) > 2."""
+    return 2.0 / (2.0 + _power_exponent(psi))
+
+
+def hausdorff_slope(psi: PsiFunction, beta: float) -> float:
+    """Partial-sum increment diagnostic for psi(n) = n^-a: the dyadic tail growth
+    of sum phi(n) (n^-(2+a))^beta between n_max = 2^15 and 2*n_max.  Near zero
     for convergent beta, bounded away from zero for divergent beta."""
     n_max = 1 << 15
     phi = phi_sieve(2 * n_max).astype(np.float64)
     n = np.arange(2 * n_max + 1, dtype=np.float64)
     n[0] = 1.0
-    terms = phi * n ** (-(2.0 + a) * beta)
+    terms = phi * n ** (-(2.0 + _power_exponent(psi)) * beta)
     return float(np.sum(terms[n_max + 1 : 2 * n_max + 1]))

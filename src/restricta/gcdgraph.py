@@ -46,28 +46,26 @@ class GcdInstance:
 
 @dataclass(frozen=True)
 class GcdGraph:
-    """Unordered pairs of S with gcd >= B, and the pair density."""
+    """Unordered pairs of an instance's set with gcd >= B, and the pair density."""
 
-    S: tuple[int, ...]
-    B: int
     edges: tuple[tuple[int, int], ...]
     density: float
 
 
-def build_gcd_graph(S, B: int) -> GcdGraph:
+def build_gcd_graph(inst: GcdInstance) -> GcdGraph:
     """All unordered pairs {u, v} of S with gcd(u, v) >= B."""
-    vals = sorted(set(int(s) for s in S))
+    vals = inst.S
     if len(vals) > GRAPH_CAP:
         raise CapExceeded(f"|S| = {len(vals)} above cap {GRAPH_CAP}")
     arr = _int_array(vals)
     edges = []
     for i in range(len(arr) - 1):
         g = np.gcd(arr[i], arr[i + 1 :])
-        for j in np.flatnonzero(g >= B):
+        for j in np.flatnonzero(g >= inst.B):
             edges.append((vals[i], vals[i + 1 + int(j)]))
     npairs = len(vals) * (len(vals) - 1) // 2
     density = len(edges) / npairs if npairs else 0.0
-    return GcdGraph(tuple(vals), B, tuple(edges), density)
+    return GcdGraph(tuple(edges), density)
 
 
 def model_problem_search(inst: GcdInstance):
@@ -154,13 +152,10 @@ def chow_counterexample(y: int) -> ChowReport:
     return ChowReport(y, Q, S, B, max_mult, pair_min or 0, triple_max or 0, ok)
 
 
-def green_walker_ratio(R, S, B: int) -> tuple[float, float]:
-    """Pair-gcd density delta of R x S and the diagnostic ratio
-    |R||S| * B^2 * delta^2.1 / (X*Y) with X = min(R), Y = min(S)."""
-    rv = sorted(set(int(x) for x in R))
-    sv = sorted(set(int(x) for x in S))
-    if not rv or not sv:
-        raise UsageError("R and S must be nonempty")
+def green_walker_ratio(inst: GcdInstance, other: GcdInstance) -> tuple[float, float]:
+    """Pair-gcd density delta of R x S (R = inst.S, S = other.S, B = inst.B) and
+    the diagnostic ratio |R||S| * B^2 * delta^2.1 / (X*Y) with X = min(R), Y = min(S)."""
+    rv, sv, B = inst.S, other.S, inst.B
     if len(rv) * len(sv) > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
     sa = _int_array(rv + sv)[len(rv) :]  # object dtype when an element of R or S is >= 2^63
@@ -183,7 +178,6 @@ class BipartiteGcdGraph:
 
     V: tuple[int, ...]
     W: tuple[int, ...]
-    B: int
     edges: tuple[tuple[int, int], ...]  # index pairs into V x W
     a: int = 1
     b: int = 1
@@ -218,16 +212,16 @@ def _int_array(vals) -> np.ndarray:
     return np.array(vals, dtype=np.int64 if max(vals, default=0) < 1 << 63 else object)
 
 
-def bipartite_from_set(S, B: int) -> BipartiteGcdGraph:
+def bipartite_from_set(inst: GcdInstance) -> BipartiteGcdGraph:
     """Two copies of S with edges where gcd >= B (the compression start)."""
-    vals = tuple(sorted(set(int(s) for s in S)))
+    vals = inst.S
     if len(vals) ** 2 > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
     arr = _int_array(vals)
     edges = []
     for i in range(len(vals)):
-        edges.extend((i, j) for j in np.flatnonzero(np.gcd(arr[i], arr) >= B).tolist())
-    return BipartiteGcdGraph(vals, vals, B, tuple(edges))
+        edges.extend((i, j) for j in np.flatnonzero(np.gcd(arr[i], arr) >= inst.B).tolist())
+    return BipartiteGcdGraph(vals, vals, tuple(edges))
 
 
 _KEEPS = ((True, True), (True, False), (False, True), (False, False))  # TT, TF, FT, FF
@@ -250,7 +244,6 @@ def _restrict(g: BipartiteGcdGraph, p: int, keep_v: bool, keep_w: bool) -> Bipar
     return BipartiteGcdGraph(
         tuple(g.V[i] for i in vs),
         tuple(g.W[j] for j in ws),
-        g.B,
         edges,
         _tracked(g.a, p, keep_v),
         _tracked(g.b, p, keep_w),
@@ -284,7 +277,7 @@ def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, bool, bool] | 
     return best
 
 
-def compress_greedy(S, B: int) -> BipartiteGcdGraph:
+def compress_greedy(inst: GcdInstance) -> BipartiteGcdGraph:
     """Heuristic driver: repeatedly apply the compression step with the
     prime and restriction of highest quality measure.
 
@@ -292,7 +285,7 @@ def compress_greedy(S, B: int) -> BipartiteGcdGraph:
     rule (a budget of 10*log|S| non-improving steps) is a demonstration
     choice, not a tuned strategy.
     """
-    g = bipartite_from_set(S, B)
+    g = bipartite_from_set(inst)
     factors = {v: factorize(v) for v in g.V}
     used: set[int] = set()
     budget = max(1, int(10 * math.log(max(2, len(g.V)))))

@@ -241,7 +241,7 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
         edges = tuple((vs.index(i), ws.index(j)) for i, j in g.edges if i in vs and j in ws)
         a = g.a * p if keep_v and g.a % p else g.a
         b = g.b * p if keep_w and g.b % p else g.b
-        sub = BipartiteGcdGraph(tuple(g.V[i] for i in vs), tuple(g.W[j] for j in ws), g.B, edges, a, b)
+        sub = BipartiteGcdGraph(tuple(g.V[i] for i in vs), tuple(g.W[j] for j in ws), edges, a, b)
         out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
     return out
 

@@ -19,6 +19,7 @@ import restricta
 from restricta import arcs as _arcs
 from restricta import cli
 from restricta import fourier as F
+from restricta import gcdgraph as _gcd
 from restricta import primes as _primes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -170,6 +171,17 @@ class TestBasics:
                     if param.name == "table" or "PrimeTable" in str(param.annotation):
                         takers.append(f"{info.name}.{name}")
         assert not takers
+
+    def test_gcdgraph_reads_sets_through_an_instance(self):
+        # a set and its threshold are checked once, by GcdInstance, at the CLI edge
+        params = {
+            name: [p.annotation for p in inspect.signature(fn).parameters.values()]
+            for name, fn in inspect.getmembers(_gcd, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == _gcd.__name__
+        }
+        assert params.pop("chow_counterexample") == ["int"]  # builds its own set from y
+        assert len(params) == 5
+        assert all(anns and set(anns) == {"GcdInstance"} for anns in params.values()), params
 
 
 class TestJsonOutputs:

@@ -594,19 +594,25 @@ class TestDsCounterexample:
 
 class TestHausdorff:
     def test_analytic_values(self):
-        assert D.hausdorff_exponent(2) == pytest.approx(0.5)
-        assert D.hausdorff_exponent(1) == pytest.approx(2 / 3)
-        assert D.hausdorff_exponent(1e-9) == pytest.approx(1.0, abs=1e-8)
+        assert D.hausdorff_exponent(PsiFunction.power(2)) == pytest.approx(0.5)
+        assert D.hausdorff_exponent(PsiFunction.power(1)) == pytest.approx(2 / 3)
+        assert D.hausdorff_exponent(PsiFunction.power(1e-9)) == pytest.approx(1.0, abs=1e-8)
 
     def test_slope_sign_change(self):
         for a in (0.5, 1.0, 2.0):
-            beta = D.hausdorff_exponent(a)
-            below = D.hausdorff_slope(a, beta - 0.05)
-            above = D.hausdorff_slope(a, beta + 0.05)
+            psi = PsiFunction.power(a)
+            beta = D.hausdorff_exponent(psi)
+            below = D.hausdorff_slope(psi, beta - 0.05)
+            above = D.hausdorff_slope(psi, beta + 0.05)
             assert below > 10 * above > 0
 
     def test_unsupported(self):
-        with pytest.raises(Unsupported):
-            D.hausdorff_exponent_for(PsiFunction.constant(1))
-        with pytest.raises(Unsupported):
-            D.hausdorff_exponent(0)
+        for psi in (PsiFunction.constant(1), PsiFunction.khinchin_threshold(0.5)):
+            with pytest.raises(Unsupported):
+                D.hausdorff_exponent(psi)
+            with pytest.raises(Unsupported):
+                D.hausdorff_slope(psi, 0.5)
+        # a <= 0 is refused by the family's constructor, before any diagnostic runs
+        for a in (0, -1):
+            with pytest.raises(UsageError, match="a > 0"):
+                PsiFunction.power(a)

@@ -32,9 +32,21 @@ def divisor_multiplicity_oracle(S, B):
     return best
 
 
+class TestInstance:
+    @pytest.mark.parametrize("S, B", [((), 1), ((0, 6, 10), 1), ((-6, 10, 15), 2), ((6, 10, 15), 0)],
+                             ids=("empty", "zero", "negative", "B=0"))
+    def test_refuses_before_any_function_runs(self, S, B):
+        # every set-reading function takes the instance, so none checks again
+        with pytest.raises(UsageError):
+            G.GcdInstance(S, B)
+
+    def test_sorted_and_distinct(self):
+        assert G.GcdInstance((10, 6, 10, 15), 2).S == (6, 10, 15)
+
+
 class TestBuildGraph:
     def test_figure_instance(self):
-        g = G.build_gcd_graph({11, 12, 20, 55, 10, 25, 35, 7}, 5)
+        g = G.build_gcd_graph(G.GcdInstance((11, 12, 20, 55, 10, 25, 35, 7), 5))
         have = {tuple(sorted(e)) for e in g.edges}
         listed = {
             (20, 55), (25, 55), (25, 35), (10, 35), (10, 20),
@@ -46,19 +58,19 @@ class TestBuildGraph:
         assert have == listed | {(11, 55), (7, 35)}
 
     def test_complete_at_b1(self):
-        g = G.build_gcd_graph({3, 5, 8, 9}, 1)
+        g = G.build_gcd_graph(G.GcdInstance((3, 5, 8, 9), 1))
         assert len(g.edges) == 6
         assert g.density == 1.0
 
     def test_empty_above_max(self):
-        g = G.build_gcd_graph({3, 5, 8, 9}, 10)
+        g = G.build_gcd_graph(G.GcdInstance((3, 5, 8, 9), 10))
         assert g.edges == ()
         assert g.density == 0.0
 
     @given(st.sets(st.integers(1, 500), min_size=2, max_size=25), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_symmetric_and_correct(self, S, B):
-        g = G.build_gcd_graph(S, B)
+        g = G.build_gcd_graph(G.GcdInstance(tuple(S), B))
         expect = {
             (u, v)
             for u in S
@@ -140,21 +152,22 @@ class TestChow:
 
 class TestGreenWalker:
     def test_all_multiples(self):
-        R = [100, 110, 120, 130]
-        delta, ratio = G.green_walker_ratio(R, R, 10)
+        inst = G.GcdInstance((100, 110, 120, 130), 10)
+        delta, ratio = G.green_walker_ratio(inst, inst)
         assert delta == 1.0
         # |R||S| B^2 / (XY) for the natural construction stays O(1)
         assert ratio <= 1.0
 
     def test_no_pairs(self):
-        delta, ratio = G.green_walker_ratio([3, 5], [7, 11], 2)
+        delta, ratio = G.green_walker_ratio(G.GcdInstance((3, 5), 2), G.GcdInstance((7, 11), 2))
         assert delta == 0.0 and ratio == 0.0
 
     def test_chow_trend_bounded(self):
         ratios = []
         for y in (10, 15, 20):
             rep = G.chow_counterexample(y)
-            _, ratio = G.green_walker_ratio(rep.S, rep.S, math.ceil(rep.B))
+            inst = G.GcdInstance(rep.S, math.ceil(rep.B))
+            _, ratio = G.green_walker_ratio(inst, inst)
             ratios.append(ratio)
         assert all(r < 50 for r in ratios)
 
@@ -169,7 +182,7 @@ class TestBeyondInt64:
         self.B = G.chow_counterexample(30).Q // (p * q)
 
     def test_build_matches_math_gcd(self):
-        g = G.build_gcd_graph(self.S, self.B)
+        g = G.build_gcd_graph(G.GcdInstance(self.S, self.B))
         vals = sorted(self.S)
         want = [(u, v) for i, u in enumerate(vals) for v in vals[i + 1 :] if math.gcd(u, v) >= self.B]
         assert 0 < len(want) < len(vals) * (len(vals) - 1) // 2
@@ -178,7 +191,7 @@ class TestBeyondInt64:
 
     def test_green_walker_matches_math_gcd(self):
         R, S = sorted(self.S)[:4], sorted(self.S)[2:]
-        delta, ratio = G.green_walker_ratio(R, S, self.B)
+        delta, ratio = G.green_walker_ratio(G.GcdInstance(tuple(R), self.B), G.GcdInstance(tuple(S), self.B))
         hits = sum(1 for x in R for y in S if math.gcd(x, y) >= self.B)
         assert 0 < hits < len(R) * len(S)
         assert delta == hits / (len(R) * len(S))
@@ -190,7 +203,7 @@ class TestCompression:
         # p divides every vertex: the (p|v, p|w) candidate keeps the edge set
         # and the a*b/gcd^2 factor cancels p^2/p^2
         S = (6, 12, 30)
-        g = G.bipartite_from_set(S, 2)
+        g = G.bipartite_from_set(G.GcdInstance(S, 2))
         cands = compression_step(g, 2)
         both = next(c for c in cands if c.keep_v and c.keep_w)
         assert len(both.graph.edges) == len(g.edges)
@@ -201,7 +214,7 @@ class TestCompression:
 
     def test_untouched_prime_leaves_graph(self):
         S = (3, 9, 15)
-        g = G.bipartite_from_set(S, 3)
+        g = G.bipartite_from_set(G.GcdInstance(S, 3))
         cands = compression_step(g, 7)
         neither = next(c for c in cands if not c.keep_v and not c.keep_w)
         assert neither.graph.V == g.V and len(neither.graph.edges) == len(g.edges)
@@ -209,7 +222,7 @@ class TestCompression:
 
     def test_chow_split_at_eleven(self):
         rep = G.chow_counterexample(10)
-        g = G.bipartite_from_set(rep.S, math.ceil(rep.B))
+        g = G.bipartite_from_set(G.GcdInstance(rep.S, math.ceil(rep.B)))
         cands = compression_step(g, 11)
         for c in cands:
             n_v = len(c.graph.V)
@@ -225,22 +238,22 @@ class TestCompression:
     )
     @settings(max_examples=40, deadline=None)
     def test_partition_invariants(self, S, B, p):
-        g = G.bipartite_from_set(S, B)
+        g = G.bipartite_from_set(G.GcdInstance(tuple(S), B))
         cands = compression_step(g, p)
         assert len(cands) == 4
         assert sum(len(c.graph.V) for c in cands) == 2 * len(g.V)
         assert sum(len(c.graph.edges) for c in cands) == len(g.edges)
 
     def test_divisibility_tracked(self):
-        g = G.BipartiteGcdGraph((4, 8), (6, 12), 2, ((0, 0),), a=4, b=6)
+        g = G.BipartiteGcdGraph((4, 8), (6, 12), ((0, 0),), a=4, b=6)
         assert g.quality > 0
         with pytest.raises(UsageError):
-            G.BipartiteGcdGraph((4, 9), (6,), 2, (), a=4, b=6)
+            G.BipartiteGcdGraph((4, 9), (6,), (), a=4, b=6)
 
     def test_step_keeps_a_present_prime_once(self):
         # p = 2 already divides a = 4 and b = 6: imposing it again must not
         # multiply the divisors, or a = 8 would no longer divide V
-        g = G.BipartiteGcdGraph((4, 12), (6, 18), 2, ((0, 0), (1, 1)), a=4, b=6)
+        g = G.BipartiteGcdGraph((4, 12), (6, 18), ((0, 0), (1, 1)), a=4, b=6)
         for c in compression_step(g, 2):
             assert (c.graph.a, c.graph.b) == (4, 6)
             assert all(v % c.graph.a == 0 for v in c.graph.V)
@@ -248,19 +261,19 @@ class TestCompression:
 
     def test_greedy_driver_runs(self):
         rep = G.chow_counterexample(10)
-        final = G.compress_greedy(rep.S, math.ceil(rep.B))
+        final = G.compress_greedy(G.GcdInstance(rep.S, math.ceil(rep.B)))
         assert final.V and final.W
         assert all(v % final.a == 0 for v in final.V)
         assert all(w % final.b == 0 for w in final.W)
 
     def test_nonprime_rejected(self):
-        g = G.bipartite_from_set((4, 6), 2)
+        g = G.bipartite_from_set(G.GcdInstance((4, 6), 2))
         with pytest.raises(UsageError):
             compression_step(g, 6)
 
     def test_hard_composite_rejected_as_nonprime(self):
         # both factors lie above the trial limit of factorize: still "not prime"
-        g = G.bipartite_from_set((4, 6), 2)
+        g = G.bipartite_from_set(G.GcdInstance((4, 6), 2))
         with pytest.raises(UsageError, match="not prime"):
             compression_step(g, 1_000_003 * 1_000_033)
 
@@ -270,14 +283,14 @@ class TestCompression:
     )
     @settings(max_examples=60, deadline=None)
     def test_greedy_matches_every_candidate_loop(self, S, B):
-        assert_same_graph(G.compress_greedy(S, B), greedy_every_candidate(S, B))
+        assert_same_graph(G.compress_greedy(G.GcdInstance(tuple(S), B)), greedy_every_candidate(S, B))
 
     @pytest.mark.parametrize("y", [10, 20, 30])
     def test_greedy_matches_every_candidate_loop_on_chow(self, y):
         # at y = 30 the elements exceed 2^63
         rep = G.chow_counterexample(y)
         B = math.ceil(rep.B)
-        assert_same_graph(G.compress_greedy(rep.S, B), greedy_every_candidate(rep.S, B))
+        assert_same_graph(G.compress_greedy(G.GcdInstance(rep.S, B)), greedy_every_candidate(rep.S, B))
 
 
 def quality_by_fraction(g):
@@ -297,7 +310,7 @@ def greedy_every_candidate(S, B):
     edges = tuple(
         (i, j) for i, v in enumerate(vals) for j, w in enumerate(vals) if math.gcd(v, w) >= B
     )
-    g = G.BipartiteGcdGraph(vals, vals, B, edges)
+    g = G.BipartiteGcdGraph(vals, vals, edges)
     used = set()
     budget = max(1, int(10 * math.log(max(2, len(g.V)))))
     while budget > 0:
@@ -323,13 +336,11 @@ def greedy_every_candidate(S, B):
 
 
 def assert_same_graph(got, want):
-    assert (got.V, got.W, got.B, got.edges, got.a, got.b) == (
-        want.V, want.W, want.B, want.edges, want.a, want.b
-    )
+    assert (got.V, got.W, got.edges, got.a, got.b) == (want.V, want.W, want.edges, want.a, want.b)
     assert got.quality == quality_by_fraction(want)
 
 
 class TestCaps:
     def test_graph_cap(self):
         with pytest.raises(CapExceeded):
-            G.build_gcd_graph(range(1, 10**4 + 2), 2)
+            G.build_gcd_graph(G.GcdInstance(tuple(range(1, 10**4 + 2)), 2))
