@@ -17,9 +17,10 @@ from .digit_systems import DigitSystem, census
 from .errors import CapExceeded, UsageError
 from .fourier import FourierProfile, sa_chunks
 from .numutil import fsum_chunks
-from .primes import factorize, prime_spectrum, sieve_primes
+from .primes import factorize, phi_sieve, prime_spectrum, sieve_primes
 
 SCAN_CAP = 10**7
+FULL_SCAN_CAP = 3 * 10**8  # window points a full scan visits: k = 6, A = 2.5 visits 2.2e8 in 2.2 s
 DEFAULT_A = 51.0
 
 PRIMARY_MAJOR = "primary-major"
@@ -41,7 +42,9 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     """Class index for every j in [0, N): 0 primary, 1 smooth, 2 nonsmooth,
     3 minor.  Window-marking in ascending s so the smallest-s witness wins;
     agrees pointwise with the scalar ``classify_point`` of tests/oracles.py
-    (same qualifying comparison)."""
+    (same qualifying comparison).  The 1 + sum_{s <= M} phi(s) windows of
+    2C + 3 points each are refused above FULL_SCAN_CAP points before any is
+    built (phi is sieved only once M + 1 windows fit under the cap)."""
     if math.isnan(A):
         raise UsageError("need a number A, got nan")
     N = _scan_points(sys, k)
@@ -49,8 +52,9 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     if C >= N / 2:  # the s = 1 windows already blanket the whole circle
         return np.zeros(N, dtype=np.int8)
     M = min(int(C), N)
-    if M > 20_000:
-        raise CapExceeded(f"window count for (log N)^A = {C:.3g} too large for a full scan")
+    width = 2 * C + 3
+    if (M + 1) * width > FULL_SCAN_CAP or (1 + int(phi_sieve(M)[1:].sum())) * width > FULL_SCAN_CAP:
+        raise CapExceeded(f"full scan at (log N)^A = {C:.3g} visits over {FULL_SCAN_CAP:.0e} window points")
     out = np.full(N, -1, dtype=np.int8)
     kinds = {PRIMARY_MAJOR: 0, SMOOTH_MAJOR: 1, NONSMOOTH_MAJOR: 2}
     for s in range(1, M + 1):
@@ -133,9 +137,9 @@ def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
 
 def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
     """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
+    classes = classify_all(sys, k, A)  # a scan above its cap is refused before anything is sieved
     spectrum_abs = np.abs(_spectrum(sys, k))
     N = len(spectrum_abs)
-    classes = classify_all(sys, k, A)
     prof = FourierProfile(sys, k)
     masses = np.zeros(4)
     for j0, sa_vals in sa_chunks(prof):

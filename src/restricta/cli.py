@@ -10,12 +10,14 @@ and long scans stream CSV rows as they are produced.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
 import math
 import sys
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +102,7 @@ def _cmd_census(args):
 
 
 # the flags with no default that some route of their subcommand does not read
-_OPTIONAL = ("q", "r", "R", "sys", "grid", "unreduced", "set", "set2", "y")
+_OPTIONAL = ("q", "r", "R", "sys", "grid", "unreduced", "set", "set2", "y", "psi")
 
 
 def _only(args, route: str, *taken: str) -> None:
@@ -163,9 +165,14 @@ def _cmd_arcs(args):
 def _cmd_dioph(args):
     cmd = args.cmd
     if cmd == "measure" and args.R is not None:
-        _only(args, "--cmd measure --R", "R", "unreduced")
+        _only(args, "--cmd measure --R", "psi", "R", "unreduced")
     else:
-        _only(args, f"--cmd {cmd}", *{"measure": ("q", "unreduced"), "pairs": ("q", "r")}.get(cmd, ()))
+        taken = {"measure": ("psi", "q", "unreduced"), "pairs": ("psi", "q", "r"), "counterexample": ()}
+        _only(args, f"--cmd {cmd}", *taken.get(cmd, ("psi",)))
+    if cmd == "counterexample":  # it builds its own psi pair
+        return _dioph.ds_counterexample(args.ell_max).to_json()
+    if args.psi is None:
+        raise UsageError(f"--cmd {cmd} needs --psi")
     psi = _dioph.PsiFunction.parse(args.psi)
     if cmd == "series":
         kh, ds = _dioph.series_partial(psi, args.Q)
@@ -185,8 +192,6 @@ def _cmd_dioph(args):
         return {"q": args.q, "r": args.r, "exact": exact, "pvBound": pv}
     if cmd == "select-r":
         return {"Q": args.Q, "R": _dioph.select_R(psi, args.Q, cap=args.cap)}
-    if cmd == "counterexample":
-        return _dioph.ds_counterexample(args.ell_max).to_json()
     if cmd == "hausdorff":
         expo = _dioph.hausdorff_exponent(psi)
         return {
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_arcs)
 
     sp = sub.add_parser("dioph", help="metric approximation experiments")
-    sp.add_argument("--psi", required=True, help="family[:params] or file.csv")
+    sp.add_argument("--psi", help="family[:params] or file.csv; every --cmd but counterexample")
     sp.add_argument("--cmd", required=True,
                     choices=("series", "measure", "pairs", "select-r", "counterexample", "hausdorff"))
     sp.add_argument("--Q", type=int, default=1)
@@ -327,17 +332,18 @@ def _emit(result, fmt: str, out) -> str:
 
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    table = csv.writer(types.SimpleNamespace(write=write), lineterminator="\n")  # RFC 4180 quoting
     try:
         if isinstance(result, tuple) and result and result[0] == "csv":
             _, header, rows = result
-            write(",".join(header) + "\n")
+            table.writerow(header)
             for row in rows:
-                write(",".join(_csv_cell(c) for c in row) + "\n")
+                table.writerow(_csv_cell(c) for c in row)
                 out.flush()
         elif fmt == "csv" and isinstance(result, dict):
             items = sorted(canonical(result).items())
-            write(",".join(k for k, _ in items) + "\n")
-            write(",".join(_csv_cell(v) if not isinstance(v, (dict, list)) else json.dumps(v, sort_keys=True) for _, v in items) + "\n")
+            table.writerow(k for k, _ in items)
+            table.writerow(_csv_cell(v) if not isinstance(v, (dict, list)) else json.dumps(v, sort_keys=True) for _, v in items)
         else:
             write(_dump_json(result) + "\n")
     finally:

@@ -19,6 +19,7 @@ from .errors import CapExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
+ENUM_ABOVE_SIEVE_MAX = 1 << 22  # above the sieve limit, up to this size: x = 10^21, D = {1, 3} peaks at 343 MB
 DIGIT_CAP = 10**7  # digits one system may build: the largest q a dense-digit route accepts
 _INT64_MAX = (1 << 63) - 1
 
@@ -253,7 +254,8 @@ class CensusReport:
 def census(sys: DigitSystem, x: int) -> CensusReport:
     """Count A(x) and its primes exactly; report the prediction ratio.
 
-    Route selection: when |A(x)| <= ENUM_ROUTE_MAX, enumerate members and
+    Route selection: when |A(x)| <= ENUM_ROUTE_MAX, or when x is above the
+    sieve limit and |A(x)| <= ENUM_ABOVE_SIEVE_MAX, enumerate members and
     test them with deterministic Miller-Rabin, those below 2^63 in one array
     call and the rest one by one (OutOfRange for a member at or above
     psi_13, where no base set is proven); otherwise count with
@@ -262,7 +264,7 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
     the sieve limit is refused before anything is sieved).
     """
     count = count_restricted(sys, x)
-    if count <= ENUM_ROUTE_MAX:
+    if count <= ENUM_ROUTE_MAX or (x > _primes.SIEVE_LIMIT and count <= ENUM_ABOVE_SIEVE_MAX):
         members = enumerate_restricted(sys, x)
         small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
         prime_count = int(np.count_nonzero(_primes.is_prime_int(members[:small].astype(np.int64, copy=False))))

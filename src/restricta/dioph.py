@@ -154,17 +154,17 @@ class PsiFunction:
 
     def exact(self, n: int) -> Fraction:
         """Exact rational value where the family allows; otherwise the exact
-        binary rational of the float value (deterministic).  An integer
-        power n^a of more than about POWER_BITS_CAP bits (a*log2(n) above
-        it) is refused with CapExceeded before it is formed."""
+        binary rational of the float value (deterministic), which for a
+        non-integer power and khinchin is the float ``values`` gives at n.
+        An integer power n^a is a true rational, within an ulp of the float
+        in ``values``; one of more than about POWER_BITS_CAP bits (a*log2(n)
+        above it) is refused with CapExceeded before it is formed."""
         if n < 1:
             raise UsageError("psi is defined for n >= 1")
-        if self.family == "power":
-            if float(self.a).is_integer():
-                if self.a * math.log2(n) > POWER_BITS_CAP:
-                    raise CapExceeded(f"{n}^{self.a:g} above {POWER_BITS_CAP} bits")
-                return Fraction(1, n ** int(self.a))
-            return Fraction(float(n) ** (-self.a))
+        if self.family == "power" and float(self.a).is_integer():
+            if self.a * math.log2(n) > POWER_BITS_CAP:
+                raise CapExceeded(f"{n}^{self.a:g} above {POWER_BITS_CAP} bits")
+            return Fraction(1, n ** int(self.a))
         if self.family == "constant":
             return self.c
         if self.family == "table":
@@ -172,8 +172,9 @@ class PsiFunction:
                 if m == n:
                     return v
             return Fraction(0)
-        if self.family == "khinchin":
-            v = 0.0 if n < 2 else 1.0 / math.log(n) ** (1.0 + self.eps)
+        if self.family in ("power", "khinchin"):
+            one = np.array([n], dtype=np.float64)  # the array expression of values, at n alone
+            v = 0.0 if self.family == "khinchin" and n < 2 else float(self._floats(one)[0])
         elif self.family == "ds_base":
             ell = _primorial_index(n)
             v = 0.0 if ell is None else n / (ell * math.log(ell))
@@ -191,16 +192,24 @@ class PsiFunction:
             raise UsageError(f"no float evaluation for family {self.family}")
         return Fraction(v) if v > 0 else Fraction(0)
 
+    def _floats(self, n: np.ndarray) -> np.ndarray:
+        """The power or khinchin values at the float array n (n >= 2 for
+        khinchin): the one expression ``values`` and ``exact`` evaluate,
+        since numpy and libm may round pow and log differently."""
+        if self.family == "power":
+            return n ** (-self.a)
+        return 1.0 / np.log(n) ** (1.0 + self.eps)
+
     def values(self, upto: int) -> np.ndarray:
         """psi(1..upto) as a float array (vectorised per family)."""
         n = np.arange(1, upto + 1, dtype=np.float64)
         if self.family == "power":
-            return n ** (-self.a)
+            return self._floats(n)
         if self.family == "constant":
             return np.full(upto, float(self.c))
         if self.family == "khinchin":
             out = np.zeros(upto)
-            out[1:] = 1.0 / np.log(n[1:]) ** (1.0 + self.eps)
+            out[1:] = self._floats(n[1:])
             return out
         if self.family == "table":
             out = np.zeros(upto)

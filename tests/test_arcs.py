@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from restricta import arcs as A
 from restricta.digit_systems import DigitSystem
-from restricta.errors import UsageError
+from restricta.errors import CapExceeded, UsageError
 from restricta.primes import prime_sums, sieve_primes
 
 from tests.oracles import FareyPoint, classify_point, primary_term_direct
@@ -78,6 +79,23 @@ class TestClassify:
     def test_out_of_range(self):
         with pytest.raises(UsageError):
             classify_point(10**6, self.sys, 6, 3.0)
+
+    @pytest.mark.parametrize("k, Aexp", [(6, 2.8), (7, 2.6), (7, 4.0)])
+    def test_full_scan_refused_by_its_work(self, monkeypatch, k, Aexp):
+        # k = 6, A = 2.8 (M = 1559) took 11.9 s; M <= 20000 never bounded it
+        def refuse(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(A, "sieve_primes", refuse)
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="window points"):
+            A.arc_mass_breakdown(self.sys, k, Aexp)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_full_scan_cap_admits_the_documented_widths(self):
+        # A = 1.5 (the circle workload) and A = 2.0 at k = 6 stay accepted
+        for Aexp in (1.5, 2.0):
+            assert len(A.classify_all(self.sys, 6, Aexp)) == 10**6
 
 
 class TestMainTerm:

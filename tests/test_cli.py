@@ -1,5 +1,7 @@
+import csv
 import importlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -116,6 +118,9 @@ class TestBasics:
         ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "6", "--r", "10", "--unreduced"),
         ("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", "7", "--R", "10"),
         ("gcdgraph", "--cmd", "chow", "--y", "10", "--set", "/nonexistent"),
+        ("dioph", "--psi", "ds_base", "--cmd", "counterexample", "--ell-max", "100"),
+        ("dioph", "--cmd", "series", "--Q", "10"),
+        ("dioph", "--cmd", "measure", "--Q", "2", "--R", "5"),
         # a set or psi table the computation cannot take (files in MALFORMED_FILES)
         ("gcdgraph", "--cmd", "green-walker", "--set", "{zero}", "--B", "1"),
         ("gcdgraph", "--cmd", "green-walker", "--set", "{sets}", "--set2", "{zero}", "--B", "1"),
@@ -270,7 +275,7 @@ class TestJsonOutputs:
         (("fourier", "--check", "pairwise", "--q", str(10**400)), "cap-exceeded", 1),
         (("certify", "--sys", f"q={10**400},D=1", "--ell-max", "2"), "cap-exceeded", 1),
         (("gcdgraph", "--cmd", "chow", "--y", str(10**400)), "cap-exceeded", 1),
-        (("dioph", "--psi", "constant:1/2", "--cmd", "counterexample", "--ell-max", str(10**400)), "cap-exceeded", 1),
+        (("dioph", "--cmd", "counterexample", "--ell-max", str(10**400)), "cap-exceeded", 1),
         (("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", str(10**400)), "cap-exceeded", 1),
         (("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", str(10**400), "--r", "7"), "cap-exceeded", 1),
         # digit systems: each range is checked, and the digits counted, before any is built
@@ -380,6 +385,26 @@ class TestJsonOutputs:
 
 
 class TestCsvOutputs:
+    @pytest.mark.parametrize("argv", [
+        ("census", "--sys", "q=10,exclude=7", "--x", "100"),
+        ("arcs", "--sys", "q=10,exclude=7", "-k", "3"),
+        ("fourier", "--check", "refined", "--q", "11"),
+        ("dioph", "--psi", "constant:1/3", "--cmd", "measure", "--Q", "2", "--R", "20"),
+        ("gcdgraph", "--cmd", "build", "--set", "{set}", "--B", "2"),
+    ])
+    def test_one_row_csv_is_well_formed(self, capsys, tmp_path, argv):
+        # a nested value is one quoted cell holding its JSON
+        (tmp_path / "set.txt").write_text("6 10 15 7\n")
+        argv = [a.format(set=tmp_path / "set.txt") for a in argv]
+        _, out, _ = run_cli(capsys, *argv)
+        want = json.loads(out)
+        _, out, _ = run_cli(capsys, "--format", "csv", *argv)
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row) == len(want)
+        assert any(isinstance(v, (dict, list)) for v in want.values())
+        for key, cell in zip(header, row):
+            assert (cell if isinstance(want[key], str) else json.loads(cell)) == want[key], key
+
     def test_scan_stream(self, capsys):
         code, out, _ = run_cli(capsys, "fourier", "--check", "sin-sum",
                                "--scan", "100..103")
@@ -475,7 +500,7 @@ class TestDeterminism:
          "78612c4a5486e48ebcf5b48fbdd8310fcfa9488b85b07f74ee117cb009225d49"),
         (("dioph", "--psi", "table:{psi}", "--cmd", "measure", "--Q", "2", "--R", "13"),
          "2dad51005d1bcbdfc84abe4bd51066f16e353d66ad0260389af09d4be7dde411"),
-        (("dioph", "--psi", "ds_base", "--cmd", "counterexample", "--ell-max", "1000"),
+        (("dioph", "--cmd", "counterexample", "--ell-max", "1000"),
          "029a142a5339c1b5a2cd0b20b79281351a1a77f2cf5201f0f0cbf73e955c50e7"),
         # q^2 above the entry cap: the matrix-free ell = 1 bound
         (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),

@@ -222,17 +222,24 @@ class TestPsiFamilies:
         assert psi(6) == pytest.approx(36 / (6 * 3 * math.log(3)))
 
     def test_vectorised_matches_scalar(self):
+        # one float per psi(n): ``series`` reads values, ``measure`` and ``pairs`` read exact
+        U = 20000
         for psi in (
-            PsiFunction.power(1.5),
+            *(PsiFunction.power(a) for a in (1.5, 0.7, 0.5)),
             PsiFunction.constant(Fraction(2, 3)),
-            PsiFunction.khinchin_threshold(0.1),
+            *(PsiFunction.khinchin_threshold(eps) for eps in (0.0, 0.1, 0.3, 0.5)),
             PsiFunction.ds_base(),
             PsiFunction.ds_spread(),
-            PsiFunction.from_pairs([(3, Fraction(1, 2)), (10, 2)]),
+            PsiFunction.from_pairs([(3, Fraction(1, 2)), (10, 2), (U, Fraction(1, 7))]),
         ):
-            vec = psi.values(60)
-            for n in range(1, 61):
-                assert vec[n - 1] == pytest.approx(psi(n), abs=1e-12), (psi.family, n)
+            vec = psi.values(U)
+            scalar = np.array([float(psi.exact(n)) for n in range(1, U + 1)])
+            assert np.array_equal(vec, scalar), (psi, np.flatnonzero(vec != scalar)[:5] + 1)
+        # an integer power's exact value is a true rational, within an ulp of the array's float
+        for a in (1, 2, 3):
+            vec = PsiFunction.power(a).values(U)
+            scalar = np.array([float(Fraction(1, n**a)) for n in range(1, U + 1)])
+            assert np.all(np.abs(vec - scalar) <= np.spacing(scalar))
 
     def test_ds_spread_huge_prime_factor_underflows_without_sieve(self, monkeypatch):
         # primorial(53) + 1 = 73 * 139 * 173 * 18564761860301: theta of that

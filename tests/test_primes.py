@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restricta import digit_systems
 from restricta import primes as P
 from restricta.digit_systems import DigitSystem, census
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
@@ -288,6 +289,19 @@ class TestAdmissibleBlocks:
         # the census takes the sieve route there, and sieve_primes refuses x
         with pytest.raises(LimitExceeded, match=r"sieve limit 1099511627777 above 2\^40"):
             census(DigitSystem.excluding(10, {7}), 2**40 + 1)
+
+    def test_enumerates_a_sparse_set_above_sieve_limit(self, monkeypatch):
+        # 12286 members at 2^41: above ENUM_ROUTE_MAX here, but the sieve route could never take x
+        def refuse(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(digit_systems, "ENUM_ROUTE_MAX", 1000)
+        monkeypatch.setattr(P, "sieve_primes", refuse)
+        sys = DigitSystem.of(10, (1, 3))
+        rep = census(sys, 2**41)
+        assert rep.count == 12286
+        members = [int(n) for n in digit_systems.enumerate_restricted(sys, 2**41)]
+        assert rep.prime_count == sum(1 for n in members if sympy.isprime(n))
 
     def test_small_x(self):
         # below 2 no table is built: the census enumerates A(x)

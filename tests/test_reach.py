@@ -90,7 +90,7 @@ ARGV = [
     "dioph --psi constant:1/2 --cmd pairs --q 6 --r 10",
     "dioph --psi constant:1/2 --cmd select-r --Q 2",
     "dioph --psi constant:0 --cmd select-r --Q 2 --cap 50",
-    "dioph --psi ds_base --cmd counterexample --ell-max 100",
+    "dioph --cmd counterexample --ell-max 100",
     "dioph --psi power:1 --cmd hausdorff",
     "dioph --psi constant:1 --cmd hausdorff",
     f"dioph --psi constant:1/2 --cmd measure --q {10**400}",
