@@ -137,9 +137,9 @@ def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
 
 def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
     """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
-    classes = classify_all(sys, k, A)  # a scan above its cap is refused before anything is sieved
     spectrum_abs = np.abs(_spectrum(sys, k))
     N = len(spectrum_abs)
+    classes = classify_all(sys, k, A)
     prof = FourierProfile(sys, k)
     masses = np.zeros(4)
     for j0, sa_vals in sa_chunks(prof):

