@@ -14,7 +14,7 @@ from restricta.digit_systems import DigitSystem, census
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
 from restricta.numutil import frac_exact
 
-from tests.oracles import prime_spectrum_direct
+from tests.oracles import enumerate_list, prime_spectrum_direct
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -300,8 +300,7 @@ class TestAdmissibleBlocks:
         sys = DigitSystem.of(10, (1, 3))
         rep = census(sys, 2**41)
         assert rep.count == 12286
-        members = [int(n) for n in digit_systems.enumerate_restricted(sys, 2**41)]
-        assert rep.prime_count == sum(1 for n in members if sympy.isprime(n))
+        assert rep.prime_count == sum(1 for n in enumerate_list(sys, 2**41) if sympy.isprime(n))
 
     def test_small_x(self):
         # below 2 no table is built: the census enumerates A(x)
