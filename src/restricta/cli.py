@@ -167,7 +167,8 @@ def _cmd_dioph(args):
     if cmd == "measure" and args.R is not None:
         _only(args, "--cmd measure --R", "psi", "R", "unreduced")
     else:
-        taken = {"measure": ("psi", "q", "unreduced"), "pairs": ("psi", "q", "r"), "counterexample": ()}
+        taken = {"measure": ("psi", "q", "unreduced"), "pairs": ("psi", "q", "r"), "quasi": ("psi", "R"),
+                 "counterexample": ()}
         _only(args, f"--cmd {cmd}", *taken.get(cmd, ("psi",)))
     if cmd == "counterexample":  # it builds its own psi pair
         return _dioph.ds_counterexample(args.ell_max).to_json()
@@ -190,6 +191,10 @@ def _cmd_dioph(args):
             raise UsageError("--cmd pairs needs --q and --r")
         exact, pv = _dioph.pair_overlap(args.q, args.r, psi)
         return {"q": args.q, "r": args.r, "exact": exact, "pvBound": pv}
+    if cmd == "quasi":
+        if args.R is None:
+            raise UsageError("--cmd quasi needs --R")
+        return {"Q": args.Q, "R": args.R, "ratio": _dioph.quasi_independence_ratio(psi, args.Q, args.R)}
     if cmd == "select-r":
         return {"Q": args.Q, "R": _dioph.select_R(psi, args.Q, cap=args.cap)}
     if cmd == "hausdorff":
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dioph", help="metric approximation experiments")
     sp.add_argument("--psi", help="family[:params] or file.csv; every --cmd but counterexample")
     sp.add_argument("--cmd", required=True,
-                    choices=("series", "measure", "pairs", "select-r", "counterexample", "hausdorff"))
+                    choices=("series", "measure", "pairs", "quasi", "select-r", "counterexample", "hausdorff"))
     sp.add_argument("--Q", type=int, default=1)
     sp.add_argument("--R", type=int)
     sp.add_argument("--q", type=int)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import primes as _primes
-from .errors import CapExceeded, UsageError, parsed
+from .errors import CapExceeded, LimitExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
@@ -260,11 +260,17 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
     call and the rest one by one (OutOfRange for a member at or above
     psi_13, where no base set is proven); otherwise count with
     ``count_primes_digit_filtered`` over the table of x, which walks only
-    the blocks of q^j integers whose leading digits are allowed (x above
-    the sieve limit is refused before anything is sieved).
+    the blocks of q^j integers whose leading digits are allowed.  Above the
+    sieve limit, a set too large for either route is refused with
+    LimitExceeded, naming both caps, before anything is enumerated.
     """
     count = count_restricted(sys, x)
-    if count <= ENUM_ROUTE_MAX or (x > _primes.SIEVE_LIMIT and count <= ENUM_ABOVE_SIEVE_MAX):
+    above = x > _primes.SIEVE_LIMIT
+    if above and count > ENUM_ABOVE_SIEVE_MAX:
+        raise LimitExceeded(
+            f"sieve limit {x} above 2^40 and |A(x)| = {count} above the enumerate cap {ENUM_ABOVE_SIEVE_MAX}"
+        )
+    if count <= ENUM_ROUTE_MAX or above:
         members = enumerate_restricted(sys, x)
         small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
         prime_count = int(np.count_nonzero(_primes.is_prime_int(members[:small].astype(np.int64, copy=False))))

@@ -263,30 +263,43 @@ def _log_primorial_below(ell: int) -> float:
 def _ds_spread_values(upto: int) -> np.ndarray:
     """Vectorised ds_spread over 1..upto via greatest-prime-factor and
     squarefree sieves; the q^2/primorial ratio is computed in logs, with
-    theta(ell) from ``_log_primorial`` as ``PsiFunction.exact`` takes it."""
+    theta(ell) from ``_log_primorial`` as ``PsiFunction.exact`` takes it.
+    The primes up to sqrt(upto) are written ascending, so the last write is
+    the largest factor; a larger prime p is the largest factor of each k p
+    (k < sqrt(upto) < p), written one k at a time as in ``phi_sieve``."""
     gpf = np.zeros(upto + 1, dtype=np.int64)
     sqfree = np.ones(upto + 1, dtype=bool)
-    primes = _simple_sieve(upto) if upto >= 2 else np.empty(0, dtype=np.int64)
-    for p in primes.tolist():
-        gpf[p::p] = p  # ascending p: the last write is the largest factor
-        pp = p * p
-        if pp <= upto:
-            sqfree[pp::pp] = False
+    primes = _simple_sieve(upto)
+    r = math.isqrt(upto)
+    cut = int(np.searchsorted(primes, r, side="right"))
+    for p in primes[:cut].tolist():
+        gpf[p::p] = p
+        sqfree[p * p :: p * p] = False
+    big = primes[cut:]
+    for k in range(1, upto // (r + 1) + 1):
+        ps = big[: np.searchsorted(big, upto // k, side="right")]
+        gpf[k * ps] = ps
     # theta(ell) above 2 log(upto) + 746 puts every log_val below -746,
     # where exp underflows to 0: such ell never reach the loop
     limit = 2.0 * math.log(max(upto, 1)) + 746.0
-    log_theta = {}
+    logs = {}  # ell -> (theta(ell), log(ell log ell)), the two terms log_val subtracts
     for p in primes.tolist():
         theta = _log_primorial(p)
         if theta > limit:
             break
-        log_theta[p] = theta
+        logs[p] = theta, math.log(p * math.log(p))
     out = np.zeros(upto)
-    ok = sqfree & (gpf > 0) & (gpf <= max(log_theta, default=0))
-    for m in (np.flatnonzero(ok[1:]) + 1).tolist():
-        ell = int(gpf[m])
-        log_val = 2.0 * math.log(m) - log_theta[ell] - math.log(ell * math.log(ell))
-        out[m - 1] = math.exp(log_val) if log_val > -745.0 else 0.0
+    ok = sqfree & (gpf > 0) & (gpf <= max(logs, default=0))
+    ms = np.flatnonzero(ok[1:]) + 1
+    step = 1 << 14  # the Python lists hold one chunk at a time
+    for i in range(0, len(ms), step):
+        chunk = ms[i : i + step]
+        vals = []
+        for m, ell in zip(chunk.tolist(), gpf[chunk].tolist()):
+            theta, tail = logs[ell]
+            log_val = 2.0 * math.log(m) - theta - tail
+            vals.append(math.exp(log_val) if log_val > -745.0 else 0.0)
+        out[chunk - 1] = vals
     return out
 
 
@@ -443,20 +456,35 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
     """sum_{Q<=q!=r<R} mu(E*_q cap E*_r) / (sum_{Q<=q<R} mu(E*_q))^2.
 
     Values below 10^6 are consistent with the on-average quasi-independence
-    mechanism; purely diagnostic.
+    mechanism; purely diagnostic.  The overlap sum is one sweep: the sum
+    over unordered pairs is the integral of C(depth, 2), depth the number
+    of events covering a point (each E*_q is already merged, so it counts
+    once), read off one heap merge of every event's ends as marks 2x for a
+    start and 2x + 1 for an end over the common denominator.
     """
+    if Q > R:
+        raise UsageError("need Q <= R")
     if R - Q > PAIR_RANGE_CAP:
         raise CapExceeded(f"pair range {R - Q} above cap {PAIR_RANGE_CAP}")
-    events = {q: event_union(q, psi, reduced=True) for q in range(Q, R)}
-    total = sum((ev.measure for ev in events.values()), Fraction(0))
+    events = list(_events(psi, Q, R, True))
+    total = sum((ev.measure for ev in events), Fraction(0))
     if total == 0:
         return 0.0
-    lhs = Fraction(0)
-    qs = sorted(events)
-    for i, q in enumerate(qs):
-        for r in qs[i + 1 :]:
-            lhs += events[q].intersect(events[r]).measure
-    lhs *= 2  # ordered pairs
+    den = math.lcm(*(ev.den for ev in events))
+
+    def marks(ev):
+        for lo, hi in ev._scaled(den):
+            yield 2 * lo
+            yield 2 * hi + 1
+
+    pairs = depth = prev = 0
+    for mark in heapq.merge(*map(marks, events)):
+        x = mark >> 1
+        if depth > 1:
+            pairs += depth * (depth - 1) // 2 * (x - prev)
+        prev = x
+        depth += -1 if mark & 1 else 1
+    lhs = Fraction(2 * pairs, den)  # ordered pairs
     return float(lhs) / float(total) ** 2
 
 

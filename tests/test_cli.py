@@ -20,9 +20,13 @@ import pytest
 import restricta
 from restricta import arcs as _arcs
 from restricta import cli
+from restricta import digit_systems as _ds
+from restricta import dioph as _dioph
 from restricta import fourier as F
 from restricta import gcdgraph as _gcd
 from restricta import primes as _primes
+
+from tests.test_dioph import PINNED_RATIOS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -121,6 +125,10 @@ class TestBasics:
         ("dioph", "--psi", "ds_base", "--cmd", "counterexample", "--ell-max", "100"),
         ("dioph", "--cmd", "series", "--Q", "10"),
         ("dioph", "--cmd", "measure", "--Q", "2", "--R", "5"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "2"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "2", "--R", "9", "--q", "3"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "2", "--R", "9", "--unreduced"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "9", "--R", "2"),
         # a set or psi table the computation cannot take (files in MALFORMED_FILES)
         ("gcdgraph", "--cmd", "green-walker", "--set", "{zero}", "--B", "1"),
         ("gcdgraph", "--cmd", "green-walker", "--set", "{sets}", "--set2", "{zero}", "--B", "1"),
@@ -176,6 +184,16 @@ class TestBasics:
                     if param.name == "table" or "PrimeTable" in str(param.annotation):
                         takers.append(f"{info.name}.{name}")
         assert not takers
+
+    @pytest.mark.parametrize("c, ratio", PINNED_RATIOS)
+    def test_quasi_independence_intersects_no_pair(self, monkeypatch, c, ratio):
+        # the overlap sum is one sweep over all events, not a merge per pair
+        def refuse(self, other):
+            raise AssertionError("pairwise intersection")
+
+        monkeypatch.setattr(_dioph.IntervalUnion, "intersect", refuse)
+        psi = _dioph.PsiFunction.constant(Fraction(c))
+        assert repr(_dioph.quasi_independence_ratio(psi, 2, 120)) == repr(ratio)
 
     def test_gcdgraph_reads_sets_through_an_instance(self):
         # a set and its threshold are checked once, by GcdInstance, at the CLI edge
@@ -304,6 +322,21 @@ class TestJsonOutputs:
         assert code == 2
         assert out == '{"error":"usage-error","message":"need k >= 1"}\n'
 
+    def test_census_names_both_caps_above_sieve_limit(self, capsys, monkeypatch):
+        # 8388606 members of A(10^22) for D = {1, 3}: above the enumerate
+        # route's cap, and x above the sieve's limit; refused before either runs
+        def refuse(*args):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(_ds, "enumerate_restricted", refuse)
+        monkeypatch.setattr(_primes, "sieve_primes", refuse)
+        code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=1.3", "--x", str(10**22))
+        assert code == 1
+        assert out == (
+            '{"error":"limit-exceeded","message":"sieve limit 10000000000000000000000 above 2^40'
+            ' and |A(x)| = 8388606 above the enumerate cap 4194304"}\n'
+        )
+
     def test_census_refuses_unproven_primality(self, capsys):
         # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13;
         # those past 2^63 are tested one by one, in order, so R_26 is named
@@ -375,6 +408,11 @@ class TestJsonOutputs:
             assert Fraction(int(measure["num"]), int(measure["den"])) == Fraction(12, 7**6002)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_dioph_quasi(self, capsys):
+        code, out, _ = run_cli(capsys, "dioph", "--psi", "constant:1/3", "--cmd", "quasi", "--Q", "2", "--R", "120")
+        assert code == 0
+        assert out == '{"Q":2,"R":120,"ratio":0.6057643357503142}\n'
 
     def test_dioph_series_and_hausdorff(self, capsys):
         code, out, _ = run_cli(capsys, "dioph", "--psi", "power:1",

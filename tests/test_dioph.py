@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restricta import dioph as D
@@ -259,7 +259,10 @@ class TestPsiFamilies:
             psi(D.primorial(103))
         D._log_primorial.cache_clear()
 
-    @pytest.mark.parametrize("upto", [1, 2, 10**3, 2 * 10**5])
+    # 3, 4: the first prime above sqrt(upto) is written by cofactor k = 1
+    # alone; 48..50 and 960..962 straddle 7^2 and 31^2, where a prime
+    # moves from its own slice write to the cofactor groups
+    @pytest.mark.parametrize("upto", [1, 2, 3, 4, 48, 49, 50, 960, 961, 962, 10**3, 2 * 10**5])
     def test_ds_spread_values_match_unpruned_loop(self, upto):
         # every squarefree m, whatever the size of theta of its largest prime
         gpf = np.zeros(upto + 1, dtype=np.int64)
@@ -440,6 +443,25 @@ class TestPairOverlap:
             D.pair_overlap(3, 3, PsiFunction.constant(1))
 
 
+# quasi_independence_ratio(constant:c, 2, 120)
+PINNED_RATIOS = [
+    ("1/3", 0.6057643357503142),
+    ("1/4", 0.5018066642518434),
+    ("1/5", 0.43018035901718393),
+    ("2/5", 0.6830880670328259),
+    ("1/6", 0.3756177641653919),
+]
+
+
+def pairwise_ratio(psi: PsiFunction, Q: int, R: int) -> float:
+    """The quasi-independence ratio from the exact intersection of every
+    pair of events, as a Fraction sum."""
+    events = [D.event_union(q, psi) for q in range(Q, R)]
+    lhs = sum((u.intersect(v).measure for u, v in itertools.combinations(events, 2)), Fraction(0))
+    total = sum((ev.measure for ev in events), Fraction(0))
+    return float(2 * lhs) / float(total) ** 2 if total else 0.0
+
+
 class TestQuasiIndependence:
     def test_no_pairs(self):
         assert D.quasi_independence_ratio(PsiFunction.constant(Fraction(1, 2)), 2, 3) == 0.0
@@ -450,30 +472,33 @@ class TestQuasiIndependence:
 
     def test_matches_direct_computation(self):
         psi = PsiFunction.constant(Fraction(1, 2))
-        Q, R = 2, 8
-        events = {q: D.event_union(q, psi) for q in range(Q, R)}
-        lhs = Fraction(0)
-        for q in range(Q, R):
-            for r in range(Q, R):
-                if q != r:
-                    lhs += events[q].intersect(events[r]).measure
-        total = sum((ev.measure for ev in events.values()), Fraction(0))
-        assert D.quasi_independence_ratio(psi, Q, R) == pytest.approx(
-            float(lhs) / float(total) ** 2
-        )
+        assert D.quasi_independence_ratio(psi, 2, 8) == pairwise_ratio(psi, 2, 8)
+
+    # each n is 0, small, self-overlapping (psi(n) > n/2, the reduced
+    # windows of E_n meet), clipped at 0 and 1 (psi(n) > n, and n = 1), or
+    # at least n^2 (E_n covers [0, 1])
+    @given(st.lists(st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=12),
+        st.fractions(min_value=1, max_value=100, max_denominator=5),
+    ), min_size=1, max_size=9), st.integers(1, 4))
+    # psi(2) = 4/9, psi(3) = 1/2: E_2 = [7/18, 11/18] touches both
+    # windows of E_3, [5/18, 7/18] and [11/18, 13/18], at one endpoint
+    @example([Fraction(0), Fraction(4, 9), Fraction(1, 2)], 1)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_pairwise_intersections(self, values, Q):
+        psi = PsiFunction.from_pairs(enumerate(values, 1))
+        R = len(values) + 1
+        Q = min(Q, R)
+        assert D.quasi_independence_ratio(psi, Q, R) == pairwise_ratio(psi, Q, R)
 
     def test_ds_spread_ratio_is_diagnostic(self):
         # the primorial-block ratio is finite and well below the 10^6 slack
         ratio = D.quasi_independence_ratio(PsiFunction.ds_spread(), 2, 32)
         assert 0 <= ratio < 10**6
 
-    @pytest.mark.parametrize("c, ratio", [
-        ("1/3", 0.6057643357503142),
-        ("1/4", 0.5018066642518434),
-        ("1/5", 0.43018035901718393),
-        ("2/5", 0.6830880670328259),
-        ("1/6", 0.3756177641653919),
-    ])
+    @pytest.mark.parametrize("c, ratio", PINNED_RATIOS)
     def test_pinned_ratio(self, c, ratio):
         assert repr(D.quasi_independence_ratio(PsiFunction.constant(Fraction(c)), 2, 120)) == repr(ratio)
 

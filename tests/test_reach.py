@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "restricta"
 ALLOWLIST = {
     ("restricta.dioph", "IntervalUnion.endpoints_float"): "test_acceptance.py::test_14_exact_measure_sweep_oracle",
     ("restricta.dioph", "golden_gap"): "test_acceptance.py::test_12_golden_gap",
-    ("restricta.dioph", "quasi_independence_ratio"): "perfbench op dioph.quasi_independence",
     ("restricta.fourier", "FourierProfile.set_size"): "test_acceptance.py::test_11_parseval; moment_tail",
     ("restricta.fourier", "mean_l1"): "perfbench op circle.mean_l1",
     ("restricta.fourier", "minimal_passing_q"): "test_acceptance.py::test_04 and test_05 threshold scans",
@@ -88,6 +87,7 @@ ARGV = [
     "dioph --psi power:1 --cmd measure --q 7",
     "dioph --psi constant:1/3 --cmd measure --Q 2 --R 20",
     "dioph --psi constant:1/2 --cmd pairs --q 6 --r 10",
+    "dioph --psi constant:1/3 --cmd quasi --Q 2 --R 20",
     "dioph --psi constant:1/2 --cmd select-r --Q 2",
     "dioph --psi constant:0 --cmd select-r --Q 2 --cap 50",
     "dioph --cmd counterexample --ell-max 100",
