@@ -24,6 +24,7 @@ from .numutil import SUM_CHUNK
 from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
+HELD_INTERVAL_CAP = 2 * 10**6  # intervals held at once: about 135 B each, some 300 MB at the cap
 PAIR_RANGE_CAP = 2000
 THETA_SIEVE_CAP = 10**7  # largest ell whose theta(ell) ds_spread sieves
 POWER_BITS_CAP = 1 << 16  # bits of the largest n^a an exact power value forms
@@ -390,15 +391,16 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     ])
 
 
-def _events(psi: PsiFunction, Q: int, R: int, reduced: bool):
+def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
     """Yield event_union(q) for q in [Q, R), refused once the intervals
-    built so far pass INTERVAL_CAP."""
+    built so far pass cap: HELD_INTERVAL_CAP for a caller that holds every
+    event, INTERVAL_CAP for one that holds one at a time."""
     count = 0
     for q in range(Q, R):
         ev = event_union(q, psi, reduced)
         count += len(ev)
-        if count > INTERVAL_CAP:
-            raise CapExceeded(f"interval count above {INTERVAL_CAP}")
+        if count > cap:
+            raise CapExceeded(f"interval count above {cap}")
         yield ev
 
 
@@ -408,7 +410,7 @@ def truncated_limsup_measure(
     """Exact measure of the union of events over q in [Q, R)."""
     if Q > R:
         raise UsageError("need Q <= R")
-    events = list(_events(psi, Q, R, reduced))
+    events = list(_events(psi, Q, R, reduced, HELD_INTERVAL_CAP))
     den = math.lcm(*(ev.den for ev in events))
     total = run_lo = run_hi = 0
     for lo, hi in heapq.merge(*(ev._scaled(den) for ev in events)):  # each end is scaled only while in the merge
@@ -422,7 +424,7 @@ def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:
     """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures),
     refused once the events' intervals pass INTERVAL_CAP."""
     total = Fraction(0)
-    for q, ev in enumerate(_events(psi, Q, cap + 1, True), Q):
+    for q, ev in enumerate(_events(psi, Q, cap + 1, True, INTERVAL_CAP), Q):
         total += ev.measure
         if total >= 1:
             return q + 1
@@ -466,7 +468,7 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
         raise UsageError("need Q <= R")
     if R - Q > PAIR_RANGE_CAP:
         raise CapExceeded(f"pair range {R - Q} above cap {PAIR_RANGE_CAP}")
-    events = list(_events(psi, Q, R, True))
+    events = list(_events(psi, Q, R, True, HELD_INTERVAL_CAP))
     total = sum((ev.measure for ev in events), Fraction(0))
     if total == 0:
         return 0.0

@@ -5,8 +5,8 @@ common divisors of many elements, the primorial instance where no single
 divisor covers more than two elements, density-ratio diagnostics, and the
 bipartite compression step with its quality measure
 delta^10 * |V| * |W| * a*b/gcd(a,b)^2.  The greedy compression driver
-factors each element once and scores every candidate step from vertex and
-edge counts, building only the graph of the one it takes.
+walks one live-vertex mask per side over the start graph, scores every
+candidate step from vertex and edge counts, and builds only its last graph.
 """
 
 from __future__ import annotations
@@ -233,75 +233,61 @@ def _tracked(a: int, p: int, keep: bool) -> int:
     return a * p if keep and a % p else a
 
 
-def _restrict(g: BipartiteGcdGraph, p: int, keep_v: bool, keep_w: bool) -> BipartiteGcdGraph:
-    """The subgraph on the v with (p | v) == keep_v and the w with
-    (p | w) == keep_w, with the edges between them."""
-    vs = [i for i, v in enumerate(g.V) if (v % p == 0) == keep_v]
-    ws = [j for j, w in enumerate(g.W) if (w % p == 0) == keep_w]
-    vmap = {i: n for n, i in enumerate(vs)}
-    wmap = {j: n for n, j in enumerate(ws)}
-    edges = tuple((vmap[i], wmap[j]) for i, j in g.edges if i in vmap and j in wmap)
-    return BipartiteGcdGraph(
-        tuple(g.V[i] for i in vs),
-        tuple(g.W[j] for j in ws),
-        edges,
-        _tracked(g.a, p, keep_v),
-        _tracked(g.b, p, keep_w),
-    )
-
-
-def _best_restriction(g: BipartiteGcdGraph, primes) -> tuple[int, bool, bool] | None:
-    """(p, keep_v, keep_w) for the nonempty candidate of highest measure
-    over the given primes, scored from counts without building it; None
-    when every candidate is empty.
-
-    Ties go to the first in increasing p, then in the order TT, TF, FT, FF
-    of ``_KEEPS``.  Vertex counts come from one divisibility mask
-    per side, and the edge counts of all four candidates from one bincount
-    of the quadrant codes 2*(p does not divide v) + (p does not divide w).
-    """
-    V, W = _int_array(g.V), _int_array(g.W)
-    ev, ew = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-    best, best_m = None, 0.0
-    for p in sorted(primes):
-        dv, dw = V % p == 0, W % p == 0
-        ne = np.bincount(2 * ~dv[ev] + ~dw[ew], minlength=4).tolist()
-        nv, nw = int(np.count_nonzero(dv)), int(np.count_nonzero(dw))
-        for k, (keep_v, keep_w) in enumerate(_KEEPS):
-            cv = nv if keep_v else len(V) - nv
-            cw = nw if keep_w else len(W) - nw
-            if cv and cw:
-                m = _quality(cv, cw, ne[k], _tracked(g.a, p, keep_v), _tracked(g.b, p, keep_w))
-                if best is None or m > best_m:
-                    best, best_m = (p, keep_v, keep_w), m
-    return best
-
-
 def compress_greedy(inst: GcdInstance) -> BipartiteGcdGraph:
     """Heuristic driver: repeatedly apply the compression step with the
     prime and restriction of highest quality measure.
 
-    Each element is factored once, before the first step.  The stopping
-    rule (a budget of 10*log|S| non-improving steps) is a demonstration
-    choice, not a tuned strategy.
+    The walk keeps the start graph's vertex array S, its edges as index
+    arrays and one live mask per side, and builds only the last graph.
+    Each element is factored once.  A candidate is scored from counts: one
+    divisibility mask of S serves both sides, and one bincount of the live
+    edges' quadrant codes 2*(p does not divide v) + (p does not divide w)
+    gives all four edge counts.  Ties go to the first in increasing p,
+    then TT, TF, FT, FF (``_KEEPS``).  The stopping rule (a budget of
+    10*log|S| non-improving steps) is a demonstration choice.
     """
     g = bipartite_from_set(inst)
-    factors = {v: factorize(v) for v in g.V}
+    S = _int_array(g.V)
+    ev, ew = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    mv, mw = np.ones(len(S), dtype=bool), np.ones(len(S), dtype=bool)
+    a = b = 1
+    factors = [factorize(v) for v in g.V]
     used: set[int] = set()
-    budget = max(1, int(10 * math.log(max(2, len(g.V)))))
+    score = g.quality
+    budget = max(1, int(10 * math.log(max(2, len(S)))))
     while budget > 0:
-        primes: set[int] = set()
-        for v in g.V + g.W:
-            primes.update(factors[v])
-        primes -= used
-        if not primes:
+        primes = set().union(*(factors[i] for i in np.flatnonzero(mv | mw).tolist())) - used
+        live = mv[ev] & mw[ew]
+        lv, lw = ev[live], ew[live]
+        nv_all, nw_all = int(np.count_nonzero(mv)), int(np.count_nonzero(mw))
+        best, best_m = None, 0.0
+        for p in sorted(primes):
+            div = S % p == 0
+            ne = np.bincount(2 * ~div[lv] + ~div[lw], minlength=4).tolist()
+            nv, nw = int(np.count_nonzero(div & mv)), int(np.count_nonzero(div & mw))
+            for k, (keep_v, keep_w) in enumerate(_KEEPS):
+                cv = nv if keep_v else nv_all - nv
+                cw = nw if keep_w else nw_all - nw
+                if cv and cw:
+                    m = _quality(cv, cw, ne[k], _tracked(a, p, keep_v), _tracked(b, p, keep_w))
+                    if best is None or m > best_m:
+                        best, best_m = (p, div, keep_v, keep_w), m
+        if best is None:
             break
-        choice = _best_restriction(g, primes)
-        if choice is None:
-            break
-        best = _restrict(g, *choice)
-        used.add(choice[0])
-        if best.quality <= g.quality:
+        p, div, keep_v, keep_w = best
+        mv &= div == keep_v
+        mw &= div == keep_w
+        a, b = _tracked(a, p, keep_v), _tracked(b, p, keep_w)
+        used.add(p)
+        if best_m <= score:
             budget -= 1
-        g = best
-    return g
+        score = best_m
+    live = mv[ev] & mw[ew]
+    iv, iw = np.cumsum(mv) - 1, np.cumsum(mw) - 1  # start index -> index among the live
+    return BipartiteGcdGraph(
+        tuple(S[mv].tolist()),
+        tuple(S[mw].tolist()),
+        tuple(zip(iv[ev[live]].tolist(), iw[ew[live]].tolist())),
+        a,
+        b,
+    )

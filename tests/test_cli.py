@@ -195,6 +195,21 @@ class TestBasics:
         psi = _dioph.PsiFunction.constant(Fraction(c))
         assert repr(_dioph.quasi_independence_ratio(psi, 2, 120)) == repr(ratio)
 
+    def test_compress_builds_the_start_graph_and_the_result_only(self, monkeypatch):
+        # the greedy walk narrows two vertex masks over the start graph and
+        # builds no graph per step
+        built = []
+        check = _gcd.BipartiteGcdGraph.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(_gcd.BipartiteGcdGraph, "__post_init__", counted)
+        S = sorted(random.Random(400).sample(range(2, 10**9), 400))
+        final = _gcd.compress_greedy(_gcd.GcdInstance(tuple(S), 1000))
+        assert len(built) == 2 and built[-1] is final
+
     def test_gcdgraph_reads_sets_through_an_instance(self):
         # a set and its threshold are checked once, by GcdInstance, at the CLI edge
         params = {

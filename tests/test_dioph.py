@@ -410,6 +410,20 @@ class TestTruncatedMeasure:
             D.select_R(PsiFunction.power(2), 2)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("held", [D.truncated_limsup_measure, D.quasi_independence_ratio])
+    def test_held_events_refused_past_held_cap(self, monkeypatch, held):
+        # the events of q in [2, 200) hold 12k intervals, all at once
+        monkeypatch.setattr(D, "HELD_INTERVAL_CAP", 5000)
+        with pytest.raises(CapExceeded, match="above 5000"):
+            held(PsiFunction.constant(Fraction(1, 3)), 2, 200)
+
+    def test_select_r_answers_past_held_cap(self):
+        # select_R holds one event at a time, so it keeps INTERVAL_CAP: psi =
+        # 11/100 walks past more intervals than the held cap before it answers
+        R = D.select_R(PsiFunction.constant(Fraction(11, 100)), 2)
+        assert R == 2908
+        assert sum(phi_sieve(R - 1)[2:].tolist()) > D.HELD_INTERVAL_CAP
+
 
 class TestPairOverlap:
     def test_disjoint_windows(self):

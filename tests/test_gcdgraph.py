@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restricta import gcdgraph as G
@@ -281,6 +281,9 @@ class TestCompression:
         st.sets(st.integers(2, 3000), min_size=1, max_size=14),
         st.integers(1, 40),
     )
+    @example({1}, 1)  # no prime: the walk ends before its first step
+    @example({2, 3}, 40)  # no edge: every score is 0
+    @example({4}, 5)  # one vertex, no edge: a step at score 0 still takes 2 into a and b
     @settings(max_examples=60, deadline=None)
     def test_greedy_matches_every_candidate_loop(self, S, B):
         assert_same_graph(G.compress_greedy(G.GcdInstance(tuple(S), B)), greedy_every_candidate(S, B))
