@@ -47,7 +47,7 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     built (phi is sieved only once M + 1 windows fit under the cap)."""
     if math.isnan(A):
         raise UsageError("need a number A, got nan")
-    N = _scan_points(sys, k)
+    N = FourierProfile(sys, k).capped_points(SCAN_CAP, "scan cap")
     C = math.log(N) ** A
     if C >= N / 2:  # the s = 1 windows already blanket the whole circle
         return np.zeros(N, dtype=np.int8)
@@ -77,23 +77,10 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
 CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)  # by class index
 
 
-def _scan_points(sys: DigitSystem, k: int) -> int:
-    """N = q^k, refused above SCAN_CAP before it is formed: q >= 2, so a k
-    above the cap's bit length, or a q above the cap, puts q^k past it."""
-    if k < 1:
-        raise UsageError("need k >= 1")
-    if k > SCAN_CAP.bit_length() or sys.q > SCAN_CAP:
-        raise CapExceeded(f"q^k above scan cap {SCAN_CAP}")
-    N = sys.q**k
-    if N > SCAN_CAP:
-        raise CapExceeded(f"N = {N} above scan cap {SCAN_CAP}")
-    return N
-
-
 def _spectrum(sys: DigitSystem, k: int) -> np.ndarray:
-    """S_P(j/N) for every j in [0, N), N = q^k, refused by ``_scan_points``
+    """S_P(j/N) for every j in [0, N), N = q^k, refused above SCAN_CAP
     before anything is sieved."""
-    return prime_spectrum(sieve_primes(_scan_points(sys, k)))
+    return prime_spectrum(sieve_primes(FourierProfile(sys, k).capped_points(SCAN_CAP, "scan cap")))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ from .numutil import catalan_constant, frac_exact, fsum_chunks, unit
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
-MOMENT_CAP = 10**7  # points in one array pass: a moment grid, or q in a sin-sum or pairwise closed form
+# points in one array pass: a moment grid, whose 16N-byte root table peaks near
+# 225 MB at the cap (mean_l1 at q = 10, k = 7: 3.3 s), or q in a sin-sum or pairwise closed form
+MOMENT_CAP = 10**7
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
 REFINED_WORK_CAP = 2 * 10**8  # ceil(q/2)^2 * grid subcell steps at most in refined_digit_sum
@@ -47,6 +49,17 @@ class FourierProfile:
     @property
     def n_points(self) -> int:
         return self.sys.q**self.k
+
+    def capped_points(self, cap: int, what: str = "cap") -> int:
+        """N = q^k, refused above ``cap`` before it is formed: q >= 2, so a k
+        above the cap's bit length, or a q above the cap, puts q^k past it."""
+        q, k = self.sys.q, self.k
+        if k > cap.bit_length() or q > cap:
+            raise CapExceeded(f"q^k above {what} {cap}")
+        N = q**k
+        if N > cap:
+            raise CapExceeded(f"N = {N} above {what} {cap}")
+        return N
 
     @property
     def set_size(self) -> int:
@@ -97,21 +110,27 @@ class _Window:
 
     # -- complex values ---------------------------------------------------
 
-    def values(self, m, N: int, deriv: bool = False):
+    def values(self, m, N: int, deriv: bool = False, root=None):
         """Complex W, or (W, W') when ``deriv``, at the exact phases phi = m/N.
 
         Each e(n*phi) is taken at the correctly rounded (n*m mod N)/N, once,
         and serves both W and W'; a hole at 1, r or a reuses the hull's
-        exponential.  The hull ratio takes its phi -> 0 limit where
-        |e(phi) - 1| < _DEN_EPS.
+        exponential.  Given ``root``, the table of e(l/N) for l < N, each
+        e(n*phi) is read as root[n*m mod N] instead: ``unit`` is elementwise
+        and the table took the same phase, so every float is the same.  The
+        hull ratio takes its phi -> 0 limit where |e(phi) - 1| < _DEN_EPS.
         """
         m = np.asarray(m, dtype=np.int64)
+
+        def e(n):  # e(n*phi)
+            return unit((n * m % N) / N) if root is None else root[n * m % N]
+
         tp = 2j * math.pi
         z = {}  # the hull's e(n*phi) by n
         w = wp = 0.0
         if self.closed:
             a, r = self.start, self.length
-            z = {n: unit((n * m % N) / N) for n in {1, r, a} - {0}}
+            z = {n: e(n) for n in {1, r, a} - {0}}
             z1, zr = z[1], z[r]
             den = z1 - 1.0
             small = np.abs(den) < _DEN_EPS
@@ -131,7 +150,7 @@ class _Window:
                 w = za * w
         terms, sign = (self.holes, -1.0) if self.closed else (self.sys.digits, 1.0)
         for d in terms:
-            zd = z[d] if d in z else unit((d * m % N) / N)
+            zd = z[d] if d in z else e(d)
             w = w + sign * zd
             if deriv:
                 wp = wp + sign * tp * d * zd
@@ -208,23 +227,39 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
 
 def sa_chunks(profile: FourierProfile):
     """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid, as
-    the product of the factors W(q^i j/N) for i = 0..k-1.
+    the product of the factors W(q^i j/N) for i = 0..k-1, in level order.
 
-    W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a
-    level with M <= _CHUNK is tabulated once at m/M and gathered; the rest
-    are evaluated per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are
-    correctly rounded divisions of the same rational, so every factor is
-    the float that evaluating each point gives.
+    Each pass fills one root table e(l/N), l < N (16N bytes), a chunk at a
+    time, and every factor reads its exponentials from it: N exps per pass.
+    W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a level
+    i > 0 with M <= _CHUNK is tabulated once at the phases q^i m/N, m < M,
+    repeated to M + _CHUNK points, and read by each chunk as the slice from
+    j0 mod M; level 0 and the levels with M above the chunk read the table
+    per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are correctly rounded
+    divisions of the same rational, and ``unit`` is elementwise, so every
+    factor is the float that evaluating each point gives.
     """
     q, k, N, chunk = profile.sys.q, profile.k, profile.n_points, _CHUNK
     win = _Window(profile.sys)
-    mods = [q ** (k - i) for i in range(k)]
-    tabs = [win.values(np.arange(M), M) if M <= chunk else None for M in mods]
+    root = np.empty(N, dtype=np.complex128)
+    for l0 in range(0, N, chunk):
+        root[l0 : l0 + chunk] = unit(np.arange(l0, min(l0 + chunk, N), dtype=np.int64) / N)
+    levels = []  # (q^i, level i repeated to M + chunk points, or None where it is read per chunk)
+    for i in range(k):
+        s, M = q**i, q ** (k - i)
+        tile = None
+        if 0 < i and M <= chunk:
+            tile = np.resize(win.values(np.arange(M) * s, N, root=root), M + chunk)
+        levels.append((s, tile))
     for j0 in range(0, N, chunk):
         j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
         acc = np.ones(len(j), dtype=np.complex128)
-        for i, tab in enumerate(tabs):
-            w = win.values(j * pow(q, i, N) % N, N) if tab is None else tab[j % mods[i]]
+        for s, tile in levels:
+            if tile is None:
+                w = win.values(j * s % N, N, root=root)
+            else:
+                o = j0 % (N // s)
+                w = tile[o : o + len(j)]
             acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
 
@@ -409,9 +444,10 @@ def mean_l1(profile: FourierProfile) -> float:
 
 
 def power_sum(profile: FourierProfile, sigma: float) -> float:
-    """sum_j |S_A(j/N)|^sigma over the full grid."""
-    if profile.n_points > MOMENT_CAP:
-        raise CapExceeded(f"N = {profile.n_points} above cap {MOMENT_CAP}")
+    """sum_j |S_A(j/N)|^sigma over the full grid, for a finite sigma."""
+    if not math.isfinite(sigma):
+        raise UsageError(f"need a finite sigma, got {sigma}")
+    profile.capped_points(MOMENT_CAP)
     parts = [fsum_chunks(np.abs(vals) ** sigma) for _, vals in sa_chunks(profile)]
     return math.fsum(parts)
 
@@ -419,10 +455,9 @@ def power_sum(profile: FourierProfile, sigma: float) -> float:
 def moment_tail(profile: FourierProfile, sigma: float, T: float) -> tuple[int, float]:
     """Exceedance count #{j : |S_A(j/N)| >= A(N)/T} and its moment bound
     (T/A)^sigma * sum_j |S_A|^sigma.  The count never exceeds the bound."""
-    if sigma <= 0 or T < 1:
-        raise UsageError("need sigma > 0 and T >= 1")
-    if profile.n_points > MOMENT_CAP:
-        raise CapExceeded(f"N = {profile.n_points} above cap {MOMENT_CAP}")
+    if not (0 < sigma < math.inf and 1 <= T < math.inf):  # NaN fails every comparison
+        raise UsageError(f"need a finite sigma > 0 and a finite T >= 1, got {sigma} and {T}")
+    profile.capped_points(MOMENT_CAP)
     A = float(profile.set_size)
     cut = A / T
     count = 0

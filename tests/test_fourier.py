@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from restricta import fourier as F
 from restricta.digit_systems import DigitSystem
-from restricta.errors import UsageError
+from restricta.errors import CapExceeded, UsageError
 from restricta.fourier import FourierProfile, _Window
 
 from tests.oracles import cell_sup_unfolded, digit_window_sum, refined_cell_sups_unfolded, sin_bound
@@ -426,14 +426,69 @@ class TestGridTabulation:
         evaluated = []
         plain = _Window.values
 
-        def counting(self, m, N, deriv=False):
+        def counting(self, m, N, deriv=False, root=None):
             evaluated.append(np.size(m))
-            return plain(self, m, N, deriv)
+            return plain(self, m, N, deriv, root)
 
         monkeypatch.setattr(_Window, "values", counting)
         for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
             pass
         assert sum(evaluated) <= 10**6 + 111110
+
+    def test_one_exp_per_grid_point(self, monkeypatch):
+        # the root table is the only caller of unit: level 0 reads e(1), e(r)
+        # and the hole e(7) from it, and the tabulated levels read their tiles
+        phases = []
+        plain = F.unit
+
+        def counting(ph):
+            phases.append(np.size(ph))
+            return plain(ph)
+
+        monkeypatch.setattr(F, "unit", counting)
+        for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
+            pass
+        assert sum(phases) == 10**6
+
+
+def assert_root_same_bits(win, m, N):
+    root = F.unit(np.arange(N) / N)
+    for deriv in (False, True):
+        want, got = win.values(m, N, deriv), win.values(m, N, deriv, root)
+        assert all(same_bits(a, b) for a, b in zip(np.atleast_2d(want), np.atleast_2d(got)))
+
+
+class TestRootTable:
+    """_Window.values reading e(n*m/N) from the root table gives the bits of
+    evaluating each exponential."""
+
+    @pytest.mark.parametrize(
+        "q, digits, closed, a",
+        [
+            (10, (0, 1, 2, 3, 4, 5, 6, 8, 9), True, 0),  # one hole, not at 1 or r
+            (6, (1, 2, 4, 5), True, 1),  # the hole 3; e(a) is e(1)
+            (8, (2, 3, 5, 6), True, 2),  # the hole 4; e(a) = e(2) is its own
+            (6, (1, 4), False, 1),  # direct sum over D
+        ],
+    )
+    @pytest.mark.parametrize("N", [6**4, 10**4 + 7])
+    def test_same_bits_on_every_branch(self, q, digits, closed, a, N):
+        win = _Window(DigitSystem.of(q, digits))
+        assert (win.closed, win.start) == (closed, a)
+        m = np.arange(N)
+        assert_root_same_bits(win, np.concatenate((m, (7 * m + 3) % N)), N)  # in order, and strided
+
+    @pytest.mark.parametrize("digits", [(0, 1, 2, 3), (0, 1, 2, 4, 5), (1, 2, 4, 5)])
+    def test_same_bits_at_the_ratio_limit(self, digits, monkeypatch):
+        N = 6**4
+        win = _Window(DigitSystem.of(6, digits))
+        m = np.array([0, 1, N - 1, 2, N - 2])
+        ratio = win.values(m, N)
+        # |e(1/N) - 1| = 0.00485: this eps puts m = 0, 1 and N - 1 in the limit branch, and m = 2 not
+        monkeypatch.setattr(F, "_DEN_EPS", 0.006)
+        assert_root_same_bits(win, m, N)
+        limit = win.values(m, N) != ratio
+        assert list(limit) == [False, True, True, False, False]  # at m = 0 the limit is the only value
 
 
 class TestGeneralizedMargin:
@@ -476,6 +531,28 @@ class TestGeneralizedMargin:
 
 
 class TestMomentTail:
+    @pytest.mark.parametrize("sigma, T", [(math.nan, 10.0), (1.5, math.nan), (math.inf, 10.0), (1.5, math.inf)])
+    def test_refuses_non_finite_parameters(self, sigma, T):
+        with pytest.raises(UsageError):
+            F.moment_tail(FourierProfile(DigitSystem.excluding(10, {7}), 2), sigma, T)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_power_sum_refuses_non_finite_sigma(self, sigma):
+        with pytest.raises(UsageError):
+            F.power_sum(FourierProfile(DigitSystem.excluding(10, {7}), 2), sigma)
+
+    @pytest.mark.parametrize(
+        "sys_, k",
+        [(DigitSystem.excluding(10, {7}), 10**5), (DigitSystem.excluding(10, {7}), 8), (DigitSystem.of(2 * 10**7, (1,)), 1)],
+    )
+    def test_refused_above_cap_before_q_k_is_formed(self, sys_, k):
+        prof = FourierProfile(sys_, k)
+        # a q^k of 10^5 digits cannot even be printed (the int-to-str limit)
+        with pytest.raises(CapExceeded, match="above cap"):
+            F.power_sum(prof, 1.0)
+        with pytest.raises(CapExceeded, match="above cap"):
+            F.moment_tail(prof, 1.0, 2.0)
+
     def test_maximum_only_at_zero(self):
         prof = FourierProfile(DigitSystem.excluding(10, {7}), 3)
         count, bound = F.moment_tail(prof, 1.0, 1.0)
