@@ -4,6 +4,11 @@ Points j/N are classified by the smallest-denominator rational window
 containing them: denominators dividing q carry the main term, q-smooth
 denominators are secondary major arcs, denominators with a prime outside q
 are non-smooth major arcs, and everything else is minor.
+
+The circle sums read j <= N/2 only (``fourier.fold_weights``): S_P and
+S_A have real coefficients, so the terms at N - j are the conjugates of
+those at j.  The S_A values keep the full grid's bits; the sums, over half
+as many terms, move in their last bits.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .digit_systems import DigitSystem, census
 from .errors import CapExceeded, UsageError
-from .fourier import FourierProfile, sa_chunks
+from .fourier import FourierProfile, fold_weights, sa_chunks
 from .numutil import fsum_chunks
 from .primes import factorize, phi_sieve, prime_spectrum, sieve_primes
 
@@ -77,12 +82,6 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
 CLASS_NAMES = (PRIMARY_MAJOR, SMOOTH_MAJOR, NONSMOOTH_MAJOR, MINOR)  # by class index
 
 
-def _spectrum(sys: DigitSystem, k: int) -> np.ndarray:
-    """S_P(j/N) for every j in [0, N), N = q^k, refused above SCAN_CAP
-    before anything is sieved."""
-    return prime_spectrum(sieve_primes(FourierProfile(sys, k).capped_points(SCAN_CAP, "scan cap")))
-
-
 @dataclass(frozen=True)
 class MainTermReport:
     """Exact prime count in A(N) against the circle-method pieces."""
@@ -107,30 +106,36 @@ def main_term_assembly(sys: DigitSystem, k: int) -> MainTermReport:
     primary-arc part: the terms at j/N = l/q, the j divisible by q^(k-1).
 
     The identity sum reproduces pi_A(N) exactly (up to roundoff) whenever
-    0 is an allowed digit and N is composite.
+    0 is an allowed digit and N is composite.  S_P and S_A have real
+    coefficients, so the terms at j and N - j are conjugates: both sums
+    take the real parts over j <= N/2 under ``fold_weights``.
     """
-    spectrum = _spectrum(sys, k)
-    N = len(spectrum)
+    prof = FourierProfile(sys, k)
+    N = prof.capped_points(SCAN_CAP, "scan cap")  # before anything is sieved
+    spectrum = prime_spectrum(sieve_primes(N))
     counted = census(sys, N)
     step = N // sys.q
     ident_parts, primary_parts = [], []
-    for j0, sa_vals in sa_chunks(FourierProfile(sys, k)):
-        terms = spectrum[j0 : j0 + len(sa_vals)] * np.conj(sa_vals)  # S_A(-x) = conj S_A(x)
-        ident_parts.append(complex(np.sum(terms)))
-        primary_parts.append(math.fsum(terms.real[-j0 % step :: step]))
-    ident = math.fsum(p.real for p in ident_parts) / N
+    for j0, sa_vals in sa_chunks(prof):
+        terms = (spectrum[j0 : j0 + len(sa_vals)] * np.conj(sa_vals)).real  # S_A(-x) = conj S_A(x)
+        terms *= fold_weights(j0, len(sa_vals), N)
+        ident_parts.append(fsum_chunks(terms))
+        primary_parts.append(math.fsum(terms[-j0 % step :: step]))
+    ident = math.fsum(ident_parts) / N
     return MainTermReport(counted.prime_count, math.fsum(primary_parts) / N, counted.predicted, ident)
 
 
 def arc_mass_breakdown(sys: DigitSystem, k: int, A: float) -> dict:
-    """Per-class point counts and (1/N) sum |S_P| |S_A| masses."""
-    spectrum_abs = np.abs(_spectrum(sys, k))
-    N = len(spectrum_abs)
-    classes = classify_all(sys, k, A)
+    """Per-class point counts over the whole circle and (1/N) sum |S_P| |S_A|
+    masses, read off j <= N/2 under ``fold_weights``: both moduli and the
+    classes are even under j -> N - j."""
     prof = FourierProfile(sys, k)
+    N = prof.capped_points(SCAN_CAP, "scan cap")  # before anything is sieved
+    spectrum_abs = np.abs(prime_spectrum(sieve_primes(N)))
+    classes = classify_all(sys, k, A)
     masses = np.zeros(4)
     for j0, sa_vals in sa_chunks(prof):
-        prod = spectrum_abs[j0 : j0 + len(sa_vals)] * np.abs(sa_vals)
+        prod = fold_weights(j0, len(sa_vals), N) * spectrum_abs[j0 : j0 + len(sa_vals)] * np.abs(sa_vals)
         cls = classes[j0 : j0 + len(sa_vals)]
         for c in range(4):
             sel = prod[cls == c]

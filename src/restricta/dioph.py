@@ -404,13 +404,36 @@ def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
         yield ev
 
 
+def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[IntervalUnion]:
+    """Every event_union(q), q in [Q, R), held at once, refused past
+    HELD_INTERVAL_CAP intervals before any is built where a lower bound
+    tells: where 0 < psi(q) < q/2 the intervals a/q +- psi(q)/q^2 are
+    disjoint and none is empty, so event q holds q + 1 of them, or at least
+    phi(q) reduced ones.  ``values`` is the float of ``exact`` (an integer
+    power's within an ulp, never near q/2) and q/2 is a float, so the float
+    test is the exact one.  ``_events`` still counts what it builds, where
+    merging lowers the count."""
+    hi = min(R, INTERVAL_CAP) - 1
+    if hi >= Q:
+        vals = psi.values(hi)
+        phi = phi_sieve(hi) if reduced else None
+        held = 0
+        for lo in range(Q, hi + 1, SUM_CHUNK):
+            q = np.arange(lo, min(lo + SUM_CHUNK, hi + 1))
+            v = vals[q - 1]
+            held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
+            if held > HELD_INTERVAL_CAP:
+                raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
+    return list(_events(psi, Q, R, reduced, HELD_INTERVAL_CAP))
+
+
 def truncated_limsup_measure(
     psi: PsiFunction, Q: int, R: int, reduced: bool = True
 ) -> Fraction:
     """Exact measure of the union of events over q in [Q, R)."""
     if Q > R:
         raise UsageError("need Q <= R")
-    events = list(_events(psi, Q, R, reduced, HELD_INTERVAL_CAP))
+    events = _held_events(psi, Q, R, reduced)
     den = math.lcm(*(ev.den for ev in events))
     total = run_lo = run_hi = 0
     for lo, hi in heapq.merge(*(ev._scaled(den) for ev in events)):  # each end is scaled only while in the merge
@@ -468,7 +491,7 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
         raise UsageError("need Q <= R")
     if R - Q > PAIR_RANGE_CAP:
         raise CapExceeded(f"pair range {R - Q} above cap {PAIR_RANGE_CAP}")
-    events = list(_events(psi, Q, R, True, HELD_INTERVAL_CAP))
+    events = _held_events(psi, Q, R, True)
     total = sum((ev.measure for ev in events), Fraction(0))
     if total == 0:
         return 0.0

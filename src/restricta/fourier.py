@@ -23,7 +23,7 @@ from .numutil import catalan_constant, frac_exact, fsum_chunks, unit
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
 # points in one array pass: a moment grid, whose 16N-byte root table peaks near
-# 225 MB at the cap (mean_l1 at q = 10, k = 7: 3.3 s), or q in a sin-sum or pairwise closed form
+# 225 MB at the cap (mean_l1 at q = 10, k = 7: 2.1 s), or q in a sin-sum or pairwise closed form
 MOMENT_CAP = 10**7
 REFINED_GRID = 128  # subcells per cell in refined_digit_sum
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
@@ -226,8 +226,11 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
 
 
 def sa_chunks(profile: FourierProfile):
-    """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the full grid, as
-    the product of the factors W(q^i j/N) for i = 0..k-1, in level order.
+    """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the half grid
+    j <= N/2, as the product of the factors W(q^i j/N) for i = 0..k-1, in
+    level order.  The digits are integers, so S_A((N - j)/N) = conj S_A(j/N),
+    and a circle sum of |S_A|^sigma, or of Re(S_P conj S_A) with S_P also
+    of real coefficients, is the half grid weighted by ``fold_weights``.
 
     Each pass fills one root table e(l/N), l < N (16N bytes), a chunk at a
     time, and every factor reads its exponentials from it: N exps per pass.
@@ -237,7 +240,9 @@ def sa_chunks(profile: FourierProfile):
     j0 mod M; level 0 and the levels with M above the chunk read the table
     per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are correctly rounded
     divisions of the same rational, and ``unit`` is elementwise, so every
-    factor is the float that evaluating each point gives.
+    factor is the float that evaluating each point gives; the table and the
+    tiles are those of the full grid, so each yielded float is the one the
+    full grid has at that j.
     """
     q, k, N, chunk = profile.sys.q, profile.k, profile.n_points, _CHUNK
     win = _Window(profile.sys)
@@ -251,8 +256,9 @@ def sa_chunks(profile: FourierProfile):
         if 0 < i and M <= chunk:
             tile = np.resize(win.values(np.arange(M) * s, N, root=root), M + chunk)
         levels.append((s, tile))
-    for j0 in range(0, N, chunk):
-        j = np.arange(j0, min(j0 + chunk, N), dtype=np.int64)
+    half = N // 2 + 1
+    for j0 in range(0, half, chunk):
+        j = np.arange(j0, min(j0 + chunk, half), dtype=np.int64)
         acc = np.ones(len(j), dtype=np.complex128)
         for s, tile in levels:
             if tile is None:
@@ -262,6 +268,17 @@ def sa_chunks(profile: FourierProfile):
                 w = tile[o : o + len(j)]
             acc = acc * w  # not *=: in place, a one-point product rounds differently
         yield j0, acc
+
+
+def fold_weights(j0: int, n: int, N: int) -> np.ndarray:
+    """The weights of the half-grid points j0..j0+n-1 in a sum over the whole
+    circle of a quantity even under j -> N - j: 2, for j and its mirror,
+    except 1 at the self-mirrored j = 0 and, for even N, j = N/2."""
+    w = np.full(n, 2.0)
+    for j in (0, N // 2) if N % 2 == 0 else (0,):
+        if j0 <= j < j0 + n:
+            w[j - j0] = 1.0
+    return w
 
 
 # --------------------------------------------------- certified bound sums
@@ -444,28 +461,30 @@ def mean_l1(profile: FourierProfile) -> float:
 
 
 def power_sum(profile: FourierProfile, sigma: float) -> float:
-    """sum_j |S_A(j/N)|^sigma over the full grid, for a finite sigma."""
+    """sum_j |S_A(j/N)|^sigma over the full grid, for a finite sigma: the
+    half grid j <= N/2 under ``fold_weights``, |S_A| being even."""
     if not math.isfinite(sigma):
         raise UsageError(f"need a finite sigma, got {sigma}")
-    profile.capped_points(MOMENT_CAP)
-    parts = [fsum_chunks(np.abs(vals) ** sigma) for _, vals in sa_chunks(profile)]
+    N = profile.capped_points(MOMENT_CAP)
+    parts = [fsum_chunks(fold_weights(j0, len(vals), N) * np.abs(vals) ** sigma) for j0, vals in sa_chunks(profile)]
     return math.fsum(parts)
 
 
 def moment_tail(profile: FourierProfile, sigma: float, T: float) -> tuple[int, float]:
     """Exceedance count #{j : |S_A(j/N)| >= A(N)/T} and its moment bound
-    (T/A)^sigma * sum_j |S_A|^sigma.  The count never exceeds the bound."""
+    (T/A)^sigma * sum_j |S_A|^sigma over the full grid, both read off the
+    half grid under ``fold_weights``.  The count never exceeds the bound."""
     if not (0 < sigma < math.inf and 1 <= T < math.inf):  # NaN fails every comparison
         raise UsageError(f"need a finite sigma > 0 and a finite T >= 1, got {sigma} and {T}")
-    profile.capped_points(MOMENT_CAP)
+    N = profile.capped_points(MOMENT_CAP)
     A = float(profile.set_size)
     cut = A / T
     count = 0
     msum_parts = []
-    for _, vals in sa_chunks(profile):
-        mags = np.abs(vals)
-        count += int(np.count_nonzero(mags >= cut))
-        msum_parts.append(fsum_chunks(mags**sigma))
+    for j0, vals in sa_chunks(profile):
+        mags, wt = np.abs(vals), fold_weights(j0, len(vals), N)
+        count += int(wt[mags >= cut].sum())  # small integers: the float sum is exact
+        msum_parts.append(fsum_chunks(wt * mags**sigma))
     bound = (T / A) ** sigma * math.fsum(msum_parts)
     return count, bound
 

@@ -282,16 +282,18 @@ def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
 
 
 def prime_spectrum(table: PrimeTable) -> np.ndarray:
-    """S_P(j/N) for all j in [0, N), N = table.limit: the conjugate DFT of
-    the indicator of the primes up to N, filled from the sieve slots, with
-    p = N wrapped onto residue 0."""
+    """S_P(j/N) for j <= N/2, N = table.limit: the conjugate DFT of the
+    indicator of the primes up to N, filled from the sieve slots, with p = N
+    wrapped onto residue 0.  The indicator is real, so S_P((N - j)/N) =
+    conj S_P(j/N) and the real FFT gives the half that determines the rest,
+    with no complex copy of the indicator."""
     N = table.limit
     ind = np.zeros(N + 1, dtype=np.float64)
     ind[2] = 1.0
     for lo, flags in table.slots():
         ind[2 * lo + 1 : 2 * (lo + len(flags)) : 2] = flags
     ind[0] = ind[N]
-    return np.conj(np.fft.fft(ind[:N]))
+    return np.conj(np.fft.rfft(ind[:N]))
 
 
 def mobius(n: int) -> int:

@@ -31,7 +31,9 @@ Two oracles check a fold, not a kernel: ``cell_sup_unfolded`` and
 ``_Window.cell_sup`` and ``fourier._refined_cell_sups`` evaluate one of
 each mirror pair.  They take the kernel's per-subcell step from the
 package on purpose (the step itself is audited against mpmath intervals
-in test_audit.py), so only the folding can differ.
+in test_audit.py), so only the folding can differ.  A third,
+``circle_grid_unfolded``, gives S_P and S_A at every j < N, where the
+circle sums of ``arcs`` and ``fourier`` read only j <= N/2.
 """
 
 from __future__ import annotations
@@ -185,6 +187,22 @@ def primary_term_direct(sys, k: int) -> float:
         sp = complex(np.sum(unit(ps * ell % sys.q / sys.q)))
         total += (sp * restricted_exp_sum(prof, Fraction(-ell, sys.q))).real
     return total / N
+
+
+def circle_grid_unfolded(sys, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_P(j/N) and S_A(j/N) at every j in [0, N), N = q^k, none taken from
+    its mirror N - j: S_P as the conjugate complex FFT of the indicator of
+    the primes p <= N (p = N wrapped onto 0), S_A as the product over the
+    levels i < k of sum_d e(d q^i j/N), each phase reduced in integers."""
+    N = sys.q**k
+    ind = np.zeros(N + 1)
+    ind[list(primerange(2, N + 1))] = 1.0
+    ind[0] = ind[N]
+    j = np.arange(N, dtype=np.int64)
+    sa = np.ones(N, dtype=np.complex128)
+    for i in range(k):
+        sa *= sum(unit(d * sys.q**i * j % N / N) for d in sys.digits)
+    return np.conj(np.fft.fft(ind[:N])), sa
 
 
 def cell_sup_unfolded(win, n: int, grid: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError
 from restricta.primes import prime_sums, sieve_primes
 
-from tests.oracles import FareyPoint, classify_point, primary_term_direct
+from tests.oracles import FareyPoint, circle_grid_unfolded, classify_point, primary_term_direct
 
 
 class TestDirichletCover:
@@ -145,3 +145,55 @@ class TestMinorArcMass:
         m4 = A.arc_mass_breakdown(sys, 4, 1.5)["mass"]["non-primary"] / 9**4
         m5 = A.arc_mass_breakdown(sys, 5, 1.5)["mass"]["non-primary"] / 9**5
         assert m5 < m4
+
+
+# an even N and two odd ones: the fold's self-mirrored points differ
+FOLD_CASES = [
+    (DigitSystem.excluding(10, {7}), 4),
+    (DigitSystem.of(7, (0, 3, 6)), 5),
+    (DigitSystem.of(3, (0, 2)), 9),
+]
+
+
+class TestFold:
+    """The circle sums read j <= N/2 and count each mirror pair j, N - j twice."""
+
+    @pytest.mark.parametrize("sys, k", [
+        (DigitSystem.excluding(10, {7}), 5), (DigitSystem.excluding(10, {7}), 6),
+        (DigitSystem.of(7, (0, 3, 6)), 6), (DigitSystem.of(3, (0, 2)), 11),
+    ])
+    def test_classes_are_mirror_symmetric(self, sys, k):
+        # the breakdown reads the classes of j <= N/2 only
+        classes = A.classify_all(sys, k, 1.5)
+        assert len(np.unique(classes)) > 1
+        assert np.array_equal(classes[1:], classes[:0:-1])
+
+    @pytest.mark.parametrize("sys, k", FOLD_CASES)
+    def test_sums_match_unfolded(self, sys, k):
+        N = sys.q**k
+        sp, sa = circle_grid_unfolded(sys, k)
+        terms = (sp * np.conj(sa)).real
+        rep = A.main_term_assembly(sys, k)
+        assert rep.identity_sum == pytest.approx(math.fsum(terms) / N, rel=1e-12, abs=0)
+        assert rep.primary_term == pytest.approx(math.fsum(terms[:: N // sys.q]) / N, rel=1e-12, abs=0)
+        classes = A.classify_all(sys, k, 1.5)
+        prod = np.abs(sp) * np.abs(sa)
+        breakdown = A.arc_mass_breakdown(sys, k, 1.5)
+        for c, name in enumerate(A.CLASS_NAMES):
+            assert breakdown["count"][name] == np.count_nonzero(classes == c)
+            want = math.fsum(prod[classes == c]) / N
+            assert breakdown["mass"][name] == pytest.approx(want, rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("sys, k, parent, pinned", [
+        # parent: the identity sum over the full grid from a complex FFT
+        (DigitSystem.excluding(10, {7}), 4, 679.9999999999964, 680.0000000000003),
+        (DigitSystem.excluding(10, {7}), 6, 34991.99999999425, 34991.999999999956),
+        (DigitSystem.excluding(10, {5}), 6, 46548.99999999559, 46548.999999999876),
+        (DigitSystem.of(3, (0, 2)), 12, 0.9999999998303385, 0.9999999999625396),
+        (DigitSystem.of(6, (0, 2, 3, 5)), 7, 1036.9999999999102, 1037.0000000000143),
+        (DigitSystem.of(7, (0, 3, 6)), 7, 1.0000000000000921, 0.9999999999999479),
+    ])
+    def test_folded_identity_sum_is_no_further_from_the_count(self, sys, k, parent, pinned):
+        rep = A.main_term_assembly(sys, k)
+        assert rep.identity_sum == pinned
+        assert abs(pinned - rep.exact_count) <= abs(parent - rep.exact_count)

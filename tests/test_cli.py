@@ -558,11 +558,13 @@ class TestDeterminism:
         # q^2 above the entry cap: the matrix-free ell = 1 bound
         (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),
          "24160695ff9e7cd80008dd5789b4cbca17254955cd10f67ebcbb988ed78e9fd7"),
-        # primaryTerm read off the identity grid: 671.4090000000001 -> 671.409
+        # primaryTerm read off the identity grid: 671.4090000000001 -> 671.409;
+        # the grid folded over j -> N - j: identitySum 679.9999999999964 -> 680.0000000000003
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4"),
-         "526311d297a7451cb968e0ebd2ba16d3bccc56a4601f7fcdb7fe89e51b86016e"),
+         "bc5b84cd42261effeab3c7ed282465d159e98ded93b92b17e18dd6f71a83eaff"),
+        # folded masses: primary-major 1141.3269625014236 -> 1141.3269625014286
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4", "--full-scan", "--A", "1.5"),
-         "237ecf9a03773ef0aa37ebb78518b63e5c1c28dc531e0d249f4d86e9e389da15"),
+         "9f55b246b56cfeec713739cb4e7559ff3c658562170c3a9c76b9091c424fd250"),
         # N = 7 is prime: the spectrum wraps p = N onto residue 0
         (("arcs", "--sys", "q=7,exclude=3", "-k", "1"),
          "ac8f0b8520f0c45e7506f0dbe97cca91230b2935f1ab605239f678418af306b0"),

@@ -417,6 +417,38 @@ class TestTruncatedMeasure:
         with pytest.raises(CapExceeded, match="above 5000"):
             held(PsiFunction.constant(Fraction(1, 3)), 2, 200)
 
+    def test_disjoint_events_refused_before_any_is_built(self, monkeypatch):
+        # psi = 1/3 < q/2: event q holds phi(q) disjoint intervals, whose sum
+        # passes the held cap over 2 <= q < 2570 (building them first took
+        # 3.5 s and 296 MB) and over 5000 <= q < 7000 (7.29M, 3.8 s)
+        def built(*args):
+            raise AssertionError("an event was built")
+
+        monkeypatch.setattr(D, "event_union", built)
+        for held, Q, R in ((D.truncated_limsup_measure, 2, 2570), (D.quasi_independence_ratio, 5000, 7000)):
+            t0 = time.perf_counter()
+            with pytest.raises(CapExceeded, match="above 2000000"):
+                held(PsiFunction.constant(Fraction(1, 3)), Q, R)
+            assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(3, 4)])
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_held_count_known_before_building(self, monkeypatch, reduced, c):
+        # the lower bound is the count the built events hold: the last R
+        # below the cap is answered, and the first above it builds nothing
+        monkeypatch.setattr(D, "HELD_INTERVAL_CAP", 5000)
+        per = phi_sieve(400) if reduced else np.arange(401) + 1
+        R = 3 + int(np.argmax(np.cumsum(per[2:]) > 5000))
+        psi = PsiFunction.constant(c)
+        assert D.truncated_limsup_measure(psi, 2, R - 1, reduced) > 0
+
+        def built(*args):
+            raise AssertionError("an event was built")
+
+        monkeypatch.setattr(D, "event_union", built)
+        with pytest.raises(CapExceeded, match="above 5000"):
+            D.truncated_limsup_measure(psi, 2, R, reduced)
+
     def test_select_r_answers_past_held_cap(self):
         # select_R holds one event at a time, so it keeps INTERVAL_CAP: psi =
         # 11/100 walks past more intervals than the held cap before it answers

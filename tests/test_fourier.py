@@ -13,7 +13,13 @@ from restricta.digit_systems import DigitSystem
 from restricta.errors import CapExceeded, UsageError
 from restricta.fourier import FourierProfile, _Window
 
-from tests.oracles import cell_sup_unfolded, digit_window_sum, refined_cell_sups_unfolded, sin_bound
+from tests.oracles import (
+    cell_sup_unfolded,
+    circle_grid_unfolded,
+    digit_window_sum,
+    refined_cell_sups_unfolded,
+    sin_bound,
+)
 
 TAU = F.TAU
 
@@ -157,10 +163,12 @@ class TestRestrictedExpSum:
         assert abs(got) <= prof.set_size + 1e-9
 
     def test_grid_matches_pointwise(self):
+        # the grid is the half j <= N/2; S_A is conjugate-symmetric beyond it
         prof = FourierProfile(DigitSystem.of(6, (0, 2, 3, 5)), 3)
         grid = joined(F.sa_chunks(prof))
         N = prof.n_points
-        for j in (0, 1, 17, N - 1):
+        assert len(grid) == N // 2 + 1
+        for j in (0, 1, 17, N // 2):
             want = F.restricted_exp_sum(prof, Fraction(j, N))
             assert abs(grid[j] - want) < 1e-9
 
@@ -359,12 +367,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def pointwise_factors(prof):
-    """W(q^i j/N) evaluated at every grid point at once."""
+def pointwise_half_grid(prof):
+    """The product of the W(q^i j/N), each evaluated at every point j <= N/2
+    of the half grid at once."""
     q, k, N = prof.sys.q, prof.k, prof.n_points
     win = _Window(prof.sys)
-    j = np.arange(N)
-    return [win.values(j * pow(q, i, N) % N, N) for i in range(k)]
+    j = np.arange(N // 2 + 1)
+    want = np.ones(len(j), dtype=np.complex128)
+    for i in range(k):
+        want *= win.values(j * pow(q, i, N) % N, N)
+    return want
 
 
 def joined(chunks):
@@ -386,9 +398,7 @@ class TestGridTabulation:
     def test_levels_match_pointwise(self, prof, monkeypatch):
         # the closed form serves every set here but the direct sum D = {1, 4}
         assert _Window(prof.sys).closed == (prof.sys.digits != (1, 4))
-        want = np.ones(prof.n_points, dtype=np.complex128)
-        for w in pointwise_factors(prof):
-            want *= w
+        want = pointwise_half_grid(prof)
         for chunk in (F._CHUNK, 6**4, 6**4 + 5):
             monkeypatch.setattr(F, "_CHUNK", chunk)
             assert same_bits(joined(F.sa_chunks(prof)), want)
@@ -408,10 +418,8 @@ class TestGridTabulation:
 
     def test_multi_chunk_grid_is_pointwise_product(self):
         prof = FourierProfile(DigitSystem.excluding(10, {7}), 6)
-        assert prof.n_points > F._CHUNK
-        want = np.ones(prof.n_points, dtype=np.complex128)
-        for w in pointwise_factors(prof):
-            want *= w
+        assert prof.n_points // 2 > F._CHUNK
+        want = pointwise_half_grid(prof)
         assert same_bits(joined(F.sa_chunks(prof)), want)
 
     def test_window_derivative_independent_of_batch_size(self):
@@ -433,7 +441,8 @@ class TestGridTabulation:
         monkeypatch.setattr(_Window, "values", counting)
         for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
             pass
-        assert sum(evaluated) <= 10**6 + 111110
+        # level 0 at the half grid's points, and the tiles of M = 10^5 .. 10
+        assert sum(evaluated) == 10**6 // 2 + 1 + 111110
 
     def test_one_exp_per_grid_point(self, monkeypatch):
         # the root table is the only caller of unit: level 0 reads e(1), e(r)
@@ -577,6 +586,21 @@ class TestMomentTail:
         brute = sum(1 for j in range(1000) if abs(brute_sa(sys, 3, j / 1000)) >= cut)
         assert count == brute
         assert count <= bound
+
+    @pytest.mark.parametrize("sys_, k", [
+        # an even N and two odd ones: the fold's self-mirrored points differ
+        (DigitSystem.excluding(10, {7}), 4), (DigitSystem.of(7, (0, 3, 6)), 5), (DigitSystem.of(3, (0, 2)), 9),
+    ])
+    def test_folded_moments_match_unfolded(self, sys_, k):
+        prof = FourierProfile(sys_, k)
+        mags = np.abs(circle_grid_unfolded(sys_, k)[1])
+        for sigma in (1.0, 1.5, 2.0):
+            assert F.power_sum(prof, sigma) == pytest.approx(math.fsum(mags**sigma), rel=1e-12, abs=0)
+        A = prof.set_size
+        for sigma, T in ((1.5, 10.0), (2.0, 3.0)):
+            count, bound = F.moment_tail(prof, sigma, T)
+            assert count == np.count_nonzero(mags >= A / T)
+            assert bound == pytest.approx((T / A) ** sigma * math.fsum(mags**sigma), rel=1e-12, abs=0)
 
 
 class TestConstants:
