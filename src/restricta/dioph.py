@@ -411,19 +411,23 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[Interv
     disjoint and none is empty, so event q holds q + 1 of them, or at least
     phi(q) reduced ones.  ``values`` is the float of ``exact`` (an integer
     power's within an ulp, never near q/2) and q/2 is a float, so the float
-    test is the exact one.  ``_events`` still counts what it builds, where
-    merging lowers the count."""
+    test is the exact one.  The bound is counted over prefixes q <= top,
+    top doubling from max(Q, 2^16), so a refusal costs about the psi and phi
+    of the q where the count passes the cap, not of R.  ``_events`` still
+    counts what it builds, where merging lowers the count."""
     hi = min(R, INTERVAL_CAP) - 1
-    if hi >= Q:
-        vals = psi.values(hi)
-        phi = phi_sieve(hi) if reduced else None
-        held = 0
-        for lo in range(Q, hi + 1, SUM_CHUNK):
-            q = np.arange(lo, min(lo + SUM_CHUNK, hi + 1))
+    held, lo, top = 0, Q, max(Q, 1 << 16)
+    while lo <= hi:
+        top = min(top, hi)
+        vals = psi.values(top)
+        phi = phi_sieve(top) if reduced else None
+        for start in range(lo, top + 1, SUM_CHUNK):
+            q = np.arange(start, min(start + SUM_CHUNK, top + 1))
             v = vals[q - 1]
             held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
             if held > HELD_INTERVAL_CAP:
                 raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
+        lo, top = top + 1, 2 * top
     return list(_events(psi, Q, R, reduced, HELD_INTERVAL_CAP))
 
 

@@ -5,7 +5,9 @@ every mean, moment and maximum here computable in O(k) per point.  The
 "computer calculation" style inequalities (the sin-bound sum, the refined
 per-digit sum, the pairwise sum, the generalization margin) are evaluated
 as certified upper bounds: cell suprema are second-order Taylor bounds
-over subcells, and sums accumulate a small per-term upward slack.
+over subcells (the refined sum takes the smaller of that remainder and a
+third-order one from G'' at each midpoint), and sums accumulate a small
+per-term upward slack.
 """
 
 from __future__ import annotations
@@ -25,10 +27,15 @@ SLACK = 1e-12  # per-term upward slack in certified accumulations
 # points in one array pass: a moment grid, whose 16N-byte root table peaks near
 # 225 MB at the cap (mean_l1 at q = 10, k = 7: 2.1 s), or q in a sin-sum or pairwise closed form
 MOMENT_CAP = 10**7
-REFINED_GRID = 128  # subcells per cell in refined_digit_sum
+REFINED_GRID = 64  # subcells per cell in refined_digit_sum at least
+REFINED_SUBCELLS = 4096  # and at least this many per circle: a coarse circle's r outgrows its small M2
 SUBCELL_CAP = 4 * 10**6  # q * grid subcells at most in refined_digit_sum and generalized_margin
 REFINED_WORK_CAP = 2 * 10**8  # ceil(q/2)^2 * grid subcell steps at most in refined_digit_sum
 _CHUNK = 1 << 17
+# subcells per step of a refined-sum digit: its temporaries stay in cache, and
+# freeing them does not make malloc trim and re-fault the heap top (about 850
+# page faults in refined_digit_sum(501), against 19k with whole-digit arrays)
+_BLOCK = 1 << 12
 # |e(phi) - 1| below this is phase-roundoff noise; the geometric forms
 # switch to their limit value (the sliver affected is ~1e-10 wide, where
 # the analytic cell caps govern certified maxima anyway)
@@ -110,15 +117,18 @@ class _Window:
 
     # -- complex values ---------------------------------------------------
 
-    def values(self, m, N: int, deriv: bool = False, root=None):
-        """Complex W, or (W, W') when ``deriv``, at the exact phases phi = m/N.
+    def values(self, m, N: int, deriv: int = 0, root=None):
+        """Complex W at the exact phases phi = m/N, or with ``deriv`` = 1 or
+        2 the tuple (W, W') or (W, W', W'').
 
         Each e(n*phi) is taken at the correctly rounded (n*m mod N)/N, once,
-        and serves both W and W'; a hole at 1, r or a reuses the hull's
-        exponential.  Given ``root``, the table of e(l/N) for l < N, each
-        e(n*phi) is read as root[n*m mod N] instead: ``unit`` is elementwise
-        and the table took the same phase, so every float is the same.  The
-        hull ratio takes its phi -> 0 limit where |e(phi) - 1| < _DEN_EPS.
+        and serves W and its derivatives; a hole at 1, r or a reuses the
+        hull's exponential.  W'' is formed from the same exponentials and
+        from W', after it, so W and W' have the same bits at any ``deriv``.
+        Given ``root``, the table of e(l/N) for l < N, each e(n*phi) is read
+        as root[n*m mod N] instead: ``unit`` is elementwise and the table
+        took the same phase, so every float is the same.  The hull ratio
+        takes its phi -> 0 limits where |e(phi) - 1| < _DEN_EPS.
         """
         m = np.asarray(m, dtype=np.int64)
 
@@ -126,8 +136,9 @@ class _Window:
             return unit((n * m % N) / N) if root is None else root[n * m % N]
 
         tp = 2j * math.pi
+        tau2 = (2.0 * math.pi) ** 2  # (2*pi*i)^2 = -tau2
         z = {}  # the hull's e(n*phi) by n
-        w = wp = 0.0
+        w = wp = wpp = 0.0
         if self.closed:
             a, r = self.start, self.length
             z = {n: e(n) for n in {1, r, a} - {0}}
@@ -140,8 +151,16 @@ class _Window:
                 wp = np.where(
                     small, tp * r * (r - 1) / 2.0, tp * (r * zr * den - (zr - 1.0) * z1) / (safe * safe)
                 )
+            if deriv > 1:  # the derivative of wp = tp * (r*zr*den - (zr - 1)*z1) / den^2
+                wpp = np.where(
+                    small,
+                    -tau2 * (r - 1) * r * (2 * r - 1) / 6.0,
+                    -tau2 * (r * r * zr * den - (zr - 1.0) * z1) / (safe * safe) - 2.0 * tp * z1 * wp / safe,
+                )
             if a:
                 za = z[a]
+                if deriv > 1:  # (e(a*phi) H)'' = e(a*phi) (H'' + 2*tp*a*H' + (tp*a)^2 H)
+                    wpp = (wpp + 2.0 * tp * a * wp - tau2 * a * a * w) * za
                 if deriv:
                     # temporary first: numpy reuses a large temporary in
                     # place as temp*za, and complex products are not bitwise
@@ -154,7 +173,9 @@ class _Window:
             w = w + sign * zd
             if deriv:
                 wp = wp + sign * tp * d * zd
-        return (w, wp) if deriv else w
+            if deriv > 1:
+                wpp = wpp - sign * tau2 * d * d * zd
+        return (w, wp, wpp)[: deriv + 1] if deriv else w
 
     # -- certified cell suprema -------------------------------------------
 
@@ -167,38 +188,49 @@ class _Window:
         cells t < ceil(n/2) are evaluated.  Each chunk of cells is capped as it
         is built, so no n-long temporary exists besides the result."""
         N = 2 * n * grid
+        r = 1.0 / N
         half = (n + 1) // 2
         best = np.empty(n)
         rows = max(1, _CHUNK // grid)
         for t0 in range(0, half, rows):
             t = np.arange(t0, min(t0 + rows, half), dtype=np.int64)
             m = 2 * np.arange(t0 * grid, (t0 + len(t)) * grid, dtype=np.int64) + 1  # cell-major
-            w, wp = self.values(m, N, deriv=True)
-            sups = _taylor_sup(w, wp - 2j * math.pi * self.center * w, 1.0 / N, self.m2)
+            w, wp = self.values(m, N, deriv=1)
+            sups = _taylor_sup(w, wp - 2j * math.pi * self.center * w, r, 0.5 * self.m2 * r * r)
             del w, wp  # free this chunk before the next one is evaluated
             best[t0 : t0 + len(t)] = best[n - 1 - t] = self.capped_sups(sups, t, n)
         return best
 
     def capped_sups(self, sups: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-        """Certified sup of F over cells t of the 1/n grid from the Taylor bounds of
-        their subcells (cell-major): the maximum over each cell, capped by |D| and by
-        |H| + 1/sin(pi*dmin), rounded up: the hull sum is <= 1/sin, each hole adds <= 1."""
-        dmin = np.minimum(t, n - 1 - t) / n  # the cell's distance from the integers
-        with np.errstate(divide="ignore"):  # runs attain 1/sin: round it up
-            inv_sin = np.where(dmin > 0, (1.0 + 1e-12) / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
-        caps = np.minimum(float(self.sys.size), len(self.holes) + inv_sin)
-        return np.minimum(sups.reshape(len(t), -1).max(axis=1), caps)
+        """Certified sup of F over cells t of the 1/n grid from the Taylor bounds
+        of their subcells (cell-major): the maximum over each cell, capped by
+        ``_cell_caps``."""
+        return np.minimum(sups.reshape(len(t), -1).max(axis=1), _cell_caps(t, n, self.sys.size, len(self.holes)))
 
 
-def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, m2: float) -> np.ndarray:
-    """Upper bound for |G| on [x - r, x + r] from g = G(x) and gp = G'(x)
-    when |G''| <= m2 there.
+def _cell_caps(t: np.ndarray, n: int, size: int, holes: int) -> np.ndarray:
+    """Caps on sup F over cells t of the 1/n grid, for |D| = size with
+    ``holes`` holes: min(|D|, |H| + 1/sin(pi*dmin)), rounded up, where dmin
+    is the cell's distance from the integers: the hull sum is <= 1/sin, each
+    hole adds <= 1."""
+    dmin = np.minimum(t, n - 1 - t) / n
+    with np.errstate(divide="ignore"):  # runs attain 1/sin: round it up
+        inv_sin = np.where(dmin > 0, (1.0 + 1e-12) / np.sin(np.pi * np.maximum(dmin, 1e-300)), np.inf)
+    return np.minimum(float(size), holes + inv_sin)
 
-    Taylor's theorem gives |G(x+h)| <= |g + gp*h| + m2*h^2/2, and |g + gp*h|
-    is convex in h, so over |h| <= r its maximum is at h = -r or h = r.
+
+def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, rem) -> np.ndarray:
+    """Upper bound for |G| on [x - r, x + r] from g = G(x), gp = G'(x) and a
+    bound ``rem`` on the Taylor remainder there, a scalar or one per x.
+
+    Taylor's theorem gives |G(x+h)| <= |g + gp*h| + rem, and |g + gp*h| is
+    convex in h, so over |h| <= r its maximum is at h = -r or h = r.  With
+    |G''| <= M2 everywhere, rem = M2*r^2/2 (``_Window.cell_sup``); with
+    |G'''| <= M3 as well, |G''(x)|*r^2/2 + M3*r^3/6 is a bound too, and the
+    refined sum passes the smaller of the two.
     """
     step = gp * r
-    return np.maximum(np.abs(g + step), np.abs(g - step)) + 0.5 * m2 * r * r
+    return np.maximum(np.abs(g + step), np.abs(g - step)) + rem
 
 
 # ------------------------------------------------------- the product form
@@ -319,39 +351,56 @@ def sin_bound_sum(q: int) -> BoundReport:
     )
 
 
-def _refined_cell_sups(q: int, grid: int = REFINED_GRID):
+def _refined_cell_sups(q: int, grid: int):
     """Yield (b, cells) for b = 0..(q-1)/2: the certified suprema of F_D
     with D missing b over the q cells [t/q, (t+1)/q).
 
     The cells, subcells and per-cell step are those of ``_Window.cell_sup``,
     folded the same way (cell q-1-t takes the bound of cell t), but the
-    full-set geometric kernel g, g' is evaluated once for all b:
-    W_b = g - e(b*phi) and W_b' = g' - 2*pi*i*b*e(b*phi), with e(b*phi)
-    advanced by elementwise multiplication.  The digits fold too: q-1-D
-    misses q-1-b and W_{q-1-D}(phi) = e((q-1)*phi) conj(W_D(phi)), so the
-    cells of b also bound digit q-1-b (with centre q-1-c, as valid a centre
-    as its median), and the digits above (q-1)/2 are not yielded.
+    full-set geometric kernel g, g', g'' is evaluated once for all b, and
+    each subcell's remainder is the smaller of the second-order M2*r^2/2
+    and the third-order |G''(x)|*r^2/2 + M3*r^3/6 (``_taylor_sup``).  Every
+    b <= (q-1)/2 leaves the upper median c = (q+1)//2 of the other digits,
+    so G = e(-c*phi) W_b enters through sums R_k = sum_{d<q} (2*pi*i*(d-c))^k
+    e(d*phi) of the full set, taken once: G^(k) = R_k - (2*pi*i*(b-c))^k
+    e(b*phi), with e(b*phi) advanced by elementwise multiplication, and
+    M_k = (2*pi)^k sum_{d != b} |d-c|^k is the full set's sum less |b-c|^k.
+    The digits fold too: q-1-D misses q-1-b and W_{q-1-D}(phi) =
+    e((q-1)*phi) conj(W_D(phi)), so the cells of b also bound digit q-1-b
+    (with centre q-1-c, as valid a centre as its median), and the digits
+    above (q-1)/2 are not yielded.
     """
     half = (q + 1) // 2
     N = 2 * q * grid
+    r = 1.0 / N
     t = np.arange(half, dtype=np.int64)
     m = 2 * np.arange(half * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
-    full = _Window(DigitSystem.of(q, range(q)))
-    g, gp = full.values(m, N, deriv=True)
+    g, gp, gpp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=2)
     z1 = unit(m / N)
-    tp = 2j * math.pi
-    recentred = {}  # median digit c -> g' - 2*pi*i*c*g
+    c = half
+    tp, tau = 2j * math.pi, 2.0 * math.pi
+    R1 = gp - tp * c * g
+    R2 = gpp - 2.0 * tp * c * gp - (tau * c) ** 2 * g
+    del gp, gpp
+    s2 = sum((d - c) ** 2 for d in range(q))
+    s3 = sum(abs(d - c) ** 3 for d in range(q))
+    caps = [_cell_caps(t, q, q - 1, holes) for holes in (0, 1)]  # b = 0 leaves a run, 0 < b < q-1 a hole
     eb = np.ones_like(g)  # e(b*phi)
+    rows = max(1, _BLOCK // grid)
     for b in range(half):
-        win = _Window(DigitSystem.excluding(q, {b}))
-        c = win.center
-        if c not in recentred:
-            recentred[c] = gp - tp * c * g
-        # sups lives across the yield, or malloc trims and re-faults the heap top each b
-        sups = _taylor_sup(g - eb, recentred[c] - tp * (b - c) * eb, 1.0 / N, win.m2)
-        cells = win.capped_sups(sups, t, q)
+        k = b - c
+        m2 = tau**2 * (s2 - k * k)
+        m3 = tau**3 * (s3 - abs(k) ** 3)
+        cells = np.empty(half)
+        for t0 in range(0, half, rows):
+            t1 = min(t0 + rows, half)
+            s = slice(t0 * grid, t1 * grid)
+            e = eb[s]
+            rem = np.minimum(np.abs(R2[s] + (tau * k) ** 2 * e) + m3 * r / 3.0, m2) * (0.5 * r * r)
+            sups = _taylor_sup(g[s] - e, R1[s] - tp * k * e, r, rem)
+            cells[t0:t1] = np.minimum(sups.reshape(t1 - t0, grid).max(axis=1), caps[b > 0][t0:t1])
+            e *= z1[s]  # e(b*phi) -> e((b+1)*phi) in place
         yield b, np.concatenate((cells, cells[: q - half][::-1]))
-        eb = eb * z1
 
 
 def _check_grid(q: int, grid: int) -> None:
@@ -366,13 +415,17 @@ def refined_digit_sum(q: int, grid: int = REFINED_GRID) -> BoundReport:
 
     For every missing digit b, sums over t the certified supremum of
     F_D over [t/q, (t+1)/q) (see ``_refined_cell_sups``); digit q-1-b
-    takes the sum of b.  Reports the worst b.  Refused (CapExceeded)
-    before any array is built when q*grid is above SUBCELL_CAP (memory)
-    or the ceil(q/2)^2*grid subcell steps above REFINED_WORK_CAP (time).
+    takes the sum of b.  Reports the worst b.  Takes ``grid`` or more
+    subcells per cell, at least ceil(REFINED_SUBCELLS/q): a small q has a
+    small M2, and the subcells of a coarse circle are too wide.  Refused
+    (CapExceeded) before any array is built when q*grid is above
+    SUBCELL_CAP (memory) or the ceil(q/2)^2*grid subcell steps above
+    REFINED_WORK_CAP (time), for the grid that would run.
     """
     if q < 3:
         raise UsageError("need q >= 3")
     _check_grid(q, grid)
+    grid = max(grid, -(-REFINED_SUBCELLS // q))  # raised only below 2 * REFINED_SUBCELLS subcells: inside SUBCELL_CAP
     steps = ((q + 1) // 2) ** 2 * grid  # ceil(q/2) digits, each over ceil(q/2) cells of grid subcells
     if steps > REFINED_WORK_CAP:
         raise CapExceeded(f"ceil(q/2)^2 * grid = {steps} subcell steps above cap {REFINED_WORK_CAP}")

@@ -209,20 +209,25 @@ def cell_sup_unfolded(win, n: int, grid: int) -> np.ndarray:
     """``win.cell_sup(n, grid)`` with every cell t < n evaluated at its own
     subcell midpoints, none taken from its mirror."""
     N = 2 * n * grid
+    r = 1.0 / N
     t = np.arange(n, dtype=np.int64)
     m = 2 * np.arange(n * grid, dtype=np.int64) + 1
     w, wp = win.values(m, N, deriv=True)
-    sups = _taylor_sup(w, wp - 2j * math.pi * win.center * w, 1.0 / N, win.m2)
+    sups = _taylor_sup(w, wp - 2j * math.pi * win.center * w, r, 0.5 * win.m2 * r * r)
     return win.capped_sups(sups, t, n)
 
 
-def refined_cell_sups_unfolded(q: int, grid: int) -> list[np.ndarray]:
+def refined_cell_sups_unfolded(q: int, grid: int, third_order: bool = True) -> list[np.ndarray]:
     """The cell bounds of ``fourier._refined_cell_sups`` for every digit
-    b < q over every cell t < q, each digit recentred at its own median."""
+    b < q over every cell t < q, each digit recentred at its own median c.
+    The remainder is min(M2 r^2/2, |G''| r^2/2 + M3 r^3/6), with G'' summed
+    over the digits at each midpoint, or with ``third_order`` off the
+    scalar M2 r^2/2 of the second-order kernel."""
     N = 2 * q * grid
+    r = 1.0 / N
     t = np.arange(q, dtype=np.int64)
     m = 2 * np.arange(q * grid, dtype=np.int64) + 1
-    g, gp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=True)
+    g, gp, gpp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=2)
     z1 = unit(m / N)
     tp = 2j * math.pi
     out = []
@@ -230,7 +235,12 @@ def refined_cell_sups_unfolded(q: int, grid: int) -> list[np.ndarray]:
     for b in range(q):
         win = _Window(DigitSystem.excluding(q, {b}))
         c = win.center
-        sups = _taylor_sup(g - eb, gp - tp * c * g - tp * (b - c) * eb, 1.0 / N, win.m2)
+        rem = 0.5 * win.m2 * r * r
+        if third_order:
+            m3 = (2 * math.pi) ** 3 * sum(abs(d - c) ** 3 for d in win.sys.digits)
+            g2 = gpp - 2 * tp * c * gp + tp * tp * c * c * g - tp * tp * (b - c) ** 2 * eb
+            rem = np.minimum(rem, 0.5 * r * r * np.abs(g2) + m3 * r**3 / 6)
+        sups = _taylor_sup(g - eb, gp - tp * c * g - tp * (b - c) * eb, r, rem)
         out.append(win.capped_sups(sups, t, q))
         eb = eb * z1
     return out

@@ -13,11 +13,13 @@ The trivial bound |F_D| <= |D| closes the cells next to the integers,
 where the supremum is |D| itself.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 
 from restricta import fourier as F
 from restricta import markov as M
@@ -97,10 +99,11 @@ def test_build_matrix_entries(ell, b):
 
 def test_refined_digit_sum_cells():
     q = 101
-    per_digit = F.refined_digit_sum(q).details["per_digit"]
+    rep = F.refined_digit_sum(q)
+    per_digit = rep.details["per_digit"]
     # the array of b = 0 bounds digit 0; the array of b = 23 bounds its mirror digit 77
     proved = {0: 0, 23: 77}
-    for b, sups in F._refined_cell_sups(q):
+    for b, sups in F._refined_cell_sups(q, rep.details["grid"]):
         assert per_digit[b] == per_digit[q - 1 - b] == float(sups.sum()) + F.SLACK * q
         if b not in proved:
             continue
@@ -109,6 +112,29 @@ def test_refined_digit_sum_cells():
         # 75 > q/2: a cell bounded from its mirror, cell 25
         for t in sample_cells(q, 1, seed=missing) + [75]:
             assert proves_below(digits, Fraction(t, q), Fraction(t + 1, q), sups[t]), (missing, t, sups[t])
+
+
+@pytest.mark.parametrize("spec", ["q=10,D=2-7", "q=12,D=1.2.3.5.6.9.10", "q=10,D=0.4.9"])
+def test_second_derivative_against_mpmath(spec):
+    # a run off 0, a hull with holes and the direct sum, at phases m/N near
+    # 0, 1/2 and 1 (N = 2 q grid at the refined sum's default grid), held
+    # against W'' = sum_d (2 pi i d)^2 e(d m/N) at 40 digits
+    sys_ = DigitSystem.parse(spec)
+    win = _Window(sys_)
+    assert (win.closed, bool(win.holes)) == {"q=10,D=2-7": (True, False), "q=12,D=1.2.3.5.6.9.10": (True, True)}.get(
+        spec, (False, True)
+    )
+    N = 2 * sys_.q * max(F.REFINED_GRID, -(-F.REFINED_SUBCELLS // sys_.q))
+    ms = [0, 1, 2, 3, N // 2 - 1, N // 2, N // 2 + 1, N - 3, N - 2, N - 1]
+    wpp = win.values(np.array(ms), N, deriv=2)[2]
+    scale = (2 * math.pi) ** 2 * sum(d * d for d in sys_.digits)  # the largest |W''|
+    with mp.workdps(40):
+        for m, got in zip(ms, wpp):
+            want = sum((2j * mp.pi * d) ** 2 * mp.expjpi(2 * mp.mpf(d * m) / N) for d in sys_.digits)
+            # the hull ratio loses a factor 1/|e(phi) - 1| per derivative next
+            # to the integers (1e-7 of the scale at m = N - 1); exact at m = 0
+            tol = 1e-6 if 0 < min(m, N - m) <= 3 else 1e-12
+            assert abs(mp.mpc(complex(got)) - want) < tol * scale, (m, complex(got), want)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from restricta import dioph as _dioph
 from restricta import fourier as F
 from restricta import gcdgraph as _gcd
 from restricta import primes as _primes
+from restricta.errors import CapExceeded
 
 from tests.test_dioph import PINNED_RATIOS
 
@@ -278,12 +279,21 @@ class TestJsonOutputs:
         assert code == 1
         assert json.loads(out)["error"] == "cap-exceeded"
 
-    @pytest.mark.parametrize("q,grid", [(101, 128), (501, 128), (1001, 128), (1001, 256), (101, 39603)])
+    @pytest.mark.parametrize(
+        "q,grid", [(101, 128), (501, 128), (1001, 128), (1001, 256), (101, 39603), (1001, 64), (3534, 64)]
+    )
     def test_refined_work_cap_admits_documented_sizes(self, monkeypatch, q, grid):
-        # the README's sizes, up to the at-cap example, pass both caps; the
-        # cells are stubbed out so that only the checks run
+        # the README's sizes, up to the at-cap example and the largest q of
+        # the default grid, pass both caps; the cells are stubbed out so
+        # that only the checks run
         monkeypatch.setattr(F, "_refined_cell_sups", lambda q, grid: iter(()))
         assert F.refined_digit_sum(q, grid).details["grid"] == grid
+
+    def test_refined_default_grid_refused_above_documented_q(self, monkeypatch):
+        monkeypatch.setattr(F, "_refined_cell_sups", lambda q, grid: iter(()))
+        assert F.refined_digit_sum(3534).details["grid"] == 64
+        with pytest.raises(CapExceeded):
+            F.refined_digit_sum(3535)
 
     @pytest.mark.parametrize("extra", [(), ("--full-scan", "--A", "1.5")])
     def test_arcs_refuses_above_scan_cap_before_sieving(self, capsys, monkeypatch, extra):
@@ -523,8 +533,9 @@ class TestDeterminism:
          "08b9e94591ed5bea64f942ba1f707e3dd2aa61e71e2dcb540bb3193036af4ab6"),
         (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4", "--sigma", "1.525974025974026"),
          "5602b16a91eeab0feadafa303701e43313cb64849df7dd3ad6519256d83db59b"),
+        # the third-order remainder at 64 subcells per cell: every digit lower
         (("fourier", "--check", "refined", "--q", "101"),
-         "1d37b6c21ec7d596c385dc905f4791112ba77164cf5e1eba7e31a2ea98e256aa"),
+         "2cb65fecfb8d90de4e94d0ec82f86be37f92c09273bb3d93673c9ae907715a0e"),
         (("fourier", "--check", "margin", "--sys", "q=10,exclude=7"),
          "090ccc421b306c440818128942cf307a44bf2dcd1ba05b7166c9fbc86c446a13"),
     ])

@@ -431,6 +431,35 @@ class TestTruncatedMeasure:
                 held(PsiFunction.constant(Fraction(1, 3)), Q, R)
             assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("psi", [PsiFunction.constant(Fraction(1, 3)), PsiFunction.ds_spread()])
+    def test_held_count_walks_prefixes_not_r(self, monkeypatch, psi):
+        # the held count passes the cap near q = 2570, so the refusal at
+        # R = 10^7 needs psi and phi only on the first prefix, 2^16 (the whole
+        # window took 1.2 s and 229 MB for 1/3, 2.0 s and 306 MB for ds_spread)
+        seen = []
+        values, sieve = PsiFunction.values, D.phi_sieve
+        monkeypatch.setattr(PsiFunction, "values", lambda self, upto: seen.append(upto) or values(self, upto))
+        monkeypatch.setattr(D, "phi_sieve", lambda n: seen.append(n) or sieve(n))
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="above 2000000"):
+            D.truncated_limsup_measure(psi, 2, 10**7)
+        assert time.perf_counter() - t0 < 0.5
+        assert seen and max(seen) <= 2**17
+
+    def test_held_count_prefixes_cover_the_window(self, monkeypatch):
+        # psi = 1/q^2 is 0 nowhere: a cap of the phi(q) summed over
+        # 2 <= q <= 2^17 + 3 is passed only by q = 2^17 + 4, on the third prefix
+        per = phi_sieve(2**17 + 4)
+        monkeypatch.setattr(D, "HELD_INTERVAL_CAP", int(per[2:-1].sum()))
+        monkeypatch.setattr(D, "_events", lambda *args: iter(()))
+        seen = []
+        sieve = D.phi_sieve
+        monkeypatch.setattr(D, "phi_sieve", lambda n: seen.append(n) or sieve(n))
+        assert D._held_events(PsiFunction.power(2), 2, 2**17 + 4, True) == []
+        with pytest.raises(CapExceeded):
+            D._held_events(PsiFunction.power(2), 2, 2**17 + 5, True)
+        assert seen == [2**16, 2**17, 2**17 + 3, 2**16, 2**17, 2**17 + 4]
+
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(3, 4)])
     @pytest.mark.parametrize("reduced", [True, False])
     def test_held_count_known_before_building(self, monkeypatch, reduced, c):

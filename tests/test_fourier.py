@@ -306,14 +306,64 @@ class TestFold:
 
     @pytest.mark.parametrize("q", [10, 11, 17, 101])
     def test_refined_per_digit_matches_unfolded(self, q):
-        per = F.refined_digit_sum(q).details["per_digit"]
-        ref = [float(np.sum(s)) + F.SLACK * q for s in refined_cell_sups_unfolded(q, F.REFINED_GRID)]
+        rep = F.refined_digit_sum(q)
+        per = rep.details["per_digit"]
+        ref = [float(np.sum(s)) + F.SLACK * q for s in refined_cell_sups_unfolded(q, rep.details["grid"])]
         for b in range(q):
             assert per[b] == per[q - 1 - b]
             # b above (q-1)/2 is the bound of q-1-b, centred at its mirror
             mirror = min(b, q - 1 - b)
             assert per[b] == pytest.approx(ref[mirror], rel=1e-12, abs=0)
             assert per[b] == pytest.approx(ref[b], rel=1e-5, abs=0)
+
+
+class TestThirdOrder:
+    """The refined sum's third-order remainder and its default grid."""
+
+    @pytest.mark.parametrize("spec", ["q=10,D=2-7", "q=12,D=1.2.3.5.6.9.10", "q=10,D=0.4.9"])
+    def test_second_derivative_keeps_value_bits(self, spec):
+        # a run, a hull with holes and the direct sum: W'' leaves W and W' alone
+        win = _Window(DigitSystem.parse(spec))
+        m = np.array([0, 1, 3, 4999, 5000, 5001, 9997, 9999])
+        w, wp, wpp = win.values(m, 10**4, deriv=2)
+        w1, wp1 = win.values(m, 10**4, deriv=1)
+        assert same_bits(w, w1) and same_bits(wp, wp1) and same_bits(w, win.values(m, 10**4))
+
+    def test_refined_never_looser_than_second_order(self):
+        # every digit at the default grid against the second-order kernel at
+        # 128 subcells per cell, each digit at its own median
+        for q in [*range(3, 131), 501]:
+            per = F.refined_digit_sum(q).details["per_digit"]
+            ref = refined_cell_sups_unfolded(q, 128, third_order=False)
+            for b in range(q):
+                assert per[b] <= float(np.sum(ref[b])) + F.SLACK * q, (q, b)
+
+    @pytest.mark.parametrize("q, grid", [(501, 64), (11, 373), (64, 64), (65, 64), (63, 66)])
+    def test_refined_work_count(self, monkeypatch, q, grid):
+        # one window pass over ceil(q/2) cells of grid subcells, then as many
+        # subcells for each of the ceil(q/2) digits evaluated
+        windows, steps = [], []
+        plain_values, plain_sup = _Window.values, F._taylor_sup
+
+        def values(self, m, N, deriv=0, root=None):
+            windows.append(np.size(m))
+            return plain_values(self, m, N, deriv, root)
+
+        def taylor_sup(g, gp, r, rem):
+            steps.append(np.size(g))
+            return plain_sup(g, gp, r, rem)
+
+        monkeypatch.setattr(_Window, "values", values)
+        monkeypatch.setattr(F, "_taylor_sup", taylor_sup)
+        half = (q + 1) // 2
+        assert F.refined_digit_sum(q).details["grid"] == grid
+        assert windows == [half * grid]
+        assert sum(steps) == half * half * grid
+
+    def test_explicit_grid_below_the_circle_floor_is_raised(self):
+        assert F.refined_digit_sum(11, grid=8).details["grid"] == 373
+        assert F.refined_digit_sum(101, grid=8).details["grid"] == 41
+        assert F.refined_digit_sum(501, grid=8).details["grid"] == 9
 
 
 class TestMeans:
