@@ -227,6 +227,21 @@ class PsiFunction:
             return _ds_spread_values(upto)
         raise UsageError(f"unknown family {self.family}")
 
+    def support(self, upto: int) -> np.ndarray:
+        """Where psi(1..upto) is exactly positive, as a mask.  ``values`` is
+        0 exactly where ``exact`` is, except at a positive rational below
+        the smallest float, which an integer power (never 0), a constant or
+        a table entry can be: those families are read exactly instead."""
+        if self.family == "power" and float(self.a).is_integer():
+            return np.ones(upto, dtype=bool)
+        if self.family == "constant":
+            return np.full(upto, self.c > 0)
+        if self.family == "table":
+            mask = np.zeros(upto, dtype=bool)
+            mask[[m - 1 for m, v in self.table if m <= upto and v > 0]] = True
+            return mask
+        return self.values(upto) > 0
+
 
 def _primorial_index(n: int):
     """The prime ell with primorial(ell) = n, if any."""
@@ -391,17 +406,36 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     ])
 
 
+def _prefixes(lo: int, hi: int):
+    """Yield (lo, top) windows covering [lo, hi], top doubling from
+    max(lo, 2^16): a pass that reads psi over each prefix q <= top costs
+    about twice the psi of the last one, not of hi."""
+    top = max(lo, 1 << 16)
+    while lo <= hi:
+        top = min(top, hi)
+        yield lo, top
+        lo, top = top + 1, 2 * top
+
+
 def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
-    """Yield event_union(q) for q in [Q, R), refused once the intervals
-    built so far pass cap: HELD_INTERVAL_CAP for a caller that holds every
-    event, INTERVAL_CAP for one that holds one at a time."""
+    """Yield (q, event_union(q)) for the q in [Q, R) with psi(q) > 0 (the
+    others are empty), read off ``psi.support`` over ``_prefixes``, and
+    refused once the intervals built so far pass cap: HELD_INTERVAL_CAP for
+    a caller that holds every event, INTERVAL_CAP for one that holds one at
+    a time.  A window past INTERVAL_CAP is refused there, as
+    ``event_union`` refuses any q at the cap."""
+    if Q < 1 and Q < R:
+        raise UsageError("need q >= 1")
     count = 0
-    for q in range(Q, R):
-        ev = event_union(q, psi, reduced)
-        count += len(ev)
-        if count > cap:
-            raise CapExceeded(f"interval count above {cap}")
-        yield ev
+    for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
+        for q in (np.flatnonzero(psi.support(top)[lo - 1 :]) + lo).tolist():
+            ev = event_union(q, psi, reduced)
+            count += len(ev)
+            if count > cap:
+                raise CapExceeded(f"interval count above {cap}")
+            yield q, ev
+    if max(Q, INTERVAL_CAP) < R:
+        raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
 
 
 def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[IntervalUnion]:
@@ -415,10 +449,8 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[Interv
     top doubling from max(Q, 2^16), so a refusal costs about the psi and phi
     of the q where the count passes the cap, not of R.  ``_events`` still
     counts what it builds, where merging lowers the count."""
-    hi = min(R, INTERVAL_CAP) - 1
-    held, lo, top = 0, Q, max(Q, 1 << 16)
-    while lo <= hi:
-        top = min(top, hi)
+    held = 0
+    for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
         vals = psi.values(top)
         phi = phi_sieve(top) if reduced else None
         for start in range(lo, top + 1, SUM_CHUNK):
@@ -427,8 +459,7 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[Interv
             held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
             if held > HELD_INTERVAL_CAP:
                 raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
-        lo, top = top + 1, 2 * top
-    return list(_events(psi, Q, R, reduced, HELD_INTERVAL_CAP))
+    return [ev for _, ev in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
 
 
 def truncated_limsup_measure(
@@ -451,7 +482,7 @@ def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:
     """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures),
     refused once the events' intervals pass INTERVAL_CAP."""
     total = Fraction(0)
-    for q, ev in enumerate(_events(psi, Q, cap + 1, True, INTERVAL_CAP), Q):
+    for q, ev in _events(psi, Q, cap + 1, True, INTERVAL_CAP):
         total += ev.measure
         if total >= 1:
             return q + 1

@@ -1,7 +1,9 @@
 """Exponential sums over digit-restricted sets and their certified bounds.
 
 S_A(theta) factors as a product of k single-digit window sums, which makes
-every mean, moment and maximum here computable in O(k) per point.  The
+it computable in O(k) at any one point; on the grid j/q^k it is the DFT of
+the indicator of the padded set, which one real FFT gives at every point
+of the half grid (``sa_chunks``) for the means and moments.  The
 "computer calculation" style inequalities (the sin-bound sum, the refined
 per-digit sum, the pairwise sum, the generalization margin) are evaluated
 as certified upper bounds: cell suprema are second-order Taylor bounds
@@ -21,11 +23,12 @@ import numpy as np
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
 from .numutil import catalan_constant, frac_exact, fsum_chunks, unit
+from .primes import digit_indicator
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
-# points in one array pass: a moment grid, whose 16N-byte root table peaks near
-# 225 MB at the cap (mean_l1 at q = 10, k = 7: 2.1 s), or q in a sin-sum or pairwise closed form
+# points in one array pass: a moment grid, whose real FFT peaks near 32N bytes
+# (mean_l1 at q = 10, k = 7: 0.55 s, 336 MB), or q in a sin-sum or pairwise closed form
 MOMENT_CAP = 10**7
 REFINED_GRID = 64  # subcells per cell in refined_digit_sum at least
 REFINED_SUBCELLS = 4096  # and at least this many per circle: a coarse circle's r outgrows its small M2
@@ -52,10 +55,6 @@ class FourierProfile:
     def __post_init__(self):
         if self.k < 1:
             raise UsageError("need k >= 1")
-
-    @property
-    def n_points(self) -> int:
-        return self.sys.q**self.k
 
     def capped_points(self, cap: int, what: str = "cap") -> int:
         """N = q^k, refused above ``cap`` before it is formed: q >= 2, so a k
@@ -117,7 +116,7 @@ class _Window:
 
     # -- complex values ---------------------------------------------------
 
-    def values(self, m, N: int, deriv: int = 0, root=None):
+    def values(self, m, N: int, deriv: int = 0):
         """Complex W at the exact phases phi = m/N, or with ``deriv`` = 1 or
         2 the tuple (W, W') or (W, W', W'').
 
@@ -125,15 +124,12 @@ class _Window:
         and serves W and its derivatives; a hole at 1, r or a reuses the
         hull's exponential.  W'' is formed from the same exponentials and
         from W', after it, so W and W' have the same bits at any ``deriv``.
-        Given ``root``, the table of e(l/N) for l < N, each e(n*phi) is read
-        as root[n*m mod N] instead: ``unit`` is elementwise and the table
-        took the same phase, so every float is the same.  The hull ratio
-        takes its phi -> 0 limits where |e(phi) - 1| < _DEN_EPS.
+        The hull ratio takes its phi -> 0 limits where |e(phi) - 1| < _DEN_EPS.
         """
         m = np.asarray(m, dtype=np.int64)
 
         def e(n):  # e(n*phi)
-            return unit((n * m % N) / N) if root is None else root[n * m % N]
+            return unit((n * m % N) / N)
 
         tp = 2j * math.pi
         tau2 = (2.0 * math.pi) ** 2  # (2*pi*i)^2 = -tau2
@@ -259,47 +255,21 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
 
 def sa_chunks(profile: FourierProfile):
     """Yield (j0, S_A(j/N) for j in [j0, j0+_CHUNK)) over the half grid
-    j <= N/2, as the product of the factors W(q^i j/N) for i = 0..k-1, in
-    level order.  The digits are integers, so S_A((N - j)/N) = conj S_A(j/N),
+    j <= N/2.  The digits are integers, so S_A((N - j)/N) = conj S_A(j/N),
     and a circle sum of |S_A|^sigma, or of Re(S_P conj S_A) with S_P also
     of real coefficients, is the half grid weighted by ``fold_weights``.
 
-    Each pass fills one root table e(l/N), l < N (16N bytes), a chunk at a
-    time, and every factor reads its exponentials from it: N exps per pass.
-    W(q^i j/N) = W(j/M) with M = q^(k-i) depends only on j mod M, so a level
-    i > 0 with M <= _CHUNK is tabulated once at the phases q^i m/N, m < M,
-    repeated to M + _CHUNK points, and read by each chunk as the slice from
-    j0 mod M; level 0 and the levels with M above the chunk read the table
-    per chunk.  (n*m mod M)/M and (n*q^i*j mod N)/N are correctly rounded
-    divisions of the same rational, and ``unit`` is elementwise, so every
-    factor is the float that evaluating each point gives; the table and the
-    tiles are those of the full grid, so each yielded float is the one the
-    full grid has at that j.
+    S_A(j/N) = sum_{n in A} e(n*j/N) is the conjugate of the DFT of the
+    0/1 indicator of the padded set, so one real FFT of it gives the whole
+    half grid (pocketfft, Bluestein for a prime N).  Its error at each j is
+    within the 2-norm bound c*u*log2(N)*sqrt(N*|A|) of Higham (2002),
+    Thm 24.2, and the values do not depend on _CHUNK.  The float indicator
+    (8N bytes) is freed before the conjugate is taken in place.
     """
-    q, k, N, chunk = profile.sys.q, profile.k, profile.n_points, _CHUNK
-    win = _Window(profile.sys)
-    root = np.empty(N, dtype=np.complex128)
-    for l0 in range(0, N, chunk):
-        root[l0 : l0 + chunk] = unit(np.arange(l0, min(l0 + chunk, N), dtype=np.int64) / N)
-    levels = []  # (q^i, level i repeated to M + chunk points, or None where it is read per chunk)
-    for i in range(k):
-        s, M = q**i, q ** (k - i)
-        tile = None
-        if 0 < i and M <= chunk:
-            tile = np.resize(win.values(np.arange(M) * s, N, root=root), M + chunk)
-        levels.append((s, tile))
-    half = N // 2 + 1
-    for j0 in range(0, half, chunk):
-        j = np.arange(j0, min(j0 + chunk, half), dtype=np.int64)
-        acc = np.ones(len(j), dtype=np.complex128)
-        for s, tile in levels:
-            if tile is None:
-                w = win.values(j * s % N, N, root=root)
-            else:
-                o = j0 % (N // s)
-                w = tile[o : o + len(j)]
-            acc = acc * w  # not *=: in place, a one-point product rounds differently
-        yield j0, acc
+    sa = np.fft.rfft(digit_indicator(profile.sys, profile.k, np.float64))
+    np.conjugate(sa, out=sa)
+    for j0 in range(0, len(sa), _CHUNK):
+        yield j0, sa[j0 : j0 + _CHUNK]
 
 
 def fold_weights(j0: int, n: int, N: int) -> np.ndarray:

@@ -196,25 +196,31 @@ def prime_sums(
     return pi, count, None if theta is None else complex(math.fsum(re), math.fsum(im))
 
 
+def digit_indicator(sys, j: int, dtype=bool, lead: bool = False) -> np.ndarray:
+    """ind[r] for r < q^j: every digit of r written with exactly j digits
+    (zero-padded) is allowed, or with ``lead`` every digit of the plain
+    expansion of r (the expansion of 0 is empty).  It grows one digit at a
+    time as outer products r = r' * q + d, so no integer array is built;
+    a float ``dtype`` gives the 0/1 indicator."""
+    ind = np.ones(1, dtype=dtype)
+    if j:
+        allowed = np.zeros(sys.q, dtype=dtype)
+        allowed[list(sys.digits)] = 1
+        for _ in range(j):
+            ind = np.multiply.outer(ind, allowed).ravel()
+            if lead:
+                ind[0] = 1
+    return ind
+
+
 def _digit_patterns(sys) -> tuple[int, np.ndarray, np.ndarray]:
     """(Q, full, lead) for Q = q^j, the largest power of q with at most
-    2*SEGMENT integers (j = 0, Q = 1 when q itself is larger).
-
-    full[r]: every digit of r written with exactly j digits (zero-padded)
-    is allowed; lead[r]: every digit of the plain expansion of r is.  Both
-    grow one digit at a time as outer products r = r' * q + d, so no
-    integer array is built.
-    """
-    q = sys.q
-    full = lead = np.ones(1, dtype=bool)
-    if q <= 2 * SEGMENT:
-        allowed = np.zeros(q, dtype=bool)
-        allowed[list(sys.digits)] = True
-        while len(full) * q <= 2 * SEGMENT:
-            full = np.logical_and.outer(full, allowed).ravel()
-            lead = np.logical_and.outer(lead, allowed).ravel()
-            lead[0] = True  # the expansion of 0 is empty
-    return len(full), full, lead
+    2*SEGMENT integers (j = 0, Q = 1 when q itself is larger): the
+    ``digit_indicator`` of j digits, zero-padded and plain."""
+    j = 0
+    while sys.q ** (j + 1) <= 2 * SEGMENT:
+        j += 1
+    return sys.q**j, digit_indicator(sys, j), digit_indicator(sys, j, lead=True)
 
 
 def _block_runs(sys, m: int) -> list[list[int]]:

@@ -167,7 +167,7 @@ def test_11_parseval():
         k = max(1, min(4, int(math.log(3000) / math.log(size))))
         prof = F.FourierProfile(sys, k)
         total = F.power_sum(prof, 2.0)
-        expect = prof.n_points * prof.set_size
+        expect = prof.sys.q**prof.k * prof.set_size
         assert abs(total - expect) / expect < 1e-6
     el = time.perf_counter() - t0
     report(11, "Parseval: (1/N) sum |S_A|^2 = |A(N)| on 20 instances", el, 60.0)

@@ -570,12 +570,14 @@ class TestDeterminism:
         (("certify", "--sys", "q=5000,exclude=1", "--ell-max", "1"),
          "24160695ff9e7cd80008dd5789b4cbca17254955cd10f67ebcbb988ed78e9fd7"),
         # primaryTerm read off the identity grid: 671.4090000000001 -> 671.409;
-        # the grid folded over j -> N - j: identitySum 679.9999999999964 -> 680.0000000000003
+        # the grid folded over j -> N - j: identitySum 679.9999999999964 -> 680.0000000000003;
+        # S_A from one real FFT: identitySum -> 680.0000000000001
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4"),
-         "bc5b84cd42261effeab3c7ed282465d159e98ded93b92b17e18dd6f71a83eaff"),
-        # folded masses: primary-major 1141.3269625014236 -> 1141.3269625014286
+         "f720c01fd5f0013e8e1ae3e2cc83807101fb299a2d0f7b6343a96d69ad5c4880"),
+        # folded masses: primary-major 1141.3269625014236 -> 1141.3269625014286;
+        # S_A from one real FFT: -> 1141.3269625014289
         (("arcs", "--sys", "q=10,exclude=7", "-k", "4", "--full-scan", "--A", "1.5"),
-         "9f55b246b56cfeec713739cb4e7559ff3c658562170c3a9c76b9091c424fd250"),
+         "21b1a213c83470e7680a8b4ff4645aa919d82ee7f8016cd3cab200bfd04c97bc"),
         # N = 7 is prime: the spectrum wraps p = N onto residue 0
         (("arcs", "--sys", "q=7,exclude=3", "-k", "1"),
          "ac8f0b8520f0c45e7506f0dbe97cca91230b2935f1ab605239f678418af306b0"),

@@ -486,6 +486,44 @@ class TestTruncatedMeasure:
         assert sum(phi_sieve(R - 1)[2:].tolist()) > D.HELD_INTERVAL_CAP
 
 
+    def test_zero_psi_builds_no_event(self, monkeypatch):
+        # ds_base is 0 off the primorials: [30000, 600000) builds the events
+        # at 30030 and 510510 only, and the measure is the one that building
+        # all 570000 events gave (10.1 s against 0.47 s)
+        built = []
+        union = D.event_union
+        monkeypatch.setattr(D, "event_union", lambda q, *args: built.append(q) or union(q, *args))
+        m = D.truncated_limsup_measure(PsiFunction.ds_base(), 30000, 600000)
+        assert m == Fraction(1890555281625666489, 99498342470930923520)
+        assert built == [30030, 510510]
+
+    def test_zero_psi_skipped_against_every_event(self):
+        # a table with zeros, an explicit 0 and entries below the smallest
+        # float, and a constant below it: the union of every q's event
+        tiny = Fraction(1, 10**400)
+        table = PsiFunction.from_pairs([(2, Fraction(1, 3)), (5, Fraction(2, 7)), (7, 0), (30, tiny), (400, Fraction(1, 5))])
+        for psi, Q, R in ((table, 1, 500), (PsiFunction.constant(tiny), 2, 40), (PsiFunction.ds_base(), 2, 300)):
+            for reduced in (True, False):
+                every = frac_normalize(pair for q in range(Q, R) for pair in frac_event(q, psi, reduced))
+                assert D.truncated_limsup_measure(psi, Q, R, reduced) == frac_measure(every), (psi.family, reduced)
+        # select_R steps over the zeros and still counts the tiny entry's measure
+        psi = PsiFunction.from_pairs([(3, 1), (50, tiny), (700, 2), (7000, 7000**2)])
+        assert D.select_R(psi, 2, cap=10000) == 7001
+        with pytest.raises(NotReached):
+            D.select_R(psi, 2, cap=6999)
+
+    def test_support_is_where_exact_psi_is_positive(self):
+        tiny = Fraction(1, 10**400)
+        for psi in (
+            PsiFunction.power(2), PsiFunction.power(400), PsiFunction.power(Fraction(801, 2)),
+            PsiFunction.constant(0), PsiFunction.constant(tiny), PsiFunction.khinchin_threshold(0.5),
+            PsiFunction.ds_base(), PsiFunction.ds_spread(),
+            PsiFunction.from_pairs([(3, tiny), (4, 0), (9, Fraction(1, 2)), (300, 1)]),
+        ):
+            want = [psi.exact(n) > 0 for n in range(1, 241)]
+            assert psi.support(240).tolist() == want, psi
+
+
 class TestPairOverlap:
     def test_disjoint_windows(self):
         exact, pv = D.pair_overlap(3, 6, PsiFunction.constant(Fraction(1, 2)))

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,17 @@ class TestWindow:
                 got = complex(win.values(np.array([m]), 2**53)[0])
                 assert abs(got - direct) < 1e-6
 
+    @pytest.mark.parametrize("digits", [(0, 1, 2, 3), (0, 1, 2, 4, 5), (1, 2, 4, 5)])
+    def test_ratio_limit_below_den_eps(self, digits, monkeypatch):
+        N = 6**4
+        win = _Window(DigitSystem.of(6, digits))
+        m = np.array([0, 1, N - 1, 2, N - 2])
+        ratio = win.values(m, N)
+        # |e(1/N) - 1| = 0.00485: this eps puts m = 0, 1 and N - 1 in the limit branch, and m = 2 not
+        monkeypatch.setattr(F, "_DEN_EPS", 0.006)
+        limit = win.values(m, N) != ratio
+        assert list(limit) == [False, True, True, False, False]  # at m = 0 the limit is the only value
+
     @given(st.integers(2, 11), st.data(), st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
     def test_derivative_matches_direct(self, q, data, num):
@@ -166,7 +178,7 @@ class TestRestrictedExpSum:
         # the grid is the half j <= N/2; S_A is conjugate-symmetric beyond it
         prof = FourierProfile(DigitSystem.of(6, (0, 2, 3, 5)), 3)
         grid = joined(F.sa_chunks(prof))
-        N = prof.n_points
+        N = prof.sys.q**prof.k
         assert len(grid) == N // 2 + 1
         for j in (0, 1, 17, N // 2):
             want = F.restricted_exp_sum(prof, Fraction(j, N))
@@ -176,7 +188,7 @@ class TestRestrictedExpSum:
     @settings(max_examples=20, deadline=None)
     def test_parseval(self, prof):
         total = F.power_sum(prof, 2.0)
-        expect = prof.n_points * prof.set_size
+        expect = prof.sys.q**prof.k * prof.set_size
         assert abs(total - expect) / expect < 1e-6
 
 
@@ -345,9 +357,9 @@ class TestThirdOrder:
         windows, steps = [], []
         plain_values, plain_sup = _Window.values, F._taylor_sup
 
-        def values(self, m, N, deriv=0, root=None):
+        def values(self, m, N, deriv=0):
             windows.append(np.size(m))
-            return plain_values(self, m, N, deriv, root)
+            return plain_values(self, m, N, deriv)
 
         def taylor_sup(g, gp, r, rem):
             steps.append(np.size(g))
@@ -420,7 +432,7 @@ def same_bits(a, b) -> bool:
 def pointwise_half_grid(prof):
     """The product of the W(q^i j/N), each evaluated at every point j <= N/2
     of the half grid at once."""
-    q, k, N = prof.sys.q, prof.k, prof.n_points
+    q, k, N = prof.sys.q, prof.k, prof.sys.q**prof.k
     win = _Window(prof.sys)
     j = np.arange(N // 2 + 1)
     want = np.ones(len(j), dtype=np.complex128)
@@ -440,21 +452,25 @@ TABULATED = [
     FourierProfile(DigitSystem.of(6, (1, 4)), 6),
 ]
 
+# the product form errs by up to 4.9e-8 against 40-digit mpmath at q = 10,
+# k = 6 (j = 3..10, its phases near 0 uncentred) and the real FFT by 2e-11,
+# so the two agree within twice the product form's error
+POINTWISE_ATOL = 1e-7
+
 
 class TestGridTabulation:
-    """Tabulated levels give the floats of evaluating every point."""
+    """The half grid from one real FFT: the product of the level windows
+    within that product's error, and the same floats at any chunk size."""
 
     @pytest.mark.parametrize("prof", TABULATED)
-    def test_levels_match_pointwise(self, prof, monkeypatch):
+    def test_levels_match_pointwise(self, prof):
         # the closed form serves every set here but the direct sum D = {1, 4}
         assert _Window(prof.sys).closed == (prof.sys.digits != (1, 4))
-        want = pointwise_half_grid(prof)
-        for chunk in (F._CHUNK, 6**4, 6**4 + 5):
-            monkeypatch.setattr(F, "_CHUNK", chunk)
-            assert same_bits(joined(F.sa_chunks(prof)), want)
+        np.testing.assert_allclose(joined(F.sa_chunks(prof)), pointwise_half_grid(prof), rtol=0, atol=POINTWISE_ATOL)
 
     @pytest.mark.parametrize("digits", [(0, 2, 3, 5), (1, 2, 3), (1, 4)])
     def test_chunk_one_tabulates_nothing(self, digits, monkeypatch):
+        # one point per chunk yields the floats of the default chunk
         prof = FourierProfile(DigitSystem.of(6, digits), 4)
         want = joined(F.sa_chunks(prof))
         monkeypatch.setattr(F, "_CHUNK", 1)
@@ -466,11 +482,13 @@ class TestGridTabulation:
         monkeypatch.setattr(F, "_CHUNK", 6**4)
         assert same_bits(joined(F.sa_chunks(prof)), want)
 
-    def test_multi_chunk_grid_is_pointwise_product(self):
+    def test_multi_chunk_grid_is_pointwise_product(self, monkeypatch):
         prof = FourierProfile(DigitSystem.excluding(10, {7}), 6)
-        assert prof.n_points // 2 > F._CHUNK
-        want = pointwise_half_grid(prof)
-        assert same_bits(joined(F.sa_chunks(prof)), want)
+        assert prof.sys.q**prof.k // 2 > F._CHUNK
+        got = joined(F.sa_chunks(prof))
+        np.testing.assert_allclose(got, pointwise_half_grid(prof), rtol=0, atol=POINTWISE_ATOL)
+        monkeypatch.setattr(F, "_CHUNK", 1000)
+        assert same_bits(joined(F.sa_chunks(prof)), got)
 
     def test_window_derivative_independent_of_batch_size(self):
         win = _Window(DigitSystem.of(10, (1, 2, 3, 4)))
@@ -481,73 +499,67 @@ class TestGridTabulation:
             assert same_bits(ws, w[lo : lo + 10]) and same_bits(wps, wp[lo : lo + 10])
 
     def test_work_count(self, monkeypatch):
-        evaluated = []
-        plain = _Window.values
+        # one real FFT of the N-point indicator per pass; no window sum and
+        # no complex exponential is evaluated
+        sizes = []
+        rfft = np.fft.rfft
 
-        def counting(self, m, N, deriv=False, root=None):
-            evaluated.append(np.size(m))
-            return plain(self, m, N, deriv, root)
+        def counting(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(_Window, "values", counting)
-        for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
-            pass
-        # level 0 at the half grid's points, and the tiles of M = 10^5 .. 10
-        assert sum(evaluated) == 10**6 // 2 + 1 + 111110
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exponential was evaluated")
 
-    def test_one_exp_per_grid_point(self, monkeypatch):
-        # the root table is the only caller of unit: level 0 reads e(1), e(r)
-        # and the hole e(7) from it, and the tabulated levels read their tiles
-        phases = []
-        plain = F.unit
-
-        def counting(ph):
-            phases.append(np.size(ph))
-            return plain(ph)
-
-        monkeypatch.setattr(F, "unit", counting)
-        for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
-            pass
-        assert sum(phases) == 10**6
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        monkeypatch.setattr(F, "unit", forbidden)
+        monkeypatch.setattr(_Window, "values", forbidden)
+        chunks = list(F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)))
+        assert sizes == [10**6]
+        assert [j0 for j0, _ in chunks] == list(range(0, 10**6 // 2 + 1, F._CHUNK))
 
 
-def assert_root_same_bits(win, m, N):
-    root = F.unit(np.arange(N) / N)
-    for deriv in (False, True):
-        want, got = win.values(m, N, deriv), win.values(m, N, deriv, root)
-        assert all(same_bits(a, b) for a, b in zip(np.atleast_2d(want), np.atleast_2d(got)))
+def mp_half_grid(prof, j: int) -> complex:
+    """S_A(j/N) in 40-digit mpmath: the product over the levels i < k of
+    the full window's geometric sum less the missing digits, each phase
+    q^i*j/N reduced in integers."""
+    q, k, N = prof.sys.q, prof.k, prof.sys.q**prof.k
+    missing = prof.sys.missing()
+    with mpmath.workdps(40):
+        total = mpmath.mpc(1)
+        for i in range(k):
+            phi = mpmath.mpf(q**i * j % N) / N
+            e = lambda n: mpmath.expjpi(2 * n * phi)  # noqa: E731
+            w = mpmath.mpf(q) if phi == 0 else (e(q) - 1) / (e(1) - 1)
+            total *= w - mpmath.fsum(e(h) for h in missing)
+        return complex(total)
 
 
-class TestRootTable:
-    """_Window.values reading e(n*m/N) from the root table gives the bits of
-    evaluating each exponential."""
+class TestGridAccuracy:
+    """Each half-grid value within u*log2(N)*sqrt(N*|A|) of 40-digit mpmath:
+    the 2-norm bound on the real FFT's error (Higham 2002, Thm 24.2) without
+    its constant, since the indicator's DFT has 2-norm sqrt(N*|A|)."""
 
     @pytest.mark.parametrize(
-        "q, digits, closed, a",
+        "prof",
         [
-            (10, (0, 1, 2, 3, 4, 5, 6, 8, 9), True, 0),  # one hole, not at 1 or r
-            (6, (1, 2, 4, 5), True, 1),  # the hole 3; e(a) is e(1)
-            (8, (2, 3, 5, 6), True, 2),  # the hole 4; e(a) = e(2) is its own
-            (6, (1, 4), False, 1),  # direct sum over D
+            FourierProfile(DigitSystem.excluding(10, {7}), 6),
+            FourierProfile(DigitSystem.of(6, (0, 2, 3, 5)), 4),
+            FourierProfile(DigitSystem.of(3, (0, 2)), 12),
+            FourierProfile(DigitSystem.excluding(10007, {5}), 1),  # N prime: Bluestein
         ],
+        ids=lambda p: f"q={p.sys.q},k={p.k}",
     )
-    @pytest.mark.parametrize("N", [6**4, 10**4 + 7])
-    def test_same_bits_on_every_branch(self, q, digits, closed, a, N):
-        win = _Window(DigitSystem.of(q, digits))
-        assert (win.closed, win.start) == (closed, a)
-        m = np.arange(N)
-        assert_root_same_bits(win, np.concatenate((m, (7 * m + 3) % N)), N)  # in order, and strided
-
-    @pytest.mark.parametrize("digits", [(0, 1, 2, 3), (0, 1, 2, 4, 5), (1, 2, 4, 5)])
-    def test_same_bits_at_the_ratio_limit(self, digits, monkeypatch):
-        N = 6**4
-        win = _Window(DigitSystem.of(6, digits))
-        m = np.array([0, 1, N - 1, 2, N - 2])
-        ratio = win.values(m, N)
-        # |e(1/N) - 1| = 0.00485: this eps puts m = 0, 1 and N - 1 in the limit branch, and m = 2 not
-        monkeypatch.setattr(F, "_DEN_EPS", 0.006)
-        assert_root_same_bits(win, m, N)
-        limit = win.values(m, N) != ratio
-        assert list(limit) == [False, True, True, False, False]  # at m = 0 the limit is the only value
+    def test_within_fft_bound_of_mpmath(self, prof):
+        q, k, N = prof.sys.q, prof.k, prof.sys.q**prof.k
+        grid = joined(F.sa_chunks(prof))
+        assert len(grid) == N // 2 + 1
+        js = {*range(11), N // 2}
+        js |= {m * (N // q**i) for i in range(1, k + 1) for m in (1, 3)}  # multiples of N/q^i
+        js |= set(np.random.default_rng(N).integers(0, N // 2 + 1, 12).tolist())
+        bound = 2.0**-53 * math.log2(N) * math.sqrt(N * prof.set_size)
+        for j in sorted(x for x in js if x <= N // 2):
+            assert abs(grid[j] - mp_half_grid(prof, j)) <= bound, j
 
 
 class TestGeneralizedMargin:
@@ -623,7 +635,7 @@ class TestMomentTail:
         T = 5.0
         count, bound = F.moment_tail(prof, 2.0, T)
         A = prof.set_size
-        expect = (T / A) ** 2 * prof.n_points * A
+        expect = (T / A) ** 2 * prof.sys.q**prof.k * A
         assert bound == pytest.approx(expect, rel=1e-6)
         assert count <= bound
 
