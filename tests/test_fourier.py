@@ -499,8 +499,8 @@ class TestGridTabulation:
             assert same_bits(ws, w[lo : lo + 10]) and same_bits(wps, wp[lo : lo + 10])
 
     def test_work_count(self, monkeypatch):
-        # one real FFT of the N-point indicator per pass; no window sum and
-        # no complex exponential is evaluated
+        # one real FFT of the N-point indicator per pass; no window sum is
+        # evaluated
         sizes = []
         rfft = np.fft.rfft
 
@@ -509,14 +509,28 @@ class TestGridTabulation:
             return rfft(a, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an exponential was evaluated")
+            raise AssertionError("a window sum was evaluated")
 
         monkeypatch.setattr(np.fft, "rfft", counting)
-        monkeypatch.setattr(F, "unit", forbidden)
         monkeypatch.setattr(_Window, "values", forbidden)
         chunks = list(F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)))
         assert sizes == [10**6]
         assert [j0 for j0, _ in chunks] == list(range(0, 10**6 // 2 + 1, F._CHUNK))
+
+    def test_one_exp_per_grid_point(self, monkeypatch):
+        # the grid pass once read one exponential per grid point from a root
+        # table; the real FFT needs none, so unit is never called
+        phases = []
+        plain = F.unit
+
+        def counting(ph):
+            phases.append(np.size(ph))
+            return plain(ph)
+
+        monkeypatch.setattr(F, "unit", counting)
+        for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
+            pass
+        assert sum(phases) == 0
 
 
 def mp_half_grid(prof, j: int) -> complex:
