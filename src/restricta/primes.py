@@ -16,7 +16,11 @@ Miller-Rabin (an int, refused at psi_13, or a whole int64
 array in uint64 Montgomery arithmetic), primorials, and exact
 factorization, which Mobius reads: trial division by the primes of one
 list grown on demand, with Miller-Rabin only for a cofactor that
-TRIAL_LIMIT leaves unsettled.
+TRIAL_LIMIT leaves unsettled.  The int64 array paths of both share one
+exact divisibility test by the odd prime p, n*p^-1 mod 2^64 <=
+floor((2^64 - 1)/p) (``_divisibility``): the array Miller-Rabin trial-
+divides by the odd primes below 256 with it, and an int64 array is
+factored in one pass of it over blocks of primes.
 """
 
 from __future__ import annotations
@@ -378,34 +382,40 @@ def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:
     return True
 
 
-# The array path: trial division by the primes below 256, then Miller-Rabin
-# in exact uint64 Montgomery arithmetic (R = 2^64, n odd and below 2^63), with
-# the rows of the psi_k table below 2^63 and k = 12 above them.
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """x^-1 mod 2^64 for odd uint64 x: Newton steps inv *= 2 - x*inv from
+    inv = x, which is right to 3 bits (x*x = 1 mod 8), each step doubling
+    the bits that are right, so five steps give all 64."""
+    inv = x.copy()
+    for _ in range(5):
+        inv *= 2 - x * inv
+    return inv
+
+
+def _divisibility(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p^-1 mod 2^64, floor((2^64 - 1)/p)) for odd uint64 p: p divides a
+    uint64 n exactly when n*p^-1 mod 2^64 is at most the bound, and then
+    n*p^-1 mod 2^64 is n/p (Granlund-Montgomery 1994, section 9).
+
+    Multiplying by p^-1 permutes the residues mod 2^64 and sends each
+    multiple k*p < 2^64 to k, so every other n lands above the bound."""
+    return _inverse(p), (2**64 - 1) // p
+
+
+# The array path: trial division by the odd primes below 256, then
+# Miller-Rabin in exact uint64 Montgomery arithmetic (R = 2^64, n odd and
+# below 2^63), with the rows of the psi_k table below 2^63 and k = 12 above
+# them.
 _SMALL = _simple_sieve(255)
 _SMALL_PRIME = np.zeros(256, dtype=bool)
 _SMALL_PRIME[_SMALL] = True
+_SMALL_TESTS = tuple(zip(*_divisibility(_SMALL[1:].astype(np.uint64))))  # (p^-1, bound) per odd p
 _VEC_PSI = np.array([psi for psi, _ in _MR_TABLE if psi < 1 << 63], dtype=np.uint64)
 _VEC_K = np.array([k for _, k in _MR_TABLE[: len(_VEC_PSI) + 1]], dtype=np.int8)
 _POW2 = np.array([1 << i for i in range(63)], dtype=np.uint64)
 _LO32 = 0xFFFF_FFFF
 _BLOCK = 1 << 13  # elements per block: the temporaries of a block stay in cache
-
-
-def _trial_groups() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The odd primes below 256 in runs whose product stays below 2^31: one
-    int64 remainder per run, then int32 remainders per prime."""
-    groups, run, prod = [], [], 1
-    for p in _SMALL[1:].tolist():
-        if prod * p >= 1 << 31:
-            groups.append((prod, tuple(run)))
-            run, prod = [], 1
-        run.append(p)
-        prod *= p
-    groups.append((prod, tuple(run)))
-    return tuple(groups)
-
-
-_TRIAL_GROUPS = _trial_groups()
+_HITS = 1 << 16  # (cofactor, prime) tests per step of the array factorization
 
 
 def _is_prime_array(n: np.ndarray) -> np.ndarray:
@@ -440,14 +450,15 @@ def _is_prime_array(n: np.ndarray) -> np.ndarray:
 
 def _trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(prime, live) for a block: prime where n is a prime below 2^16, live
-    where n >= 2^16 has no prime factor below 256."""
+    where n >= 2^16 has no prime factor below 256.  Each odd prime is one
+    uint64 product and compare per element (``_divisibility``); the
+    negative n, whose uint64 view is above 2^63, are masked out first."""
     prime = (n >= 0) & (n < 256)
     prime[prime] = _SMALL_PRIME[n[prime]]
-    live = (n >= 256) & (n % 2 == 1)
-    for prod, run in _TRIAL_GROUPS:
-        rem = (n % prod).astype(np.int32)
-        for p in run:
-            live &= rem % p != 0
+    u = n.view(np.uint64)
+    live = (n >= 256) & (n & 1 == 1)
+    for inv, bound in _SMALL_TESTS:
+        live &= u * inv > bound
     prime |= live & (n < 1 << 16)
     return prime, live & (n >= 1 << 16)
 
@@ -477,14 +488,11 @@ def _strong_probable_prime(n: np.ndarray, a: int) -> np.ndarray:
     """True where the odd n (uint64, 2^16 <= n < 2^63) is a strong probable
     prime to base a, in Montgomery form with R = 2^64: x stands for x*R mod n.
 
-    n' = -n^-1 mod 2^64 comes from Newton steps from inv = n (right to 3
-    bits, doubling each step); R mod n is (0 - n) % n; a*(xR) = (ax)R is
-    formed by doubling and adding, so the base needs no Montgomery product.
+    n' = -n^-1 mod 2^64 comes from ``_inverse``; R mod n is (0 - n) % n;
+    a*(xR) = (ax)R is formed by doubling and adding, so the base needs no
+    Montgomery product.
     """
-    inv = n.copy()
-    for _ in range(5):
-        inv *= 2 - n * inv
-    n_neg_inv = 0 - inv
+    n_neg_inv = 0 - _inverse(n)
     one = (0 - n) % n
     minus_one = n - one
     d = n - 1
@@ -525,7 +533,7 @@ def _trial_primes() -> Iterator[int]:
         start = stop
 
 
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int | np.ndarray) -> dict[int, int] | list[dict[int, int]]:
     """Exact factorization: trial division by the primes up to TRIAL_LIMIT,
     then Miller-Rabin certification of the cofactor.  Refuses composites
     with two factors above TRIAL_LIMIT (certified mode).
@@ -533,7 +541,12 @@ def factorize(n: int) -> dict[int, int]:
     Trial division stops at the first prime p with p^2 above the cofactor,
     which is then 1 or prime with no test; only a cofactor left when p
     passes the trial limit goes to Miller-Rabin.
+
+    n is a Python int, or an int64 array, for which a list of one dict per
+    element, in flat order, is returned (see ``_factorize_array``).
     """
+    if isinstance(n, np.ndarray):
+        return _factorize_array(n)
     if n < 1:
         raise UsageError("factorize needs n >= 1")
     fac: dict[int, int] = {}
@@ -559,6 +572,76 @@ def factorize(n: int) -> dict[int, int]:
     return fac
 
 
+def _factorize_array(n: np.ndarray) -> list[dict[int, int]]:
+    """``factorize`` of every element of an int64 array, in one pass.
+
+    The powers of 2 come off at the lowest set bit.  The live cofactors are
+    then tried against the odd primes up to min(TRIAL_LIMIT, sqrt(max)),
+    a block of primes at a time, each test one uint64 product and compare
+    (``_divisibility``); the exponent is taken only at a hit, by multiplying
+    by p^-1 while p still divides.  After each block a cofactor below the
+    square of the next prime is 1 or prime and leaves the live set.  The
+    cofactors still live past TRIAL_LIMIT get the array Miller-Rabin, and
+    the first composite one, in flat order, is refused as the scalar path
+    refuses it.
+    """
+    if n.dtype != np.int64:
+        raise UsageError(f"factorize takes an int64 array, not {n.dtype}")
+    flat = n.reshape(-1)
+    if flat.size and flat.min() < 1:
+        raise UsageError("factorize needs n >= 1")
+    facs: list[dict[int, int]] = [{} for _ in range(flat.size)]
+    m = flat.astype(np.uint64)
+    low = m & (0 - m)
+    twos = np.searchsorted(_POW2, low)
+    for i in np.flatnonzero(twos).tolist():
+        facs[i][2] = int(twos[i])
+    m //= low
+    idx = np.arange(flat.size)
+    limit = min(TRIAL_LIMIT, math.isqrt(int(m.max(initial=1))))
+    odd = _simple_sieve(2 * limit + 3)[1:]  # holds an odd prime above limit (Bertrand)
+    top = int(np.searchsorted(odd, limit, side="right"))
+
+    def settle(idx, m, p):
+        """Drop the cofactors below p^2, recording those above 1 as primes."""
+        keep = m >= p * p
+        done = ~keep & (m > 1)
+        for i, c in zip(idx[done].tolist(), m[done].tolist()):
+            facs[i][c] = 1
+        return idx[keep], m[keep]
+
+    idx, m = settle(idx, m, int(odd[0]))
+    start = 0
+    while idx.size and start < top:
+        stop = min(top, start + max(1, _HITS // idx.size))
+        ps = odd[start:stop].astype(np.uint64)
+        inv, bound = _divisibility(ps)
+        r, c = np.nonzero(np.multiply.outer(m, inv) <= bound)
+        if r.size:
+            x, inv, bound = m[r], inv[c], bound[c]  # one entry per hit
+            e = np.zeros(r.size, dtype=np.int64)
+            go = np.ones(r.size, dtype=bool)
+            while go.any():
+                x = np.where(go, x * inv, x)
+                e += go
+                go = x * inv <= bound
+            power = np.ones_like(m)
+            np.multiply.at(power, r, m[r] // x)
+            m //= power
+            for i, p, k in zip(idx[r].tolist(), ps[c].tolist(), e.tolist()):
+                facs[i][p] = k
+        start = stop
+        idx, m = settle(idx, m, int(odd[start]))
+    if idx.size:
+        prime = is_prime_int(m.astype(np.int64))
+        if not prime.all():
+            j = int(np.argmin(prime))
+            raise FactorizationTooHard(f"composite cofactor {int(m[j])} of {int(flat[idx[j]])}")
+        for i, c in zip(idx.tolist(), m.tolist()):
+            facs[i][c] = 1
+    return facs
+
+
 def primorial(ell: int) -> int:
     """Product of all primes <= ell (exact integer; 1 below 2)."""
     return math.prod(_simple_sieve(ell).tolist())
@@ -571,11 +654,3 @@ def _primorials() -> Iterator[tuple[int, int]]:
     for p in _trial_primes():
         q *= p
         yield p, q
-
-
-def divisors(n: int) -> list[int]:
-    """All divisors of n, increasing, from the exact factorization."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)

@@ -263,6 +263,19 @@ class TestJsonOutputs:
         assert code == 1
         assert json.loads(out)["error"] == "factorization-too-hard"
 
+    @pytest.mark.parametrize("cmd", ["model", "compress"])
+    def test_gcdgraph_names_the_first_refused_element(self, capsys, tmp_path, cmd):
+        # two elements, each with two prime factors above the trial limit:
+        # the message names the smaller, as the per-element scalar walk did
+        path = tmp_path / "set.txt"
+        path.write_text(f"12\n{3 * 1_000_037 * 1_000_039}\n30\n{2 * 1_000_003 * 1_000_033}\n77\n")
+        code, out, _ = run_cli(capsys, "gcdgraph", "--cmd", cmd, "--set", str(path), "--B", "2")
+        assert code == 1
+        assert out == (
+            '{"error":"factorization-too-hard",'
+            '"message":"composite cofactor 1000036000099 of 2000072000198"}\n'
+        )
+
     def test_oversized_grid_refused_before_any_array(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run_cli(capsys, "fourier", "--check", "refined", "--q", "101", "--grid", "10000000")

@@ -116,9 +116,16 @@ class TestModelProblem:
             assert mult == want
             assert g >= B and sum(1 for s in S if s % g == 0) == mult
 
+    def test_factorizations_split_at_2_63(self):
+        # one array call below 2^63, the scalar path from 2^63 on
+        vals = (1, 6, 999_983**2, 2**63 - 25, 2**63 - 1, 2**63, 2**64 + 1, 3**41)
+        assert G._factorizations(vals) == [factorize(v) for v in vals]
+        assert G._factorizations(()) == []
+
     def test_recount_mismatch_raises(self, monkeypatch):
         # the recount check must hold under python -O too, so it raises
-        monkeypatch.setattr(G, "divisors", lambda s: [1, 7])
+        # every element reported as 7: 7 would be counted three times
+        monkeypatch.setattr(G, "_factorizations", lambda vals: [{7: 1} for _ in vals])
         with pytest.raises(RuntimeError):
             G.model_problem_search(G.GcdInstance((7, 10, 12), 2))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -486,6 +487,7 @@ class TestFactorization:
         else:
             with pytest.raises(FactorizationTooHard):
                 P.factorize(n)
+        _factorize_agrees([4 * n, n, 1019 * 1019, 1_000_003])
 
     def test_cofactor_below_square_of_next_prime_needs_no_test(self, monkeypatch):
         # trial division up to sqrt(n) leaves 1 or a prime: Miller-Rabin is
@@ -575,6 +577,76 @@ class TestFactorization:
         assert np.array_equal(P.phi_sieve(N), phi)
 
 
+def _factorize_agrees(values):
+    """The int64 array path of factorize against the scalar path: the same
+    dicts, the order of their factors included, or the same refusal."""
+    arr = np.array(values, dtype=np.int64)
+    try:
+        want = [P.factorize(v) for v in values]
+    except FactorizationTooHard as exc:
+        with pytest.raises(FactorizationTooHard, match=f"^{re.escape(str(exc))}$"):
+            P.factorize(arr)
+        return
+    got = P.factorize(arr)
+    assert got == want
+    assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+
+
+# primes on either side of the trial limit 10^6
+_BELOW_LIMIT = (999_953, 999_959, 999_961, 999_979, 999_983)
+_ABOVE_LIMIT = (1_000_003, 1_000_033, 1_000_037, 1_000_039)
+
+
+class TestFactorizationArray:
+    @given(st.lists(st.one_of(st.integers(1, 2**20), st.integers(1, 10**12), st.integers(2**62, 2**63 - 1)),
+                    max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_scalar(self, values):
+        _factorize_agrees(values)
+
+    def test_edges(self):
+        _factorize_agrees([1, 2, 3, 4, 8, 9, 2**62, 2**63 - 1, 2**63 - 2, 2**63 - 25, 3**39, 7**22, 251**7])
+        _factorize_agrees([p**3 for p in _BELOW_LIMIT] + [p * p for p in _BELOW_LIMIT])
+        _factorize_agrees(list(_ABOVE_LIMIT) + [2 * 3 * p for p in _ABOVE_LIMIT] + [p * 999_983 for p in _ABOVE_LIMIT])
+        _factorize_agrees([2**40 * 1_000_003, 3**20 * 999_983, 6 * 999_999_000_001])
+
+    def test_empty_and_shape(self):
+        assert P.factorize(np.empty(0, dtype=np.int64)) == []
+        got = P.factorize(np.arange(1, 13, dtype=np.int64).reshape(3, 4))
+        assert got == [P.factorize(v) for v in range(1, 13)]
+
+    @pytest.mark.parametrize("pair", [(1_000_003, 1_000_033), (1_000_003, 1_000_003), (2**31 - 1, 1_000_003)])
+    def test_refuses_the_first_hard_element(self, pair):
+        hard = pair[0] * pair[1]
+        later = 1_000_037 * 1_000_039
+        for values in ([12, 6 * hard, 5, later], [later * 2, hard, 9]):
+            _factorize_agrees(values)
+        with pytest.raises(FactorizationTooHard, match=f"^composite cofactor {hard} of {6 * hard}$"):
+            P.factorize(np.array([12, 6 * hard, 5, later], dtype=np.int64))
+
+    def test_miller_rabin_only_past_the_trial_limit(self, monkeypatch):
+        # as in the scalar path, a cofactor below the square of the next
+        # prime is 1 or prime with no test
+        calls = []
+        monkeypatch.setattr(P, "is_prime_int", lambda n: calls.append(n.tolist()) or P._is_prime_array(n))
+        assert P.factorize(np.array([6 * 999_999_000_001, 1_000_003], dtype=np.int64)) == [
+            {2: 1, 3: 1, 999_999_000_001: 1}, {1_000_003: 1}]
+        assert calls == []
+        # past a trial limit of 100 only the cofactors from 101^2 on are tested
+        monkeypatch.setattr(P, "TRIAL_LIMIT", 100)
+        assert P.factorize(np.array([97 * 20_011, 6 * 10_007, 1_000_003], dtype=np.int64)) == [
+            {97: 1, 20_011: 1}, {2: 1, 3: 1, 10_007: 1}, {1_000_003: 1}]
+        assert calls == [[20_011, 1_000_003]]
+
+    def test_refuses_other_dtypes_and_nonpositive(self):
+        for arr in (np.array([7], dtype=np.int32), np.array([7], dtype=np.uint64), np.array([7.0])):
+            with pytest.raises(UsageError):
+                P.factorize(arr)
+        for values in ([0], [5, -3], [-(2**63)]):
+            with pytest.raises(UsageError, match="n >= 1"):
+                P.factorize(np.array(values, dtype=np.int64))
+
+
 # the rows of the psi_k table that the int64 array path reads, and the bands
 # [psi_{k-1}, psi_k) they decide, the last one ending at 2^63
 _INT64_PSI = tuple(psi for psi, _ in P._MR_TABLE if psi < 2**63)
@@ -628,3 +700,42 @@ class TestPrimalityArray:
     def test_array_agrees_with_sympy(self, values):
         # each draw is a batch from one band of the psi_k table, so every row is exercised
         _array_agrees(values)
+
+
+def _trial_reference(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(prime, live) of ``_trial_division`` from int64 remainders n % p by
+    every prime p below 256: prime for the primes below 2^16, live for the
+    n >= 2^16 with no such factor."""
+    free = np.ones(n.shape, dtype=bool)
+    for p in sympy.primerange(256):
+        free &= n % p != 0
+    prime = np.isin(n, np.array(list(sympy.primerange(2**16)), dtype=np.int64))
+    return prime, free & (n >= 2**16)
+
+
+def _trial_agrees(n: np.ndarray):
+    got, want = P._trial_division(n), _trial_reference(n)
+    for g, w in zip(got, want):
+        assert g.dtype == bool and np.array_equal(g, w)
+
+
+class TestTrialDivision:
+    def test_every_n_around_zero(self):
+        _trial_agrees(np.arange(-(2**16), 2**16 + 1, dtype=np.int64))
+
+    @given(st.lists(st.one_of(st.integers(2**63 - 2**32, 2**63 - 1), st.integers(-(2**63), -(2**63) + 2**32)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_near_the_ends_of_int64(self, values):
+        _trial_agrees(np.array(values, dtype=np.int64))
+
+    def test_exact_multiples_up_to_the_top(self):
+        # p*k for small k and up to the largest k with p*k < 2^63, with the
+        # neighbours p*k - 1 and p*k + 1
+        values = []
+        for p in sympy.primerange(3, 256):
+            top = (2**63 - 1) // p
+            for k in (*range(1, 300), *range(top - 300, top + 1), 2**62 // p, 2**31 - 1, 2**32 + 1):
+                values.extend((p * k - 1, p * k, min(p * k + 1, 2**63 - 1)))
+        _trial_agrees(np.array(values, dtype=np.int64))
+

@@ -36,7 +36,6 @@ ALLOWLIST = {
     ("restricta.markov", "row_sum_bound"): "test_acceptance.py::test_06; perfbench ops certify.sigma1/sigma2",
     ("restricta.primes", "mobius"): "test_acceptance.py::test_09_ramanujan_identity",
     ("restricta.primes", "ramanujan_sum"): "test_acceptance.py::test_09_ramanujan_identity",
-    ("restricta.primes", "_trial_groups"): "runs once at import, to build _TRIAL_GROUPS",
 }
 
 ARGV = [
