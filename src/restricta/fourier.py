@@ -22,7 +22,7 @@ import numpy as np
 
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
-from .numutil import catalan_constant, frac_exact, fsum_chunks, unit
+from .numutil import catalan_constant, fixed_phase, fsum_chunks, unit_fixed, unit_mod
 from .primes import digit_indicator
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
@@ -120,16 +120,16 @@ class _Window:
         """Complex W at the exact phases phi = m/N, or with ``deriv`` = 1 or
         2 the tuple (W, W') or (W, W', W'').
 
-        Each e(n*phi) is taken at the correctly rounded (n*m mod N)/N, once,
-        and serves W and its derivatives; a hole at 1, r or a reuses the
-        hull's exponential.  W'' is formed from the same exponentials and
-        from W', after it, so W and W' have the same bits at any ``deriv``.
+        Each e(n*phi) is taken once, from the exact residue n*m mod N by
+        ``unit_mod``, and serves W and its derivatives; a hole at 1, r or a
+        reuses the hull's exponential.  W'' is formed from the same exponentials
+        and from W', after it, so W and W' have the same bits at any ``deriv``.
         The hull ratio takes its phi -> 0 limits where |e(phi) - 1| < _DEN_EPS.
         """
         m = np.asarray(m, dtype=np.int64)
 
         def e(n):  # e(n*phi)
-            return unit((n * m % N) / N)
+            return unit_mod(n * m % N, N)
 
         tp = 2j * math.pi
         tau2 = (2.0 * math.pi) ** 2  # (2*pi*i)^2 = -tau2
@@ -235,20 +235,20 @@ def _taylor_sup(g: np.ndarray, gp: np.ndarray, r: float, rem) -> np.ndarray:
 def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
     """S_A(theta) over the k-digit padded set, via the digit product.
 
-    theta may be a float or an exact Fraction; phases q^i*theta mod 1 are
-    reduced exactly in integer arithmetic either way, so the product stays
+    theta may be a float or an exact Fraction, taken as the exact rational
+    num/den; each level's phases d*q^i*theta mod 1 are reduced in integer
+    arithmetic to 64-bit fixed point (``fixed_phase``), so the product stays
     accurate for any k.
     """
     sys = profile.sys
-    if isinstance(theta, Fraction):
-        num, den = theta.numerator, theta.denominator
-    else:
-        num, den = float(theta).as_integer_ratio()
+    theta = Fraction(theta)
+    num, den = theta.numerator, theta.denominator
     res = 1 + 0j
     qq = 1
     for _ in range(profile.k):
-        ph = ((qq * num) % den) / den
-        res *= complex(np.sum(unit([frac_exact(d, ph) for d in sys.digits])))
+        r = (qq * num) % den
+        c, s = unit_fixed(np.array([fixed_phase(Fraction(d * r, den))[0] for d in sys.digits], dtype=np.uint64))
+        res *= complex(np.sum(c), np.sum(s))
         qq *= sys.q
     return res
 
@@ -346,7 +346,7 @@ def _refined_cell_sups(q: int, grid: int):
     t = np.arange(half, dtype=np.int64)
     m = 2 * np.arange(half * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     g, gp, gpp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=2)
-    z1 = unit(m / N)
+    z1 = unit_mod(m, N)
     c = half
     tp, tau = 2j * math.pi, 2.0 * math.pi
     R1 = gp - tp * c * g

@@ -58,12 +58,8 @@ def build_gcd_graph(inst: GcdInstance) -> GcdGraph:
     vals = inst.S
     if len(vals) > GRAPH_CAP:
         raise CapExceeded(f"|S| = {len(vals)} above cap {GRAPH_CAP}")
-    arr = _int_array(vals)
-    edges = []
-    for i in range(len(arr) - 1):
-        g = np.gcd(arr[i], arr[i + 1 :])
-        for j in np.flatnonzero(g >= inst.B):
-            edges.append((vals[i], vals[i + 1 + int(j)]))
+    i, j = _gcd_pairs(_int_array(vals), inst.B)
+    edges = [(vals[a], vals[b]) for a, b in zip(i.tolist(), j.tolist())]
     npairs = len(vals) * (len(vals) - 1) // 2
     density = len(edges) / npairs if npairs else 0.0
     return GcdGraph(tuple(edges), density)
@@ -226,16 +222,25 @@ def _int_array(vals) -> np.ndarray:
     return np.array(vals, dtype=np.int64 if max(vals, default=0) < 1 << 63 else object)
 
 
+def _gcd_pairs(arr: np.ndarray, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the pairs of arr with gcd >= B, in
+    row-major order: one np.gcd per row over the elements after it."""
+    rows = [np.flatnonzero(np.gcd(arr[a], arr[a + 1 :]) >= B) + (a + 1) for a in range(len(arr) - 1)]
+    i = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    return i, np.concatenate([np.empty(0, dtype=np.int64), *rows])
+
+
 def bipartite_from_set(inst: GcdInstance) -> BipartiteGcdGraph:
-    """Two copies of S with edges where gcd >= B (the compression start)."""
+    """Two copies of S with edges where gcd >= B (the compression start), row-major."""
     vals = inst.S
     if len(vals) ** 2 > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
     arr = _int_array(vals)
-    edges = []
-    for i in range(len(vals)):
-        edges.extend((i, j) for j in np.flatnonzero(np.gcd(arr[i], arr) >= inst.B).tolist())
-    return BipartiteGcdGraph(vals, vals, tuple(edges))
+    i, j = _gcd_pairs(arr, inst.B)
+    d = np.flatnonzero(arr >= inst.B)
+    v, w = np.concatenate((i, j, d)), np.concatenate((j, i, d))
+    order = np.lexsort((w, v))
+    return BipartiteGcdGraph(vals, vals, tuple(zip(v[order].tolist(), w[order].tolist())))
 
 
 _KEEPS = ((True, True), (True, False), (False, True), (False, False))  # TT, TF, FT, FF

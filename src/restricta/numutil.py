@@ -1,21 +1,22 @@
 """Low-level numeric helpers: exact phases, e(t) and deterministic sums.
 
-Phase accuracy is the main concern: evaluating e(n*theta) for n up to 2^40
-by naive multiplication loses all fractional accuracy.  ``frac_exact``
-reduces n*theta mod 1 through the exact binary rational of the float.  The
-array path works in 64-bit fixed point: ``fixed_phase`` reduces theta mod 1
-once, exactly, to the two 64-bit halves of T = floor(frac(theta)*2^128),
-and ``fixed_phases`` forms (n*theta mod 1)*2^64 for a uint64 array n as
+Phase accuracy is the main concern: e(n*theta) for n up to 2^40 by naive
+multiplication loses all fractional accuracy, so no float phase is scaled.
+``fixed_phase`` reduces an exact theta (a float or a Fraction) mod 1 once,
+exactly, to the two 64-bit halves of T = floor(frac(theta)*2^128), and
+``fixed_phases`` forms (n*theta mod 1)*2^64 for a uint64 array n as
 n*t_hi + mul_hi(n, t_lo) in wrapping integer arithmetic, too small by less
 than 2 units of 2^-64 (one from the truncated product, and n*2^-64 from the
-truncated T) with no float involved.  ``unit_fixed`` evaluates e(ph/2^64)
-as a root of unity from a 4096-entry table, indexed by the top 12 bits,
-times a short Taylor polynomial in the remaining 52 bits.
+truncated T) with no float involved.  ``unit_fixed``, the one exponential
+kernel, evaluates e(ph/2^64) as a root of unity from a 4096-entry table,
+indexed by the top 12 bits, times a short Taylor polynomial in the remaining
+52 bits; ``unit_mod`` feeds it exact residues rho mod N, at theta = 1/N.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,12 +25,7 @@ ROOT_BITS = 12  # the root table holds e(k/2^ROOT_BITS) for every k
 _LO32 = 0xFFFF_FFFF
 _LOW = np.uint64((1 << (64 - ROOT_BITS)) - 1)  # the bits below the table index
 _TURN = 2 * math.pi / 2.0**64  # radians per unit of a 64-bit phase
-
-
-def frac_exact(n: int, theta: float) -> float:
-    """Exact (n*theta) mod 1 for integer n, via the rational value of theta."""
-    p, q2 = float(theta).as_integer_ratio()  # q2 is a power of two
-    return ((n * p) % q2) / q2
+UNIT_BLOCK = 1 << 13  # residues per block of unit_mod: its 7-row workspace is 448 KiB
 
 
 def mul_hi(x: np.ndarray, y) -> np.ndarray:
@@ -55,11 +51,11 @@ def mul_hi(x: np.ndarray, y) -> np.ndarray:
     return hi
 
 
-def fixed_phase(theta: float) -> tuple[np.uint64, np.uint64]:
+def fixed_phase(theta: float | Fraction) -> tuple[np.uint64, np.uint64]:
     """(t_hi, t_lo): the high and low 64 bits of T = floor(frac(theta) * 2^128),
-    from the exact binary rational of theta (any finite float, negative or
-    above 1 included)."""
-    p, q2 = float(theta).as_integer_ratio()  # q2 is a power of two
+    from the exact rational value of theta (any finite float or any Fraction,
+    negative or above 1 included)."""
+    p, q2 = theta.as_integer_ratio()  # q2 > 0
     t = ((p % q2) << 128) // q2
     return np.uint64(t >> 64), np.uint64(t & ((1 << 64) - 1))
 
@@ -131,10 +127,18 @@ def unit_fixed(ph: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarr
     return cos, sin
 
 
-def unit(phases):
-    """e(t) = exp(2*pi*i*t) elementwise."""
-    ph = np.asarray(phases, dtype=np.float64)
-    return np.exp(2j * math.pi * ph)
+def unit_mod(rho: np.ndarray, N: int) -> np.ndarray:
+    """Complex e(rho/N) for a 1-d int64 array of exact residues 0 <= rho < N, by
+    ``unit_fixed`` at fixed_phases(rho, fixed_phase(1/N)) (under 2 units of
+    2^-64 low), in blocks that share one 7-row workspace: no other full-length
+    temporary."""
+    ph, res = rho.view(np.uint64), np.empty(len(rho), dtype=np.complex128)
+    t = fixed_phase(Fraction(1, N))
+    work = np.empty((7, min(UNIT_BLOCK, len(ph))), dtype=np.uint64)
+    for i in range(0, len(ph), UNIT_BLOCK):
+        m = min(UNIT_BLOCK, len(ph) - i)
+        res.real[i : i + m], res.imag[i : i + m] = unit_fixed(fixed_phases(ph[i : i + m], t, out=work[6, :m]), work[:6, :m])
+    return res
 
 
 def csum(values: np.ndarray) -> complex:

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
-from .numutil import csum, fixed_phase, fixed_phases, mul_hi, unit, unit_fixed
+from .numutil import csum, fixed_phase, fixed_phases, mul_hi, unit_fixed, unit_mod
 
 SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
@@ -343,7 +343,7 @@ def ramanujan_sum(s: int) -> complex:
         raise UsageError("need s >= 1")
     b = np.arange(1, s + 1, dtype=np.int64)
     b = b[np.gcd(b, s) == 1]
-    return csum(unit(b / float(s)))
+    return csum(unit_mod(b % s, s))
 
 
 def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:

@@ -23,6 +23,10 @@ its oracle too:
 * ``frac_mul`` reduces n*theta mod 1 for a float array by an error-free
   two-product, the float phase path that ``numutil.fixed_phases``
   replaced in the S_P(theta) of ``primes.prime_sums``;
+* ``unit`` takes e(t) by libm's complex exp of a float phase, and
+  ``frac_exact`` reduces n*theta mod 1 through the binary rational of a
+  float: the route that ``numutil.unit_mod`` and ``numutil.fixed_phase``
+  replaced throughout the package, kept as an independent reference;
 * ``enumerate_list`` lists A(x) one Python int at a time, where
   ``digit_systems.enumerate_restricted`` builds int64 outer products.
 
@@ -50,7 +54,6 @@ from restricta.digit_systems import DigitSystem
 from restricta.errors import OutOfRange, UsageError
 from restricta.fourier import FourierProfile, _taylor_sup, _Window, restricted_exp_sum
 from restricta.gcdgraph import BipartiteGcdGraph
-from restricta.numutil import unit
 from restricta.primes import is_prime_int
 
 
@@ -272,6 +275,18 @@ def compression_step(g: BipartiteGcdGraph, p: int) -> list[CompressionCandidate]
         sub = BipartiteGcdGraph(tuple(g.V[i] for i in vs), tuple(g.W[j] for j in ws), edges, a, b)
         out.append(CompressionCandidate(keep_v, keep_w, sub, sub.quality, not sub.V or not sub.W))
     return out
+
+
+def unit(phases) -> np.ndarray:
+    """e(t) = exp(2*pi*i*t) elementwise, from float phases t."""
+    ph = np.asarray(phases, dtype=np.float64)
+    return np.exp(2j * math.pi * ph)
+
+
+def frac_exact(n: int, theta: float) -> float:
+    """Exact (n*theta) mod 1 for integer n, via the rational value of theta."""
+    p, q2 = float(theta).as_integer_ratio()  # q2 is a power of two
+    return ((n * p) % q2) / q2
 
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant

@@ -19,9 +19,9 @@ from restricta import markov as M
 from restricta import primes as P
 from restricta.digit_systems import DigitSystem, census, enumerate_restricted
 from restricta.dioph import PsiFunction
-from restricta.numutil import csum, unit
+from restricta.numutil import csum
 
-from tests.oracles import frac_mul
+from tests.oracles import frac_mul, unit
 
 TAU = F.TAU
 

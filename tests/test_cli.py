@@ -531,26 +531,26 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("argv, sha256", [
         (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4"),
-         "ac04dc3f42eafd1d5fd0f58b70670500aa3fa0fd0f3873eca49f84df388f03f1"),
+         "307ea0e147c112bb61571511f2ad1b11e9321e8be4c7640343c0b559adeeee23"),
         (("certify", "--sys", "q=10,exclude=0", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "29555fe8967b80b9b612d12c7e8dea0d1e38ec25abdfd1f43d09d77949f16154"),
+         "56d9c1e8dc00065c7a83c21b8e0b759745a0839ba6aed3e53acd9780c526d7d9"),
         (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4"),
          "f668279fcde3f5c884bbebddab8b09dc2927379ec6821219f21b3e2cbd1844a9"),
         (("certify", "--sys", "q=10,exclude=4", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "f1fccd8d4f8a6e981de3709a9ea5037702979e73be704b7bd4cb5ed8640964cc"),
+         "0aaa758b1fa9040c5d11c55d3481335c84cdab9a170580d78d987f24df55966d"),
         (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4"),
          "b14a564a27de51ee8c70c69dd642aa29eec715881edb46dae2384d865916b1a6"),
         (("certify", "--sys", "q=10,exclude=7", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "fb75e15a38f630b2d9e1479849b48dc77cab8fd23fc77c4d15b80dd24ce253e2"),
+         "0ea19534fc201623d2b571361aa62bc9edb6dd2f6eb25d644e4777d2c69a8681"),
         (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4"),
-         "08b9e94591ed5bea64f942ba1f707e3dd2aa61e71e2dcb540bb3193036af4ab6"),
+         "780d4049cd64d80962ce17bdd8e9149279411b39640fbd10ff4f64d425f3e2db"),
         (("certify", "--sys", "q=10,exclude=9", "--ell-max", "4", "--sigma", "1.525974025974026"),
-         "5602b16a91eeab0feadafa303701e43313cb64849df7dd3ad6519256d83db59b"),
+         "f09ce29d6b3e654647152e6a487087d2b92672c3bd641354c186522834cf0d42"),
         # the third-order remainder at 64 subcells per cell: every digit lower
         (("fourier", "--check", "refined", "--q", "101"),
-         "2cb65fecfb8d90de4e94d0ec82f86be37f92c09273bb3d93673c9ae907715a0e"),
+         "b793c8b88e6514651d2a1da0fecfefcfee2fbd3b53add52fa9ca362321a8e037"),
         (("fourier", "--check", "margin", "--sys", "q=10,exclude=7"),
-         "090ccc421b306c440818128942cf307a44bf2dcd1ba05b7166c9fbc86c446a13"),
+         "b2ee974338014eaa3cd7727b6992d06e68872da4678598510bea1b932d3fe140"),
     ])
     def test_pinned_kernel_outputs(self, capsys, argv, sha256):
         # certified cell-supremum outputs: the Markov certificates at both

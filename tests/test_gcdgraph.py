@@ -79,6 +79,17 @@ class TestBuildGraph:
         }
         assert {tuple(sorted(e)) for e in g.edges} == expect
 
+    @given(st.sets(st.integers(1, 500), min_size=1, max_size=25), st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_both_graphs_row_major(self, S, B):
+        # build_gcd_graph and bipartite_from_set share one upper-triangle pass;
+        # each lists its edges in the order of the plain double loop
+        inst = G.GcdInstance(tuple(S), B)
+        vals = inst.S
+        pairs = [(i, j) for i in range(len(vals)) for j in range(len(vals)) if math.gcd(vals[i], vals[j]) >= B]
+        assert list(G.build_gcd_graph(inst).edges) == [(vals[i], vals[j]) for i, j in pairs if i < j]
+        assert G.bipartite_from_set(inst).edges == tuple(pairs)
+
 
 class TestModelProblem:
     def test_multiples_of_six(self):
@@ -195,6 +206,13 @@ class TestBeyondInt64:
         assert 0 < len(want) < len(vals) * (len(vals) - 1) // 2
         assert list(g.edges) == want
         assert g.density == len(want) / (len(vals) * (len(vals) - 1) // 2)
+
+    def test_bipartite_matches_math_gcd(self):
+        vals = sorted(self.S)
+        g = G.bipartite_from_set(G.GcdInstance(self.S, self.B))
+        want = [(i, j) for i, u in enumerate(vals) for j, v in enumerate(vals) if math.gcd(u, v) >= self.B]
+        assert list(g.edges) == want
+        assert all(type(k) is int for e in g.edges for k in e)
 
     def test_green_walker_matches_math_gcd(self):
         R, S = sorted(self.S)[:4], sorted(self.S)[2:]

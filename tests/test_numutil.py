@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 import sympy
 
+from restricta import fourier as F
+from restricta.digit_systems import DigitSystem
 from restricta.errors import OutOfRange
-from restricta.numutil import ROOT_BITS, fixed_phase, fixed_phases, frac_exact, unit_fixed
+from restricta.numutil import ROOT_BITS, UNIT_BLOCK, fixed_phase, fixed_phases, unit_fixed, unit_mod
 
-from tests.oracles import frac_mul
+from tests.oracles import frac_exact, frac_mul
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.41421356237309515, 0.6180339887498949, 1e-9])
@@ -101,3 +104,96 @@ def test_root_table_points_are_exact_at_quarter_turns():
         turns = [mpmath.mpf(2 * j) / len(c) for j in range(len(c))]
         assert max(abs(v - mpmath.cospi(a)) for v, a in zip(c.tolist(), turns)) < 1.2e-16
         assert max(abs(v - mpmath.sinpi(a)) for v, a in zip(s.tolist(), turns)) < 1.2e-16
+
+
+def _mp_unit_error(rho, N: int, got: np.ndarray) -> float:
+    """The largest error of either part of got against e(rho/N) in 40-digit
+    mpmath."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for r, z in zip(np.asarray(rho).tolist(), got.tolist()):
+            turns = mpmath.mpf(2 * r) / N
+            worst = max(worst, abs(z.real - mpmath.cospi(turns)), abs(z.imag - mpmath.sinpi(turns)))
+    return float(worst)
+
+
+class TestUnitMod:
+    """unit_mod: e(rho/N) from exact residues through the fixed-point kernel."""
+
+    @pytest.mark.parametrize("N", [7, 8206, 10**6 + 3, 2**53, 2**62 + 1])
+    def test_dense_near_zero_half_and_one(self, N):
+        w = min(N // 2, 1500)
+        rho = sorted({*range(w), *range(N // 2 - w, N // 2 + w + 1), *range(N - w, N)})
+        assert _mp_unit_error(rho, N, unit_mod(np.array(rho, dtype=np.int64), N)) < 2e-16
+
+    def test_residues_of_q11_builds(self, monkeypatch):
+        # every residue the refined sum and a Markov-size cell build of base 11 evaluate
+        seen, plain = [], F.unit_mod
+
+        def record(rho, N):
+            seen.append((np.array(rho), N))
+            return plain(rho, N)
+
+        monkeypatch.setattr(F, "unit_mod", record)
+        F.refined_digit_sum(11)
+        F._Window(DigitSystem.excluding(11, {7})).cell_sup(11**2, 8)
+        assert {N for _, N in seen} == {2 * 11 * 373, 2 * 11**2 * 8}
+        for rho, N in seen:
+            assert _mp_unit_error(rho, N, plain(rho, N)) < 2e-16
+
+    def test_draw_at_2_53(self):
+        # the closed-form window test's phases m/2^53, and its recorded draw
+        N, m = 2**53, int(0.9999989999999999 * 2**53)
+        rho = np.array([d * m % N for d in range(12)], dtype=np.int64)
+        assert _mp_unit_error(rho, N, unit_mod(rho, N)) < 2e-16
+
+    @pytest.mark.parametrize("n", [0, 1, UNIT_BLOCK - 1, UNIT_BLOCK, UNIT_BLOCK + 1, 3 * UNIT_BLOCK + 5])
+    def test_blocks_equal_one_pass(self, n):
+        N = 10**9 + 7
+        rho = np.random.default_rng(n).integers(0, N, n)
+        c, s = unit_fixed(fixed_phases(rho.view(np.uint64), fixed_phase(Fraction(1, N))))
+        got = unit_mod(rho, N)
+        assert got.shape == (n,)
+        assert np.array_equal(got.real, c) and np.array_equal(got.imag, s)
+
+    def test_memory_is_one_block(self):
+        # the output, the residues, and block-sized work only: the 7-row
+        # workspace and mul_hi's limb products; unblocked, the workspace
+        # alone would be 7 rows of 10^6
+        n, N = 10**6, 10**9 + 7
+        unit_mod(np.arange(4), N)
+        tracemalloc.start()
+        try:
+            rho = np.arange(n, dtype=np.int64) * 7919 % N
+            unit_mod(rho, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n + 8 * n + 2 * 7 * 8 * UNIT_BLOCK
+
+
+class TestRestrictedExpSum:
+    """The digit product through fixed_phase and unit_fixed."""
+
+    @staticmethod
+    def _mp_product(sys, k: int, theta: Fraction) -> complex:
+        num, den = theta.numerator, theta.denominator
+        with mpmath.workdps(40):
+            total = mpmath.mpc(1)
+            for i in range(k):
+                total *= mpmath.fsum(mpmath.expjpi(mpmath.mpf(2 * (d * sys.q**i * num % den)) / den) for d in sys.digits)
+            return complex(total)
+
+    @pytest.mark.parametrize("spec, k", [("q=10,exclude=7", 4), ("q=3,D=0.2", 9), ("q=11,D=1.4.9", 5)])
+    def test_denominator_past_2_64(self, spec, k):
+        sys = DigitSystem.parse(spec)
+        theta = Fraction(3**50 + 1, 2**70 + 37)
+        assert theta.denominator > 2**64
+        got = F.restricted_exp_sum(F.FourierProfile(sys, k), theta)
+        assert abs(got - self._mp_product(sys, k, theta)) < 1e-14 * sys.size**k
+
+    @pytest.mark.parametrize("theta", [0.123, 1 / 3, -0.41421356237309515, 12345.678, 2.0**-60])
+    def test_float_is_its_exact_fraction(self, theta):
+        prof = F.FourierProfile(DigitSystem.excluding(10, {7}), 6)
+        assert F.restricted_exp_sum(prof, theta) == F.restricted_exp_sum(prof, Fraction(theta))
+        assert abs(F.restricted_exp_sum(prof, theta) - self._mp_product(prof.sys, 6, Fraction(theta))) < 1e-14 * 9**6

@@ -13,9 +13,8 @@ from restricta import digit_systems
 from restricta import primes as P
 from restricta.digit_systems import DigitSystem, census
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
-from restricta.numutil import frac_exact
 
-from tests.oracles import enumerate_list, prime_spectrum_direct
+from tests.oracles import enumerate_list, frac_exact, prime_spectrum_direct
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -28,7 +28,6 @@ ALLOWLIST = {
     ("restricta.fourier", "moment_tail"): "perfbench op circle.moment_tail",
     ("restricta.fourier", "power_sum"): "test_acceptance.py::test_11_parseval",
     ("restricta.fourier", "restricted_exp_sum"): "test_acceptance.py::test_10_product_formula_oracle",
-    ("restricta.numutil", "frac_exact"): "restricted_exp_sum, for test_acceptance.py::test_10",
     ("restricta.fourier", "typical_growth_constant"): "test_acceptance.py::test_01_growth_constant",
     ("restricta.numutil", "catalan_constant"): "typical_growth_constant, for test_acceptance.py::test_01",
     ("restricta.numutil", "csum"): "ramanujan_sum, for test_acceptance.py::test_09",
