@@ -256,9 +256,9 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
 
     Route selection: when |A(x)| <= ENUM_ROUTE_MAX, or when x is above the
     sieve limit and |A(x)| <= ENUM_ABOVE_SIEVE_MAX, enumerate members and
-    test them with deterministic Miller-Rabin, those below 2^63 in one array
-    call and the rest one by one (OutOfRange for a member at or above
-    psi_13, where no base set is proven); otherwise count with
+    test them exactly, those below 2^63 in one array call (Baillie-PSW) and
+    the rest one by one by deterministic Miller-Rabin (OutOfRange for a
+    member at or above psi_13, where no base set is proven); otherwise count with
     ``count_primes_digit_filtered`` over the table of x, which walks only
     the blocks of q^j integers whose leading digits are allowed.  Above the
     sieve limit, a set too large for either route is refused with

@@ -11,15 +11,19 @@ progression and S_P(theta) = sum_{p<=N} e(p*theta) from one walk, and
 ``prime_spectrum`` fills the indicator of the primes from one walk, and
 the digit census walks only the slot runs of the blocks of q^j integers
 whose leading digits are allowed, counting each piece through one digit
-pattern.  Also: Ramanujan sums, deterministic
-Miller-Rabin (an int, refused at psi_13, or a whole int64
-array in uint64 Montgomery arithmetic), primorials, and exact
-factorization, which Mobius reads: trial division by the primes of one
-list grown on demand, with Miller-Rabin only for a cofactor that
-TRIAL_LIMIT leaves unsettled.  The int64 array paths of both share one
-exact divisibility test by the odd prime p, n*p^-1 mod 2^64 <=
-floor((2^64 - 1)/p) (``_divisibility``): the array Miller-Rabin trial-
-divides by the odd primes below 256 with it, and an int64 array is
+pattern.  S_P reads each segment's slot indices through two root tables
+of 1024 entries, so no prime is decoded.  Also: Ramanujan sums,
+primorials, exact primality and exact factorization.  Primality of an int
+is deterministic Miller-Rabin with the bases the psi_k table proves
+enough, refused at psi_13; that of a whole int64 array is Baillie-PSW in
+uint64 Montgomery arithmetic (a strong base-2 test and a strong Lucas
+test), which no composite below 2^64 passes (Gilchrist's check against
+Feitsma's list of the base-2 pseudoprimes).  Factorization, which Mobius
+reads, trial-divides by the primes of one list grown on demand and tests
+only a cofactor that TRIAL_LIMIT leaves unsettled.  The int64 array paths
+of both share one exact divisibility test by the odd prime p, n*p^-1 mod
+2^64 <= floor((2^64 - 1)/p) (``_divisibility``): the array primality test
+trial-divides by the odd primes below 256 with it, and an int64 array is
 factored in one pass of it over blocks of primes.
 """
 
@@ -38,7 +42,8 @@ SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
 TRIAL_LIMIT = 10**6  # factorize trial-divides by the primes up to this
 WHEEL = 3 * 5 * 7 * 11 * 13  # period, in odd slots, of the pre-sieved pattern
-EXP_BLOCK = 1 << 15  # primes per block of S_P(theta): its workspace stays in cache
+SP_CHUNK = 1 << 16  # slots per chunk of S_P(theta): its temporaries stay small
+ROW_BITS = 10  # slot s = 2^ROW_BITS * h + l: S_P reads e(2*s*theta) as A[h] * B[l]
 
 # (psi_k, k): the first k prime bases decide every n < psi_k, the least strong
 # pseudoprime to all of them (Jaeschke 1993; Jiang-Deng 2014; Sorenson-Webster
@@ -81,17 +86,6 @@ class PrimeTable:
         for a, b in [(0, (self.limit + 1) // 2)] if runs is None else runs:
             for lo in range(a, b, SEGMENT):
                 yield lo, _sieve_slots(lo, min(lo + SEGMENT, b), self._base)
-
-
-def _decode(lo: int, flags: np.ndarray) -> np.ndarray:
-    """The primes of one segment's flags, increasing, int64, with 2 first
-    in the segment at lo = 0."""
-    ps = np.flatnonzero(flags).astype(np.int64, copy=False)
-    ps *= 2
-    ps += 2 * lo + 1
-    if lo == 0:
-        ps = np.concatenate((np.array([2], dtype=np.int64), ps))
-    return ps
 
 
 def _simple_sieve(n: int) -> np.ndarray:
@@ -160,11 +154,19 @@ def prime_sums(
     each segment counts its flags at that stride, so nothing is decoded and
     q may be any size.  The prime 2 is counted apart.
 
-    For S_P, theta is reduced mod 1 once, exactly, to 128-bit fixed point;
-    each segment's primes are decoded, and each block of EXP_BLOCK of them
-    forms its 64-bit phases and their roots of unity (a 4096-entry table
-    times a short polynomial, see ``numutil``) in one workspace, with a
-    numpy sum per block and an exact fsum across blocks.
+    For S_P, theta is reduced mod 1 once, exactly, to 128-bit fixed point.
+    The prime at slot s of the segment at lo is 2*(lo + s) + 1, so e(p*theta)
+    = e((2*lo + 1)*theta) * e(2*s*theta), and with s = 2^ROW_BITS*h + l,
+    e(2*s*theta) = A[h] * B[l] for two tables of SEGMENT/2^ROW_BITS and
+    2^ROW_BITS entries, each taken once per call from its exact 64-bit
+    phases through ``numutil.unit_fixed``.  Each chunk of SP_CHUNK slots
+    gathers B at the low bits of its flagged slot indices and sums them by
+    their high bits into the row sums; the segment's sum is the dot product
+    of the row sums with A, times e((2*lo + 1)*theta).  No prime is decoded
+    and no per-prime phase is formed.  The segments are summed with an exact
+    fsum, and the prime 2 apart.  Every term is the product of three roots
+    of unity, each within about 1 ulp, so S_P is within a few 1e-16*pi(N)
+    of the exact sum.
     """
     count, step = None, 0  # step: the stride of the odd p = a (mod q) in slots; 0: none
     if ap is not None:
@@ -181,8 +183,16 @@ def prime_sums(
         if not math.isfinite(theta):
             raise UsageError(f"need a finite theta, got {theta}")
         t = fixed_phase(theta)
-        work = np.empty((7, EXP_BLOCK), dtype=np.uint64)
-        re, im = [], []
+
+        def roots(n: np.ndarray) -> np.ndarray:
+            """e(n*theta) for a uint64 array n."""
+            c, s = unit_fixed(fixed_phases(n, t))
+            return c + 1j * s
+
+        rows = roots(np.arange(0, 2 * SEGMENT, 2 << ROW_BITS, dtype=np.uint64))  # A[h] = e(2^(ROW_BITS+1)*h*theta)
+        cols = roots(np.arange(0, 2 << ROW_BITS, 2, dtype=np.uint64))  # B[l] = e(2*l*theta)
+        row_starts = np.arange(0, SP_CHUNK, 1 << ROW_BITS)
+        terms = [complex(roots(np.array([2], dtype=np.uint64))[0])]  # the prime 2
     pi = 1  # the prime 2
     for lo, flags in table.slots():
         pi += int(np.count_nonzero(flags))
@@ -191,13 +201,17 @@ def prime_sums(
             if start < len(flags):
                 count += int(np.count_nonzero(flags[start :: min(step, SEGMENT)]))
         if theta is not None:
-            n = _decode(lo, flags).view(np.uint64)
-            for i in range(0, len(n), EXP_BLOCK):
-                m = min(EXP_BLOCK, len(n) - i)
-                c, s = unit_fixed(fixed_phases(n[i : i + m], t, out=work[6, :m]), work[:6, :m])
-                re.append(float(c.sum()))
-                im.append(float(s.sum()))
-    return pi, count, None if theta is None else complex(math.fsum(re), math.fsum(im))
+            sums = np.zeros(len(rows), dtype=np.complex128)  # per row h, the sum of B[l] over its primes
+            for i in range(0, len(flags), SP_CHUNK):
+                slot = np.flatnonzero(flags[i : i + SP_CHUNK])  # increasing
+                starts = np.searchsorted(slot, row_starts)  # where each row's run begins
+                held = starts < np.append(starts[1:], len(slot))  # the rows with a prime
+                slot &= (1 << ROW_BITS) - 1
+                sums[(i >> ROW_BITS) + np.flatnonzero(held)] = np.add.reduceat(cols.take(slot), starts[held])
+            terms.append(complex(roots(np.array([2 * lo + 1], dtype=np.uint64))[0]) * complex((rows * sums).sum()))
+    if theta is None:
+        return pi, count, None
+    return pi, count, complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
 
 
 def digit_indicator(sys, j: int, dtype=bool, lead: bool = False) -> np.ndarray:
@@ -347,12 +361,13 @@ def ramanujan_sum(s: int) -> complex:
 
 
 def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:
-    """Deterministic Miller-Rabin with the fewest prime bases the psi_k table
-    proves enough.
+    """Exact primality.
 
-    n is a Python int (refused with OutOfRange at n >= psi_13, about 3.3e24)
-    or an int64 ndarray, for which a bool array of the same shape is
-    returned (see ``_is_prime_array``).
+    n is a Python int, tested by deterministic Miller-Rabin with the fewest
+    prime bases the psi_k table proves enough (refused with OutOfRange at
+    n >= psi_13, about 3.3e24), or an int64 ndarray, for which a bool array
+    of the same shape is returned by trial division and Baillie-PSW, exact
+    below 2^63 (see ``_is_prime_array``).
     """
     if isinstance(n, np.ndarray):
         return _is_prime_array(n)
@@ -402,19 +417,17 @@ def _divisibility(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _inverse(p), (2**64 - 1) // p
 
 
-# The array path: trial division by the odd primes below 256, then
-# Miller-Rabin in exact uint64 Montgomery arithmetic (R = 2^64, n odd and
-# below 2^63), with the rows of the psi_k table below 2^63 and k = 12 above
-# them.
+# The array path: trial division by the odd primes below 256, then BPSW (a
+# strong base-2 test and a strong Lucas test) in exact uint64 Montgomery
+# arithmetic, R = 2^64, for odd n below 2^63.
 _SMALL = _simple_sieve(255)
 _SMALL_PRIME = np.zeros(256, dtype=bool)
 _SMALL_PRIME[_SMALL] = True
 _SMALL_TESTS = tuple(zip(*_divisibility(_SMALL[1:].astype(np.uint64))))  # (p^-1, bound) per odd p
-_VEC_PSI = np.array([psi for psi, _ in _MR_TABLE if psi < 1 << 63], dtype=np.uint64)
-_VEC_K = np.array([k for _, k in _MR_TABLE[: len(_VEC_PSI) + 1]], dtype=np.int8)
 _POW2 = np.array([1 << i for i in range(63)], dtype=np.uint64)
 _LO32 = 0xFFFF_FFFF
 _BLOCK = 1 << 13  # elements per block: the temporaries of a block stay in cache
+_LUCAS_BLOCK = 1 << 12  # base-2 survivors per block of the Lucas test, whose ladder holds twice the temporaries
 _HITS = 1 << 16  # (cofactor, prime) tests per step of the array factorization
 
 
@@ -423,9 +436,15 @@ def _is_prime_array(n: np.ndarray) -> np.ndarray:
 
     Elements below 256 are read from a table; the others are trial-divided
     by the primes below 256, and a survivor below 256^2 is prime.  The rest
-    get Miller-Rabin with k bases from the psi_k table (k = 12 from psi_9 up
-    to 2^63); pass j tests only the elements that passed every earlier base
-    and need more than j bases.  Negative elements are not prime.
+    get the Baillie-PSW test: a strong base-2 test, then, for the survivors
+    that are not squares, a strong Lucas test with Selfridge's parameters
+    (``_selfridge``), the first over blocks of _BLOCK elements and the second
+    over blocks of _LUCAS_BLOCK survivors; n' and R mod n are formed once
+    and serve both.  A square, or an n with (D/n) = 0 before Selfridge's D,
+    is composite.  No composite below 2^64 passes both:
+    Gilchrist checked BPSW against Feitsma's list of the base-2 pseudoprimes
+    below 2^64.  So below 2^63 the answer is exact, on the same footing as
+    the psi_k table of the scalar path.  Negative elements are not prime.
     """
     if n.dtype != np.int64:
         raise UsageError(f"is_prime_int takes an int64 array, not {n.dtype}")
@@ -434,17 +453,20 @@ def _is_prime_array(n: np.ndarray) -> np.ndarray:
     live = np.empty(flat.size, dtype=bool)
     for i in range(0, flat.size, _BLOCK):
         prime[i : i + _BLOCK], live[i : i + _BLOCK] = _trial_division(flat[i : i + _BLOCK])
-    where = np.flatnonzero(live)
-    m = flat[where].astype(np.uint64)
-    k = _VEC_K[np.searchsorted(_VEC_PSI, m, side="right")]
-    for j, a in enumerate(_MR_BASES):
-        if not where.size:
-            break
-        ok = np.concatenate([_strong_probable_prime(m[i : i + _BLOCK], a) for i in range(0, m.size, _BLOCK)])
-        last = k == j + 1
-        prime[where[ok & last]] = True
-        keep = ok & ~last
-        where, m, k = where[keep], m[keep], k[keep]
+    live = np.flatnonzero(live)
+    passed = []  # (index, n, n' = -n^-1 mod 2^64, R mod n) of the base-2 survivors, per block
+    for i in range(0, live.size, _BLOCK):
+        m = flat[live[i : i + _BLOCK]].astype(np.uint64)
+        mont = (live[i : i + _BLOCK], m, 0 - _inverse(m), (0 - m) % m)
+        ok = _strong_probable_prime(*mont[1:])
+        passed.append([a[ok] for a in mont])
+    if passed:
+        passed = [np.concatenate(a) for a in zip(*passed)]
+        for i in range(0, passed[0].size, _LUCAS_BLOCK):
+            where, *mont = (a[i : i + _LUCAS_BLOCK] for a in passed)
+            D = _selfridge(mont[0])
+            ok = D != 0
+            prime[where[ok]] = _strong_lucas_probable_prime(*(a[ok] for a in mont), D[ok])
     return prime.reshape(n.shape)
 
 
@@ -479,40 +501,124 @@ def _redc(hi, lo, n, n_neg_inv):
     return np.minimum(t, t - n)  # t - n wraps above t when t < n
 
 
+def _mul(x, y, n, n_neg_inv):
+    """The Montgomery product x*y/R mod n."""
+    return _redc(mul_hi(x, y), x * y, n, n_neg_inv)
+
+
+def _sqr(x, n, n_neg_inv):
+    """The Montgomery square x*x/R mod n."""
+    return _redc(_sqr_hi(x), x * x, n, n_neg_inv)
+
+
 def _add_mod(u, v, n):
     w = u + v  # below 2n < 2^64
     return np.minimum(w, w - n)
 
 
-def _strong_probable_prime(n: np.ndarray, a: int) -> np.ndarray:
-    """True where the odd n (uint64, 2^16 <= n < 2^63) is a strong probable
-    prime to base a, in Montgomery form with R = 2^64: x stands for x*R mod n.
+def _sub_mod(u, v, n):
+    w = u - v
+    return np.minimum(w, w + n)  # when u < v, w wraps and w + n wraps back below n
 
-    n' = -n^-1 mod 2^64 comes from ``_inverse``; R mod n is (0 - n) % n;
-    a*(xR) = (ax)R is formed by doubling and adding, so the base needs no
-    Montgomery product.
+
+def _split_twos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, s) with m = d * 2^s and d odd, for nonzero uint64 m <= 2^63."""
+    low = m & (0 - m)  # the lowest set bit
+    return m // low, np.searchsorted(_POW2, low)
+
+
+def _strong_probable_prime(n: np.ndarray, n_neg_inv: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """True where the odd n (uint64, 2^16 <= n < 2^63) is a strong probable
+    prime to base 2, in Montgomery form with R = 2^64: x stands for x*R mod n,
+    n_neg_inv is -n^-1 mod 2^64 and one is R mod n.  2*(xR) = (2x)R is one
+    modular addition, so the base needs no Montgomery product.
     """
-    n_neg_inv = 0 - _inverse(n)
-    one = (0 - n) % n
     minus_one = n - one
-    d = n - 1
-    low = d & (0 - d)  # the lowest set bit: n - 1 = d * 2^s with d odd
-    s = np.searchsorted(_POW2, low)
-    d //= low
-    a_bits = bin(a)[3:]
+    d, s = _split_twos(n - 1)
     x = one
     for b in range(int(d.max()).bit_length() - 1, -1, -1):
-        x = _redc(_sqr_hi(x), x * x, n, n_neg_inv)
-        ax = x
-        for bit in a_bits:
-            ax = _add_mod(ax, ax, n)
-            if bit == "1":
-                ax = _add_mod(ax, x, n)
-        x = np.where(d & (1 << b) != 0, ax, x)
+        x = _sqr(x, n, n_neg_inv)
+        x = np.where(d & (1 << b) != 0, _add_mod(x, x, n), x)
     ok = (x == one) | (x == minus_one)
     for i in range(1, int(s.max())):
-        x = _redc(_sqr_hi(x), x * x, n, n_neg_inv)
+        x = _sqr(x, n, n_neg_inv)
         ok |= (x == minus_one) & (s > i)
+    return ok
+
+
+def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Jacobi symbol (a/n) as int64, for uint64 arrays 0 <= a < n < 2^63
+    with n odd, by quadratic reciprocity: strip the twos of a, each flipping
+    the sign when n = 3 or 5 (mod 8), then swap a and n, flipping it when
+    both are 3 (mod 4), and reduce; (0/n) is 1 for n = 1 and 0 otherwise."""
+    out = np.zeros(a.size, dtype=np.int64)
+    idx, sign = np.arange(a.size), np.ones(a.size, dtype=np.int64)
+    while idx.size:
+        done = a == 0
+        out[idx[done]] = np.where(n[done] == 1, sign[done], 0)
+        idx, a, n, sign = idx[~done], a[~done], n[~done], sign[~done]
+        a, twos = _split_twos(a)
+        r8 = n & 7
+        sign[(twos & 1 == 1) & ((r8 == 3) | (r8 == 5))] *= -1
+        sign[(a & 3 == 3) & (n & 3 == 3)] *= -1
+        a, n = n % a, a
+    return out
+
+
+def _selfridge(n: np.ndarray) -> np.ndarray:
+    """Selfridge's D (Method A) for odd uint64 n < 2^63: the first of 5, -7,
+    9, -11, 13, ... with Jacobi (D/n) = -1, as int64.  It is 0 where n is
+    composite: n is a square, for which every (D/n) is 0 or 1 and the search
+    would not end, or (D/n) = 0 comes first, so gcd(D, n) > 1, which shows n
+    composite when |D| < n (always so from 2^16 on: the search stops far
+    sooner).  The float root of n < 2^63 is within 1e-6 of sqrt(n), so its
+    rounding squares back to n exactly when n is a square."""
+    D = np.zeros(n.size, dtype=np.int64)
+    r = np.rint(np.sqrt(n.astype(np.float64))).astype(np.uint64)
+    idx, d = np.flatnonzero(r * r != n), 5
+    while idx.size:
+        m = n[idx]
+        j = _jacobi(np.mod(d, m.astype(np.int64)).astype(np.uint64), m)
+        D[idx[j == -1]] = d
+        idx, d = idx[j == 1], -d - 2 if d > 0 else 2 - d
+    return D
+
+
+def _strong_lucas_probable_prime(n: np.ndarray, n_neg_inv: np.ndarray, one: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """True where the odd n (uint64, n < 2^63) is a strong Lucas probable
+    prime with P = 1 and Q = (1 - D)/4, for int64 D with (D/n) = -1: with
+    n + 1 = d*2^s and d odd, U_d = 0 or V_(d*2^r) = 0 (mod n) for some
+    0 <= r < s.  Montgomery form as in ``_strong_probable_prime``.
+
+    A ladder from the top bit of d keeps (V_k, V_(k+1)) and (Q^k, Q^(k+1)),
+    k -> 2k + bit, with V_(2k) = V_k^2 - 2Q^k and V_(2k+1) = V_k*V_(k+1) -
+    P*Q^k: four Montgomery products per bit.  U_d is never formed: D*U_d =
+    2*V_(d+1) - P*V_d, and gcd(D, n) = 1, so U_d = 0 exactly when 2*V_(d+1) =
+    V_d.  Q*R mod n is formed from R mod n by doubling and adding |Q|.
+    """
+    Q = (1 - D) // 4
+    size = np.abs(Q).astype(np.uint64)
+    q = np.zeros_like(n)
+    for b in range(int(size.max(initial=0)).bit_length() - 1, -1, -1):
+        q = _add_mod(q, q, n)
+        q = np.where(size & (1 << b) != 0, _add_mod(q, one, n), q)
+    q = np.where(Q < 0, _sub_mod(np.zeros_like(n), q, n), q)
+    d, s = _split_twos(n + 1)
+    v0, v1, q0, q1 = _add_mod(one, one, n), one, one, q  # V_0 = 2, V_1 = P = 1, Q^0, Q^1
+    for b in range(int(d.max(initial=0)).bit_length() - 1, -1, -1):
+        bit = d & (1 << b) != 0
+        odd = _sub_mod(_mul(v0, v1, n, n_neg_inv), q0, n)  # V_(2k+1)
+        qb = np.where(bit, q1, q0)  # Q^(k+bit)
+        even = _sub_mod(_sqr(np.where(bit, v1, v0), n, n_neg_inv), _add_mod(qb, qb, n), n)  # V_(2k+2bit)
+        q_odd, q_even = _mul(q0, q1, n, n_neg_inv), _sqr(qb, n, n_neg_inv)
+        v0, v1 = np.where(bit, odd, even), np.where(bit, even, odd)
+        q0, q1 = np.where(bit, q_odd, q_even), np.where(bit, q_even, q_odd)
+    ok = _add_mod(v1, v1, n) == v0  # U_d = 0
+    ok |= v0 == 0
+    for r in range(1, int(s.max(initial=0))):
+        v0 = _sub_mod(_sqr(v0, n, n_neg_inv), _add_mod(q0, q0, n), n)  # V_(2k) = V_k^2 - 2Q^k
+        q0 = _sqr(q0, n, n_neg_inv)
+        ok |= (v0 == 0) & (s > r)
     return ok
 
 
@@ -535,12 +641,12 @@ def _trial_primes() -> Iterator[int]:
 
 def factorize(n: int | np.ndarray) -> dict[int, int] | list[dict[int, int]]:
     """Exact factorization: trial division by the primes up to TRIAL_LIMIT,
-    then Miller-Rabin certification of the cofactor.  Refuses composites
+    then ``is_prime_int`` certification of the cofactor.  Refuses composites
     with two factors above TRIAL_LIMIT (certified mode).
 
     Trial division stops at the first prime p with p^2 above the cofactor,
     which is then 1 or prime with no test; only a cofactor left when p
-    passes the trial limit goes to Miller-Rabin.
+    passes the trial limit goes to ``is_prime_int``.
 
     n is a Python int, or an int64 array, for which a list of one dict per
     element, in flat order, is returned (see ``_factorize_array``).
@@ -581,7 +687,7 @@ def _factorize_array(n: np.ndarray) -> list[dict[int, int]]:
     (``_divisibility``); the exponent is taken only at a hit, by multiplying
     by p^-1 while p still divides.  After each block a cofactor below the
     square of the next prime is 1 or prime and leaves the live set.  The
-    cofactors still live past TRIAL_LIMIT get the array Miller-Rabin, and
+    cofactors still live past TRIAL_LIMIT get the array primality test, and
     the first composite one, in flat order, is refused as the scalar path
     refuses it.
     """
@@ -591,12 +697,9 @@ def _factorize_array(n: np.ndarray) -> list[dict[int, int]]:
     if flat.size and flat.min() < 1:
         raise UsageError("factorize needs n >= 1")
     facs: list[dict[int, int]] = [{} for _ in range(flat.size)]
-    m = flat.astype(np.uint64)
-    low = m & (0 - m)
-    twos = np.searchsorted(_POW2, low)
+    m, twos = _split_twos(flat.astype(np.uint64))
     for i in np.flatnonzero(twos).tolist():
         facs[i][2] = int(twos[i])
-    m //= low
     idx = np.arange(flat.size)
     limit = min(TRIAL_LIMIT, math.isqrt(int(m.max(initial=1))))
     odd = _simple_sieve(2 * limit + 3)[1:]  # holds an odd prime above limit (Bertrand)

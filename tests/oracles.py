@@ -28,7 +28,16 @@ its oracle too:
   float: the route that ``numutil.unit_mod`` and ``numutil.fixed_phase``
   replaced throughout the package, kept as an independent reference;
 * ``enumerate_list`` lists A(x) one Python int at a time, where
-  ``digit_systems.enumerate_restricted`` builds int64 outer products.
+  ``digit_systems.enumerate_restricted`` builds int64 outer products;
+* ``jacobi``, ``selfridge`` and ``strong_lucas_probable_prime`` take the
+  Jacobi symbol, Selfridge's D and the strong Lucas test on one Python int,
+  the last from U_k and V_k by the binary method with halving mod n, where
+  ``primes._jacobi``, ``primes._selfridge`` and
+  ``primes._strong_lucas_probable_prime`` run uint64 arrays, the last
+  through a Montgomery ladder of V alone;
+* ``prime_exp_sum_exact`` sums e(p*theta) at 140 bits with mpmath from
+  exact dyadic phases, where ``primes.prime_sums`` multiplies two float
+  root tables at the sieve's slot indices.
 
 Two oracles check a fold, not a kernel: ``cell_sup_unfolded`` and
 ``refined_cell_sups_unfolded`` evaluate every cell and every digit, where
@@ -46,7 +55,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+from mpmath import libmp
 from sympy import primefactors, primerange
 
 from restricta.arcs import DEFAULT_A, MINOR, NONSMOOTH_MAJOR, PRIMARY_MAJOR, SMOOTH_MAJOR
@@ -329,3 +340,73 @@ def enumerate_list(sys, x: int) -> list[int]:
         out.extend(level)
         level = [t * sys.q + d for t in level if t * sys.q <= x for d in sys.digits if t * sys.q + d <= x]
     return out
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def selfridge(n: int) -> int:
+    """Selfridge's D (Method A) for an odd n > 1 that is not a square: the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, or 0 when a D with |D| < n
+    and (D/n) = 0 comes first (then gcd(D, n) > 1 shows n composite)."""
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) < n:
+            return 0
+        D = -D - 2 if D > 0 else 2 - D
+    return D
+
+
+def strong_lucas_probable_prime(n: int) -> bool:
+    """Selfridge's strong Lucas test for an odd n > 1 that is not a square:
+    D from ``selfridge`` (n fails when that is 0), P = 1, Q = (1 - D)/4;
+    with n + 1 = d*2^s, d odd, n passes when U_d = 0 or V_(d*2^r) = 0
+    (mod n) for some 0 <= r < s.  (U, V) go from the top bit of d down by
+    U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k, and for a set bit U_(k+1) =
+    (P U_k + V_k)/2, V_(k+1) = (D U_k + P V_k)/2, halving mod n."""
+    D = selfridge(n)
+    if D == 0:
+        return False
+    P, Q, half = 1, (1 - D) // 4, (n + 1) // 2
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (P * U + V) * half % n, (D * U + P * V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def prime_exp_sum_exact(primes, theta: float, prec: int = 140) -> tuple:
+    """S_P(theta) = sum of e(p*theta) over the given primes as a pair of mpmath
+    mpf values (re, im) at prec bits (140 bits: 42 digits).  theta is the
+    dyadic a/2^k of its float, so each phase 2*(p*a mod 2^k)/2^k of
+    cos_sin_pi is exact; each term and each partial sum is rounded at prec
+    bits."""
+    a, b = float(theta).as_integer_ratio()
+    k = b.bit_length() - 1
+    re = im = libmp.fzero
+    for p in primes:
+        c, s = libmp.mpf_cos_sin_pi(libmp.from_man_exp(2 * (p * a % b), -k), prec)
+        re, im = libmp.mpf_add(re, c, prec), libmp.mpf_add(im, s, prec)
+    return mpmath.mpf(re), mpmath.mpf(im)

@@ -597,9 +597,11 @@ class TestDeterminism:
         # |A(x)| above the enumerate route: the sieve route
         (("census", "--sys", "q=10,exclude=7", "--x", "10000000"),
          "0b4f4edbf242bdd680a3425cf63f17e142ffdab6f6056b51bd4b24b4f906d7d8"),
-        # S_P from 64-bit fixed-point phases: value within 4e-14 of mpmath
+        # S_P from two root tables at the slot indices: value 5.4e-14 from
+        # 140-bit mpmath (re 120.65510833947573 -> 120.65510833947565,
+        # im 42.345067053272466 -> 42.34506705327246)
         (("primes", "--limit", "1000000", "--ap", "10,3", "--exp-sum", "0.123"),
-         "b579f9b612615d45cce6475872de36fa277bf89edbdbabda8a015b1b3d462759"),
+         "a3f26b05233159aa4664286acd4da9c0e178c49979bd2cd1d07e886f9c87f737"),
         (("fourier", "--check", "pairwise", "--q", "20"),
          "e6ceba59a59fb7babcb66134488521926f5c655f432ede15b2475cce0a48759b"),
         # no --R: the union of one q's events
@@ -609,9 +611,11 @@ class TestDeterminism:
         (("gcdgraph", "--cmd", "model", "--set", "{set}", "--B", "1000000"),
          "958bbed5bd400b6606bf9edf57c21c8fbdd5ae576753d7fb32683cb4b356872f"),
         # one slot past the first segment, whose 2^20 odd slots end at 2^21 - 1:
-        # the walk's second segment is the one slot 2^21 + 1
+        # the walk's second segment is the one slot 2^21 + 1; value 5.3e-13
+        # from 140-bit mpmath (re -37.039736777383325 -> -37.03973677738259,
+        # im 91.37672081775025 -> 91.37672081775037)
         (("primes", "--limit", "2097153", "--ap", "7,0", "--exp-sum", "0.3333"),
-         "bf72fae187f7cc926cf76813e226ac3d9ee29917fcb45c28f15610b80ad18125"),
+         "ed3da06c76ae8bba1d7a6c516c67d3e1c4020842df856ac5c521902536466d1a"),
     ])
     def test_pinned_route_outputs(self, capsys, tmp_path, argv, sha256):
         # seeded sets of 60 and 50 integers below 10^6, and a five-row psi table

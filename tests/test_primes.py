@@ -1,8 +1,11 @@
+import contextlib
 import itertools
 import math
 import re
+import signal
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -14,7 +17,15 @@ from restricta import primes as P
 from restricta.digit_systems import DigitSystem, census
 from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
 
-from tests.oracles import enumerate_list, frac_exact, prime_spectrum_direct
+from tests.oracles import (
+    enumerate_list,
+    frac_exact,
+    jacobi,
+    prime_exp_sum_exact,
+    prime_spectrum_direct,
+    selfridge,
+    strong_lucas_probable_prime,
+)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -33,8 +44,10 @@ def pi(x: int) -> int:
 
 
 def walk_primes(table) -> np.ndarray:
-    """The primes of a table, decoded from its walk segment by segment."""
-    return np.concatenate([P._decode(lo, flags) for lo, flags in table.slots()])
+    """The primes of a table, decoded from its walk segment by segment: odd
+    slot i of the segment at lo holds 2*(lo + i) + 1, and 2 comes first."""
+    odd = [2 * (lo + np.flatnonzero(flags)) + 1 for lo, flags in table.slots()]
+    return np.concatenate([np.array([2], dtype=np.int64), *odd])
 
 
 def mobius_oracle(n: int) -> int:
@@ -356,6 +369,17 @@ class TestRamanujan:
             assert round(val.real) == P.mobius(s)
 
 
+@pytest.fixture(scope="module")
+def primes_to_edge():
+    """The primes up to 2^21 + 1, from a plain sieve over every integer."""
+    flags = np.ones(2**21 + 2, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(2**21 + 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
 class TestPrimeExpSum:
     def test_at_zero(self):
         assert P.prime_sums(P.sieve_primes(100), theta=0.0)[2] == pytest.approx(25 + 0j)
@@ -402,9 +426,40 @@ class TestPrimeExpSum:
         v = P.prime_sums(table_1e6, theta=0.123)[2]
         assert abs(v - complex(120.65510833947569396, 42.345067053272483438)) < 1e-11
 
+    @pytest.mark.parametrize("N,theta", [
+        *((10**6, theta) for theta in (0.123, 0.6180339887498949, 1e-7, 0.5)),
+        (2**21 + 1, 0.3333),  # one slot past the first segment
+    ])
+    def test_against_mpmath(self, N, theta, primes_to_edge):
+        # every term is a product of three table roots: measured errors are at
+        # most 5.3e-13, or 3.4e-18 * pi(N)
+        ps = primes_to_edge[primes_to_edge <= N].tolist()
+        re_, im_ = prime_exp_sum_exact(ps, theta)
+        v = P.prime_sums(P.sieve_primes(N), theta=theta)[2]
+        assert abs(mpmath.mpc(v) - mpmath.mpc(re_, im_)) < 1e-15 * len(ps)
+
+    def test_walk_peak_is_one_chunk_over_the_sieve(self):
+        # S_P works SP_CHUNK slots at a time: at 10^7 the walk's traced peak
+        # is 2.04 MiB without theta (the flags of two segments) and 0.12 MiB
+        # more with it; whole segments of gathered roots add 4.8 MiB
+        peaks = {}
+        for theta in (None, 0.41421356237309515):
+            tracemalloc.start()
+            try:
+                table = P.sieve_primes(10**7)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                P.prime_sums(table, (10, 3), theta)
+                peaks[theta] = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        assert peaks[None] < 2.5 * 2**20
+        assert peaks[0.41421356237309515] - peaks[None] < 2**18
+
     def test_memory(self):
-        # one segment, one decoded segment and one block workspace at a
-        # time, the table included: 5.2 MB traced at both limits
+        # one segment of flags, the one being sieved and one chunk's
+        # temporaries at a time, the table included: 2.2 MB traced at both
+        # limits
         peaks = []
         for x in (10**7, 10**8):
             tracemalloc.start()
@@ -699,6 +754,128 @@ class TestPrimalityArray:
     def test_array_agrees_with_sympy(self, values):
         # each draw is a batch from one band of the psi_k table, so every row is exercised
         _array_agrees(values)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the main thread after seconds, so that a search
+    that never ends fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _lucas_kernel(values) -> np.ndarray:
+    """The array strong Lucas test at Selfridge's D, on odd n with a nonzero D."""
+    n = np.array(values, dtype=np.uint64)
+    D = P._selfridge(n)
+    assert D.all()
+    return P._strong_lucas_probable_prime(n, 0 - P._inverse(n), (0 - n) % n, D)
+
+
+def _base2_strong_pseudoprimes(lo: int, hi: int) -> list[int]:
+    """The odd composite n in [lo, hi] that are strong probable primes to base
+    2, by brute force: a plain sieve names the composites, and each gets
+    2^d mod n and its squarings in int64 (hi^2 < 2^63), n - 1 = d*2^s."""
+    flags = np.ones(hi + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    odd = np.arange(lo | 1, hi + 1, 2, dtype=np.int64)
+    odd = odd[~flags[odd]]
+    found = []
+    for i in range(0, odd.size, 1 << 18):
+        n = odd[i : i + (1 << 18)]
+        low = (n - 1) & (1 - n)  # 2^s
+        e = (n - 1) // low
+        x, b = np.ones_like(n), np.full_like(n, 2)
+        while e.any():
+            x = np.where(e & 1 == 1, x * b % n, x)
+            b = b * b % n
+            e >>= 1
+        ok = (x == 1) | (x == n - 1)
+        for r in range(1, int(low.max()).bit_length() - 1):
+            x = x * x % n
+            ok |= (x == n - 1) & (low > 1 << r)
+        found.extend(n[ok].tolist())
+    return found
+
+
+# the strong Lucas pseudoprimes below 10^5 with Selfridge's parameters (OEIS A217255)
+_SLPSP = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+class TestBPSW:
+    def test_jacobi_against_sympy(self):
+        a, n = np.meshgrid(np.arange(301, dtype=np.uint64), np.arange(1, 302, 2, dtype=np.uint64))
+        keep = a < n
+        a, n = a[keep], n[keep]
+        got = P._jacobi(a, n).tolist()
+        assert got == [sympy.jacobi_symbol(int(x), int(y)) for x, y in zip(a, n)]
+        assert got == [jacobi(int(x), int(y)) for x, y in zip(a, n)]
+
+    @given(st.lists(st.tuples(st.integers(1, 2**62 - 1), st.integers(0, 2**63)), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_jacobi_large(self, pairs):
+        n = [2 * k + 1 for k, _ in pairs]
+        a = [r % m for (_, r), m in zip(pairs, n)]
+        got = P._jacobi(np.array(a, dtype=np.uint64), np.array(n, dtype=np.uint64)).tolist()
+        assert got == [sympy.jacobi_symbol(x, m) for x, m in zip(a, n)]
+
+    def test_selfridge_against_oracle(self):
+        # every odd non-square n in [1001, 30001): each D the search reaches
+        # is far below n, where the kernel and the oracle agree
+        n = [v for v in range(1001, 30001, 2) if math.isqrt(v) ** 2 != v]
+        assert P._selfridge(np.array(n, dtype=np.uint64)).tolist() == [selfridge(v) for v in n]
+
+    def test_selfridge_ends_on_squares(self):
+        # a square has no D with (D/n) = -1; without the square check the
+        # search would run until |D| met a factor, past 10^9 steps here
+        big = [65537, 2**31 - 1, 3037000493]  # the last is the largest prime below 2^31.5
+        squares = [p * p for p in (*sympy.primerange(257, 400), *big)] + [1093**2, 3511**2, (1093 * 3511) ** 2]
+        with _deadline(10):
+            assert not P._selfridge(np.array(squares, dtype=np.uint64)).any()
+        _array_agrees(squares)
+
+    def test_lucas_kernel_against_oracle(self):
+        n = [v for v in range(1001, 30001, 2) if math.isqrt(v) ** 2 != v and selfridge(v)]
+        assert _lucas_kernel(n).tolist() == [strong_lucas_probable_prime(v) for v in n]
+
+    @given(st.lists(st.one_of(st.integers(2**15, 2**62 - 1).map(lambda k: 2 * k + 1),
+                              st.integers(2**16, 2**63 - 26).map(sympy.nextprime)), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_lucas_kernel_large(self, values):
+        n = [v for v in values if math.isqrt(v) ** 2 != v and selfridge(v)]
+        if n:
+            assert _lucas_kernel(n).tolist() == [strong_lucas_probable_prime(v) for v in n]
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the oracle finds exactly the known list below 10^5; the kernel
+        # passes each of them, and the base-2 test rejects each
+        found = [n for n in range(3, 10**5, 2)
+                 if math.isqrt(n) ** 2 != n and not sympy.isprime(n) and strong_lucas_probable_prime(n)]
+        assert found == _SLPSP
+        assert _lucas_kernel(found).all()
+        assert not P.is_prime_int(np.array(found, dtype=np.int64)).any()
+        assert not any(P.is_prime_int(n) for n in found)
+
+    def test_base2_strong_pseudoprimes(self):
+        # every base-2 strong pseudoprime in [2^16, 10^7] passes the base-2
+        # test and only the Lucas test rejects it
+        spsp = _base2_strong_pseudoprimes(2**16, 10**7)
+        assert len(spsp) == 151 and spsp[:3] == [74665, 80581, 85489]
+        n = np.array(spsp, dtype=np.uint64)
+        assert P._strong_probable_prime(n, 0 - P._inverse(n), (0 - n) % n).all()
+        _array_agrees(spsp)
 
 
 def _trial_reference(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ ARGV = [
     # primes, census (enumerate route, block-sieve route) and their refusals
     "primes --limit 1000 --ap 10,3 --exp-sum 0.25",
     "census --sys q=10,D=1.3 --x 1000",
+    "census --sys q=10,D=1.3 --x 10000000",  # 43 primes from 2^16: the strong Lucas test
     "census --sys q=10,exclude=7 --x 1000000",
     f"census --sys q=10,D=1 --x {10**39}",
     f"census --sys q=10,exclude=7 --x {2**40 + 1}",
