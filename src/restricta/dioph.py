@@ -2,7 +2,12 @@
 
 Approximation events E_q (all fractions a/q) and E*_q (reduced fractions)
 are finite unions of closed intervals with rational endpoints, so their
-measures, unions and pairwise overlaps are computed exactly.  Series
+measures, unions and pairwise overlaps are computed exactly.  Each event
+is an array of integer numerators over one denominator, merged in one
+vectorised pass; the measure of a union of events and the sum of their
+pairwise overlaps come from one sweep over every event's ends, sorted by
+correctly rounded float keys with exact order restored where keys tie,
+and summed as integers over the lcm of the denominators.  Series
 classification, the non-monotone counterexample built on primorials and
 the second-moment selection of truncation ranges round out the toolkit.
 """
@@ -11,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +29,7 @@ from .numutil import SUM_CHUNK
 from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
-HELD_INTERVAL_CAP = 2 * 10**6  # intervals held at once: about 135 B each, some 300 MB at the cap
+HELD_INTERVAL_CAP = 2 * 10**6  # intervals held at once: about 65 B each at the sweep's peak, 160 B as Python ints
 PAIR_RANGE_CAP = 2000
 THETA_SIEVE_CAP = 10**7  # largest ell whose theta(ell) ds_spread sieves
 POWER_BITS_CAP = 1 << 16  # bits of the largest n^a an exact power value forms
@@ -296,26 +301,23 @@ def _ds_spread_values(upto: int) -> np.ndarray:
         ps = big[: np.searchsorted(big, upto // k, side="right")]
         gpf[k * ps] = ps
     # theta(ell) above 2 log(upto) + 746 puts every log_val below -746,
-    # where exp underflows to 0: such ell never reach the loop
+    # where exp underflows to 0: such ell never reach the tables
     limit = 2.0 * math.log(max(upto, 1)) + 746.0
-    logs = {}  # ell -> (theta(ell), log(ell log ell)), the two terms log_val subtracts
-    for p in primes.tolist():
-        theta = _log_primorial(p)
-        if theta > limit:
-            break
-        logs[p] = theta, math.log(p * math.log(p))
+    ells = list(itertools.takewhile(lambda p: _log_primorial(p) <= limit, primes.tolist()))
+    top = ells[-1] if ells else 0
+    theta, tail = np.zeros(top + 1), np.zeros(top + 1)  # per ell, the two terms log_val subtracts
+    theta[ells] = [_log_primorial(p) for p in ells]
+    tail[ells] = [math.log(p * math.log(p)) for p in ells]
     out = np.zeros(upto)
-    ok = sqfree & (gpf > 0) & (gpf <= max(logs, default=0))
-    ms = np.flatnonzero(ok[1:]) + 1
-    step = 1 << 14  # the Python lists hold one chunk at a time
+    ms = np.flatnonzero((sqfree & (gpf > 0) & (gpf <= top))[1:]) + 1
+    step = 1 << 14  # the float lists of math.log and math.exp hold one chunk at a time
     for i in range(0, len(ms), step):
         chunk = ms[i : i + step]
-        vals = []
-        for m, ell in zip(chunk.tolist(), gpf[chunk].tolist()):
-            theta, tail = logs[ell]
-            log_val = 2.0 * math.log(m) - theta - tail
-            vals.append(math.exp(log_val) if log_val > -745.0 else 0.0)
-        out[chunk - 1] = vals
+        ell = gpf[chunk]
+        # libm's log and exp, not np.log and np.exp, which differ from them in the last bits
+        log_val = 2.0 * np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk)) - theta[ell] - tail[ell]
+        vals = np.fromiter(map(math.exp, log_val.tolist()), np.float64, len(chunk))
+        out[chunk - 1] = np.where(log_val > -745.0, vals, 0.0)
     return out
 
 
@@ -327,24 +329,37 @@ class IntervalUnion:
     rational endpoints; touching intervals merge on normalisation.
 
     ``IntervalUnion(den, pairs)`` reads each integer pair (lo, hi) as
-    [lo/den, hi/den] and holds the sorted, merged pairs as ``ends`` over the
-    one denominator ``den``, so no gcd is taken inside a merge.
+    [lo/den, hi/den] and holds the sorted, merged pairs as ``ends``, a tuple
+    of Python-int pairs over the one denominator ``den``, so no gcd is taken
+    inside a merge.  The measures over many events hold each event as the
+    (den, array) that ``_normalize`` returns instead, and sweep the arrays
+    (``_sweep``).
     """
 
     __slots__ = ("den", "ends")
 
     def __init__(self, den: int, pairs=()):
-        self.den, self.ends = den, IntervalUnion._normalize(pairs)
+        self.den, self.ends = den, tuple(map(tuple, IntervalUnion._normalize(pairs).tolist()))
 
     @staticmethod
-    def _normalize(pairs) -> tuple:
-        merged: list[list[int]] = []
-        for lo, hi in sorted(pair for pair in pairs if pair[1] > pair[0]):  # points carry no measure
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return tuple((lo, hi) for lo, hi in merged)
+    def _normalize(pairs) -> np.ndarray:
+        """The merged pairs as an (n, 2) array sorted by lo: pairs with
+        hi <= lo carry no measure and go, and after a sort by lo a pair
+        starts a new interval only where its lo passes the running maximum
+        of the earlier his, so touching intervals merge.  An array keeps its
+        dtype (int64, or Python ints in an object array); other pairs
+        become an object array."""
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.array(list(pairs), dtype=object).reshape(-1, 2)
+        keep = pairs[:, 1] > pairs[:, 0]
+        lo, hi = pairs[keep, 0], pairs[keep, 1]
+        order = lo.argsort(kind="stable")
+        lo, reach = lo[order], np.maximum.accumulate(hi[order])
+        new = np.ones(len(lo), dtype=bool)
+        new[1:] = lo[1:] > reach[:-1]
+        last = np.ones(len(lo), dtype=bool)  # the pair before each new start ends an interval
+        last[:-1] = new[1:]
+        return np.stack((lo[new], reach[last]), axis=1)
 
     def _scaled(self, den: int):
         """The ends as numerators over den, a multiple of self.den, one pair at a time."""
@@ -383,6 +398,34 @@ class IntervalUnion:
 # ------------------------------------------------------------- operations
 
 
+def _event_pairs(q: int, psi: PsiFunction, reduced: bool = True):
+    """(den, pairs): the candidate intervals of event q as an (n, 2) array
+    of numerators over den = lcm(q, den(psi(q)/q^2)), one row
+    [a/q - psi(q)/q^2, a/q + psi(q)/q^2] clipped to [0, 1] per admissible
+    a in {0..q} (where reduced, the a left when the multiples of each prime
+    of q are struck out), unmerged.  The half-width is clipped to den first, which
+    changes no clipped interval and keeps every numerator below 2 den: the
+    numerators are int64 when den < 2^53, where a float division of one by
+    den is correctly rounded, and Python ints in an object array otherwise."""
+    if q < 1:
+        raise UsageError("need q >= 1")
+    if q >= INTERVAL_CAP:
+        raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
+    delta = psi.exact(q) / (q * q)
+    if delta <= 0:
+        return 1, np.zeros((0, 2), dtype=np.int64)
+    den = math.lcm(q, delta.denominator)
+    step, half = den // q, min(delta.numerator * (den // delta.denominator), den)
+    a = np.arange(q + 1)
+    if reduced:
+        prime_to_q = np.ones(q + 1, dtype=bool)
+        for p in factorize(q):
+            prime_to_q[::p] = False
+        a = a[prime_to_q]
+    centre = a * step if den < 1 << 53 else a.astype(object) * step
+    return den, np.stack((np.maximum(centre - half, 0), np.minimum(centre + half, den)), axis=1)
+
+
 def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion:
     """The approximation event at denominator q: the union over admissible
     a in {0..q} of [a/q - psi(q)/q^2, a/q + psi(q)/q^2] clipped to [0,1].
@@ -390,20 +433,7 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     reduced restricts to gcd(a, q) = 1 (which admits a = 0 and a = q only
     for q = 1, matching the reduced-fraction convention).
     """
-    if q < 1:
-        raise UsageError("need q >= 1")
-    if q >= INTERVAL_CAP:
-        raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
-    delta = psi.exact(q) / (q * q)
-    if delta <= 0:
-        return IntervalUnion(1)
-    den = math.lcm(q, delta.denominator)
-    step, half = den // q, delta.numerator * (den // delta.denominator)
-    return IntervalUnion(den, [
-        (max(0, a * step - half), min(den, a * step + half))
-        for a in range(q + 1)
-        if not reduced or math.gcd(a, q) == 1
-    ])
+    return IntervalUnion(*_event_pairs(q, psi, reduced))
 
 
 def _prefixes(lo: int, hi: int):
@@ -418,28 +448,31 @@ def _prefixes(lo: int, hi: int):
 
 
 def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
-    """Yield (q, event_union(q)) for the q in [Q, R) with psi(q) > 0 (the
-    others are empty), read off ``psi.support`` over ``_prefixes``, and
-    refused once the intervals built so far pass cap: HELD_INTERVAL_CAP for
-    a caller that holds every event, INTERVAL_CAP for one that holds one at
-    a time.  A window past INTERVAL_CAP is refused there, as
-    ``event_union`` refuses any q at the cap."""
+    """Yield (q, den, ends) for the q in [Q, R) with psi(q) > 0 (the others
+    are empty), read off ``psi.support`` over ``_prefixes``: ends is event
+    q as the (n, 2) array ``IntervalUnion._normalize`` makes of
+    ``_event_pairs``, over den.  Refused once the intervals built so far
+    pass cap: HELD_INTERVAL_CAP for a caller that holds every event,
+    INTERVAL_CAP for one that holds one at a time.  A window past
+    INTERVAL_CAP is refused there, as ``_event_pairs`` refuses any q at the
+    cap."""
     if Q < 1 and Q < R:
         raise UsageError("need q >= 1")
     count = 0
     for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
         for q in (np.flatnonzero(psi.support(top)[lo - 1 :]) + lo).tolist():
-            ev = event_union(q, psi, reduced)
-            count += len(ev)
+            den, pairs = _event_pairs(q, psi, reduced)
+            ends = IntervalUnion._normalize(pairs)
+            count += len(ends)
             if count > cap:
                 raise CapExceeded(f"interval count above {cap}")
-            yield q, ev
+            yield q, den, ends
     if max(Q, INTERVAL_CAP) < R:
         raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
 
 
-def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[IntervalUnion]:
-    """Every event_union(q), q in [Q, R), held at once, refused past
+def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[tuple[int, np.ndarray]]:
+    """Every event (den, ends) of q in [Q, R), held at once, refused past
     HELD_INTERVAL_CAP intervals before any is built where a lower bound
     tells: where 0 < psi(q) < q/2 the intervals a/q +- psi(q)/q^2 are
     disjoint and none is empty, so event q holds q + 1 of them, or at least
@@ -459,7 +492,82 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[Interv
             held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
             if held > HELD_INTERVAL_CAP:
                 raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
-    return [ev for _, ev in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
+    return [(den, ends) for _, den, ends in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
+
+
+def _over_lcm(terms) -> Fraction:
+    """The sum of num/den over the (den, num) terms, taken once over the lcm of the dens."""
+    den = math.lcm(*(d for d, _ in terms))
+    return Fraction(sum(num * (den // d) for d, num in terms), den)
+
+
+def _width(ends: np.ndarray) -> int:
+    """The summed lengths of an event's merged ends, as a numerator over its den."""
+    return int((ends[:, 1] - ends[:, 0]).sum())
+
+
+def _exact_ties(order: np.ndarray, keys: np.ndarray, flat: list, starts: np.ndarray) -> None:
+    """Put each run of equal keys (keys in sorted order) whose ends are
+    distinct rationals in exact order, in place; flat[k] is event k as
+    (den, its ends flattened) and starts[k] the sort index of its first end."""
+    tie = np.flatnonzero(keys[1:] == keys[:-1])  # keys[t] == keys[t + 1]
+    if not len(tie):
+        return
+    for t in np.split(tie, np.flatnonzero(np.diff(tie) > 1) + 1):
+        i, j = int(t[0]), int(t[-1]) + 2  # keys[i:j] are equal
+        run = order[i:j].tolist()
+        ev = (np.searchsorted(starts, run, side="right") - 1).tolist()
+        vals = [Fraction(int(flat[e][1][k - starts[e]]), flat[e][0]) for k, e in zip(run, ev)]
+        if min(vals) != max(vals):
+            order[i:j] = [k for _, k in sorted(zip(vals, run))]
+
+
+def _sweep(events, weight) -> Fraction:
+    """The integral over [0, 1] of weight(depth), where depth(x) counts the
+    events (den, ends) that cover x, each event merged by ``_normalize`` so
+    that it counts once: weight [d >= 1] gives the measure of their union,
+    C(d, 2) the sum of mu(E_q cap E_r) over unordered pairs q != r.
+
+    Each end x is keyed by its correctly rounded float, x / den: a float64
+    division of int64 numerators under den < 2^53, Python's int / int for
+    the object arrays.  Rounding is monotone, x < y gives key(x) <= key(y),
+    so a stable argsort by key puts the ends in exact order except inside
+    runs of equal keys.  Equal ends need no tie rule, since the segment
+    between them has length 0; a run that holds distinct rationals is
+    reordered by exact comparison (``_exact_ties``).  depth is the cumsum
+    of +1 at each start and -1 at each end, and
+    sum_i w_i (x_{i+1} - x_i) telescopes to sum_i (w_{i-1} - w_i) x_i with
+    w_{-1} = 0, so each end takes an integer coefficient c.  Event q adds
+    sum c num / den_q: in int64 where den_q sum |c| < 2^63 bounds every
+    partial sum (every num is at most den_q), in Python ints otherwise.
+    The events' terms are summed once over the lcm of their dens."""
+    flat = [(den, ends.ravel()) for den, ends in events if len(ends)]
+    if not flat:
+        return Fraction(0)
+    starts = np.cumsum([0] + [len(x) for _, x in flat])
+    keys = np.empty(starts[-1])
+    for (den, x), a, b in zip(flat, starts, starts[1:]):
+        keys[a:b] = x / den
+    order = keys.argsort(kind="stable")
+    _exact_ties(order, keys[order], flat, starts)
+    del keys
+    step = np.tile(np.array([1, -1], dtype=np.int8), len(order) // 2)  # each event's ends alternate lo, hi
+    depth = np.cumsum(step[order], dtype=np.int32)
+    del step
+    w = weight(depth)
+    del depth
+    coef = np.empty(len(order), dtype=np.int64)
+    coef[order[0]], coef[order[1:]] = -w[0], w[:-1] - w[1:]
+    del order, w
+    abs_sums = np.add.reduceat(np.abs(coef), starts[:-1]).tolist()
+    terms = []
+    for (den, x), a, b, abs_sum in zip(flat, starts, starts[1:], abs_sums):
+        c = coef[a:b]
+        if x.dtype != object and den * abs_sum < 1 << 63:  # every partial sum of c x is at most den sum |c|
+            terms.append((den, int(c @ x)))
+        else:
+            terms.append((den, sum(map(operator.mul, c.tolist(), x.tolist()))))
+    return _over_lcm(terms)
 
 
 def truncated_limsup_measure(
@@ -468,22 +576,15 @@ def truncated_limsup_measure(
     """Exact measure of the union of events over q in [Q, R)."""
     if Q > R:
         raise UsageError("need Q <= R")
-    events = _held_events(psi, Q, R, reduced)
-    den = math.lcm(*(ev.den for ev in events))
-    total = run_lo = run_hi = 0
-    for lo, hi in heapq.merge(*(ev._scaled(den) for ev in events)):  # each end is scaled only while in the merge
-        if lo > run_hi:
-            total, run_lo = total + run_hi - run_lo, lo
-        run_hi = max(run_hi, hi)
-    return Fraction(total + run_hi - run_lo, den)
+    return _sweep(_held_events(psi, Q, R, reduced), lambda depth: (depth > 0).astype(np.int8))
 
 
 def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:
     """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures),
     refused once the events' intervals pass INTERVAL_CAP."""
     total = Fraction(0)
-    for q, ev in _events(psi, Q, cap + 1, True, INTERVAL_CAP):
-        total += ev.measure
+    for q, den, ends in _events(psi, Q, cap + 1, True, INTERVAL_CAP):
+        total += Fraction(_width(ends), den)
         if total >= 1:
             return q + 1
     raise NotReached(f"target not reached by cap {cap}")
@@ -516,35 +617,19 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
     """sum_{Q<=q!=r<R} mu(E*_q cap E*_r) / (sum_{Q<=q<R} mu(E*_q))^2.
 
     Values below 10^6 are consistent with the on-average quasi-independence
-    mechanism; purely diagnostic.  The overlap sum is one sweep: the sum
-    over unordered pairs is the integral of C(depth, 2), depth the number
-    of events covering a point (each E*_q is already merged, so it counts
-    once), read off one heap merge of every event's ends as marks 2x for a
-    start and 2x + 1 for an end over the common denominator.
+    mechanism; purely diagnostic.  The overlap sum over unordered pairs is
+    the integral of C(depth, 2), read off one ``_sweep`` of every event's
+    ends.
     """
     if Q > R:
         raise UsageError("need Q <= R")
     if R - Q > PAIR_RANGE_CAP:
         raise CapExceeded(f"pair range {R - Q} above cap {PAIR_RANGE_CAP}")
     events = _held_events(psi, Q, R, True)
-    total = sum((ev.measure for ev in events), Fraction(0))
+    total = _over_lcm([(den, _width(ends)) for den, ends in events])
     if total == 0:
         return 0.0
-    den = math.lcm(*(ev.den for ev in events))
-
-    def marks(ev):
-        for lo, hi in ev._scaled(den):
-            yield 2 * lo
-            yield 2 * hi + 1
-
-    pairs = depth = prev = 0
-    for mark in heapq.merge(*map(marks, events)):
-        x = mark >> 1
-        if depth > 1:
-            pairs += depth * (depth - 1) // 2 * (x - prev)
-        prev = x
-        depth += -1 if mark & 1 else 1
-    lhs = Fraction(2 * pairs, den)  # ordered pairs
+    lhs = 2 * _sweep(events, lambda depth: depth * (depth - 1) // 2)  # ordered pairs
     return float(lhs) / float(total) ** 2
 
 

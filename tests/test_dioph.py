@@ -361,9 +361,10 @@ class TestTruncatedMeasure:
         assert D.truncated_limsup_measure(PsiFunction.constant(1), 5, 5) == 0
 
     def test_join_holds_no_scaled_copy_of_the_events(self):
-        # the k-way merge scales each end only while it is in the merge, so
-        # the join needs little beyond the events themselves (a joined list
-        # over the common denominator took about three times as much)
+        # the sweep holds each event's ends as one array and frees its sort
+        # keys, order and depth as it goes, so the join needs little beyond
+        # the events themselves (a joined list over the common denominator
+        # took about three times as much)
         psi = PsiFunction.constant(Fraction(1, 4))
         tracemalloc.start()
         try:
@@ -424,7 +425,7 @@ class TestTruncatedMeasure:
         def built(*args):
             raise AssertionError("an event was built")
 
-        monkeypatch.setattr(D, "event_union", built)
+        monkeypatch.setattr(D, "_event_pairs", built)
         for held, Q, R in ((D.truncated_limsup_measure, 2, 2570), (D.quasi_independence_ratio, 5000, 7000)):
             t0 = time.perf_counter()
             with pytest.raises(CapExceeded, match="above 2000000"):
@@ -474,7 +475,7 @@ class TestTruncatedMeasure:
         def built(*args):
             raise AssertionError("an event was built")
 
-        monkeypatch.setattr(D, "event_union", built)
+        monkeypatch.setattr(D, "_event_pairs", built)
         with pytest.raises(CapExceeded, match="above 5000"):
             D.truncated_limsup_measure(psi, 2, R, reduced)
 
@@ -491,8 +492,8 @@ class TestTruncatedMeasure:
         # at 30030 and 510510 only, and the measure is the one that building
         # all 570000 events gave (10.1 s against 0.47 s)
         built = []
-        union = D.event_union
-        monkeypatch.setattr(D, "event_union", lambda q, *args: built.append(q) or union(q, *args))
+        build = D._event_pairs
+        monkeypatch.setattr(D, "_event_pairs", lambda q, *args: built.append(q) or build(q, *args))
         m = D.truncated_limsup_measure(PsiFunction.ds_base(), 30000, 600000)
         assert m == Fraction(1890555281625666489, 99498342470930923520)
         assert built == [30030, 510510]
@@ -618,6 +619,36 @@ class TestQuasiIndependence:
     def test_range_cap(self):
         with pytest.raises(CapExceeded):
             D.quasi_independence_ratio(PsiFunction.constant(1), 2, 5000)
+
+
+class TestSweep:
+    """The float-keyed sweep where floats cannot order the ends."""
+
+    def test_ties_ordered_exactly(self):
+        # E_2 = [5/12 - e, 7/12 + e] with e = 2^-70, and E_3 = [1/4, 5/12] u
+        # [7/12, 3/4]: 5/12 - e and 5/12, 7/12 and 7/12 + e have one float
+        # each, so only the exact order of those runs gives the union
+        # [1/4, 3/4] and the overlaps of length e on both sides
+        psi = PsiFunction.from_pairs([(2, Fraction(1, 3) + Fraction(1, 2**68)), (3, Fraction(3, 4))])
+        assert D.truncated_limsup_measure(psi, 2, 4) == Fraction(1, 2)
+        assert D.quasi_independence_ratio(psi, 2, 4) == pairwise_ratio(psi, 2, 4)
+
+    @pytest.mark.parametrize("K", [2**51 - 1, 2**51 + 1])
+    @pytest.mark.parametrize("m", [1, 2**49 + 3, 3 * 2**51 + 1, 5 * 2**51 + 1])
+    def test_numerators_either_side_of_2_53(self, K, m):
+        # psi(2) = m/K puts event 2 over den = 4K = 2^53 -+ 4, int64
+        # numerators below 2^53 and Python ints above; m gives a tiny event,
+        # psi near 1/4, self-overlap past q/2 and psi past q^2 (all of [0, 1]);
+        # psi(5) = 3m/K reaches past 5/2, where the reduced windows of E_5 meet
+        psi = PsiFunction.from_pairs([(2, Fraction(m, K)), (3, Fraction(1, 3)), (5, Fraction(3 * m, K))])
+        den, pairs = D._event_pairs(2, psi)
+        assert den == 4 * K and pairs.dtype == (np.int64 if den < 2**53 else object)
+        for reduced in (True, False):
+            for q in (2, 3, 5):
+                assert fraction_pairs(D.event_union(q, psi, reduced)) == frac_event(q, psi, reduced)
+            every = frac_normalize(pair for q in (2, 3, 5) for pair in frac_event(q, psi, reduced))
+            assert D.truncated_limsup_measure(psi, 2, 6, reduced) == frac_measure(every)
+        assert D.quasi_independence_ratio(psi, 2, 6) == pairwise_ratio(psi, 2, 6)
 
 
 def dirichlet_approx(alpha, N: int) -> FareyPoint:
