@@ -3,17 +3,18 @@
 Approximation events E_q (all fractions a/q) and E*_q (reduced fractions)
 are finite unions of closed intervals with rational endpoints, so their
 measures, unions and pairwise overlaps are computed exactly.  Each event
-is an array of integer numerators over one denominator, merged in one
-vectorised pass; the measure of a union of events and the sum of their
-pairwise overlaps come from one sweep over every event's ends, sorted by
-correctly rounded float keys with exact order restored where keys tie,
-and summed as integers over the lcm of the denominators.  Series
+is an ``IntervalUnion``, integer numerators over one denominator merged in
+one vectorised pass; a union's measure and the overlaps of two events or
+of many come from one sweep over their ends, sorted by correctly rounded
+float keys with exact order restored where keys tie, and summed as
+integers over the lcm of the denominators.  Series
 classification, the non-monotone counterexample built on primorials and
 the second-moment selection of truncation ranges round out the toolkit.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import itertools
@@ -174,10 +175,8 @@ class PsiFunction:
         if self.family == "constant":
             return self.c
         if self.family == "table":
-            for m, v in self.table:
-                if m == n:
-                    return v
-            return Fraction(0)
+            i = bisect.bisect_left(self.table, (n,))  # (n,) sorts before (n, v)
+            return self.table[i][1] if i < len(self.table) and self.table[i][0] == n else Fraction(0)
         if self.family in ("power", "khinchin"):
             one = np.array([n], dtype=np.float64)  # the array expression of values, at n alone
             v = 0.0 if self.family == "khinchin" and n < 2 else float(self._floats(one)[0])
@@ -329,17 +328,17 @@ class IntervalUnion:
     rational endpoints; touching intervals merge on normalisation.
 
     ``IntervalUnion(den, pairs)`` reads each integer pair (lo, hi) as
-    [lo/den, hi/den] and holds the sorted, merged pairs as ``ends``, a tuple
-    of Python-int pairs over the one denominator ``den``, so no gcd is taken
-    inside a merge.  The measures over many events hold each event as the
-    (den, array) that ``_normalize`` returns instead, and sweep the arrays
-    (``_sweep``).
+    [lo/den, hi/den] and holds the sorted, merged pairs over the one
+    denominator ``den`` as ``ends``, the (n, 2) array ``_normalize`` returns,
+    so no gcd is taken inside a merge.  Measures read the arrays (``_width``,
+    ``_sweep``); ``intersect`` and ``_scaled`` merge in Python ints, the
+    reference the tests hold the sweep against.
     """
 
     __slots__ = ("den", "ends")
 
     def __init__(self, den: int, pairs=()):
-        self.den, self.ends = den, tuple(map(tuple, IntervalUnion._normalize(pairs).tolist()))
+        self.den, self.ends = den, IntervalUnion._normalize(pairs)
 
     @staticmethod
     def _normalize(pairs) -> np.ndarray:
@@ -364,11 +363,11 @@ class IntervalUnion:
     def _scaled(self, den: int):
         """The ends as numerators over den, a multiple of self.den, one pair at a time."""
         k = den // self.den
-        return ((lo * k, hi * k) for lo, hi in self.ends)
+        return ((lo * k, hi * k) for lo, hi in self.ends.tolist())
 
     @property
     def measure(self) -> Fraction:
-        return Fraction(sum(hi - lo for lo, hi in self.ends), self.den)
+        return Fraction(_width(self.ends), self.den)
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -392,7 +391,7 @@ class IntervalUnion:
     def endpoints_float(self) -> np.ndarray:
         """Flat endpoint array for fast membership sweeps (int / int is
         correctly rounded, as float(Fraction) is)."""
-        return np.array([x / self.den for pair in self.ends for x in pair])
+        return np.array([x / self.den for x in self.ends.ravel().tolist()])
 
 
 # ------------------------------------------------------------- operations
@@ -431,8 +430,8 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
     a in {0..q} of [a/q - psi(q)/q^2, a/q + psi(q)/q^2] clipped to [0,1].
 
     reduced restricts to gcd(a, q) = 1 (which admits a = 0 and a = q only
-    for q = 1, matching the reduced-fraction convention).
-    """
+    for q = 1, matching the reduced-fraction convention).  Every event, one
+    or held, is built here: ``_event_pairs`` merged by ``_normalize``."""
     return IntervalUnion(*_event_pairs(q, psi, reduced))
 
 
@@ -448,31 +447,28 @@ def _prefixes(lo: int, hi: int):
 
 
 def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
-    """Yield (q, den, ends) for the q in [Q, R) with psi(q) > 0 (the others
-    are empty), read off ``psi.support`` over ``_prefixes``: ends is event
-    q as the (n, 2) array ``IntervalUnion._normalize`` makes of
-    ``_event_pairs``, over den.  Refused once the intervals built so far
-    pass cap: HELD_INTERVAL_CAP for a caller that holds every event,
-    INTERVAL_CAP for one that holds one at a time.  A window past
-    INTERVAL_CAP is refused there, as ``_event_pairs`` refuses any q at the
-    cap."""
+    """Yield (q, ``event_union(q, psi, reduced)``) for the q in [Q, R) with
+    psi(q) > 0 (the others are empty), read off ``psi.support`` over
+    ``_prefixes``.  Refused once the intervals built so far pass cap:
+    HELD_INTERVAL_CAP for a caller that holds every event, INTERVAL_CAP for
+    one that holds one at a time.  A window past INTERVAL_CAP is refused
+    there, as ``_event_pairs`` refuses any q at the cap."""
     if Q < 1 and Q < R:
         raise UsageError("need q >= 1")
     count = 0
     for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
         for q in (np.flatnonzero(psi.support(top)[lo - 1 :]) + lo).tolist():
-            den, pairs = _event_pairs(q, psi, reduced)
-            ends = IntervalUnion._normalize(pairs)
-            count += len(ends)
+            ev = event_union(q, psi, reduced)
+            count += len(ev)
             if count > cap:
                 raise CapExceeded(f"interval count above {cap}")
-            yield q, den, ends
+            yield q, ev
     if max(Q, INTERVAL_CAP) < R:
         raise CapExceeded(f"q + 1 candidate intervals above cap {INTERVAL_CAP}")
 
 
-def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[tuple[int, np.ndarray]]:
-    """Every event (den, ends) of q in [Q, R), held at once, refused past
+def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[IntervalUnion]:
+    """Every event of q in [Q, R), held at once, refused past
     HELD_INTERVAL_CAP intervals before any is built where a lower bound
     tells: where 0 < psi(q) < q/2 the intervals a/q +- psi(q)/q^2 are
     disjoint and none is empty, so event q holds q + 1 of them, or at least
@@ -492,7 +488,7 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[tuple[
             held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
             if held > HELD_INTERVAL_CAP:
                 raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
-    return [(den, ends) for _, den, ends in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
+    return [ev for _, ev in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
 
 
 def _over_lcm(terms) -> Fraction:
@@ -522,9 +518,13 @@ def _exact_ties(order: np.ndarray, keys: np.ndarray, flat: list, starts: np.ndar
             order[i:j] = [k for _, k in sorted(zip(vals, run))]
 
 
+def _pairs_over(depth: np.ndarray) -> np.ndarray:  # C(depth, 2): the sweep weight of overlaps
+    return depth * (depth - 1) // 2
+
+
 def _sweep(events, weight) -> Fraction:
     """The integral over [0, 1] of weight(depth), where depth(x) counts the
-    events (den, ends) that cover x, each event merged by ``_normalize`` so
+    ``IntervalUnion`` events that cover x, each merged by ``_normalize`` so
     that it counts once: weight [d >= 1] gives the measure of their union,
     C(d, 2) the sum of mu(E_q cap E_r) over unordered pairs q != r.
 
@@ -541,7 +541,7 @@ def _sweep(events, weight) -> Fraction:
     sum c num / den_q: in int64 where den_q sum |c| < 2^63 bounds every
     partial sum (every num is at most den_q), in Python ints otherwise.
     The events' terms are summed once over the lcm of their dens."""
-    flat = [(den, ends.ravel()) for den, ends in events if len(ends)]
+    flat = [(ev.den, ev.ends.ravel()) for ev in events if len(ev)]
     if not flat:
         return Fraction(0)
     starts = np.cumsum([0] + [len(x) for _, x in flat])
@@ -583,8 +583,8 @@ def select_R(psi: PsiFunction, Q: int, cap: int = 10**6) -> int:
     """Minimal R with sum_{Q<=q<R} mu(E*_q) >= 1 (exact event measures),
     refused once the events' intervals pass INTERVAL_CAP."""
     total = Fraction(0)
-    for q, den, ends in _events(psi, Q, cap + 1, True, INTERVAL_CAP):
-        total += Fraction(_width(ends), den)
+    for q, ev in _events(psi, Q, cap + 1, True, INTERVAL_CAP):
+        total += ev.measure
         if total >= 1:
             return q + 1
     raise NotReached(f"target not reached by cap {cap}")
@@ -594,12 +594,12 @@ def pair_overlap(q: int, r: int, psi: PsiFunction) -> tuple[Fraction, float]:
     """Exact mu(E*_q intersect E*_r) and the sieve-style reference bound
     mu(E*_q) mu(E*_r) exp(sum_{p | qr/(q,r)^2, p > Delta*q*r} 1/p) with
     Delta = max(psi(q)/q^2, psi(r)/r^2).  The reference carries constant 1
-    and is not certified."""
+    and is not certified.  The exact overlap is one ``_sweep`` of C(d, 2)."""
     if q == r:
         raise UsageError("need q != r")
     eq = event_union(q, psi, reduced=True)
     er = event_union(r, psi, reduced=True)
-    exact = eq.intersect(er).measure
+    exact = _sweep([eq, er], _pairs_over)
     mu_q, mu_r = float(eq.measure), float(er.measure)
     if mu_q == 0.0 or mu_r == 0.0:
         return exact, 0.0
@@ -626,10 +626,10 @@ def quasi_independence_ratio(psi: PsiFunction, Q: int, R: int) -> float:
     if R - Q > PAIR_RANGE_CAP:
         raise CapExceeded(f"pair range {R - Q} above cap {PAIR_RANGE_CAP}")
     events = _held_events(psi, Q, R, True)
-    total = _over_lcm([(den, _width(ends)) for den, ends in events])
+    total = _over_lcm([(ev.den, _width(ev.ends)) for ev in events])
     if total == 0:
         return 0.0
-    lhs = 2 * _sweep(events, lambda depth: depth * (depth - 1) // 2)  # ordered pairs
+    lhs = 2 * _sweep(events, _pairs_over)  # ordered pairs
     return float(lhs) / float(total) ** 2
 
 

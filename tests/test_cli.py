@@ -523,9 +523,26 @@ class TestDeterminism:
          "e68b2de31bb27a1f93f1be9aef7fb4d53a5f1008c19e5abe5548f5d59c47e972"),
         (("--psi", "ds_spread", "--cmd", "series", "--Q", "1000000"),
          "64b257344cbaa535d3d1d3bf6d5d08d850a06a3c15c9db63da06553d2ca41275"),
+        (("--psi", "ds_spread", "--cmd", "measure", "--q", "30030"),
+         "42622d4c568708af556878d1f7f9571b65dc6090d4d3963f35dba616a6824fb1"),
+        (("--psi", "constant:1/2", "--cmd", "pairs", "--q", "30030", "--r", "30000"),
+         "6dc643fd833221df436d73e43476746561d72aea095d6c4cf1a2652f12d6a9e1"),
+        # exact 4004003/250500250000
+        (("--psi", "constant:3", "--cmd", "pairs", "--q", "1001", "--r", "1000"),
+         "f2ae049bd2d4e2a560b6ab08129629ed0fc0b25adedc1cf8493de2ccd2b15375"),
+        (("--psi", "khinchin:0.5", "--cmd", "pairs", "--q", "4096", "--r", "6000"),
+         "b9b06166d6c81e029d281a76cd34b3e591e4679195ced4b0180bc0d777312d5d"),
+        # dens past 2^53: the sweep's Python-int side
+        (("--psi", "khinchin:0.5", "--cmd", "pairs", "--q", "3", "--r", "4"),
+         "a19c9ef7b93c065efb68e6167545daf7932fc62266a5a22bd68b5be87a14f332"),
     ])
-    def test_pinned_dioph_outputs(self, capsys, argv, sha256):
-        # exact measures over 2 <= q < 400 and the ds_spread series at 10^6
+    def test_pinned_dioph_outputs(self, capsys, monkeypatch, argv, sha256):
+        # exact measures over 2 <= q < 400 and of one event, the ds_spread
+        # series at 10^6, and pair overlaps from the sweep, with no pairwise merge
+        def refuse(self, other):
+            raise AssertionError("pairwise intersection")
+
+        monkeypatch.setattr(_dioph.IntervalUnion, "intersect", refuse)
         _, _, err = run_cli(capsys, "dioph", *argv)
         assert json.loads(err)["outputSha256"] == sha256
 

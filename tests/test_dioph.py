@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -161,6 +162,8 @@ class TestFractionOracle:
         inter = frac_intersect(a, b)
         assert fraction_pairs(eq.intersect(er)) == inter
         assert eq.intersect(er).measure == frac_measure(inter)
+        if q != r and reduced:
+            assert D.pair_overlap(q, r, psi)[0] == frac_measure(inter)
         assert fraction_pairs(joined(eq, er)) == frac_normalize(a + b)
 
     @given(psi_families, st.integers(1, 30), st.integers(0, 12), st.booleans())
@@ -193,11 +196,24 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("psi", [PsiFunction.constant(Fraction(2, 5)), PsiFunction.khinchin_threshold(0.3)])
     def test_event_over_lcm_of_q_and_delta(self, psi):
+        # the numerators are exact integers: int64 below 2^53 (every den of
+        # 2/5; khinchin's at q = 2), Python ints above (khinchin's at 6 and 35)
         for q in (2, 6, 35):
             ev = D.event_union(q, psi)
             assert ev.den == math.lcm(q, (psi.exact(q) / q**2).denominator)
-            assert all(type(e) is int for pair in ev.ends for e in pair)
+            assert ev.ends.dtype == (np.int64 if ev.den < 2**53 else object)
+            assert ev.ends.dtype == np.int64 or all(type(e) is int for e in ev.ends.flat)
             assert len(ev) == len(ev.ends)
+
+    def test_event_holds_its_numerator_array(self):
+        # 400000 intervals as one int64 array, 16 B each (128 B as a tuple of Python-int pairs)
+        tracemalloc.start()
+        try:
+            ev = D.event_union(10**6, PsiFunction.constant(Fraction(1, 3)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ev) == 400000 and held <= 24 * len(ev)
 
 
 class TestPsiFamilies:
@@ -293,6 +309,10 @@ class TestPsiFamilies:
     def test_table_zero_off_table(self):
         psi = PsiFunction.from_pairs([(5, 1)])
         assert psi(4) == 0.0 and psi(5) == 1.0
+        # n below, on, between and above the entries, and an empty table
+        table = {2: Fraction(1, 3), 5: Fraction(0), 6: Fraction(7, 2), 40: Fraction(1, 10**400)}
+        for psi, want in ((PsiFunction.from_pairs(table.items()), table), (PsiFunction.from_pairs([]), {})):
+            assert [psi.exact(n) for n in range(1, 60)] == [want.get(n, 0) for n in range(1, 60)]
 
     @pytest.mark.parametrize("pairs", [
         [(3, Fraction(1, 2)), (3, Fraction(1, 4))],  # two values of psi(3)
@@ -361,22 +381,25 @@ class TestTruncatedMeasure:
         assert D.truncated_limsup_measure(PsiFunction.constant(1), 5, 5) == 0
 
     def test_join_holds_no_scaled_copy_of_the_events(self):
-        # the sweep holds each event's ends as one array and frees its sort
-        # keys, order and depth as it goes, so the join needs little beyond
-        # the events themselves (a joined list over the common denominator
-        # took about three times as much)
+        # a copy of the events scaled to the lcm of their dens holds each end
+        # as a Python int of the lcm's size (426 bits, 84 B), beyond the
+        # events themselves (a joined, sorted list of them took 116 B per
+        # end); the sweep's float keys, order, depth and int64 coefficients
+        # take about 26 B per end, under the half of a scaled end allowed here
         psi = PsiFunction.constant(Fraction(1, 4))
         tracemalloc.start()
         try:
             events = [D.event_union(q, psi) for q in range(2, 150)]
             events_peak = tracemalloc.get_traced_memory()[1]
+            ends = 2 * sum(len(ev) for ev in events)
+            scaled_end = sys.getsizeof(math.lcm(*(ev.den for ev in events)))
             del events
             tracemalloc.reset_peak()
             D.truncated_limsup_measure(psi, 2, 150)
             join_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert join_peak < 1.25 * events_peak
+        assert join_peak < events_peak + ends * scaled_end / 2
 
     def test_monotone_and_subadditive(self):
         psi = PsiFunction.constant(Fraction(1, 2))

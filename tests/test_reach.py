@@ -21,6 +21,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "restricta"
 # perfbench op, or runs at import
 ALLOWLIST = {
     ("restricta.dioph", "IntervalUnion.endpoints_float"): "test_acceptance.py::test_14_exact_measure_sweep_oracle",
+    ("restricta.dioph", "IntervalUnion.intersect"): "the merge reference of test_acceptance.py::test_14 and "
+    "test_dioph.py::TestFractionOracle; perfbench/tracer.py wraps it by name",
+    ("restricta.dioph", "IntervalUnion._scaled"): "intersect, and test_dioph.py::joined in TestFractionOracle",
     ("restricta.dioph", "golden_gap"): "test_acceptance.py::test_12_golden_gap",
     ("restricta.fourier", "FourierProfile.set_size"): "test_acceptance.py::test_11_parseval; moment_tail",
     ("restricta.fourier", "mean_l1"): "perfbench op circle.mean_l1",
