@@ -101,8 +101,9 @@ def _cmd_census(args):
     return {"sys": sys_.to_json(), **rep.to_json()}
 
 
-# the flags with no default that some route of their subcommand does not read
-_OPTIONAL = ("q", "r", "R", "sys", "grid", "unreduced", "set", "set2", "y", "psi")
+# the flags some route of their subcommand does not read; none has an argparse
+# default, so a given one shows (Q, cap, ell_max and B are filled in after the check)
+_OPTIONAL = ("q", "r", "R", "Q", "cap", "ell_max", "sys", "grid", "unreduced", "set", "set2", "B", "y", "psi")
 
 
 def _only(args, route: str, *taken: str) -> None:
@@ -110,7 +111,7 @@ def _only(args, route: str, *taken: str) -> None:
     for flag in _OPTIONAL:
         given = getattr(args, flag, None)
         if flag not in taken and given is not None and given is not False:  # --q 0 is given
-            raise UsageError(f"{route} does not take --{flag}")
+            raise UsageError(f"{route} does not take --{flag.replace('_', '-')}")
 
 
 def _cmd_fourier(args):
@@ -165,13 +166,14 @@ def _cmd_arcs(args):
 def _cmd_dioph(args):
     cmd = args.cmd
     if cmd == "measure" and args.R is not None:
-        _only(args, "--cmd measure --R", "psi", "R", "unreduced")
+        _only(args, "--cmd measure --R", "psi", "Q", "R", "unreduced")
     else:
-        taken = {"measure": ("psi", "q", "unreduced"), "pairs": ("psi", "q", "r"), "quasi": ("psi", "R"),
-                 "counterexample": ()}
+        taken = {"series": ("psi", "Q"), "measure": ("psi", "q", "unreduced"), "pairs": ("psi", "q", "r"),
+                 "quasi": ("psi", "Q", "R"), "select-r": ("psi", "Q", "cap"), "counterexample": ("ell_max",)}
         _only(args, f"--cmd {cmd}", *taken.get(cmd, ("psi",)))
+    args.Q = 1 if args.Q is None else args.Q
     if cmd == "counterexample":  # it builds its own psi pair
-        return _dioph.ds_counterexample(args.ell_max).to_json()
+        return _dioph.ds_counterexample(10**5 if args.ell_max is None else args.ell_max).to_json()
     if args.psi is None:
         raise UsageError(f"--cmd {cmd} needs --psi")
     psi = _dioph.PsiFunction.parse(args.psi)
@@ -196,7 +198,7 @@ def _cmd_dioph(args):
             raise UsageError("--cmd quasi needs --R")
         return {"Q": args.Q, "R": args.R, "ratio": _dioph.quasi_independence_ratio(psi, args.Q, args.R)}
     if cmd == "select-r":
-        return {"Q": args.Q, "R": _dioph.select_R(psi, args.Q, cap=args.cap)}
+        return {"Q": args.Q, "R": _dioph.select_R(psi, args.Q, cap=10**6 if args.cap is None else args.cap)}
     if cmd == "hausdorff":
         expo = _dioph.hausdorff_exponent(psi)
         return {
@@ -220,13 +222,14 @@ def _read_instance(path: str, B: int) -> _gcd.GcdInstance:
 
 def _cmd_gcdgraph(args):
     cmd = args.cmd
-    _only(args, f"--cmd {cmd}", *{"chow": ("y",), "green-walker": ("set", "set2")}.get(cmd, ("set",)))
+    _only(args, f"--cmd {cmd}", *{"chow": ("y",), "green-walker": ("set", "set2", "B")}.get(cmd, ("set", "B")))
     if cmd == "chow":
         if args.y is None:
             raise UsageError("chow needs --y")
         return _gcd.chow_counterexample(args.y).to_json()
     if not args.set:
         raise UsageError(f"{cmd} needs --set")
+    args.B = 1 if args.B is None else args.B
     inst = _read_instance(args.set, args.B)
     if cmd == "build":
         g = _gcd.build_gcd_graph(inst)
@@ -306,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", help="family[:params] or file.csv; every --cmd but counterexample")
     sp.add_argument("--cmd", required=True,
                     choices=("series", "measure", "pairs", "quasi", "select-r", "counterexample", "hausdorff"))
-    sp.add_argument("--Q", type=int, default=1)
+    sp.add_argument("--Q", type=int, help="series, measure --R, quasi, select-r (default 1)")
     sp.add_argument("--R", type=int)
     sp.add_argument("--q", type=int)
     sp.add_argument("--r", type=int)
-    sp.add_argument("--cap", type=int, default=10**6)
-    sp.add_argument("--ell-max", type=int, default=10**5, dest="ell_max")
+    sp.add_argument("--cap", type=int, help="select-r (default 10^6)")
+    sp.add_argument("--ell-max", type=int, dest="ell_max", help="counterexample (default 10^5)")
     sp.add_argument("--unreduced", action="store_true")
     sp.set_defaults(func=_cmd_dioph)
 
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("build", "model", "chow", "green-walker", "compress"))
     sp.add_argument("--set", help="newline-delimited integers")
     sp.add_argument("--set2", help="second set for green-walker")
-    sp.add_argument("--B", type=int, default=1)
+    sp.add_argument("--B", type=int, help="every --cmd but chow (default 1)")
     sp.add_argument("--y", type=int)
     sp.set_defaults(func=_cmd_gcdgraph)
     return p

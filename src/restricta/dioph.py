@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotReached, Unsupported, UsageError, parsed
 from .numutil import SUM_CHUNK
-from .primes import _primorials, _simple_sieve, factorize, phi_sieve, primorial
+from .primes import _primorials, _simple_sieve, _trial_primes, factorize, phi_sieve, primorial
 
 INTERVAL_CAP = 10**7
 HELD_INTERVAL_CAP = 2 * 10**6  # intervals held at once: about 65 B each at the sweep's peak, 160 B as Python ints
@@ -165,7 +165,11 @@ class PsiFunction:
         non-integer power and khinchin is the float ``values`` gives at n.
         An integer power n^a is a true rational, within an ulp of the float
         in ``values``; one of more than about POWER_BITS_CAP bits (a*log2(n)
-        above it) is refused with CapExceeded before it is formed."""
+        above it) is refused with CapExceeded before it is formed.  ds_spread
+        is not factorized: n is divided by the primes in order until it is
+        used up, and is 0 at a repeated prime or at the first prime whose
+        theta passes ``_spread_limit(n)``, so a large prime factor is never
+        reached."""
         if n < 1:
             raise UsageError("psi is defined for n >= 1")
         if self.family == "power" and float(self.a).is_integer():
@@ -184,14 +188,21 @@ class PsiFunction:
             ell = _primorial_index(n)
             v = 0.0 if ell is None else n / (ell * math.log(ell))
         elif self.family == "ds_spread":
-            ell = _squarefree_lpf(n)
+            ell, rest, limit = None, n, _spread_limit(n)
+            for p in _trial_primes():
+                if rest == 1:
+                    break
+                if _log_primorial(p) > limit:
+                    return Fraction(0)  # rest has a prime >= p, where exp underflows
+                if rest % p == 0:
+                    rest //= p
+                    if rest % p == 0:
+                        return Fraction(0)  # p^2 | n: rest keeps p and never reaches 1
+                    ell = p
             if ell is None:
                 return Fraction(0)
             # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
-            two_log_n, log_ell_log = 2.0 * math.log(n), math.log(ell * math.log(ell))
-            if _log_primorial_below(ell) > two_log_n - log_ell_log + 746.0:
-                return Fraction(0)  # log_val < -746, where exp underflows: no sieve
-            log_val = two_log_n - _log_primorial(ell) - log_ell_log
+            log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
             v = math.exp(log_val) if log_val > -745.0 else 0.0
         else:
             raise UsageError(f"no float evaluation for family {self.family}")
@@ -254,16 +265,6 @@ def _primorial_index(n: int):
             return ell if q_ell == n else None
 
 
-def _squarefree_lpf(n: int):
-    """Largest prime factor of squarefree n; None when n = 1 or not squarefree."""
-    if n == 1:
-        return None
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return None
-    return max(fac)
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _log_primorial(ell: int) -> float:
     """theta(ell) = sum of log p over the primes p <= ell, sieved up to
@@ -273,46 +274,39 @@ def _log_primorial(ell: int) -> float:
     return math.fsum(math.log(p) for p in _simple_sieve(ell).tolist())
 
 
-def _log_primorial_below(ell: int) -> float:
-    """A lower bound for theta(ell) without sieving: theta(x) > x(1 - 1/log x)
-    for x >= 41 (Rosser-Schoenfeld 1962, (3.16)), shaved by a relative 1e-9
-    against rounding; 0 below 41."""
-    return ell * (1.0 - 1.0 / math.log(ell)) * (1.0 - 1e-9) if ell >= 41 else 0.0
+def _spread_limit(n: int) -> float:
+    """The one support bound of ds_spread at n: a prime ell of n with
+    theta(ell) above 2 log n + 746 puts log psi(n) below -746, where exp
+    underflows to 0, so only the primes up to this theta are ever tried."""
+    return 2.0 * math.log(max(n, 1)) + 746.0
 
 
 def _ds_spread_values(upto: int) -> np.ndarray:
-    """Vectorised ds_spread over 1..upto via greatest-prime-factor and
-    squarefree sieves; the q^2/primorial ratio is computed in logs, with
-    theta(ell) from ``_log_primorial`` as ``PsiFunction.exact`` takes it.
-    The primes up to sqrt(upto) are written ascending, so the last write is
-    the largest factor; a larger prime p is the largest factor of each k p
-    (k < sqrt(upto) < p), written one k at a time as in ``phi_sieve``."""
-    gpf = np.zeros(upto + 1, dtype=np.int64)
-    sqfree = np.ones(upto + 1, dtype=bool)
-    primes = _simple_sieve(upto)
-    r = math.isqrt(upto)
-    cut = int(np.searchsorted(primes, r, side="right"))
-    for p in primes[:cut].tolist():
-        gpf[p::p] = p
-        sqfree[p * p :: p * p] = False
-    big = primes[cut:]
-    for k in range(1, upto // (r + 1) + 1):
-        ps = big[: np.searchsorted(big, upto // k, side="right")]
-        gpf[k * ps] = ps
-    # theta(ell) above 2 log(upto) + 746 puts every log_val below -746,
-    # where exp underflows to 0: such ell never reach the tables
-    limit = 2.0 * math.log(max(upto, 1)) + 746.0
-    ells = list(itertools.takewhile(lambda p: _log_primorial(p) <= limit, primes.tolist()))
+    """Vectorised ds_spread over 1..upto by the rule of ``PsiFunction.exact``.
+    Each prime ell with theta(ell) <= ``_spread_limit(upto)`` is divided once
+    out of its multiples, ascending, and written as their largest prime so
+    far: the support is the n >= 2 left at 1 (squarefree, every prime within
+    the limit), and the last ell written at n is its largest prime.  The
+    q^2/primorial ratio is computed in logs, with theta(ell) from
+    ``_log_primorial`` and libm's log and exp, as ``exact`` takes them."""
+    limit = _spread_limit(upto)
+    ells = list(itertools.takewhile(lambda p: p <= upto and _log_primorial(p) <= limit, _trial_primes()))
+    rest = np.arange(upto + 1, dtype=np.int32)  # every caller caps upto at 10^7
+    largest = np.zeros(upto + 1, dtype=np.int16)  # theta(ell) <= limit keeps ell far below 2^15
+    for p in ells:
+        rest[p::p] //= p
+        largest[p::p] = p
     top = ells[-1] if ells else 0
     theta, tail = np.zeros(top + 1), np.zeros(top + 1)  # per ell, the two terms log_val subtracts
     theta[ells] = [_log_primorial(p) for p in ells]
     tail[ells] = [math.log(p * math.log(p)) for p in ells]
+    ms = np.flatnonzero(rest[2:] == 1) + 2
+    ms_ell = largest[ms]
+    del rest, largest  # freed before the float output is allocated
     out = np.zeros(upto)
-    ms = np.flatnonzero((sqfree & (gpf > 0) & (gpf <= top))[1:]) + 1
     step = 1 << 14  # the float lists of math.log and math.exp hold one chunk at a time
     for i in range(0, len(ms), step):
-        chunk = ms[i : i + step]
-        ell = gpf[chunk]
+        chunk, ell = ms[i : i + step], ms_ell[i : i + step]
         # libm's log and exp, not np.log and np.exp, which differ from them in the last bits
         log_val = 2.0 * np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk)) - theta[ell] - tail[ell]
         vals = np.fromiter(map(math.exp, log_val.tolist()), np.float64, len(chunk))

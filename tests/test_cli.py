@@ -130,6 +130,14 @@ class TestBasics:
         ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "2", "--R", "9", "--q", "3"),
         ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "2", "--R", "9", "--unreduced"),
         ("dioph", "--psi", "constant:1/2", "--cmd", "quasi", "--Q", "9", "--R", "2"),
+        # a defaulted flag the chosen mode would ignore
+        ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "2", "--r", "3", "--cap", "5"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "pairs", "--q", "2", "--r", "3", "--Q", "7"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "series", "--Q", "10", "--ell-max", "5"),
+        ("dioph", "--psi", "power:2", "--cmd", "hausdorff", "--Q", "9"),
+        ("dioph", "--cmd", "counterexample", "--ell-max", "20", "--Q", "5"),
+        ("dioph", "--psi", "constant:1/2", "--cmd", "measure", "--q", "7", "--Q", "3"),
+        ("gcdgraph", "--cmd", "chow", "--y", "10", "--B", "7"),
         # a set or psi table the computation cannot take (files in MALFORMED_FILES)
         ("gcdgraph", "--cmd", "green-walker", "--set", "{zero}", "--B", "1"),
         ("gcdgraph", "--cmd", "green-walker", "--set", "{sets}", "--set2", "{zero}", "--B", "1"),

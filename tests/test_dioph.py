@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 import time
 import tracemalloc
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from restricta import dioph as D
 from restricta.dioph import IntervalUnion, PsiFunction
-from restricta.errors import CapExceeded, NotReached, Unsupported, UsageError
+from restricta.errors import CapExceeded, FactorizationTooHard, NotReached, Unsupported, UsageError
 from restricta.numutil import fsum_chunks
-from restricta.primes import phi_sieve
+from restricta.primes import factorize, phi_sieve
 
 from tests.oracles import FareyPoint, _dirichlet_witness
 
@@ -259,12 +260,53 @@ class TestPsiFamilies:
 
     def test_ds_spread_huge_prime_factor_underflows_without_sieve(self, monkeypatch):
         # primorial(53) + 1 = 73 * 139 * 173 * 18564761860301: theta of that
-        # largest factor forces psi below exp(-745), which is 0 as a float
-        def no_sieve(ell):
-            raise AssertionError(f"sieved up to {ell}")
+        # largest factor forces psi below exp(-745), which is 0 as a float;
+        # the walk stops near ell = 850, far below it
+        real = D._log_primorial
 
-        monkeypatch.setattr(D, "_log_primorial", no_sieve)
+        def small_sieve(ell):
+            assert ell < 10**4, f"sieved up to {ell}"
+            return real(ell)
+
+        monkeypatch.setattr(D, "_log_primorial", small_sieve)
         assert PsiFunction.ds_spread().exact(D.primorial(53) + 1) == 0
+
+    def test_ds_spread_exact_matches_factorizing_rule(self):
+        # the rule before the prime walk: factorize, take the largest prime,
+        # skip by the Rosser-Schoenfeld bound theta(x) > x(1 - 1/log x), x >= 41
+        def by_factors(n):
+            try:
+                fac = factorize(n)
+            except FactorizationTooHard:  # two primes above 10^6: theta far past the limit
+                return Fraction(0)
+            if n == 1 or max(fac.values()) > 1:
+                return Fraction(0)
+            ell = max(fac)
+            two_log_n, log_ell_log = 2.0 * math.log(n), math.log(ell * math.log(ell))
+            if ell >= 41 and ell * (1.0 - 1.0 / math.log(ell)) * (1.0 - 1e-9) > two_log_n - log_ell_log + 746.0:
+                return Fraction(0)
+            log_val = two_log_n - D._log_primorial(ell) - log_ell_log
+            v = math.exp(log_val) if log_val > -745.0 else 0.0
+            return Fraction(v) if v > 0 else Fraction(0)
+
+        rng = random.Random(35)
+        primes = D._simple_sieve(811).tolist()
+        ns = [rng.randrange(1, 10**12) for _ in range(2000)]
+        ns += [D.primorial(p) + d for p in primes if p <= 53 for d in (-1, 0, 1)]
+        ns += [p * p * rng.randrange(1, 10**6) for p in primes]
+        ns += [math.prod(rng.sample(primes, rng.randrange(1, 8))) for _ in range(500)]  # squarefree, ell near the cut
+        psi = PsiFunction.ds_spread()
+        assert [n for n in ns if psi.exact(n) != by_factors(n)] == []
+        assert sum(psi.exact(n) > 0 for n in ns) > 20  # not all zero
+
+    def test_ds_spread_values_traced_peak(self):
+        tracemalloc.start()
+        try:
+            D._ds_spread_values(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20, peak / 2**20
 
     def test_ds_spread_theta_cap(self, monkeypatch):
         monkeypatch.setattr(D, "THETA_SIEVE_CAP", 100)
@@ -275,10 +317,11 @@ class TestPsiFamilies:
             psi(D.primorial(103))
         D._log_primorial.cache_clear()
 
-    # 3, 4: the first prime above sqrt(upto) is written by cofactor k = 1
-    # alone; 48..50 and 960..962 straddle 7^2 and 31^2, where a prime
-    # moves from its own slice write to the cofactor groups
-    @pytest.mark.parametrize("upto", [1, 2, 3, 4, 48, 49, 50, 960, 961, 962, 10**3, 2 * 10**5])
+    # cut points of the divided primes: theta(797) meets the limit
+    # 2 log(upto) + 746 at upto = 698 and theta(809) at 19836; every prime
+    # up to 773 meets it at any upto, so there ell <= upto is the cut
+    @pytest.mark.parametrize("upto", [1, 2, 3, 4, 48, 49, 50, 697, 698, 772, 773, 960, 961, 962, 10**3,
+                                      19835, 19836, 2 * 10**5])
     def test_ds_spread_values_match_unpruned_loop(self, upto):
         # every squarefree m, whatever the size of theta of its largest prime
         gpf = np.zeros(upto + 1, dtype=np.int64)
