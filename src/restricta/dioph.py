@@ -179,33 +179,35 @@ class PsiFunction:
         if self.family == "constant":
             return self.c
         if self.family == "table":
-            i = bisect.bisect_left(self.table, (n,))  # (n,) sorts before (n, v)
-            return self.table[i][1] if i < len(self.table) and self.table[i][0] == n else Fraction(0)
-        if self.family in ("power", "khinchin"):
-            one = np.array([n], dtype=np.float64)  # the array expression of values, at n alone
-            v = 0.0 if self.family == "khinchin" and n < 2 else float(self._floats(one)[0])
-        elif self.family == "ds_base":
-            ell = _primorial_index(n)
-            v = 0.0 if ell is None else n / (ell * math.log(ell))
-        elif self.family == "ds_spread":
-            ell, rest, limit = None, n, _spread_limit(n)
-            for p in _trial_primes():
-                if rest == 1:
-                    break
-                if _log_primorial(p) > limit:
-                    return Fraction(0)  # rest has a prime >= p, where exp underflows
-                if rest % p == 0:
-                    rest //= p
+            return next((v for _, v in self._table_in(n, n)), Fraction(0))
+        try:
+            if self.family in ("power", "khinchin"):
+                one = np.array([n], dtype=np.float64)  # the array expression of values, at n alone
+                v = 0.0 if self.family == "khinchin" and n < 2 else float(self._floats(one)[0])
+            elif self.family == "ds_base":
+                ell = _primorial_index(n)
+                v = 0.0 if ell is None else n / (ell * math.log(ell))
+            elif self.family == "ds_spread":
+                ell, rest, limit = None, n, _spread_limit(n)
+                for p in _trial_primes():
+                    if rest == 1:
+                        break
+                    if _log_primorial(p) > limit:
+                        return Fraction(0)  # rest has a prime >= p, where exp underflows
                     if rest % p == 0:
-                        return Fraction(0)  # p^2 | n: rest keeps p and never reaches 1
-                    ell = p
-            if ell is None:
-                return Fraction(0)
-            # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
-            log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
-            v = math.exp(log_val) if log_val > -745.0 else 0.0
-        else:
-            raise UsageError(f"no float evaluation for family {self.family}")
+                        rest //= p
+                        if rest % p == 0:
+                            return Fraction(0)  # p^2 | n: rest keeps p and never reaches 1
+                        ell = p
+                if ell is None:
+                    return Fraction(0)
+                # n^2/(primorial(ell) * ell * log ell), via logs to dodge overflow
+                log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
+                v = math.exp(log_val) if log_val > -745.0 else 0.0
+            else:
+                raise UsageError(f"no float evaluation for family {self.family}")
+        except OverflowError:  # n, or a float psi(n), past the largest float
+            raise CapExceeded(f"psi(n) at n of {n.bit_length()} bits is past the float range") from None
         return Fraction(v) if v > 0 else Fraction(0)
 
     def _floats(self, n: np.ndarray) -> np.ndarray:
@@ -216,46 +218,54 @@ class PsiFunction:
             return n ** (-self.a)
         return 1.0 / np.log(n) ** (1.0 + self.eps)
 
-    def values(self, upto: int) -> np.ndarray:
-        """psi(1..upto) as a float array (vectorised per family)."""
-        n = np.arange(1, upto + 1, dtype=np.float64)
+    def values(self, upto: int, lo: int = 1) -> np.ndarray:
+        """psi(lo..upto) as a float array (vectorised per family), each
+        value the one the whole range 1..upto gives at that n."""
+        if lo < 1:
+            raise UsageError("psi is defined for n >= 1")
+        n = np.arange(lo, upto + 1, dtype=np.float64)
         if self.family == "power":
             return self._floats(n)
         if self.family == "constant":
-            return np.full(upto, float(self.c))
+            return np.full(len(n), float(self.c))
         if self.family == "khinchin":
-            out = np.zeros(upto)
-            out[1:] = self._floats(n[1:])
+            out, two = np.zeros(len(n)), max(2 - lo, 0)  # psi(1) = 0
+            out[two:] = self._floats(n[two:])
             return out
         if self.family == "table":
-            out = np.zeros(upto)
-            for m, v in self.table:
-                if 1 <= m <= upto:
-                    out[m - 1] = float(v)
+            out = np.zeros(len(n))
+            for m, v in self._table_in(lo, upto):
+                out[m - lo] = float(v)
             return out
         if self.family == "ds_base":
-            out = np.zeros(upto)
+            out = np.zeros(len(n))
             for ell, qell in itertools.takewhile(lambda pair: pair[1] <= upto, _primorials()):
-                out[qell - 1] = qell / (ell * math.log(ell))
+                if qell >= lo:
+                    out[qell - lo] = qell / (ell * math.log(ell))
             return out
         if self.family == "ds_spread":
-            return _ds_spread_values(upto)
+            return _ds_spread_values(upto, lo)
         raise UsageError(f"unknown family {self.family}")
 
-    def support(self, upto: int) -> np.ndarray:
-        """Where psi(1..upto) is exactly positive, as a mask.  ``values`` is
+    def _table_in(self, lo: int, upto: int):
+        """The table's (n, v) pairs with lo <= n <= upto ((n,) sorts before (n, v))."""
+        return self.table[bisect.bisect_left(self.table, (lo,)) : bisect.bisect_left(self.table, (upto + 1,))]
+
+    def support(self, upto: int, lo: int = 1) -> np.ndarray:
+        """Where psi(lo..upto) is exactly positive, as a mask.  ``values`` is
         0 exactly where ``exact`` is, except at a positive rational below
         the smallest float, which an integer power (never 0), a constant or
         a table entry can be: those families are read exactly instead."""
+        size = max(upto - lo + 1, 0)
         if self.family == "power" and float(self.a).is_integer():
-            return np.ones(upto, dtype=bool)
+            return np.ones(size, dtype=bool)
         if self.family == "constant":
-            return np.full(upto, self.c > 0)
+            return np.full(size, self.c > 0)
         if self.family == "table":
-            mask = np.zeros(upto, dtype=bool)
-            mask[[m - 1 for m, v in self.table if m <= upto and v > 0]] = True
+            mask = np.zeros(size, dtype=bool)
+            mask[[m - lo for m, v in self._table_in(lo, upto) if v > 0]] = True
             return mask
-        return self.values(upto) > 0
+        return self.values(upto, lo) > 0
 
 
 def _primorial_index(n: int):
@@ -281,36 +291,39 @@ def _spread_limit(n: int) -> float:
     return 2.0 * math.log(max(n, 1)) + 746.0
 
 
-def _ds_spread_values(upto: int) -> np.ndarray:
-    """Vectorised ds_spread over 1..upto by the rule of ``PsiFunction.exact``.
+def _ds_spread_values(upto: int, lo: int = 1) -> np.ndarray:
+    """Vectorised ds_spread over lo..upto by the rule of ``PsiFunction.exact``.
     Each prime ell with theta(ell) <= ``_spread_limit(upto)`` is divided once
-    out of its multiples, ascending, and written as their largest prime so
-    far: the support is the n >= 2 left at 1 (squarefree, every prime within
-    the limit), and the last ell written at n is its largest prime.  The
-    q^2/primorial ratio is computed in logs, with theta(ell) from
-    ``_log_primorial`` and libm's log and exp, as ``exact`` takes them."""
+    out of its multiples in the window, ascending, and written as their
+    largest prime so far: the support is the n >= 2 left at 1 (squarefree,
+    every prime within the limit), and the last ell written at n is its
+    largest prime.  A prime whose theta lies between ``_spread_limit(n)``
+    and the window's limit puts log psi(n) below -746, so psi(n) is 0 for
+    every top and each value is the one ``exact`` gives.  The q^2/primorial
+    ratio is computed in logs, with theta(ell) from ``_log_primorial`` and
+    libm's log and exp, as ``exact`` takes them."""
     limit = _spread_limit(upto)
     ells = list(itertools.takewhile(lambda p: p <= upto and _log_primorial(p) <= limit, _trial_primes()))
-    rest = np.arange(upto + 1, dtype=np.int32)  # every caller caps upto at 10^7
-    largest = np.zeros(upto + 1, dtype=np.int16)  # theta(ell) <= limit keeps ell far below 2^15
+    rest = np.arange(lo, upto + 1, dtype=np.int32)  # every caller caps upto at 10^7
+    largest = np.zeros(len(rest), dtype=np.int16)  # theta(ell) <= limit keeps ell far below 2^15
     for p in ells:
-        rest[p::p] //= p
-        largest[p::p] = p
+        rest[-lo % p :: p] //= p
+        largest[-lo % p :: p] = p
     top = ells[-1] if ells else 0
     theta, tail = np.zeros(top + 1), np.zeros(top + 1)  # per ell, the two terms log_val subtracts
     theta[ells] = [_log_primorial(p) for p in ells]
     tail[ells] = [math.log(p * math.log(p)) for p in ells]
-    ms = np.flatnonzero(rest[2:] == 1) + 2
-    ms_ell = largest[ms]
+    at = np.flatnonzero((rest == 1) & (largest > 0))  # n = 1 has no prime
+    ms, ms_ell = at + lo, largest[at]
     del rest, largest  # freed before the float output is allocated
-    out = np.zeros(upto)
+    out = np.zeros(max(upto - lo + 1, 0))
     step = 1 << 14  # the float lists of math.log and math.exp hold one chunk at a time
     for i in range(0, len(ms), step):
         chunk, ell = ms[i : i + step], ms_ell[i : i + step]
         # libm's log and exp, not np.log and np.exp, which differ from them in the last bits
         log_val = 2.0 * np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk)) - theta[ell] - tail[ell]
         vals = np.fromiter(map(math.exp, log_val.tolist()), np.float64, len(chunk))
-        out[chunk - 1] = np.where(log_val > -745.0, vals, 0.0)
+        out[chunk - lo] = np.where(log_val > -745.0, vals, 0.0)
     return out
 
 
@@ -431,8 +444,10 @@ def event_union(q: int, psi: PsiFunction, reduced: bool = True) -> IntervalUnion
 
 def _prefixes(lo: int, hi: int):
     """Yield (lo, top) windows covering [lo, hi], top doubling from
-    max(lo, 2^16): a pass that reads psi over each prefix q <= top costs
-    about twice the psi of the last one, not of hi."""
+    max(lo, 2^16): a pass that reads psi over each window reads it only up
+    to about twice the last q it needs, not up to hi.  Refused for lo < 1."""
+    if lo < 1 and lo <= hi:
+        raise UsageError("need q >= 1")
     top = max(lo, 1 << 16)
     while lo <= hi:
         top = min(top, hi)
@@ -442,16 +457,14 @@ def _prefixes(lo: int, hi: int):
 
 def _events(psi: PsiFunction, Q: int, R: int, reduced: bool, cap: int):
     """Yield (q, ``event_union(q, psi, reduced)``) for the q in [Q, R) with
-    psi(q) > 0 (the others are empty), read off ``psi.support`` over
-    ``_prefixes``.  Refused once the intervals built so far pass cap:
+    psi(q) > 0 (the others are empty), read off ``psi.support`` over each
+    ``_prefixes`` window.  Refused once the intervals built so far pass cap:
     HELD_INTERVAL_CAP for a caller that holds every event, INTERVAL_CAP for
     one that holds one at a time.  A window past INTERVAL_CAP is refused
     there, as ``_event_pairs`` refuses any q at the cap."""
-    if Q < 1 and Q < R:
-        raise UsageError("need q >= 1")
     count = 0
     for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
-        for q in (np.flatnonzero(psi.support(top)[lo - 1 :]) + lo).tolist():
+        for q in (np.flatnonzero(psi.support(top, lo)) + lo).tolist():
             ev = event_union(q, psi, reduced)
             count += len(ev)
             if count > cap:
@@ -468,18 +481,19 @@ def _held_events(psi: PsiFunction, Q: int, R: int, reduced: bool) -> list[Interv
     disjoint and none is empty, so event q holds q + 1 of them, or at least
     phi(q) reduced ones.  ``values`` is the float of ``exact`` (an integer
     power's within an ulp, never near q/2) and q/2 is a float, so the float
-    test is the exact one.  The bound is counted over prefixes q <= top,
-    top doubling from max(Q, 2^16), so a refusal costs about the psi and phi
-    of the q where the count passes the cap, not of R.  ``_events`` still
-    counts what it builds, where merging lowers the count."""
+    test is the exact one.  The bound is counted window by window over
+    ``_prefixes``, psi and phi read over [lo, top] alone, so a refusal
+    costs about the psi and phi of the q where the count passes the cap,
+    not of R.  ``_events`` still counts what it builds, where merging
+    lowers the count."""
     held = 0
     for lo, top in _prefixes(Q, min(R, INTERVAL_CAP) - 1):
-        vals = psi.values(top)
-        phi = phi_sieve(top) if reduced else None
-        for start in range(lo, top + 1, SUM_CHUNK):
-            q = np.arange(start, min(start + SUM_CHUNK, top + 1))
-            v = vals[q - 1]
-            held += int((phi[q] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
+        vals = psi.values(top, lo)
+        phi = phi_sieve(top, lo) if reduced else None
+        for start in range(0, top - lo + 1, SUM_CHUNK):
+            q = np.arange(lo + start, min(lo + start + SUM_CHUNK, top + 1))
+            v = vals[start : start + SUM_CHUNK]
+            held += int((phi[start : start + SUM_CHUNK] if reduced else q + 1)[(v > 0) & (v < q / 2)].sum())
             if held > HELD_INTERVAL_CAP:
                 raise CapExceeded(f"interval count above {HELD_INTERVAL_CAP}")
     return [ev for _, ev in _events(psi, Q, R, reduced, HELD_INTERVAL_CAP)]
@@ -643,19 +657,21 @@ def golden_gap(n: int) -> float:
 
 def series_partial(psi: PsiFunction, Q: int) -> tuple[float, float]:
     """Partial sums to Q of psi(n)/n (Khinchin series) and of
-    phi(n)*psi(n)/n^2 (reduced-fraction series), with terms formed one
-    SUM_CHUNK at a time: each chunk sum is the float ``fsum_chunks`` gives
-    on the whole array of terms, without its Q-long temporaries."""
+    phi(n)*psi(n)/n^2 (reduced-fraction series), walking n one SUM_CHUNK
+    window at a time: psi and phi are read over each window alone, phi from
+    one list of the primes up to Q, so no Q-long array is formed, and each
+    window's sum is the float ``fsum_chunks`` gives on the whole array of
+    terms."""
     if Q < 1:
         raise UsageError("need Q >= 1")
     if Q > 10**7:
         raise CapExceeded("series range above 10^7")
-    vals = psi.values(Q)
-    phi = phi_sieve(Q)[1:]
+    primes = _simple_sieve(Q)
     khinchin, ds = [], []
-    for i in range(0, Q, SUM_CHUNK):
-        v, p = vals[i : i + SUM_CHUNK], phi[i : i + SUM_CHUNK].astype(np.float64)
-        n = np.arange(i + 1, i + 1 + len(v), dtype=np.float64)
+    for lo in range(1, Q + 1, SUM_CHUNK):
+        top = min(lo + SUM_CHUNK - 1, Q)
+        v, p = psi.values(top, lo), phi_sieve(top, lo, primes)
+        n = np.arange(lo, top + 1, dtype=np.float64)
         khinchin.append(float((v / n).sum()))
         ds.append(float((v * p / n**2).sum()))
     return math.fsum(khinchin), math.fsum(ds)
@@ -758,8 +774,6 @@ def hausdorff_slope(psi: PsiFunction, beta: float) -> float:
     of sum phi(n) (n^-(2+a))^beta between n_max = 2^15 and 2*n_max.  Near zero
     for convergent beta, bounded away from zero for divergent beta."""
     n_max = 1 << 15
-    phi = phi_sieve(2 * n_max).astype(np.float64)
-    n = np.arange(2 * n_max + 1, dtype=np.float64)
-    n[0] = 1.0
-    terms = phi * n ** (-(2.0 + _power_exponent(psi)) * beta)
-    return float(np.sum(terms[n_max + 1 : 2 * n_max + 1]))
+    n = np.arange(n_max + 1, 2 * n_max + 1, dtype=np.float64)
+    terms = phi_sieve(2 * n_max, n_max + 1) * n ** (-(2.0 + _power_exponent(psi)) * beta)
+    return float(np.sum(terms))

@@ -42,7 +42,7 @@ SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
 TRIAL_LIMIT = 10**6  # factorize trial-divides by the primes up to this
 WHEEL = 3 * 5 * 7 * 11 * 13  # period, in odd slots, of the pre-sieved pattern
-SP_CHUNK = 1 << 16  # slots per chunk of S_P(theta): its temporaries stay small
+SP_CHUNK = 1 << 15  # slots per chunk of S_P(theta): its temporaries stay small
 ROW_BITS = 10  # slot s = 2^ROW_BITS * h + l: S_P reads e(2*s*theta) as A[h] * B[l]
 
 # (psi_k, k): the first k prime bases decide every n < psi_k, the least strong
@@ -209,6 +209,7 @@ def prime_sums(
                 slot &= (1 << ROW_BITS) - 1
                 sums[(i >> ROW_BITS) + np.flatnonzero(held)] = np.add.reduceat(cols.take(slot), starts[held])
             terms.append(complex(roots(np.array([2 * lo + 1], dtype=np.uint64))[0]) * complex((rows * sums).sum()))
+        del flags  # one segment alive: the walk sieves the next one when this loop asks for it
     if theta is None:
         return pi, count, None
     return pi, count, complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
@@ -302,6 +303,7 @@ def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
         phase = (lo + split) % period
         flags[split:] &= tiled[phase : phase + len(flags) - split]
         count += int(np.count_nonzero(flags))
+        del flags
     return count
 
 
@@ -316,6 +318,7 @@ def prime_spectrum(table: PrimeTable) -> np.ndarray:
     ind[2] = 1.0
     for lo, flags in table.slots():
         ind[2 * lo + 1 : 2 * (lo + len(flags)) : 2] = flags
+        del flags
     ind[0] = ind[N]
     return np.conj(np.fft.rfft(ind[:N]))
 
@@ -328,26 +331,35 @@ def mobius(n: int) -> int:
     return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
-def phi_sieve(N: int) -> np.ndarray:
-    """Euler phi for all n <= N at once.
+def phi_sieve(N: int, lo: int = 0, primes: np.ndarray | None = None) -> np.ndarray:
+    """Euler phi(n) for lo <= n <= N < 2^53, exact integers in float64.
 
-    Each prime p <= sqrt(N) is struck out on its own, phi[p::p] -= phi[p::p]
-    // p.  Every n <= N has at most one prime factor above sqrt(N), n = k p
-    with k < sqrt(N), so those primes are struck out one multiplier k at a
-    time, every p <= N/k at once.  Every step is an exact integer division,
-    so the order of the primes does not matter.
+    primes, the primes up to at least N in order, lets a caller that walks
+    many windows sieve them once; by default they are sieved here.  Each
+    prime p <= sqrt(N) is struck out of its multiples in the window,
+    phi -= phi / p.  Every n <= N has at most one prime factor P above
+    sqrt(N), n = k P with k < sqrt(N): one searchsorted over those primes
+    for every k at once gives each k its run of P with k P in the window,
+    and the runs are spread out by np.repeat into the pairs (k, P).  Each
+    entry stays a multiple of every prime not yet struck out, so every
+    division is exact and the order of the primes does not matter.
     """
-    phi = np.arange(N + 1, dtype=np.int64)
-    primes = _simple_sieve(N)
+    phi = np.arange(lo, N + 1, dtype=np.float64)
+    if primes is None:
+        primes = _simple_sieve(N)
     r = math.isqrt(max(N, 0))
     cut = int(np.searchsorted(primes, r, side="right"))
     for p in primes[:cut].tolist():
-        phi[p::p] -= phi[p::p] // p
+        hit = phi[-lo % p :: p]
+        hit -= hit / p
     big = primes[cut:]
-    for k in range(1, N // (r + 1) + 1):
-        ps = big[: np.searchsorted(big, N // k, side="right")]
-        idx = k * ps
-        phi[idx] -= phi[idx] // ps
+    k = np.arange(1, N // (r + 1) + 1)
+    first = np.searchsorted(big, -(-lo // k))  # the run of P with lo <= k P <= N
+    runs = np.maximum(np.searchsorted(big, N // k, side="right") - first, 0)
+    ends = np.cumsum(runs)
+    P = big[np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + runs, runs)]
+    at = np.repeat(k, runs) * P - lo
+    phi[at] -= phi[at] / P
     return phi
 
 

@@ -29,6 +29,8 @@ its oracle too:
   replaced throughout the package, kept as an independent reference;
 * ``enumerate_list`` lists A(x) one Python int at a time, where
   ``digit_systems.enumerate_restricted`` builds int64 outer products;
+* ``euler_phi`` takes phi(n) from the primes of n found by trial division,
+  where ``primes.phi_sieve`` strikes primes out of a window of n at once;
 * ``jacobi``, ``selfridge`` and ``strong_lucas_probable_prime`` take the
   Jacobi symbol, Selfridge's D and the strong Lucas test on one Python int,
   the last from U_k and V_k by the binary method with halving mod n, where
@@ -340,6 +342,21 @@ def enumerate_list(sys, x: int) -> list[int]:
         out.extend(level)
         level = [t * sys.q + d for t in level if t * sys.q <= x for d in sys.digits if t * sys.q + d <= x]
     return out
+
+
+def euler_phi(n: int) -> int:
+    """phi(n) = n prod (1 - 1/p) over the primes p of n, found by trial
+    division by every d up to the square root of what is left; phi(0) = 0."""
+    phi, m, d = n, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            phi -= phi // d
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        phi -= phi // m
+    return phi
 
 
 def jacobi(a: int, n: int) -> int:

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from restricta import dioph as D
 from restricta.dioph import IntervalUnion, PsiFunction
 from restricta.errors import CapExceeded, FactorizationTooHard, NotReached, Unsupported, UsageError
-from restricta.numutil import fsum_chunks
+from restricta.numutil import SUM_CHUNK, fsum_chunks
 from restricta.primes import factorize, phi_sieve
 
 from tests.oracles import FareyPoint, _dirichlet_witness
@@ -32,6 +34,21 @@ def sweep_measure(union: IntervalUnion, grid: int) -> float:
 
 
 fractions_01 = st.fractions(min_value=0, max_value=1)
+
+# one psi per family and kind of value: non-integer and integer powers, a
+# zero constant, khinchin at n = 1, both primorial families, and a table
+# with entries on the edges of the SUM_CHUNK windows
+EVERY_FAMILY = {
+    "ds_spread": PsiFunction.ds_spread(),
+    "constant:1/3": PsiFunction.constant(Fraction(1, 3)),
+    "power:1": PsiFunction.power(1),
+    "power:1.5": PsiFunction.power(1.5),
+    "power:0.5": PsiFunction.power(0.5),
+    "constant:0": PsiFunction.constant(0),
+    "khinchin:0.1": PsiFunction.khinchin_threshold(0.1),
+    "ds_base": PsiFunction.ds_base(),
+    "table": PsiFunction.from_pairs([(3, Fraction(1, 2)), (30030, 2), (65536, 5), (65537, Fraction(1, 7)), (10**6, 3)]),
+}
 
 
 def union_of(pairs) -> IntervalUnion:
@@ -308,6 +325,32 @@ class TestPsiFamilies:
             tracemalloc.stop()
         assert peak <= 14 * 2**20, peak / 2**20
 
+    @pytest.mark.parametrize("family", list(EVERY_FAMILY))
+    def test_values_on_a_window_are_the_slice(self, family):
+        # every float keeps its bits: a window reads what 1..hi reads there,
+        # across the primorials 30030 and 510510 and the SUM_CHUNK edges
+        psi = EVERY_FAMILY[family]
+        for lo, hi in ((1, 1), (1, 9), (2, 3), (5, 4), (29000, 31000), (30030, 30030),
+                       (65536, 131073), (500001, 510510), (999001, 10**6)):
+            for read in (psi.values, psi.support):
+                got, whole = read(hi, lo), read(hi)[lo - 1 :]
+                assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes(), (lo, hi, read.__name__)
+        with pytest.raises(UsageError, match="n >= 1"):
+            psi.values(5, 0)
+
+    def test_exact_past_the_float_range_is_refused(self):
+        # primorial(751) is above the largest float, and so are ds_base and
+        # ds_spread there; the OverflowError of the float step is refused typed
+        n = D.primorial(751)
+        for psi in (PsiFunction.ds_base(), PsiFunction.ds_spread(), PsiFunction.power(0.5), PsiFunction.khinchin_threshold(0)):
+            with pytest.raises(CapExceeded, match="past the float range"):
+                psi.exact(n)
+        # a value the float range holds stands: ds_spread at primorial(743),
+        # about e^704, and these families at primorial(739), of 1019 bits
+        assert 0 < PsiFunction.ds_spread()(D.primorial(743)) < math.inf
+        for psi in (PsiFunction.ds_base(), PsiFunction.ds_spread(), PsiFunction.power(0.5)):
+            assert psi.exact(D.primorial(739)) > 0
+
     def test_ds_spread_theta_cap(self, monkeypatch):
         monkeypatch.setattr(D, "THETA_SIEVE_CAP", 100)
         D._log_primorial.cache_clear()
@@ -501,17 +544,20 @@ class TestTruncatedMeasure:
     @pytest.mark.parametrize("psi", [PsiFunction.constant(Fraction(1, 3)), PsiFunction.ds_spread()])
     def test_held_count_walks_prefixes_not_r(self, monkeypatch, psi):
         # the held count passes the cap near q = 2570, so the refusal at
-        # R = 10^7 needs psi and phi only on the first prefix, 2^16 (the whole
-        # window took 1.2 s and 229 MB for 1/3, 2.0 s and 306 MB for ds_spread)
+        # R = 10^7 needs psi and phi only on the first windows, [2, 2^16]
+        # and at most [2^16 + 1, 2^17] (the whole range took 1.2 s and
+        # 229 MB for 1/3, 2.0 s and 306 MB for ds_spread)
         seen = []
         values, sieve = PsiFunction.values, D.phi_sieve
-        monkeypatch.setattr(PsiFunction, "values", lambda self, upto: seen.append(upto) or values(self, upto))
-        monkeypatch.setattr(D, "phi_sieve", lambda n: seen.append(n) or sieve(n))
+        monkeypatch.setattr(
+            PsiFunction, "values", lambda self, upto, lo=1: seen.append((lo, upto)) or values(self, upto, lo)
+        )
+        monkeypatch.setattr(D, "phi_sieve", lambda n, lo=0: seen.append((lo, n)) or sieve(n, lo))
         t0 = time.perf_counter()
         with pytest.raises(CapExceeded, match="above 2000000"):
             D.truncated_limsup_measure(psi, 2, 10**7)
         assert time.perf_counter() - t0 < 0.5
-        assert seen and max(seen) <= 2**17
+        assert seen and set(seen) <= {(2, 2**16), (2**16 + 1, 2**17)}
 
     def test_held_count_prefixes_cover_the_window(self, monkeypatch):
         # psi = 1/q^2 is 0 nowhere: a cap of the phi(q) summed over
@@ -521,11 +567,12 @@ class TestTruncatedMeasure:
         monkeypatch.setattr(D, "_events", lambda *args: iter(()))
         seen = []
         sieve = D.phi_sieve
-        monkeypatch.setattr(D, "phi_sieve", lambda n: seen.append(n) or sieve(n))
+        monkeypatch.setattr(D, "phi_sieve", lambda n, lo=0: seen.append((lo, n)) or sieve(n, lo))
         assert D._held_events(PsiFunction.power(2), 2, 2**17 + 4, True) == []
         with pytest.raises(CapExceeded):
             D._held_events(PsiFunction.power(2), 2, 2**17 + 5, True)
-        assert seen == [2**16, 2**17, 2**17 + 3, 2**16, 2**17, 2**17 + 4]
+        windows = [(2, 2**16), (2**16 + 1, 2**17)]
+        assert seen == [*windows, (2**17 + 1, 2**17 + 3), *windows, (2**17 + 1, 2**17 + 4)]
 
     @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(3, 4)])
     @pytest.mark.parametrize("reduced", [True, False])
@@ -785,15 +832,33 @@ class TestSeries:
         kh_large, _ = D.series_partial(PsiFunction.ds_spread(), 10**5)
         assert kh_large > kh_small  # Mertens-type growth continues
 
-    @pytest.mark.parametrize("family", ["ds_spread", "constant:1/3", "power:1"])
-    @pytest.mark.parametrize("Q", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+    @pytest.mark.parametrize("family", list(EVERY_FAMILY))
+    @pytest.mark.parametrize("Q", [1, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 10**6])
     def test_chunked_terms_match_whole_array(self, family, Q):
-        # the whole-array formula that terms formed chunk by chunk replace
-        psi = PsiFunction.parse(family)
+        # the whole-array formula that terms formed window by window replace
+        psi = EVERY_FAMILY[family]
         vals = psi.values(Q)
         n = np.arange(1, Q + 1, dtype=np.float64)
         phi = phi_sieve(Q)[1:].astype(np.float64)
         assert D.series_partial(psi, Q) == (fsum_chunks(vals / n), fsum_chunks(vals * phi / n**2))
+
+    def test_series_at_its_cap_holds_no_q_long_array(self):
+        # psi and phi one SUM_CHUNK window at a time: the series at Q = 10^7
+        # peaked at 237 MB with both as Q-long arrays, and at 49 MB in
+        # windows.  A small interpreter runs the command, so its
+        # RUSAGE_CHILDREN is that one child's peak: read here, it would be
+        # the largest child the suite has run, and a child of this process
+        # counts the pages it shared with the suite before its exec
+        argv = ["-m", "restricta", "dioph", "--psi", "ds_spread", "--cmd", "series", "--Q", "10000000"]
+        peak = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        env = {"PYTHONPATH": str(Path(D.__file__).parents[1]), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", peak, sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024, int(proc.stdout) / 1024  # KiB on Linux
 
 
 class TestDsCounterexample:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restricta import digit_systems
@@ -19,6 +20,7 @@ from restricta.errors import FactorizationTooHard, LimitExceeded, OutOfRange, Us
 
 from tests.oracles import (
     enumerate_list,
+    euler_phi,
     frac_exact,
     jacobi,
     prime_exp_sum_exact,
@@ -146,6 +148,18 @@ class TestStreamedLayer:
         primes = set(walk_primes(t).tolist())
         for n in {*range(min(x, 400) + 1), *range(max(0, x - 400), x + 1)}:
             assert (n in primes) == flags[n], n
+
+    def test_walk_holds_one_segment(self):
+        # the loop drops each segment's flags before the walk sieves the
+        # next: held across the step, a bare pi(10^7) peaked at 2.04 MiB
+        t = P.sieve_primes(10**7)
+        tracemalloc.start()
+        try:
+            assert P.prime_sums(t)[0] == 664579
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * P.SEGMENT, peak / 2**20  # one bool flag per slot
 
     def test_walk_over_runs(self):
         # runs that cross a segment edge, one slot, and one that ends at the
@@ -440,7 +454,7 @@ class TestPrimeExpSum:
 
     def test_walk_peak_is_one_chunk_over_the_sieve(self):
         # S_P works SP_CHUNK slots at a time: at 10^7 the walk's traced peak
-        # is 2.04 MiB without theta (the flags of two segments) and 0.12 MiB
+        # is 1.04 MiB without theta (the flags of one segment) and 0.16 MiB
         # more with it; whole segments of gathered roots add 4.8 MiB
         peaks = {}
         for theta in (None, 0.41421356237309515):
@@ -629,6 +643,32 @@ class TestFactorization:
         for p in P._simple_sieve(N).tolist():
             phi[p::p] -= phi[p::p] // p
         assert np.array_equal(P.phi_sieve(N), phi)
+
+    @given(
+        lo=st.one_of(st.sampled_from([0, 1]), st.integers(0, 2 * 10**6)),
+        width=st.integers(-1, 150),
+        shared=st.booleans(),
+    )
+    @example(lo=0, width=1000, shared=False)  # sqrt(N) inside the window
+    @example(lo=1, width=2000, shared=True)
+    @example(lo=1409**2 - 150, width=150, shared=False)  # N = 1409^2: r = 1409 is struck as a small prime
+    @example(lo=1409**2 - 150, width=149, shared=True)  # N = 1409^2 - 1: 1409 is above r
+    @example(lo=1409**2 - 40, width=80, shared=False)  # a prime square inside
+    @example(lo=2 * 10**6 - 150, width=150, shared=True)
+    @example(lo=7, width=-1, shared=False)  # empty
+    @settings(max_examples=60, deadline=None)
+    def test_phi_sieve_window_matches_trial_division(self, lo, width, shared):
+        # phi over [lo, N] alone, with the primes sieved here or a longer
+        # list shared by a caller that walks windows up to 2 * 10^6
+        N = min(lo + width, 2 * 10**6)
+        got = P.phi_sieve(N, lo, _primes_to_2e6() if shared else None)
+        assert got.dtype == np.float64
+        assert got.tolist() == [euler_phi(n) for n in range(lo, N + 1)]
+
+
+@functools.cache
+def _primes_to_2e6() -> np.ndarray:
+    return P._simple_sieve(2 * 10**6)
 
 
 def _factorize_agrees(values):
