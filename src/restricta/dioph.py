@@ -161,15 +161,16 @@ class PsiFunction:
 
     def exact(self, n: int) -> Fraction:
         """Exact rational value where the family allows; otherwise the exact
-        binary rational of the float value (deterministic), which for a
-        non-integer power and khinchin is the float ``values`` gives at n.
-        An integer power n^a is a true rational, within an ulp of the float
-        in ``values``; one of more than about POWER_BITS_CAP bits (a*log2(n)
-        above it) is refused with CapExceeded before it is formed.  ds_spread
-        is not factorized: n is divided by the primes in order until it is
-        used up, and is 0 at a repeated prime or at the first prime whose
-        theta passes ``_spread_limit(n)``, so a large prime factor is never
-        reached."""
+        binary rational of the float value (deterministic).  For a
+        non-integer power, khinchin and ds_base that float is ``values(n,
+        n)[0]``, the one expression the series sums too, since numpy and libm
+        may round pow and log differently.  An integer power n^a is a true
+        rational, within an ulp of the float in ``values``; one of more than
+        about POWER_BITS_CAP bits (a*log2(n) above it) is refused with
+        CapExceeded before it is formed.  ds_spread is not factorized: n is
+        divided by the primes in order until it is used up, and is 0 at a
+        repeated prime or at the first prime whose theta passes
+        ``_spread_limit(n)``, so a large prime factor is never reached."""
         if n < 1:
             raise UsageError("psi is defined for n >= 1")
         if self.family == "power" and float(self.a).is_integer():
@@ -181,13 +182,7 @@ class PsiFunction:
         if self.family == "table":
             return next((v for _, v in self._table_in(n, n)), Fraction(0))
         try:
-            if self.family in ("power", "khinchin"):
-                one = np.array([n], dtype=np.float64)  # the array expression of values, at n alone
-                v = 0.0 if self.family == "khinchin" and n < 2 else float(self._floats(one)[0])
-            elif self.family == "ds_base":
-                ell = _primorial_index(n)
-                v = 0.0 if ell is None else n / (ell * math.log(ell))
-            elif self.family == "ds_spread":
+            if self.family == "ds_spread":
                 ell, rest, limit = None, n, _spread_limit(n)
                 for p in _trial_primes():
                     if rest == 1:
@@ -205,40 +200,34 @@ class PsiFunction:
                 log_val = 2.0 * math.log(n) - _log_primorial(ell) - math.log(ell * math.log(ell))
                 v = math.exp(log_val) if log_val > -745.0 else 0.0
             else:
-                raise UsageError(f"no float evaluation for family {self.family}")
+                v = float(self.values(n, n)[0])
         except OverflowError:  # n, or a float psi(n), past the largest float
             raise CapExceeded(f"psi(n) at n of {n.bit_length()} bits is past the float range") from None
         return Fraction(v) if v > 0 else Fraction(0)
 
-    def _floats(self, n: np.ndarray) -> np.ndarray:
-        """The power or khinchin values at the float array n (n >= 2 for
-        khinchin): the one expression ``values`` and ``exact`` evaluate,
-        since numpy and libm may round pow and log differently."""
-        if self.family == "power":
-            return n ** (-self.a)
-        return 1.0 / np.log(n) ** (1.0 + self.eps)
-
     def values(self, upto: int, lo: int = 1) -> np.ndarray:
         """psi(lo..upto) as a float array (vectorised per family), each
-        value the one the whole range 1..upto gives at that n."""
+        value the one the whole range 1..upto gives at that n.  Only power
+        and khinchin form the float array of n, so ds_base is 0 off the
+        primorials at any n."""
         if lo < 1:
             raise UsageError("psi is defined for n >= 1")
-        n = np.arange(lo, upto + 1, dtype=np.float64)
+        size = max(upto - lo + 1, 0)
         if self.family == "power":
-            return self._floats(n)
+            return np.arange(lo, upto + 1, dtype=np.float64) ** (-self.a)
         if self.family == "constant":
-            return np.full(len(n), float(self.c))
+            return np.full(size, float(self.c))
         if self.family == "khinchin":
-            out, two = np.zeros(len(n)), max(2 - lo, 0)  # psi(1) = 0
-            out[two:] = self._floats(n[two:])
+            out, two = np.zeros(size), max(2 - lo, 0)  # psi(1) = 0
+            out[two:] = 1.0 / np.log(np.arange(lo + two, upto + 1, dtype=np.float64)) ** (1.0 + self.eps)
             return out
         if self.family == "table":
-            out = np.zeros(len(n))
+            out = np.zeros(size)
             for m, v in self._table_in(lo, upto):
                 out[m - lo] = float(v)
             return out
         if self.family == "ds_base":
-            out = np.zeros(len(n))
+            out = np.zeros(size)
             for ell, qell in itertools.takewhile(lambda pair: pair[1] <= upto, _primorials()):
                 if qell >= lo:
                     out[qell - lo] = qell / (ell * math.log(ell))
@@ -266,13 +255,6 @@ class PsiFunction:
             mask[[m - lo for m, v in self._table_in(lo, upto) if v > 0]] = True
             return mask
         return self.values(upto, lo) > 0
-
-
-def _primorial_index(n: int):
-    """The prime ell with primorial(ell) = n, if any."""
-    for ell, q_ell in _primorials():
-        if q_ell >= n:
-            return ell if q_ell == n else None
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -740,8 +722,6 @@ def ds_counterexample(ell_max: int) -> DsCounterexampleReport:
         if ell > 2:
             samples.add(2 * ell)
         for q in sorted(samples):
-            if q_ell % q or q % ell:
-                continue
             # both half-widths are 1/(q_ell ell log ell) up to float rounding
             w_spread = psi(q) / q**2
             w_base = psi0(q_ell) / q_ell**2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
-from .numutil import catalan_constant, fixed_phase, fsum_chunks, unit_fixed, unit_mod
+from .numutil import catalan_constant, fsum_chunks, unit
 from .primes import digit_indicator
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
@@ -121,15 +121,15 @@ class _Window:
         2 the tuple (W, W') or (W, W', W'').
 
         Each e(n*phi) is taken once, from the exact residue n*m mod N by
-        ``unit_mod``, and serves W and its derivatives; a hole at 1, r or a
-        reuses the hull's exponential.  W'' is formed from the same exponentials
+        ``unit`` at theta = 1/N, and serves W and its derivatives; a hole at
+        1, r or a reuses the hull's exponential.  W'' is formed from the same exponentials
         and from W', after it, so W and W' have the same bits at any ``deriv``.
         The hull ratio takes its phi -> 0 limits where |e(phi) - 1| < _DEN_EPS.
         """
         m = np.asarray(m, dtype=np.int64)
 
         def e(n):  # e(n*phi)
-            return unit_mod(n * m % N, N)
+            return unit(n * m % N, Fraction(1, N))
 
         tp = 2j * math.pi
         tau2 = (2.0 * math.pi) ** 2  # (2*pi*i)^2 = -tau2
@@ -236,19 +236,20 @@ def restricted_exp_sum(profile: FourierProfile, theta) -> complex:
     """S_A(theta) over the k-digit padded set, via the digit product.
 
     theta may be a float or an exact Fraction, taken as the exact rational
-    num/den; each level's phases d*q^i*theta mod 1 are reduced in integer
-    arithmetic to 64-bit fixed point (``fixed_phase``), so the product stays
-    accurate for any k.
+    num/den; each level's theta_i = q^i*theta mod 1 is reduced in integer
+    arithmetic, and ``unit`` takes the digits' e(d*theta_i) from 64-bit
+    phases less than 2 units of 2^-64 low, so the product stays accurate
+    for any k.
     """
     sys = profile.sys
     theta = Fraction(theta)
     num, den = theta.numerator, theta.denominator
+    digits = np.array(sys.digits, dtype=np.int64)
     res = 1 + 0j
     qq = 1
     for _ in range(profile.k):
-        r = (qq * num) % den
-        c, s = unit_fixed(np.array([fixed_phase(Fraction(d * r, den))[0] for d in sys.digits], dtype=np.uint64))
-        res *= complex(np.sum(c), np.sum(s))
+        z = unit(digits, Fraction(qq * num % den, den))
+        res *= complex(np.sum(z.real), np.sum(z.imag))
         qq *= sys.q
     return res
 
@@ -346,7 +347,7 @@ def _refined_cell_sups(q: int, grid: int):
     t = np.arange(half, dtype=np.int64)
     m = 2 * np.arange(half * grid, dtype=np.int64) + 1  # subcell midpoints m/N, cell-major
     g, gp, gpp = _Window(DigitSystem.of(q, range(q))).values(m, N, deriv=2)
-    z1 = unit_mod(m, N)
+    z1 = unit(m, Fraction(1, N))
     c = half
     tp, tau = 2j * math.pi, 2.0 * math.pi
     R1 = gp - tp * c * g

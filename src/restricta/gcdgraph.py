@@ -164,7 +164,10 @@ def chow_counterexample(y: int) -> ChowReport:
 
 def green_walker_ratio(inst: GcdInstance, other: GcdInstance) -> tuple[float, float]:
     """Pair-gcd density delta of R x S (R = inst.S, S = other.S, B = inst.B) and
-    the diagnostic ratio |R||S| * B^2 * delta^2.1 / (X*Y) with X = min(R), Y = min(S)."""
+    the diagnostic ratio |R||S| * B^2 * delta^2.1 / (X*Y) with X = min(R), Y = min(S).
+    The ratio is 0.0 at delta = 0; where |R||S|B^2 or X*Y is past the largest
+    float, their quotient is rounded once from its exact value, and a ratio
+    itself past the float range is refused with CapExceeded."""
     rv, sv, B = inst.S, other.S, inst.B
     if len(rv) * len(sv) > PAIR_BUDGET:
         raise CapExceeded("pair count above budget")
@@ -174,8 +177,15 @@ def green_walker_ratio(inst: GcdInstance, other: GcdInstance) -> tuple[float, fl
         hits += int(np.count_nonzero(np.gcd(x, sa) >= B))
     delta = hits / (len(rv) * len(sv))
     X, Y = rv[0], sv[0]
-    ratio = len(rv) * len(sv) * B * B * delta**2.1 / (X * Y)
-    return delta, ratio
+    if not delta:
+        return delta, 0.0
+    try:
+        return delta, len(rv) * len(sv) * B * B * delta**2.1 / (X * Y)
+    except OverflowError:  # |R||S|B^2 or X*Y past the largest float
+        try:
+            return delta, float(Fraction(len(rv) * len(sv) * B * B, X * Y)) * delta**2.1
+        except OverflowError:
+            raise CapExceeded("green-walker ratio past the float range") from None
 
 
 # ------------------------------------------------- bipartite compression

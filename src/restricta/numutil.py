@@ -10,7 +10,9 @@ than 2 units of 2^-64 (one from the truncated product, and n*2^-64 from the
 truncated T) with no float involved.  ``unit_fixed``, the one exponential
 kernel, evaluates e(ph/2^64) as a root of unity from a 4096-entry table,
 indexed by the top 12 bits, times a short Taylor polynomial in the remaining
-52 bits; ``unit_mod`` feeds it exact residues rho mod N, at theta = 1/N.
+52 bits.  ``unit``, the one entry point every other module calls, gives
+e(n*theta) for an integer array n through these three in blocks.
+``fsum_chunks`` is the one deterministic sum, of a float or complex array.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ ROOT_BITS = 12  # the root table holds e(k/2^ROOT_BITS) for every k
 _LO32 = 0xFFFF_FFFF
 _LOW = np.uint64((1 << (64 - ROOT_BITS)) - 1)  # the bits below the table index
 _TURN = 2 * math.pi / 2.0**64  # radians per unit of a 64-bit phase
-UNIT_BLOCK = 1 << 13  # residues per block of unit_mod: its 7-row workspace is 448 KiB
+UNIT_BLOCK = 1 << 13  # entries per block of unit: its 7-row workspace is 448 KiB
 
 
 def mul_hi(x: np.ndarray, y) -> np.ndarray:
@@ -127,13 +129,14 @@ def unit_fixed(ph: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarr
     return cos, sin
 
 
-def unit_mod(rho: np.ndarray, N: int) -> np.ndarray:
-    """Complex e(rho/N) for a 1-d int64 array of exact residues 0 <= rho < N, by
-    ``unit_fixed`` at fixed_phases(rho, fixed_phase(1/N)) (under 2 units of
-    2^-64 low), in blocks that share one 7-row workspace: no other full-length
+def unit(n: np.ndarray, theta: float | Fraction) -> np.ndarray:
+    """Complex e(n*theta) for a 1-d nonnegative int64 or uint64 array n and an
+    exact theta (a float or a Fraction), by ``unit_fixed`` at
+    fixed_phases(n, fixed_phase(theta)) (under 1 + n/2^64 units of 2^-64
+    low), in blocks that share one 7-row workspace: no other full-length
     temporary."""
-    ph, res = rho.view(np.uint64), np.empty(len(rho), dtype=np.complex128)
-    t = fixed_phase(Fraction(1, N))
+    ph, res = n.view(np.uint64), np.empty(len(n), dtype=np.complex128)
+    t = fixed_phase(theta)
     work = np.empty((7, min(UNIT_BLOCK, len(ph))), dtype=np.uint64)
     for i in range(0, len(ph), UNIT_BLOCK):
         m = min(UNIT_BLOCK, len(ph) - i)
@@ -141,20 +144,15 @@ def unit_mod(rho: np.ndarray, N: int) -> np.ndarray:
     return res
 
 
-def csum(values: np.ndarray) -> complex:
-    """Deterministic compensated sum of a complex array.
-
-    Pairwise numpy partial sums per fixed-size chunk, then exact fsum of
-    the chunk results; independent of thread count by construction.
-    """
+def fsum_chunks(values: np.ndarray) -> float | complex:
+    """Deterministic sum of a float or complex array: numpy's pairwise
+    partial sum per SUM_CHUNK chunk, then an exact fsum of the chunk sums,
+    part by part; independent of thread count by construction."""
     v = np.asarray(values)
     res = [v[i : i + SUM_CHUNK].sum() for i in range(0, len(v), SUM_CHUNK)]
-    return complex(math.fsum(r.real for r in res), math.fsum(r.imag for r in res))
-
-
-def fsum_chunks(values: np.ndarray) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    return math.fsum(float(v[i : i + SUM_CHUNK].sum()) for i in range(0, len(v), SUM_CHUNK))
+    if np.iscomplexobj(v):
+        return complex(math.fsum(r.real for r in res), math.fsum(r.imag for r in res))
+    return math.fsum(res)
 
 
 def catalan_constant() -> float:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from .errors import FactorizationTooHard, LimitExceeded, OutOfRange, UsageError
-from .numutil import csum, fixed_phase, fixed_phases, mul_hi, unit_fixed, unit_mod
+from .numutil import fsum_chunks, mul_hi, unit
 
 SEGMENT = 1 << 20  # odd slots per segment; slot i holds the odd integer 2i+1
 SIEVE_LIMIT = 1 << 40
@@ -159,7 +160,7 @@ def prime_sums(
     = e((2*lo + 1)*theta) * e(2*s*theta), and with s = 2^ROW_BITS*h + l,
     e(2*s*theta) = A[h] * B[l] for two tables of SEGMENT/2^ROW_BITS and
     2^ROW_BITS entries, each taken once per call from its exact 64-bit
-    phases through ``numutil.unit_fixed``.  Each chunk of SP_CHUNK slots
+    phases through ``numutil.unit``.  Each chunk of SP_CHUNK slots
     gathers B at the low bits of its flagged slot indices and sums them by
     their high bits into the row sums; the segment's sum is the dot product
     of the row sums with A, times e((2*lo + 1)*theta).  No prime is decoded
@@ -182,17 +183,10 @@ def prime_sums(
         theta = float(theta)
         if not math.isfinite(theta):
             raise UsageError(f"need a finite theta, got {theta}")
-        t = fixed_phase(theta)
-
-        def roots(n: np.ndarray) -> np.ndarray:
-            """e(n*theta) for a uint64 array n."""
-            c, s = unit_fixed(fixed_phases(n, t))
-            return c + 1j * s
-
-        rows = roots(np.arange(0, 2 * SEGMENT, 2 << ROW_BITS, dtype=np.uint64))  # A[h] = e(2^(ROW_BITS+1)*h*theta)
-        cols = roots(np.arange(0, 2 << ROW_BITS, 2, dtype=np.uint64))  # B[l] = e(2*l*theta)
+        rows = unit(np.arange(0, 2 * SEGMENT, 2 << ROW_BITS, dtype=np.uint64), theta)  # A[h] = e(2^(ROW_BITS+1)*h*theta)
+        cols = unit(np.arange(0, 2 << ROW_BITS, 2, dtype=np.uint64), theta)  # B[l] = e(2*l*theta)
         row_starts = np.arange(0, SP_CHUNK, 1 << ROW_BITS)
-        terms = [complex(roots(np.array([2], dtype=np.uint64))[0])]  # the prime 2
+        terms = [complex(unit(np.array([2], dtype=np.uint64), theta)[0])]  # the prime 2
     pi = 1  # the prime 2
     for lo, flags in table.slots():
         pi += int(np.count_nonzero(flags))
@@ -208,7 +202,7 @@ def prime_sums(
                 held = starts < np.append(starts[1:], len(slot))  # the rows with a prime
                 slot &= (1 << ROW_BITS) - 1
                 sums[(i >> ROW_BITS) + np.flatnonzero(held)] = np.add.reduceat(cols.take(slot), starts[held])
-            terms.append(complex(roots(np.array([2 * lo + 1], dtype=np.uint64))[0]) * complex((rows * sums).sum()))
+            terms.append(complex(unit(np.array([2 * lo + 1], dtype=np.uint64), theta)[0]) * complex((rows * sums).sum()))
         del flags  # one segment alive: the walk sieves the next one when this loop asks for it
     if theta is None:
         return pi, count, None
@@ -369,7 +363,7 @@ def ramanujan_sum(s: int) -> complex:
         raise UsageError("need s >= 1")
     b = np.arange(1, s + 1, dtype=np.int64)
     b = b[np.gcd(b, s) == 1]
-    return csum(unit_mod(b % s, s))
+    return fsum_chunks(unit(b % s, Fraction(1, s)))
 
 
 def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:

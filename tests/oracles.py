@@ -21,12 +21,14 @@ its oracle too:
   graph at one prime, of which ``gcdgraph.compress_greedy`` scores all
   from counts and builds only the one it takes;
 * ``frac_mul`` reduces n*theta mod 1 for a float array by an error-free
-  two-product, the float phase path that ``numutil.fixed_phases``
-  replaced in the S_P(theta) of ``primes.prime_sums``;
+  two-product, the float phase path that ``numutil.unit`` replaced in the
+  S_P(theta) of ``primes.prime_sums``;
 * ``unit`` takes e(t) by libm's complex exp of a float phase, and
   ``frac_exact`` reduces n*theta mod 1 through the binary rational of a
-  float: the route that ``numutil.unit_mod`` and ``numutil.fixed_phase``
-  replaced throughout the package, kept as an independent reference;
+  float: the route that ``numutil.unit``, the package's one entry into
+  e(x) from exact 64-bit phases, replaced throughout the package, kept as
+  an independent reference (test_acceptance.py sums its values with
+  ``numutil.fsum_chunks``, the package's one chunked sum);
 * ``enumerate_list`` lists A(x) one Python int at a time, where
   ``digit_systems.enumerate_restricted`` builds int64 outer products;
 * ``euler_phi`` takes phi(n) from the primes of n found by trial division,

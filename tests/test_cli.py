@@ -284,6 +284,17 @@ class TestJsonOutputs:
             '"message":"composite cofactor 1000036000099 of 2000072000198"}\n'
         )
 
+    @pytest.mark.parametrize("elements, B", [
+        ((12, 18, 30), 10**200),  # |R||S|B^2 past the float range, at delta = 0
+        ((2 * 10**200, 3 * 10**200, 5 * 10**200), 2),  # X*Y past the float range, at delta = 1
+    ], ids=["B=10^200", "min=2*10^200"])
+    def test_gcdgraph_green_walker_past_float_range(self, capsys, tmp_path, elements, B):
+        path = tmp_path / "set.txt"
+        path.write_text(" ".join(map(str, elements)) + "\n")
+        code, out, _ = run_cli(capsys, "gcdgraph", "--cmd", "green-walker", "--set", str(path), "--B", str(B))
+        assert code == 0
+        assert json.loads(out)["ratio"] == 0.0
+
     def test_oversized_grid_refused_before_any_array(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run_cli(capsys, "fourier", "--check", "refined", "--q", "101", "--grid", "10000000")

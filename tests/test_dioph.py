@@ -351,6 +351,26 @@ class TestPsiFamilies:
         for psi in (PsiFunction.ds_base(), PsiFunction.ds_spread(), PsiFunction.power(0.5)):
             assert psi.exact(D.primorial(739)) > 0
 
+    def test_ds_base_is_zero_off_the_primorials_at_any_size(self):
+        # only power and khinchin form a float n, so ds_base is 0 off the
+        # primorials at any size; ds_base at a primorial past the float range,
+        # and power and khinchin at an n past it, are refused typed
+        p743 = D.primorial(743)
+        for n in (10**400, p743 - 1, p743 + 1):
+            assert PsiFunction.ds_base().exact(n) == 0
+        for psi, n in ((PsiFunction.ds_base(), p743), (PsiFunction.power(0.5), 10**400),
+                       (PsiFunction.khinchin_threshold(0.5), 10**400)):
+            with pytest.raises(CapExceeded, match="past the float range"):
+                psi.exact(n)
+
+    @pytest.mark.parametrize("psi", [PsiFunction.power(0.5), PsiFunction.power(2.5), PsiFunction.khinchin_threshold(0),
+                                     PsiFunction.khinchin_threshold(0.3), PsiFunction.ds_base()], ids=repr)
+    def test_exact_is_the_float_of_values(self, psi):
+        rng = random.Random(37)
+        sample = [1, 2, 3, 6, 30, 30030, 2**53 + 1, 2**63, 10**18 + 9, D.primorial(47), 10**300]
+        sample += [rng.randrange(1, 10**12) for _ in range(200)]
+        assert [n for n in sample if psi.exact(n) != Fraction(psi.values(n, n)[0])] == []
+
     def test_ds_spread_theta_cap(self, monkeypatch):
         monkeypatch.setattr(D, "THETA_SIEVE_CAP", 100)
         D._log_primorial.cache_clear()

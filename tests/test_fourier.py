@@ -519,15 +519,15 @@ class TestGridTabulation:
 
     def test_one_exp_per_grid_point(self, monkeypatch):
         # the grid pass once read one exponential per grid point from a root
-        # table; the real FFT needs none, so unit_mod is never called
+        # table; the real FFT needs none, so unit is never called
         phases = []
-        plain = F.unit_mod
+        plain = F.unit
 
-        def counting(rho, N):
-            phases.append(np.size(rho))
-            return plain(rho, N)
+        def counting(n, theta):
+            phases.append(np.size(n))
+            return plain(n, theta)
 
-        monkeypatch.setattr(F, "unit_mod", counting)
+        monkeypatch.setattr(F, "unit", counting)
         for _ in F.sa_chunks(FourierProfile(DigitSystem.excluding(10, {7}), 6)):
             pass
         assert sum(phases) == 0

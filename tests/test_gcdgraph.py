@@ -180,6 +180,20 @@ class TestGreenWalker:
         delta, ratio = G.green_walker_ratio(G.GcdInstance((3, 5), 2), G.GcdInstance((7, 11), 2))
         assert delta == 0.0 and ratio == 0.0
 
+    def test_past_float_range(self):
+        # |R||S|B^2 past the float range at delta = 0, then X*Y past it at delta = 1
+        assert G.green_walker_ratio(G.GcdInstance((12, 18, 30), 10**200), G.GcdInstance((12, 18, 30), 10**200)) == (0.0, 0.0)
+        big = G.GcdInstance((2 * 10**200, 3 * 10**200, 5 * 10**200), 2)
+        assert G.green_walker_ratio(big, big) == (1.0, 0.0)
+        # the exact quotient 10^600 is past it too: refused, typed
+        huge = G.GcdInstance((1, 10**300), 10**300)
+        with pytest.raises(CapExceeded):
+            G.green_walker_ratio(huge, huge)
+        # in range, an exact quotient scaled by delta^2.1 where the float expression overflows
+        wide = G.GcdInstance((10**160, 10**160 + 10**150), 10**150)
+        delta, ratio = G.green_walker_ratio(wide, wide)
+        assert delta == 1.0 and ratio == float(Fraction(4 * 10**300, (10**160) ** 2))
+
     def test_chow_trend_bounded(self):
         ratios = []
         for y in (10, 15, 20):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import sympy
 from restricta import fourier as F
 from restricta.digit_systems import DigitSystem
 from restricta.errors import OutOfRange
-from restricta.numutil import ROOT_BITS, UNIT_BLOCK, fixed_phase, fixed_phases, unit_fixed, unit_mod
+from restricta.numutil import ROOT_BITS, SUM_CHUNK, UNIT_BLOCK, fixed_phase, fixed_phases, fsum_chunks, unit, unit_fixed
 
 from tests.oracles import frac_exact, frac_mul
 
@@ -118,62 +119,75 @@ def _mp_unit_error(rho, N: int, got: np.ndarray) -> float:
 
 
 class TestUnitMod:
-    """unit_mod: e(rho/N) from exact residues through the fixed-point kernel."""
+    """unit on residues mod N: e(rho/N) at theta = 1/N through the fixed-point
+    kernel, and its blocks at any theta."""
 
     @pytest.mark.parametrize("N", [7, 8206, 10**6 + 3, 2**53, 2**62 + 1])
     def test_dense_near_zero_half_and_one(self, N):
         w = min(N // 2, 1500)
         rho = sorted({*range(w), *range(N // 2 - w, N // 2 + w + 1), *range(N - w, N)})
-        assert _mp_unit_error(rho, N, unit_mod(np.array(rho, dtype=np.int64), N)) < 2e-16
+        assert _mp_unit_error(rho, N, unit(np.array(rho, dtype=np.int64), Fraction(1, N))) < 2e-16
 
     def test_residues_of_q11_builds(self, monkeypatch):
         # every residue the refined sum and a Markov-size cell build of base 11 evaluate
-        seen, plain = [], F.unit_mod
+        seen, plain = [], F.unit
 
-        def record(rho, N):
-            seen.append((np.array(rho), N))
-            return plain(rho, N)
+        def record(rho, theta):
+            seen.append((np.array(rho), theta))
+            return plain(rho, theta)
 
-        monkeypatch.setattr(F, "unit_mod", record)
+        monkeypatch.setattr(F, "unit", record)
         F.refined_digit_sum(11)
         F._Window(DigitSystem.excluding(11, {7})).cell_sup(11**2, 8)
-        assert {N for _, N in seen} == {2 * 11 * 373, 2 * 11**2 * 8}
-        for rho, N in seen:
-            assert _mp_unit_error(rho, N, plain(rho, N)) < 2e-16
+        assert {theta for _, theta in seen} == {Fraction(1, 2 * 11 * 373), Fraction(1, 2 * 11**2 * 8)}
+        for rho, theta in seen:
+            assert _mp_unit_error(rho, theta.denominator, plain(rho, theta)) < 2e-16
 
     def test_draw_at_2_53(self):
         # the closed-form window test's phases m/2^53, and its recorded draw
         N, m = 2**53, int(0.9999989999999999 * 2**53)
         rho = np.array([d * m % N for d in range(12)], dtype=np.int64)
-        assert _mp_unit_error(rho, N, unit_mod(rho, N)) < 2e-16
+        assert _mp_unit_error(rho, N, unit(rho, Fraction(1, N))) < 2e-16
 
     @pytest.mark.parametrize("n", [0, 1, UNIT_BLOCK - 1, UNIT_BLOCK, UNIT_BLOCK + 1, 3 * UNIT_BLOCK + 5])
     def test_blocks_equal_one_pass(self, n):
-        N = 10**9 + 7
-        rho = np.random.default_rng(n).integers(0, N, n)
-        c, s = unit_fixed(fixed_phases(rho.view(np.uint64), fixed_phase(Fraction(1, N))))
-        got = unit_mod(rho, N)
-        assert got.shape == (n,)
-        assert np.array_equal(got.real, c) and np.array_equal(got.imag, s)
+        # int64 residues at a Fraction, and the uint64 multipliers of S_P at a float
+        rho = np.random.default_rng(n).integers(0, 10**9 + 7, n)
+        for arr, theta in ((rho, Fraction(1, 10**9 + 7)), (rho.astype(np.uint64), 0.41421356237309515)):
+            c, s = unit_fixed(fixed_phases(arr.view(np.uint64), fixed_phase(theta)))
+            got = unit(arr, theta)
+            assert got.shape == (n,)
+            assert np.array_equal(got.real, c) and np.array_equal(got.imag, s)
 
     def test_memory_is_one_block(self):
         # the output, the residues, and block-sized work only: the 7-row
         # workspace and mul_hi's limb products; unblocked, the workspace
         # alone would be 7 rows of 10^6
         n, N = 10**6, 10**9 + 7
-        unit_mod(np.arange(4), N)
+        unit(np.arange(4), Fraction(1, N))
         tracemalloc.start()
         try:
             rho = np.arange(n, dtype=np.int64) * 7919 % N
-            unit_mod(rho, N)
+            unit(rho, Fraction(1, N))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * n + 8 * n + 2 * 7 * 8 * UNIT_BLOCK
 
 
+@pytest.mark.parametrize("n", [SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1])
+def test_fsum_chunks_complex_is_the_part_by_part_recipe(n):
+    # numpy's sum per SUM_CHUNK chunk, then an exact fsum of each part
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) + 1j * rng.standard_normal(n)
+    res = [v[i : i + SUM_CHUNK].sum() for i in range(0, n, SUM_CHUNK)]
+    want = complex(math.fsum(r.real for r in res), math.fsum(r.imag for r in res))
+    got = fsum_chunks(v)
+    assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag)
+
+
 class TestRestrictedExpSum:
-    """The digit product through fixed_phase and unit_fixed."""
+    """The digit product through unit."""
 
     @staticmethod
     def _mp_product(sys, k: int, theta: Fraction) -> complex:

@@ -5,6 +5,8 @@ A fixed list of cheap argv covers every subcommand route and every kind of
 refusal.  They run in process under ``sys.setprofile``; each Python call
 into a src/ module is recorded as (module, qualname) and compared with the
 functions that ``ast`` finds there.  The difference must equal ALLOWLIST.
+A second guard holds the 64-bit phase format behind ``numutil``: no other
+src/ module names its parts.
 """
 
 import ast
@@ -33,7 +35,6 @@ ALLOWLIST = {
     ("restricta.fourier", "restricted_exp_sum"): "test_acceptance.py::test_10_product_formula_oracle",
     ("restricta.fourier", "typical_growth_constant"): "test_acceptance.py::test_01_growth_constant",
     ("restricta.numutil", "catalan_constant"): "typical_growth_constant, for test_acceptance.py::test_01",
-    ("restricta.numutil", "csum"): "ramanujan_sum, for test_acceptance.py::test_09",
     ("restricta.numutil", "_root_table"): "runs once at import, to build _ROOT_COS and _ROOT_SIN",
     ("restricta.markov", "row_sum_bound"): "test_acceptance.py::test_06; perfbench ops certify.sigma1/sigma2",
     ("restricta.primes", "mobius"): "test_acceptance.py::test_09_ramanujan_identity",
@@ -122,6 +123,19 @@ def defined() -> set:
     for path in SRC.glob("*.py"):
         walk(ast.parse(path.read_text()), f"restricta.{path.stem}", "")
     return out
+
+
+def test_phase_format_stays_in_numutil():
+    # the 64-bit phase format is numutil's decision: every other module
+    # takes e(x) through numutil.unit and names none of its parts
+    parts, named = {"fixed_phase", "fixed_phases", "unit_fixed"}, set()
+    for path in SRC.glob("*.py"):
+        if path.name != "numutil.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name in parts:
+                    named.add((path.name, name))
+    assert not named
 
 
 def test_every_function_is_reached_or_allowlisted(tmp_path):
