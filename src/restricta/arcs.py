@@ -53,7 +53,10 @@ def classify_all(sys: DigitSystem, k: int, A: float) -> np.ndarray:
     if math.isnan(A):
         raise UsageError("need a number A, got nan")
     N = FourierProfile(sys, k).capped_points(SCAN_CAP, "scan cap")
-    C = math.log(N) ** A
+    try:
+        C = math.log(N) ** A
+    except OverflowError:  # past the largest float, so wider than the circle
+        C = math.inf
     if C >= N / 2:  # the s = 1 windows already blanket the whole circle
         return np.zeros(N, dtype=np.int8)
     M = min(int(C), N)

@@ -7,7 +7,6 @@ from D (the expansion of 0 is empty, so 0 is a member iff 0 is allowed).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,9 +18,8 @@ from .errors import CapExceeded, LimitExceeded, UsageError, parsed
 
 ENUM_CAP = 10**8
 ENUM_ROUTE_MAX = 300_000  # census enumerates A(x) up to this size, else sieves
-ENUM_ABOVE_SIEVE_MAX = 1 << 22  # above the sieve limit, up to this size: x = 10^21, D = {1, 3} peaks at 343 MB
+ENUM_ABOVE_SIEVE_MAX = 1 << 22  # above the sieve limit, up to this size: x = 10^21, D = {1, 3} peaks at 336 MB
 DIGIT_CAP = 10**7  # digits one system may build: the largest q a dense-digit route accepts
-_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -181,39 +179,27 @@ def enumerate_restricted(sys: DigitSystem, x: int) -> np.ndarray:
     Raises CapExceeded when count_restricted(sys, x) exceeds ENUM_CAP.
     Members are generated length by length: a j-digit member is a
     (j-1)-digit prefix with a nonzero leading digit, extended by any
-    allowed digit.  Each length comes out increasing, because the digits
-    are sorted and t*q + d < (t+1)*q for every digit d.  The members up to
-    2^63 - 1 are built as int64 arrays, one outer product t*q + d per
-    length (in uint64, which holds every t*q + d with t*q <= 2^63 - 1);
-    the longer ones are extended from their int64 prefixes in Python.
+    allowed digit, one outer product t*q + d per length.  Each length comes
+    out increasing, because the digits are sorted and t*q + d < (t+1)*q for
+    every digit d.  Below 2^63 the products are uint64, which holds every
+    t*q + d with t*q <= x and d <= x, viewed as int64 at the end.
     """
     total = count_restricted(sys, x)
     if total > ENUM_CAP:
         raise CapExceeded(f"|A(x)| = {total} exceeds cap {ENUM_CAP}")
-    q, top = sys.q, min(x, _INT64_MAX)
-    parts = [np.zeros(1, dtype=np.int64)] if x >= 0 and 0 in sys._allowed else []
-    level = np.array([d for d in sys.digits if 0 < d <= top], dtype=np.int64)
-    digits = np.array(sys.digits, dtype=np.uint64) if q <= top else None
+    dtype = np.uint64 if x < 1 << 63 else object
+    digits = np.array([d for d in sys.digits if d <= x], dtype=dtype)
+    parts, level = [digits[digits == 0]], digits[digits > 0]  # 0, then the one-digit members
+    key = digits.dtype.type  # a Python-int key would make searchsorted compare uint64 as float64
     while level.size:
         parts.append(level)
-        prefixes = level[: np.searchsorted(level, top // q, side="right")]
+        prefixes = level[: np.searchsorted(level, key(x // sys.q), side="right")]
         if not prefixes.size:
             break
-        nxt = np.add.outer(prefixes.astype(np.uint64) * np.uint64(q), digits).ravel()
-        level = nxt[: np.searchsorted(nxt, np.uint64(top), side="right")].view(np.int64)
-    small = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if x <= _INT64_MAX:
-        return small
-    # the members above 2^63 - 1: one-digit ones, then the extensions of
-    # the int64 members t with t*q + max(D) above it, then theirs
-    seeds = small[np.searchsorted(small, (_INT64_MAX - sys.digits[-1]) // q + 1) :].tolist()
-    level = [d for d in sys.digits if _INT64_MAX < d <= x]
-    level += [v for t in seeds if t for d in sys.digits if _INT64_MAX < (v := t * q + d) <= x]
-    big = []
-    while level:
-        big.extend(level)
-        level = [t * q + d for t in level if t * q <= x for d in sys.digits if t * q + d <= x]
-    return np.concatenate((small.astype(object), np.array(big, dtype=object)))
+        nxt = np.add.outer(prefixes * sys.q, digits).ravel()
+        level = nxt[: np.searchsorted(nxt, key(x), side="right")]
+    members = np.concatenate(parts)
+    return members.view(np.int64) if dtype is np.uint64 else members
 
 
 def prediction_constant(sys: DigitSystem) -> Fraction:
@@ -256,8 +242,7 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
 
     Route selection: when |A(x)| <= ENUM_ROUTE_MAX, or when x is above the
     sieve limit and |A(x)| <= ENUM_ABOVE_SIEVE_MAX, enumerate members and
-    test them exactly, those below 2^63 in one array call (Baillie-PSW) and
-    the rest one by one by deterministic Miller-Rabin (OutOfRange for a
+    test them exactly in one ``is_prime_int`` call (OutOfRange for the first
     member at or above psi_13, where no base set is proven); otherwise count with
     ``count_primes_digit_filtered`` over the table of x, which walks only
     the blocks of q^j integers whose leading digits are allowed.  Above the
@@ -271,10 +256,7 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
             f"sieve limit {x} above 2^40 and |A(x)| = {count} above the enumerate cap {ENUM_ABOVE_SIEVE_MAX}"
         )
     if count <= ENUM_ROUTE_MAX or above:
-        members = enumerate_restricted(sys, x)
-        small = bisect.bisect_left(members, 1 << 63)  # the members that fit in int64
-        prime_count = int(np.count_nonzero(_primes.is_prime_int(members[:small].astype(np.int64, copy=False))))
-        prime_count += sum(1 for n in members[small:].tolist() if _primes.is_prime_int(n))
+        prime_count = int(np.count_nonzero(_primes.is_prime_int(enumerate_restricted(sys, x))))
     else:
         prime_count = _primes.count_primes_digit_filtered(_primes.sieve_primes(x), sys)
     const = prediction_constant(sys)

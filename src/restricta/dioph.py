@@ -219,7 +219,10 @@ class PsiFunction:
             return np.full(size, float(self.c))
         if self.family == "khinchin":
             out, two = np.zeros(size), max(2 - lo, 0)  # psi(1) = 0
-            out[two:] = 1.0 / np.log(np.arange(lo + two, upto + 1, dtype=np.float64)) ** (1.0 + self.eps)
+            with np.errstate(over="ignore", divide="ignore"):
+                out[two:] = 1.0 / np.log(np.arange(lo + two, upto + 1, dtype=np.float64)) ** (1.0 + self.eps)
+            if not math.isfinite(out.max(initial=0.0)):  # a nan or inf is the max of values >= 0
+                raise CapExceeded(f"khinchin psi on [{lo}, {upto}] is past the float range")
             return out
         if self.family == "table":
             out = np.zeros(size)

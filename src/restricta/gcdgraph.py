@@ -11,7 +11,6 @@ candidate step from vertex and edge counts, and builds only its last graph.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,14 +70,14 @@ def model_problem_search(inst: GcdInstance):
 
     Returns (g, multiplicity) maximising multiplicity (smallest such g on
     ties), or None when no element has a divisor >= B.  The divisors of
-    each element are expanded from its factorization, all taken in one call
-    (``_factorizations``); elements that cannot be certified raise
-    FactorizationTooHard.
+    each element are expanded from its factorization, all taken in one
+    ``factorize`` call on the array of S; the first element that cannot be
+    certified raises FactorizationTooHard.
     """
     if len(inst.S) > MODEL_CAP:
         raise CapExceeded(f"|S| = {len(inst.S)} above cap {MODEL_CAP}")
     counts: dict[int, int] = {}
-    for fac in _factorizations(inst.S):
+    for fac in factorize(_int_array(inst.S)):
         divs = [1]
         for p, e in fac.items():
             divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -94,14 +93,6 @@ def model_problem_search(inst: GcdInstance):
     if check != mult:
         raise RuntimeError(f"{g} divides {check} elements, not the {mult} counted from divisors")
     return g, mult
-
-
-def _factorizations(vals: tuple[int, ...]) -> list[dict[int, int]]:
-    """``factorize`` of each of the increasing vals: one int64 array call for
-    those below 2^63 and the scalar path for the rest, so a refusal names
-    the first element that the scalar path would refuse."""
-    small = bisect.bisect_left(vals, 1 << 63)
-    return factorize(np.array(vals[:small], dtype=np.int64)) + [factorize(v) for v in vals[small:]]
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def compress_greedy(inst: GcdInstance) -> BipartiteGcdGraph:
 
     The walk keeps the start graph's vertex array S, its edges as index
     arrays and one live mask per side, and builds only the last graph.
-    The whole of S is factored up front in one call (``_factorizations``).
+    The whole of S is factored up front in one ``factorize`` call.
     A candidate is scored from counts: one divisibility mask of S serves
     both sides, and one bincount of the live edges' quadrant codes
     2*(p does not divide v) + (p does not divide w) gives all four edge
@@ -281,7 +272,7 @@ def compress_greedy(inst: GcdInstance) -> BipartiteGcdGraph:
     ev, ew = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
     mv, mw = np.ones(len(S), dtype=bool), np.ones(len(S), dtype=bool)
     a = b = 1
-    factors = _factorizations(g.V)
+    factors = factorize(S)
     used: set[int] = set()
     score = g.quality
     budget = max(1, int(10 * math.log(max(2, len(S)))))

@@ -24,7 +24,8 @@ only a cofactor that TRIAL_LIMIT leaves unsettled.  The int64 array paths
 of both share one exact divisibility test by the odd prime p, n*p^-1 mod
 2^64 <= floor((2^64 - 1)/p) (``_divisibility``): the array primality test
 trial-divides by the odd primes below 256 with it, and an int64 array is
-factored in one pass of it over blocks of primes.
+factored in one pass of it over blocks of primes.  Both also take an
+object array, whose elements below 2^63 take the int64 path in one call.
 """
 
 from __future__ import annotations
@@ -371,12 +372,15 @@ def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:
 
     n is a Python int, tested by deterministic Miller-Rabin with the fewest
     prime bases the psi_k table proves enough (refused with OutOfRange at
-    n >= psi_13, about 3.3e24), or an int64 ndarray, for which a bool array
-    of the same shape is returned by trial division and Baillie-PSW, exact
-    below 2^63 (see ``_is_prime_array``).
+    n >= psi_13, about 3.3e24), or an int64 or object ndarray, for which a
+    bool array of the same shape is returned: trial division and Baillie-PSW,
+    exact below 2^63 (see ``_is_prime_array``), with an object array split
+    at 2^63 by ``_by_width``.
     """
     if isinstance(n, np.ndarray):
-        return _is_prime_array(n)
+        if n.dtype != object:
+            return _is_prime_array(n)
+        return _by_width(n, _is_prime_array, is_prime_int, bool).reshape(n.shape)
     if n >= _PSI13:
         raise OutOfRange(f"{n} >= psi_13: Miller-Rabin with 13 prime bases is not proven there")
     if n < 2:
@@ -401,6 +405,18 @@ def is_prime_int(n: int | np.ndarray) -> bool | np.ndarray:
         else:
             return False
     return True
+
+
+def _by_width(n: np.ndarray, array_path, scalar_path, dtype) -> np.ndarray:
+    """The results for an object array n, flat: array_path of its elements
+    in [0, 2^63) in one int64 call, then scalar_path of each of the others
+    in flat order, so on an increasing n a refusal is the scalar path's."""
+    flat = n.reshape(-1)
+    small = (flat >= 0) & (flat < 1 << 63)
+    out = np.empty(flat.size, dtype=dtype)
+    out[small] = array_path(flat[small].astype(np.int64))
+    out[~small] = [scalar_path(v) for v in flat[~small].tolist()]
+    return out
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -453,7 +469,7 @@ def _is_prime_array(n: np.ndarray) -> np.ndarray:
     the psi_k table of the scalar path.  Negative elements are not prime.
     """
     if n.dtype != np.int64:
-        raise UsageError(f"is_prime_int takes an int64 array, not {n.dtype}")
+        raise UsageError(f"is_prime_int takes an int64 or object array, not {n.dtype}")
     flat = n.reshape(-1)
     prime = np.empty(flat.size, dtype=bool)
     live = np.empty(flat.size, dtype=bool)
@@ -654,11 +670,14 @@ def factorize(n: int | np.ndarray) -> dict[int, int] | list[dict[int, int]]:
     which is then 1 or prime with no test; only a cofactor left when p
     passes the trial limit goes to ``is_prime_int``.
 
-    n is a Python int, or an int64 array, for which a list of one dict per
-    element, in flat order, is returned (see ``_factorize_array``).
+    n is a Python int, or an int64 or object array, for which a list of one
+    dict per element, in flat order, is returned (see ``_factorize_array``;
+    an object array is split at 2^63 by ``_by_width``).
     """
     if isinstance(n, np.ndarray):
-        return _factorize_array(n)
+        if n.dtype != object:
+            return _factorize_array(n)
+        return _by_width(n, _factorize_array, factorize, object).tolist()
     if n < 1:
         raise UsageError("factorize needs n >= 1")
     fac: dict[int, int] = {}
@@ -685,7 +704,8 @@ def factorize(n: int | np.ndarray) -> dict[int, int] | list[dict[int, int]]:
 
 
 def _factorize_array(n: np.ndarray) -> list[dict[int, int]]:
-    """``factorize`` of every element of an int64 array, in one pass.
+    """``factorize`` of every element of an int64 array in one pass: all of
+    n, or the part of an object n below 2^63 (see ``_by_width``).
 
     The powers of 2 come off at the lowest set bit.  The live cofactors are
     then tried against the odd primes up to min(TRIAL_LIMIT, sqrt(max)),
@@ -698,7 +718,7 @@ def _factorize_array(n: np.ndarray) -> list[dict[int, int]]:
     refuses it.
     """
     if n.dtype != np.int64:
-        raise UsageError(f"factorize takes an int64 array, not {n.dtype}")
+        raise UsageError(f"factorize takes an int64 or object array, not {n.dtype}")
     flat = n.reshape(-1)
     if flat.size and flat.min() < 1:
         raise UsageError("factorize needs n >= 1")

@@ -30,7 +30,8 @@ its oracle too:
   an independent reference (test_acceptance.py sums its values with
   ``numutil.fsum_chunks``, the package's one chunked sum);
 * ``enumerate_list`` lists A(x) one Python int at a time, where
-  ``digit_systems.enumerate_restricted`` builds int64 outer products;
+  ``digit_systems.enumerate_restricted`` builds outer products, one per
+  digit length;
 * ``euler_phi`` takes phi(n) from the primes of n found by trial division,
   where ``primes.phi_sieve`` strikes primes out of a window of n at once;
 * ``jacobi``, ``selfridge`` and ``strong_lucas_probable_prime`` take the

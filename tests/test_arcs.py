@@ -46,6 +46,13 @@ class TestClassify:
         ac = classify_point(271828, self.sys, 6)
         assert ac.kind == A.PRIMARY_MAJOR
 
+    @pytest.mark.parametrize("Aexp", [400.0, 1e308])
+    def test_width_past_the_float_range_blankets(self, Aexp):
+        # (log 1000)^A overflows a float: the window is wider than the circle
+        got = A.classify_all(self.sys, 3, Aexp)
+        assert np.array_equal(got, A.classify_all(self.sys, 3, math.inf))
+        assert not got.any()  # every point primary
+
     def test_agrees_with_bruteforce_search(self):
         k, Aexp = 6, 3.0
         N = 10**6

@@ -396,7 +396,7 @@ class TestJsonOutputs:
 
     def test_census_refuses_unproven_primality(self, capsys):
         # members of A(10^39) for D = {1} are repunits, up to 10^38 > psi_13;
-        # those past 2^63 are tested one by one, in order, so R_26 is named
+        # is_prime_int tests those past 2^63 one by one, in order, so R_26 is named
         code, out, _ = run_cli(capsys, "census", "--sys", "q=10,D=1", "--x", str(10**39))
         assert code == 1
         assert json.loads(out)["error"] == "out-of-range"
@@ -520,6 +520,36 @@ class TestCsvOutputs:
         assert len(lines) == 5
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 10**4
+
+    @pytest.mark.parametrize("A", ["400", "1e308"])
+    def test_arcs_full_scan_past_the_float_range(self, capsys, A):
+        # (log N)^A past the largest float is a window wider than the circle:
+        # the output is the --A inf table, every point primary
+        argv = ("arcs", "--sys", "q=10,exclude=7", "-k", "3", "--full-scan", "--A")
+        code, out, _ = run_cli(capsys, *argv, A)
+        assert code == 0
+        assert out.split("\n")[:3] == ["class,count,mass", "primary-major,1000,203.22154129848113", "smooth-major,0,0.0"]
+        assert (code, out) == run_cli(capsys, *argv, "inf")[:2]
+
+    @pytest.mark.parametrize("argv", [
+        ("--psi", "khinchin:10000", "--cmd", "measure", "--q", "2"),
+        ("--psi", "khinchin:10000", "--cmd", "series", "--Q", "10"),
+        ("--psi", "khinchin:-1000", "--cmd", "series", "--Q", "10"),
+    ], ids=" ".join)
+    def test_dioph_infinite_khinchin_refused(self, argv):
+        # psi(2) = 1/log(2)^10001 and psi(10) = log(10)^999 are past the
+        # largest float: a typed refusal, and no numpy warning on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "restricta", "dioph", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "cap-exceeded"
+        assert "past the float range" in json.loads(proc.stdout)["message"]
+        manifest, = proc.stderr.splitlines()
+        assert json.loads(manifest)["argv"] == ["dioph", *argv]
 
 
 class TestDeterminism:

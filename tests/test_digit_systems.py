@@ -17,7 +17,7 @@ from restricta.digit_systems import (
     enumerate_restricted,
     prediction_constant,
 )
-from restricta.errors import CapExceeded, LimitExceeded, UsageError
+from restricta.errors import CapExceeded, LimitExceeded, OutOfRange, UsageError
 
 from tests.oracles import enumerate_list
 
@@ -88,16 +88,21 @@ class TestEnumeration:
         assert members.dtype == (np.int64 if x < 2**63 else object)
         assert members.tolist() == enumerate_list(sys, x)
 
-    @pytest.mark.parametrize("x", (2**63 - 1, 2**63, 10**21))
-    @pytest.mark.parametrize("sys", (
-        DigitSystem.of(2**21, (0, 1)),  # 2^63 = q^3 is a member
-        DigitSystem.of(2**21, (1, 2**21 - 1)),
-        DigitSystem.of(2, (1,)),  # 2^63 - 1 is a member
-        DigitSystem.of(1000, (0, 1, 7)),
-        DigitSystem.of(10, (1,)),
-        DigitSystem.of(2**64, (0, 1, 2**63)),  # a one-digit member above int64
-        DigitSystem.of(10**20, (3, 10**19)),
-    ), ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
+    @pytest.mark.parametrize(("sys", "x"), [
+        *((s, x) for x in (2**63 - 1, 2**63, 10**21) for s in (
+            DigitSystem.of(2**21, (0, 1)),  # 2^63 = q^3 is a member
+            DigitSystem.of(2**21, (1, 2**21 - 1)),
+            DigitSystem.of(2, (1,)),  # 2^63 - 1 is a member
+            DigitSystem.of(1000, (0, 1, 7)),
+            DigitSystem.of(10, (1,)),
+            DigitSystem.of(2**64, (0, 1, 2**63)),  # a one-digit member above int64
+            DigitSystem.of(10**20, (3, 10**19)),
+        )),
+        # members within one float64 spacing above x and x // q: a cut-off
+        # compared in float64 would keep 10^18 + {0, 1, 10, 11}, and 2^63
+        (DigitSystem.of(10, (0, 1)), 10**18 - 1),
+        (DigitSystem.of(8, (0, 1)), 2**63 - 1),
+    ], ids=lambda v: f"q={v.q},D=" + ".".join(map(str, v.digits)) if isinstance(v, DigitSystem) else None)
     def test_int64_edge(self, sys, x):
         members = enumerate_restricted(sys, x)
         assert members.dtype == (np.int64 if x < 2**63 else object)
@@ -198,6 +203,32 @@ class TestCensus:
         # R_21 to the scalar one; the primes are R_2 = 11 and R_19
         rep = census(DigitSystem.of(10, (1,)), 10**21)
         assert (rep.count, rep.prime_count) == (21, 2)
+
+    def test_one_primality_call_across_2_63(self, monkeypatch):
+        # the census hands all its members to is_prime_int at once, R_1..R_19
+        # below 2^63 and R_20..R_24 above, and the split is the primes
+        # module's; nested calls (its scalar path) are not counted.  The
+        # primes are R_2, R_19 and R_23.  At 10^39 the one call refuses R_26.
+        real, calls, depth = _primes.is_prime_int, [], []
+
+        def counted(n):
+            if not depth:
+                calls.append(n.tolist())
+            depth.append(n)
+            try:
+                return real(n)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(_primes, "is_prime_int", counted)
+        sys = DigitSystem.of(10, (1,))
+        rep = census(sys, 10**24)
+        assert (rep.count, rep.prime_count) == (24, 3)
+        assert calls == [[int("1" * j) for j in range(1, 25)]]
+        calls.clear()
+        with pytest.raises(OutOfRange, match="^" + "1" * 26 + " >= psi_13"):
+            census(sys, 10**39)
+        assert len(calls) == 1 and len(calls[0]) == 39
 
     def test_enumerate_route_memory(self):
         # the 262142 members as int64 arrays, not Python ints: 4.8 MB traced

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -350,6 +351,21 @@ class TestPsiFamilies:
         assert 0 < PsiFunction.ds_spread()(D.primorial(743)) < math.inf
         for psi in (PsiFunction.ds_base(), PsiFunction.ds_spread(), PsiFunction.power(0.5)):
             assert psi.exact(D.primorial(739)) > 0
+
+    @pytest.mark.parametrize("eps,n,lo,hi", [(10000.0, 2, 3, 10), (-1000.0, 8, 1, 7)])
+    def test_infinite_khinchin_is_refused(self, eps, n, lo, hi):
+        # 1/log(2)^10001 and log(8)^999 are past the largest float: every
+        # reader of a window that holds n refuses it, with no numpy warning;
+        # a window [lo, hi] without n stands
+        psi = PsiFunction.khinchin_threshold(eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (lambda: psi.values(10), lambda: psi.values(n, n), lambda: psi.exact(n),
+                         lambda: psi.support(10), lambda: D.event_union(n, psi), lambda: D.series_partial(psi, 10)):
+                with pytest.raises(CapExceeded, match="past the float range"):
+                    read()
+            assert np.isfinite(psi.values(hi, lo)).all()
+            assert psi.exact(hi) == Fraction(float(psi.values(hi, lo)[-1]))
 
     def test_ds_base_is_zero_off_the_primorials_at_any_size(self):
         # only power and khinchin form a float n, so ds_base is 0 off the

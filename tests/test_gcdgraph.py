@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,15 +129,16 @@ class TestModelProblem:
             assert g >= B and sum(1 for s in S if s % g == 0) == mult
 
     def test_factorizations_split_at_2_63(self):
-        # one array call below 2^63, the scalar path from 2^63 on
+        # factorize splits an object array: one array call below 2^63, the
+        # scalar path from 2^63 on
         vals = (1, 6, 999_983**2, 2**63 - 25, 2**63 - 1, 2**63, 2**64 + 1, 3**41)
-        assert G._factorizations(vals) == [factorize(v) for v in vals]
-        assert G._factorizations(()) == []
+        assert factorize(np.array(vals, dtype=object)) == [factorize(v) for v in vals]
+        assert factorize(np.array((), dtype=object)) == []
 
     def test_recount_mismatch_raises(self, monkeypatch):
         # the recount check must hold under python -O too, so it raises
         # every element reported as 7: 7 would be counted three times
-        monkeypatch.setattr(G, "_factorizations", lambda vals: [{7: 1} for _ in vals])
+        monkeypatch.setattr(G, "factorize", lambda vals: [{7: 1} for _ in vals])
         with pytest.raises(RuntimeError):
             G.model_problem_search(G.GcdInstance((7, 10, 12), 2))
 
@@ -227,6 +229,15 @@ class TestBeyondInt64:
         want = [(i, j) for i, u in enumerate(vals) for j, v in enumerate(vals) if math.gcd(u, v) >= self.B]
         assert list(g.edges) == want
         assert all(type(k) is int for e in g.edges for k in e)
+
+    @pytest.mark.parametrize("search", [G.model_problem_search, G.compress_greedy])
+    def test_one_factorize_call_across_2_63(self, monkeypatch, search):
+        # the split at 2^63 is the primes module's: all of S goes in one call
+        S = (6, 10, 15, 2**63 - 1, 2**63, 3 * 2**64, 5 * 2**64)
+        calls = []
+        monkeypatch.setattr(G, "factorize", lambda arr: calls.append(arr.tolist()) or factorize(arr))
+        assert search(G.GcdInstance(S, 2))
+        assert calls == [list(S)]
 
     def test_green_walker_matches_math_gcd(self):
         R, S = sorted(self.S)[:4], sorted(self.S)[2:]

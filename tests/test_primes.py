@@ -796,6 +796,62 @@ class TestPrimalityArray:
         _array_agrees(values)
 
 
+# either side of 2^63: 0, 1, negatives, the largest prime below 2^63,
+# 2^63 - 1, 2^63, 2^64 + 1, psi_12 and the least prime above 2^63
+_WIDE = (0, 1, -1, -7, -(2**70), 2**63 - 25, 2**63 - 1, 2**63, 2**64 + 1, P._PSI12, 2**63 + 29)
+
+
+def _same_refusal(f, values, kind):
+    """f of an object array refuses as the first refusal of f's scalar path in
+    flat order does: the same kind and message."""
+    with pytest.raises(kind) as first:
+        for v in values:
+            f(v)
+    with pytest.raises(kind, match=f"^{re.escape(str(first.value))}$"):
+        f(np.array(values, dtype=object))
+
+
+class TestObjectArrays:
+    """An object array is split at 2^63 in the primes module: the int64
+    array path below, the scalar path from there."""
+
+    def test_primality_is_the_scalar_path(self):
+        for shape in ((len(_WIDE),), (len(_WIDE), 1)):
+            got = P.is_prime_int(np.array(_WIDE, dtype=object).reshape(shape))
+            assert got.dtype == bool and got.shape == shape
+            assert got.reshape(-1).tolist() == [P.is_prime_int(v) for v in _WIDE]
+        empty = P.is_prime_int(np.empty((0, 3), dtype=object))
+        assert empty.dtype == bool and empty.shape == (0, 3)
+
+    def test_factorization_is_the_scalar_path(self):
+        values = [v for v in _WIDE if v > 0 and v != P._PSI12]  # psi_12 is two primes above the trial limit
+        got = P.factorize(np.array(values, dtype=object).reshape(-1, 1))
+        want = [P.factorize(v) for v in values]
+        assert got == want
+        assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+        assert P.factorize(np.empty(0, dtype=object)) == []
+
+    def test_int64_values_take_the_int64_answer(self):
+        values = [0, 1, 2, 97, -5, 2**62 + 135, 2**63 - 25, 2**63 - 1]
+        got = P.is_prime_int(np.array(values, dtype=object))
+        assert np.array_equal(got, P.is_prime_int(np.array(values, dtype=np.int64)))
+        positive = [v for v in values if v > 0]
+        assert P.factorize(np.array(positive, dtype=object)) == P.factorize(np.array(positive, dtype=np.int64))
+
+    def test_refusals_are_the_scalar_paths(self):
+        psi13 = P._PSI13
+        _same_refusal(P.is_prime_int, [-3, 5, 2**63 + 29, psi13 - 2, psi13, psi13 + 2, 10**39 + 7], OutOfRange)
+        hard = 1_000_003 * 1_000_033
+        for values in ([6, hard, 2**64 * 3, 5 * P._PSI12],  # refused below 2^63
+                       [6, 2**63 + 29, 3 * P._PSI12, 5 * P._PSI12],  # refused above it
+                       [6, 2**64, 10**39 + 7, 3 * P._PSI12]):  # a cofactor past psi_13
+            _same_refusal(P.factorize, values, FactorizationTooHard)
+        with pytest.raises(OutOfRange, match=f"^{psi13} >= psi_13"):
+            P.is_prime_int(np.array([7, 2**64 + 1, psi13, psi13 + 2], dtype=object))
+        with pytest.raises(FactorizationTooHard, match=f"^composite cofactor {P._PSI12} of {3 * P._PSI12}$"):
+            P.factorize(np.array([6, 2**63 + 29, 3 * P._PSI12, 5 * P._PSI12], dtype=object))
+
+
 @contextlib.contextmanager
 def _deadline(seconds: float):
     """Raise TimeoutError in the main thread after seconds, so that a search
