@@ -3,6 +3,8 @@
 A digit system is a base q >= 2 with an allowed digit set D.  The set A
 collects every n >= 0 whose standard base-q expansion uses only digits
 from D (the expansion of 0 is empty, so 0 is a member iff 0 is allowed).
+``DigitSystem`` owns A's digit layout: its membership test, its j-digit
+indicator and its runs of consecutive members are what other modules read.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class DigitSystem:
         """Parse the CLI form "q=10,D=0-6.8-9" or "q=10,exclude=7".
 
         Digit ranges are dot-separated, each "a-b" inclusive or a single
-        digit.  Each range is checked before it is expanded: an allowed
-        range must lie in [0, q), an excluded one is clipped to it, and
-        more than DIGIT_CAP digits in all are refused.
+        digit.  q= is given once, and one of D= or exclude= once.  Each
+        range is checked before it is expanded: an allowed range must lie
+        in [0, q), an excluded one is clipped to it, and more than
+        DIGIT_CAP digits in all are refused.
         """
         q = None
         dspec = None
@@ -72,10 +75,12 @@ class DigitSystem:
                 raise UsageError(f"bad digit-system component {part!r}")
             key, val = part.split("=", 1)
             key = key.strip().lower()
-            if key == "q":
+            if key == "q" and q is None:
                 q = parsed(int, val, "digit-system base")
-            elif key in ("d", "exclude"):
+            elif key in ("d", "exclude") and dspec is None:
                 dspec, mode = val, key
+            elif key in ("q", "d", "exclude"):
+                raise UsageError(f"second {'base' if key == 'q' else 'digit set'} at digit-system key {key!r}")
             else:
                 raise UsageError(f"unknown digit-system key {key!r}")
         if q is None or dspec is None:
@@ -131,6 +136,40 @@ class DigitSystem:
                 return False
             n //= q
         return True
+
+    def indicator(self, j: int, dtype=bool, lead: bool = False) -> np.ndarray:
+        """ind[r] for r < q^j: every digit of r written with exactly j digits
+        (zero-padded) is allowed, or with ``lead`` every digit of the plain
+        expansion of r (the expansion of 0 is empty).  It grows one digit at a
+        time as outer products r = r' * q + d, so no integer array is built;
+        a float ``dtype`` gives the 0/1 indicator."""
+        ind = np.ones(1, dtype=dtype)
+        if j:
+            allowed = np.zeros(self.q, dtype=dtype)
+            allowed[list(self.digits)] = 1
+            for _ in range(j):
+                ind = np.multiply.outer(ind, allowed).ravel()
+                if lead:
+                    ind[0] = 1
+        return ind
+
+    def runs(self, m: int) -> np.ndarray:
+        """The maximal half-open runs [lo, hi) of consecutive integers in
+        {0} and A(m), increasing, as the rows of a (k, 2) array: a member
+        t*q + d has a prefix t in {0} and A(m // q) and an allowed digit d,
+        so one outer sum of the prefixes times q and the spans of allowed
+        digits, clipped at m + 1, gives them, merged where they touch.
+        Python ints when m + q passes int64."""
+        t = enumerate_restricted(self, m // self.q).astype(np.int64 if m + self.q < 1 << 63 else object, copy=False)
+        d = np.array(self.digits, dtype=t.dtype)
+        gap = np.flatnonzero(np.diff(d) != 1)
+        spans = np.stack((d[np.r_[0, gap + 1]], d[np.r_[gap, -1]] + 1))  # [start, end) of each span
+        base = np.concatenate(([0], t[t > 0]))[:, None] * self.q
+        lo, hi = (base + spans[0]).ravel(), np.minimum(base + spans[1], m + 1).ravel()
+        keep = lo < hi
+        lo, hi = np.concatenate(([0], lo[keep])), np.concatenate(([1], hi[keep]))
+        cut = lo[1:] > hi[:-1]  # lo and hi never decrease: a run ends where the next starts past it
+        return np.stack((lo[np.r_[True, cut]], hi[np.r_[cut, True]]), axis=1)
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +284,8 @@ def census(sys: DigitSystem, x: int) -> CensusReport:
     test them exactly in one ``is_prime_int`` call (OutOfRange for the first
     member at or above psi_13, where no base set is proven); otherwise count with
     ``count_primes_digit_filtered`` over the table of x, which walks only
-    the blocks of q^j integers whose leading digits are allowed.  Above the
+    the blocks of q^j integers whose leading digits are allowed (``runs``,
+    from prefixes below x / 2^21 <= 2^19) through ``indicator``.  Above the
     sieve limit, a set too large for either route is refused with
     LimitExceeded, naming both caps, before anything is enumerated.
     """

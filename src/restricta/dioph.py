@@ -144,10 +144,10 @@ class PsiFunction:
             return cls.constant(parsed(Fraction, arg, "constant"))
         if fam in ("khinchin", "khinchin_threshold"):
             return cls.khinchin_threshold(parsed(float, arg, "khinchin eps") if arg else 0.0)
-        if fam == "ds_base":
-            return cls.ds_base()
-        if fam == "ds_spread":
-            return cls.ds_spread()
+        if fam in ("ds_base", "ds_spread"):
+            if arg:
+                raise UsageError(f"psi family {fam} takes no parameter, got {arg!r}")
+            return cls(fam)
         if fam == "table":
             return cls.from_csv(arg)
         if text.endswith(".csv"):

@@ -23,7 +23,6 @@ import numpy as np
 from .digit_systems import DigitSystem
 from .errors import CapExceeded, UsageError
 from .numutil import catalan_constant, fsum_chunks, unit
-from .primes import digit_indicator
 
 TAU = 0.2 - 1e-9  # exponent of the (q-1)*q^tau thresholds, just below 1/5
 SLACK = 1e-12  # per-term upward slack in certified accumulations
@@ -267,7 +266,7 @@ def sa_chunks(profile: FourierProfile):
     Thm 24.2, and the values do not depend on _CHUNK.  The float indicator
     (8N bytes) is freed before the conjugate is taken in place.
     """
-    sa = np.fft.rfft(digit_indicator(profile.sys, profile.k, np.float64))
+    sa = np.fft.rfft(profile.sys.indicator(profile.k, np.float64))
     np.conjugate(sa, out=sa)
     for j0 in range(0, len(sa), _CHUNK):
         yield j0, sa[j0 : j0 + _CHUNK]

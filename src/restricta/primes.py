@@ -11,11 +11,12 @@ progression and S_P(theta) = sum_{p<=N} e(p*theta) from one walk, and
 ``prime_spectrum`` fills the indicator of the primes from one walk, and
 the digit census walks only the slot runs of the blocks of q^j integers
 whose leading digits are allowed, counting each piece through one digit
-pattern.  S_P reads each segment's slot indices through two root tables
-of 1024 entries, so no prime is decoded.  Also: Ramanujan sums,
-primorials, exact primality and exact factorization.  Primality of an int
-is deterministic Miller-Rabin with the bases the psi_k table proves
-enough, refused at psi_13; that of a whole int64 array is Baillie-PSW in
+pattern, both read off the ``DigitSystem`` (no digit is read here).  S_P
+reads each segment's slot indices through two root tables of 1024
+entries, so no prime is decoded.  Also: Ramanujan sums, primorials, exact
+primality and exact factorization.  Primality of an int is deterministic
+Miller-Rabin with the bases the psi_k table proves enough, refused at
+psi_13; that of a whole int64 array is Baillie-PSW in
 uint64 Montgomery arithmetic (a strong base-2 test and a strong Lucas
 test), which no composite below 2^64 passes (Gilchrist's check against
 Feitsma's list of the base-2 pseudoprimes).  Factorization, which Mobius
@@ -210,62 +211,14 @@ def prime_sums(
     return pi, count, complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
 
 
-def digit_indicator(sys, j: int, dtype=bool, lead: bool = False) -> np.ndarray:
-    """ind[r] for r < q^j: every digit of r written with exactly j digits
-    (zero-padded) is allowed, or with ``lead`` every digit of the plain
-    expansion of r (the expansion of 0 is empty).  It grows one digit at a
-    time as outer products r = r' * q + d, so no integer array is built;
-    a float ``dtype`` gives the 0/1 indicator."""
-    ind = np.ones(1, dtype=dtype)
-    if j:
-        allowed = np.zeros(sys.q, dtype=dtype)
-        allowed[list(sys.digits)] = 1
-        for _ in range(j):
-            ind = np.multiply.outer(ind, allowed).ravel()
-            if lead:
-                ind[0] = 1
-    return ind
-
-
 def _digit_patterns(sys) -> tuple[int, np.ndarray, np.ndarray]:
     """(Q, full, lead) for Q = q^j, the largest power of q with at most
     2*SEGMENT integers (j = 0, Q = 1 when q itself is larger): the
-    ``digit_indicator`` of j digits, zero-padded and plain."""
+    ``DigitSystem.indicator`` of j digits, zero-padded and plain."""
     j = 0
     while sys.q ** (j + 1) <= 2 * SEGMENT:
         j += 1
-    return sys.q**j, digit_indicator(sys, j), digit_indicator(sys, j, lead=True)
-
-
-def _block_runs(sys, m: int) -> list[list[int]]:
-    """The half-open runs [lo, hi) of consecutive integers in {0} and the
-    members of A in [1, m], increasing and merged.
-
-    A member t*q + d >= q has a member prefix t and an allowed last digit
-    d, so the runs come from those of the prefixes in [0, m // q] (0 as
-    the empty prefix) and the runs of consecutive allowed digits.
-    """
-    q = sys.q
-    if m < 1:
-        return [[0, 1]]
-    spans = []  # runs of consecutive allowed digits, half-open
-    for d in sys.digits:
-        if spans and spans[-1][1] == d:
-            spans[-1][1] = d + 1
-        else:
-            spans.append([d, d + 1])
-    runs = [[0, 1]]
-    for t0, t1 in _block_runs(sys, m // q):
-        for t in range(t0, t1):
-            for a, b in spans:
-                lo, hi = t * q + a, min(t * q + b, m + 1)
-                if lo >= hi:
-                    break
-                if runs[-1][1] >= lo:
-                    runs[-1][1] = hi
-                else:
-                    runs.append([lo, hi])
-    return runs
+    return sys.q**j, sys.indicator(j), sys.indicator(j, lead=True)
 
 
 def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
@@ -275,12 +228,14 @@ def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
     With Q = q^j from ``_digit_patterns``, n = i*Q + r (0 <= r < Q) is a
     member of A exactly when i = 0 and the plain expansion of r is allowed,
     or i >= 1 is a member and the j digits of r, zero-padded, are allowed.
-    So ``table.slots`` walks only the blocks [i*Q, (i+1)*Q) with i = 0 or
-    i in A, merged into runs of odd slots, the block holding x cut at x.
-    Each piece's flags are ANDed with the pattern ``full`` (``lead`` in
-    block 0) at the odd integers and counted; no prime is decoded.  The
-    pattern at odd slot s is full[(2s+1) % Q], which repeats every Q/2
-    slots for even Q and every Q slots for odd Q.
+    So ``table.slots`` walks only the blocks [i*Q, (i+1)*Q) with i in the
+    runs ``sys.runs(x // Q)`` of {0} and A, as runs of odd slots, the block
+    holding x cut at x.  Each piece's flags are ANDed with the pattern
+    ``full`` (``lead`` in block 0) at the odd integers and counted; no
+    prime is decoded.  The pattern at odd slot s is full[(2s+1) % Q], which
+    repeats every Q/2 slots for even Q and every Q slots for odd Q.  Of
+    the digits it reads ``sys.indicator``, ``sys.runs`` and
+    ``sys.contains`` only.
     """
     x = table.limit
     Q, full, lead = _digit_patterns(sys)
@@ -290,7 +245,7 @@ def count_primes_digit_filtered(table: PrimeTable, sys) -> int:
     lead_odd = lead[1::2].copy()  # block 0: the odd r < Q are the slots [0, Q // 2)
     del full, lead, odd
     # slots of the odd integers in [i0*Q, min(i1*Q, x + 1))
-    runs = [(i0 * Q // 2, min(i1 * Q, x + 1) // 2) for i0, i1 in _block_runs(sys, x // Q)]
+    runs = [(i0 * Q // 2, min(i1 * Q, x + 1) // 2) for i0, i1 in sys.runs(x // Q).tolist()]
     count = 1 if sys.contains(2) else 0  # the one even prime
     for lo, flags in table.slots(runs):
         split = min(max(Q // 2 - lo, 0), len(flags))

@@ -347,6 +347,18 @@ def enumerate_list(sys, x: int) -> list[int]:
     return out
 
 
+def runs_of(members) -> list[list[int]]:
+    """The maximal half-open runs [lo, hi) of consecutive integers in {0}
+    and the members given, increasing, as the lists [lo, hi)."""
+    runs = []
+    for n in sorted({0, *members}):
+        if runs and runs[-1][1] == n:
+            runs[-1][1] = n + 1
+        else:
+            runs.append([n, n + 1])
+    return runs
+
+
 def euler_phi(n: int) -> int:
     """phi(n) = n prod (1 - 1/p) over the primes p of n, found by trial
     division by every d up to the square root of what is left; phi(0) = 0."""

@@ -149,6 +149,11 @@ class TestBasics:
         ("dioph", "--psi", "table:{psi_negative}", "--cmd", "series", "--Q", "3"),
         ("dioph", "--psi", "table:{psi_n0}", "--cmd", "series", "--Q", "3"),
         ("dioph", "--psi", "table:{psi_huge}", "--cmd", "series", "--Q", "3"),
+        # a repeated digit-system key, or a parameter on a psi family that takes none
+        ("census", "--sys", "q=10,D=1,exclude=2", "--x", "100"),
+        ("census", "--sys", "q=10,q=7,D=1", "--x", "100"),
+        ("dioph", "--psi", "ds_base:junk", "--cmd", "series", "--Q", "10"),
+        ("dioph", "--psi", "ds_spread:7", "--cmd", "series", "--Q", "10"),
     ])
     def test_malformed_text_is_usage_error(self, capsys, tmp_path, argv):
         paths = {name: tmp_path / name for name in MALFORMED_FILES}

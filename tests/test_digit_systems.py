@@ -19,7 +19,7 @@ from restricta.digit_systems import (
 )
 from restricta.errors import CapExceeded, LimitExceeded, OutOfRange, UsageError
 
-from tests.oracles import enumerate_list
+from tests.oracles import enumerate_list, runs_of
 
 
 def brute_member(n: int, q: int, digits: set[int]) -> bool:
@@ -115,6 +115,41 @@ class TestEnumeration:
             enumerate_restricted(DigitSystem.of(10, range(10)), 10**6)
 
 
+LAYOUT_SYSTEMS = (
+    DigitSystem.of(2, (1,)),
+    DigitSystem.of(2, (0,)),
+    DigitSystem.of(2, (0, 1)),
+    DigitSystem.of(3, (0, 2)),
+    DigitSystem.of(7, (1, 2, 4)),
+    DigitSystem.excluding(10, {7}),
+    DigitSystem.excluding(10, {0}),
+)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("j", (0, 1, 2, 3))
+    @pytest.mark.parametrize("sys", LAYOUT_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
+    def test_indicator_against_contains(self, sys, j):
+        r = range(sys.q**j)
+        padded = [all(sys.contains(n // sys.q**i % sys.q) for i in range(j)) for n in r]
+        plain = [n == 0 or sys.contains(n) for n in r]  # the expansion of 0 is empty
+        assert sys.indicator(j).dtype == bool
+        assert sys.indicator(j).tolist() == padded
+        assert sys.indicator(j, lead=True).tolist() == plain
+        ones = sys.indicator(j, np.float64, lead=True)
+        assert ones.dtype == np.float64 and ones.tolist() == [float(v) for v in plain]
+
+    @pytest.mark.parametrize(("sys", "m"), [
+        # t*q + q passes int64 for the last prefix t: the member 2^63 - 1 ends a run at 2^63
+        (DigitSystem.of(2**21, (1, 2**21 - 1)), 2**63 - 1),
+        (DigitSystem.of(2**21, (0, 1)), 2**63 + 1),
+        (DigitSystem.of(10, (0, 1)), 10**18 - 1),
+        (DigitSystem.of(2**64, (0, 1, 2**63)), 2**64 + 1),
+    ], ids=("q=2^21,D=1.q-1", "q=2^21,D=0.1", "q=10,D=0.1", "q=2^64"))
+    def test_runs_at_the_int64_edge(self, sys, m):
+        assert sys.runs(m).tolist() == runs_of(enumerate_list(sys, m))
+
+
 class TestPrediction:
     def test_examples(self):
         assert prediction_constant(DigitSystem.of(10, (1, 3, 4))) == Fraction(5, 3)
@@ -164,6 +199,19 @@ class TestDigitSystem:
         for bad in ("q=10", "D=1-2", "q=10,D=11", "q=1,D=0", "q=10,zap=1"):
             with pytest.raises(UsageError):
                 DigitSystem.parse(bad)
+
+    @pytest.mark.parametrize("spec,key", [
+        ("q=10,D=1,exclude=2", "exclude"),
+        ("q=10,exclude=2,D=1", "d"),
+        ("q=10,D=1,D=1", "d"),
+        ("q=10,exclude=7,exclude=3", "exclude"),
+        ("q=10,q=7,D=1", "q"),
+        ("q=10,D=1,Q=10", "q"),
+    ])
+    def test_parse_refuses_a_repeated_key(self, spec, key):
+        # a second base or digit set is refused, never silently preferred
+        with pytest.raises(UsageError, match=f"key '{key}'"):
+            DigitSystem.parse(spec)
 
     def test_spec_string_roundtrip(self):
         sys = DigitSystem.of(12, (0, 5, 7, 11))

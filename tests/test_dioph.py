@@ -451,6 +451,13 @@ class TestPsiFamilies:
         with pytest.raises(UsageError):
             PsiFunction.parse("nope:1")
 
+    @pytest.mark.parametrize("text", ["ds_base:junk", "ds_spread:7", "DS_BASE:0", "ds_spread: "])
+    def test_parse_refuses_a_parameter_on_a_bare_family(self, text):
+        # ds_base and ds_spread take no parameter: one given is refused, not dropped
+        with pytest.raises(UsageError, match="takes no parameter"):
+            PsiFunction.parse(text)
+        assert PsiFunction.parse(text.split(":")[0]).family == text.split(":")[0].lower()
+
 
 class TestEvents:
     def test_q2_half(self):

@@ -25,6 +25,7 @@ from tests.oracles import (
     jacobi,
     prime_exp_sum_exact,
     prime_spectrum_direct,
+    runs_of,
     selfridge,
     strong_lucas_probable_prime,
 )
@@ -303,14 +304,21 @@ class TestAdmissibleBlocks:
 
     @pytest.mark.parametrize("sys", BLOCK_SYSTEMS, ids=lambda s: f"q={s.q},D=" + ".".join(map(str, s.digits)))
     def test_block_runs_are_maximal(self, sys):
-        for m in (0, 1, sys.q - 1, sys.q, sys.q**2 + 3, 1000):
-            runs = []
-            for n in [0, *(n for n in range(1, m + 1) if sys.contains(n))]:
-                if runs and runs[-1][1] == n:
-                    runs[-1][1] = n + 1
-                else:
-                    runs.append([n, n + 1])
-            assert P._block_runs(sys, m) == runs, m
+        q = sys.q
+        for m in (0, 1, q - 1, q, q**2 + 3, 1000, q + 1, q**2 - 1, q**2, q**2 + 1, q**3 - 1, q**3, q**3 + 1):
+            assert sys.runs(m).tolist() == runs_of([n for n in range(1, m + 1) if sys.contains(n)]), m
+
+    @pytest.mark.parametrize("digits,x", [
+        ((*range(1000), *range(2**21 - 999, 2**21 + 1)), 5_000_000),
+        (range(1, 30_000, 7), 2_000_000),
+    ], ids=("x>q", "x<q"))
+    def test_runs_merge_across_prefixes(self, digits, x):
+        # Q = 1: the runs are the census blocks themselves, and with 0 and
+        # q - 1 allowed the members q*t - 1 and q*t of two prefixes touch
+        sys = DigitSystem.of(2**21 + 1, digits)
+        q = sys.q
+        for m in (0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 2 * q, 2 * q + 1, x):
+            assert sys.runs(m).tolist() == runs_of(enumerate_list(sys, m)), m
 
     def test_refuses_x_above_sieve_limit(self):
         # the census takes the sieve route there, and sieve_primes refuses x

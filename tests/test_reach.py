@@ -6,7 +6,8 @@ refusal.  They run in process under ``sys.setprofile``; each Python call
 into a src/ module is recorded as (module, qualname) and compared with the
 functions that ``ast`` finds there.  The difference must equal ALLOWLIST.
 A second guard holds the 64-bit phase format behind ``numutil``: no other
-src/ module names its parts.
+src/ module names its parts.  A third holds A's digit layout behind
+``DigitSystem``: ``primes`` reads no ``.digits``.
 """
 
 import ast
@@ -136,6 +137,13 @@ def test_phase_format_stays_in_numutil():
                 if name in parts:
                     named.add((path.name, name))
     assert not named
+
+
+def test_digit_layout_stays_in_digit_systems():
+    # A's digit layout is DigitSystem's: primes reads its indicator, its
+    # runs and its membership, and never the digit set itself
+    tree = ast.parse((SRC / "primes.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree) if getattr(node, "attr", None) == "digits"]
 
 
 def test_every_function_is_reached_or_allowlisted(tmp_path):
